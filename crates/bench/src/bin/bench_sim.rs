@@ -7,9 +7,7 @@
 //! Every micro comparison first *proves* the two engines bit-identical
 //! on the exact trace being timed (cycle outputs compared via `to_bits`,
 //! coherence traffic compared exactly) — a speedup over an engine that
-//! computes something else would be worthless. Mirrors the `sim`
-//! Criterion bench (`crates/bench/benches/sim.rs`); this binary exists
-//! because the container's criterion stub cannot time anything.
+//! computes something else would be worthless.
 //!
 //! Usage: `bench_sim [--out FILE] [--quick]`
 

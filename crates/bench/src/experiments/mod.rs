@@ -13,15 +13,15 @@ pub mod shared;
 pub mod timings;
 
 use crate::Report;
-use rayon::prelude::*;
+use std::thread;
 
 /// Run every experiment, returning all reports in paper order.
 ///
 /// Experiments are independent (each builds its own simulated platforms),
-/// so they run in parallel; on a single-core machine this degrades
-/// gracefully to sequential execution.
+/// so each runs on a thread of its own and the scheduler shares out the
+/// cores.
 pub fn run_all() -> Vec<Report> {
-    let jobs: Vec<fn() -> Report> = vec![
+    let jobs: [fn() -> Report; 14] = [
         cache::fig2,
         cache::sec4a,
         shared::fig8,
@@ -37,5 +37,11 @@ pub fn run_all() -> Vec<Report> {
         placement::app_placement,
         cache::ext_micro,
     ];
-    jobs.into_par_iter().map(|job| job()).collect()
+    thread::scope(|s| {
+        let running: Vec<_> = jobs.iter().map(|job| s.spawn(job)).collect();
+        running
+            .into_iter()
+            .map(|handle| handle.join().expect("an experiment panicked"))
+            .collect()
+    })
 }

@@ -6,15 +6,49 @@
 //! containers where it fails (restricted cpusets, non-Linux), measurements
 //! still run, just without placement control.
 
+/// The three C-library entry points this module needs, declared against
+/// the libc that std already links.
+#[cfg(target_os = "linux")]
+mod sys {
+    use std::ffi::{c_int, c_long};
+
+    /// Cores a mask can name (glibc's and musl's `CPU_SETSIZE`).
+    pub const CPU_SETSIZE: usize = 1024;
+
+    /// `cpu_set_t`: core `c` is bit `c % 64` of word `c / 64`, the kernel's
+    /// layout on every 64-bit and every little-endian target.
+    pub type CpuSet = [u64; CPU_SETSIZE / 64];
+
+    /// `_SC_PAGESIZE` on Linux, every architecture.
+    pub const SC_PAGESIZE: c_int = 30;
+
+    extern "C" {
+        pub fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const CpuSet) -> c_int;
+        pub fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut CpuSet) -> c_int;
+        pub fn sysconf(name: c_int) -> c_long;
+    }
+}
+
+/// Restrict the calling thread to `cores`. `false` when a core is beyond
+/// what a mask can name or the kernel refuses the mask.
+#[cfg(target_os = "linux")]
+fn set_allowed_cores(cores: &[usize]) -> bool {
+    let mut set = sys::CpuSet::default();
+    for &core in cores {
+        if core >= sys::CPU_SETSIZE {
+            return false;
+        }
+        set[core / 64] |= 1 << (core % 64);
+    }
+    // SAFETY: `set` is a live, initialised mask of exactly the size passed,
+    // and the call only reads it; pid 0 names the calling thread.
+    unsafe { sys::sched_setaffinity(0, std::mem::size_of::<sys::CpuSet>(), &set) == 0 }
+}
+
 /// Pin the calling thread to `core`. Returns `true` on success.
 #[cfg(target_os = "linux")]
 pub fn pin_to_core(core: usize) -> bool {
-    unsafe {
-        let mut set: libc::cpu_set_t = std::mem::zeroed();
-        libc::CPU_ZERO(&mut set);
-        libc::CPU_SET(core, &mut set);
-        libc::sched_setaffinity(0, std::mem::size_of::<libc::cpu_set_t>(), &set) == 0
-    }
+    set_allowed_cores(&[core])
 }
 
 /// Pinning is a no-op off Linux.
@@ -26,15 +60,15 @@ pub fn pin_to_core(_core: usize) -> bool {
 /// The set of cores the calling thread may run on, by index.
 #[cfg(target_os = "linux")]
 pub fn allowed_cores() -> Vec<usize> {
-    unsafe {
-        let mut set: libc::cpu_set_t = std::mem::zeroed();
-        if libc::sched_getaffinity(0, std::mem::size_of::<libc::cpu_set_t>(), &mut set) != 0 {
-            return Vec::new();
-        }
-        (0..libc::CPU_SETSIZE as usize)
-            .filter(|&c| libc::CPU_ISSET(c, &set))
-            .collect()
+    let mut set = sys::CpuSet::default();
+    // SAFETY: `set` is a live mask of exactly the size passed, which the
+    // call fills; pid 0 names the calling thread.
+    if unsafe { sys::sched_getaffinity(0, std::mem::size_of::<sys::CpuSet>(), &mut set) } != 0 {
+        return Vec::new();
     }
+    (0..sys::CPU_SETSIZE)
+        .filter(|&c| set[c / 64] & (1 << (c % 64)) != 0)
+        .collect()
 }
 
 /// Unknown affinity off Linux.
@@ -53,7 +87,8 @@ pub fn available_cores() -> usize {
 /// OS page size in bytes.
 #[cfg(target_os = "linux")]
 pub fn page_size() -> usize {
-    let ps = unsafe { libc::sysconf(libc::_SC_PAGESIZE) };
+    // SAFETY: `sysconf` takes no pointers and only reads process state.
+    let ps = unsafe { sys::sysconf(sys::SC_PAGESIZE) };
     if ps > 0 {
         ps as usize
     } else {
@@ -95,14 +130,15 @@ mod tests {
     fn pin_to_first_allowed_core() {
         let cores = allowed_cores();
         assert!(pin_to_core(cores[0]));
+        assert_eq!(allowed_cores(), [cores[0]]);
         // Restore the original mask for later tests.
-        unsafe {
-            let mut set: libc::cpu_set_t = std::mem::zeroed();
-            libc::CPU_ZERO(&mut set);
-            for &c in &cores {
-                libc::CPU_SET(c, &mut set);
-            }
-            libc::sched_setaffinity(0, std::mem::size_of::<libc::cpu_set_t>(), &set);
-        }
+        assert!(set_allowed_cores(&cores));
+        assert_eq!(allowed_cores(), cores);
+    }
+
+    #[test]
+    fn pin_beyond_the_mask_is_refused() {
+        assert!(!pin_to_core(1024));
+        assert!(!pin_to_core(usize::MAX));
     }
 }

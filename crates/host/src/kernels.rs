@@ -13,6 +13,7 @@
 //!   standing in for MPI point-to-point over shared memory.
 
 use std::hint::black_box;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
 /// Minimum measured time per kernel invocation; repetitions scale until a
@@ -146,16 +147,16 @@ pub fn copy_bandwidth_gbs(buf_bytes: usize) -> f64 {
 /// B, B copies it into its own buffer and bounces it back. Mean one-way
 /// latency emulates an MPI shared-memory transfer.
 pub struct PingPong {
-    to_b: crossbeam::channel::Sender<Box<[u8]>>,
-    from_b: crossbeam::channel::Receiver<Box<[u8]>>,
+    to_b: SyncSender<Box<[u8]>>,
+    from_b: Receiver<Box<[u8]>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl PingPong {
     /// Spawn the partner thread, optionally pinned to `core_b`.
     pub fn new(size: usize, core_b: Option<usize>) -> Self {
-        let (to_b, rx_b) = crossbeam::channel::bounded::<Box<[u8]>>(1);
-        let (tx_back, from_b) = crossbeam::channel::bounded::<Box<[u8]>>(1);
+        let (to_b, rx_b) = sync_channel::<Box<[u8]>>(1);
+        let (tx_back, from_b) = sync_channel::<Box<[u8]>>(1);
         let handle = std::thread::spawn(move || {
             if let Some(c) = core_b {
                 crate::affinity::pin_to_core(c);
@@ -198,7 +199,7 @@ impl PingPong {
 impl Drop for PingPong {
     fn drop(&mut self) {
         // Closing the channel stops the partner loop.
-        let (dead_tx, _) = crossbeam::channel::bounded(1);
+        let (dead_tx, _) = sync_channel(1);
         self.to_b = dead_tx;
         if let Some(h) = self.handle.take() {
             let _ = h.join();

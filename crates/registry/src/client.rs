@@ -19,6 +19,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use servet_core::profile::MachineProfile;
+use servet_tune::space::splitmix64;
 
 /// One connection to a registry server.
 pub struct RegistryClient {
@@ -240,16 +241,6 @@ impl RetryPolicy {
     pub fn backoff(&self) -> Backoff {
         Backoff::seeded(self, self.jitter_seed)
     }
-}
-
-/// One step of the splitmix64 generator — tiny, seedable, and plenty
-/// for spreading sleeps (this is not cryptography).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The materialized sleep sequence of a [`RetryPolicy`]: plain

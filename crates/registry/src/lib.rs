@@ -23,8 +23,8 @@
 //! * [`protocol`] — the newline-delimited JSON wire types (documented in
 //!   `DESIGN.md`).
 //! * [`poll`] / [`timer`] / [`conn`] — the std-only event-loop
-//!   substrate: a readiness [`poll::Poller`] (raw-syscall epoll with
-//!   `poll(2)` and scan fallbacks), a hashed [`timer::TimerWheel`] of
+//!   substrate: a readiness [`poll::Poller`] (raw-syscall epoll, with a
+//!   scan fallback off Linux), a hashed [`timer::TimerWheel`] of
 //!   idle deadlines, and the per-connection [`conn::Conn`] state
 //!   machine that buffers partial NDJSON lines across readiness
 //!   events.

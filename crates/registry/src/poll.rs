@@ -2,15 +2,12 @@
 //! the same spirit as the dependency-free SHA-256 in [`crate::digest`].
 //!
 //! A [`Poller`] watches a set of file descriptors for read/write
-//! readiness. Three backends exist, best-first:
+//! readiness. Two backends exist, best-first:
 //!
 //! * **epoll** (Linux on x86_64/aarch64): `epoll_create1` /
 //!   `epoll_ctl` / `epoll_pwait` issued as raw syscalls through thin
 //!   inline-asm wrappers in [`sys`] — no `libc` crate, no FFI. This is
 //!   the O(ready) backend that lets one thread multiplex 10k+ sockets.
-//! * **poll** (Linux on x86_64/aarch64): the portable `poll(2)` shape
-//!   (via the `ppoll` syscall), O(registered) per wait. Selected when
-//!   `epoll_create1` fails, or explicitly for tests.
 //! * **scan** (everything else): a pure-std degraded mode that reports
 //!   every registered descriptor as ready after a short sleep. Callers
 //!   must treat readiness as a hint (sockets are nonblocking and
@@ -71,8 +68,6 @@ pub struct Event {
 pub enum Backend {
     /// Linux `epoll` via raw syscalls.
     Epoll,
-    /// Linux `poll(2)` (the `ppoll` syscall) — the portable fallback.
-    Poll,
     /// Pure-std spurious-readiness scanning — the degraded fallback.
     Scan,
 }
@@ -88,30 +83,20 @@ enum Impl {
         any(target_arch = "x86_64", target_arch = "aarch64")
     ))]
     Epoll(epoll::Epoll),
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Poll(pollfds::PollFds),
     Scan(scan::Scan),
 }
 
 impl Poller {
     /// The best poller this platform offers: epoll where the syscall
-    /// wrappers exist, the scan fallback elsewhere. Falls back one rung
-    /// if the preferred backend cannot be constructed.
+    /// wrappers exist (an `epoll_create1` failure is returned as is), the
+    /// scan fallback elsewhere.
     pub fn new() -> io::Result<Self> {
         #[cfg(all(
             target_os = "linux",
             any(target_arch = "x86_64", target_arch = "aarch64")
         ))]
         {
-            match epoll::Epoll::new() {
-                Ok(e) => Ok(Self {
-                    imp: Impl::Epoll(e),
-                }),
-                Err(_) => Self::with_backend(Backend::Poll),
-            }
+            Self::with_backend(Backend::Epoll)
         }
         #[cfg(not(all(
             target_os = "linux",
@@ -132,13 +117,6 @@ impl Poller {
             ))]
             Backend::Epoll => Ok(Self {
                 imp: Impl::Epoll(epoll::Epoll::new()?),
-            }),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Backend::Poll => Ok(Self {
-                imp: Impl::Poll(pollfds::PollFds::new()),
             }),
             Backend::Scan => Ok(Self {
                 imp: Impl::Scan(scan::Scan::new()),
@@ -162,11 +140,6 @@ impl Poller {
                 any(target_arch = "x86_64", target_arch = "aarch64")
             ))]
             Impl::Epoll(_) => Backend::Epoll,
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Impl::Poll(_) => Backend::Poll,
             Impl::Scan(_) => Backend::Scan,
         }
     }
@@ -179,11 +152,6 @@ impl Poller {
                 any(target_arch = "x86_64", target_arch = "aarch64")
             ))]
             Impl::Epoll(e) => e.register(fd, token, interest),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Impl::Poll(p) => p.register(fd, token, interest),
             Impl::Scan(s) => s.register(fd, token, interest),
         }
     }
@@ -196,11 +164,6 @@ impl Poller {
                 any(target_arch = "x86_64", target_arch = "aarch64")
             ))]
             Impl::Epoll(e) => e.modify(fd, token, interest),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Impl::Poll(p) => p.modify(fd, token, interest),
             Impl::Scan(s) => s.modify(fd, token, interest),
         }
     }
@@ -213,11 +176,6 @@ impl Poller {
                 any(target_arch = "x86_64", target_arch = "aarch64")
             ))]
             Impl::Epoll(e) => e.deregister(fd),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Impl::Poll(p) => p.deregister(fd, token),
             Impl::Scan(s) => s.deregister(fd, token),
         }
     }
@@ -237,11 +195,6 @@ impl Poller {
                 any(target_arch = "x86_64", target_arch = "aarch64")
             ))]
             Impl::Epoll(e) => e.wait(events, timeout),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Impl::Poll(p) => p.wait(events, timeout),
             Impl::Scan(s) => s.wait(events, timeout),
         }
     }
@@ -276,7 +229,6 @@ pub mod sys {
         pub const EPOLL_CTL: usize = 233;
         pub const EPOLL_PWAIT: usize = 281;
         pub const EPOLL_CREATE1: usize = 291;
-        pub const PPOLL: usize = 271;
         pub const PRLIMIT64: usize = 302;
     }
     #[cfg(target_arch = "aarch64")]
@@ -286,7 +238,6 @@ pub mod sys {
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
         pub const EPOLL_CREATE1: usize = 20;
-        pub const PPOLL: usize = 73;
         pub const PRLIMIT64: usize = 261;
     }
 
@@ -427,64 +378,6 @@ pub mod sys {
                     timeout_ms as isize as usize,
                     0, // sigmask = NULL
                     8, // sigsetsize
-                )
-            };
-            match check(ret) {
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                other => return other,
-            }
-        }
-    }
-
-    /// One `poll(2)` descriptor entry.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        /// The descriptor (negative = ignore this slot).
-        pub fd: i32,
-        /// Requested `POLL*` bits.
-        pub events: i16,
-        /// Returned readiness bits.
-        pub revents: i16,
-    }
-
-    /// `POLLIN`.
-    pub const POLLIN: i16 = 0x001;
-    /// `POLLOUT`.
-    pub const POLLOUT: i16 = 0x004;
-    /// `POLLERR`.
-    pub const POLLERR: i16 = 0x008;
-    /// `POLLHUP`.
-    pub const POLLHUP: i16 = 0x010;
-    /// `POLLRDHUP` (Linux).
-    pub const POLLRDHUP: i16 = 0x2000;
-
-    #[repr(C)]
-    struct Timespec {
-        sec: i64,
-        nsec: i64,
-    }
-
-    /// `ppoll(fds, n, timeout, NULL)` — the portable `poll(2)` shape;
-    /// `timeout = None` blocks forever. Retries `EINTR` internally.
-    pub fn poll(fds: &mut [PollFd], timeout: Option<std::time::Duration>) -> io::Result<usize> {
-        let ts = timeout.map(|t| Timespec {
-            sec: t.as_secs().min(i64::MAX as u64) as i64,
-            nsec: t.subsec_nanos() as i64,
-        });
-        loop {
-            let ts_ptr = ts
-                .as_ref()
-                .map_or(0usize, |t| t as *const Timespec as usize);
-            let ret = unsafe {
-                syscall6(
-                    nr::PPOLL,
-                    fds.as_mut_ptr() as usize,
-                    fds.len(),
-                    ts_ptr,
-                    0, // sigmask = NULL
-                    8, // sigsetsize
-                    0,
                 )
             };
             match check(ret) {
@@ -677,114 +570,6 @@ mod epoll {
     }
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod pollfds {
-    use super::{sys, Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::time::Duration;
-
-    /// The `poll(2)` fallback: keeps the registered set in a flat array
-    /// and rebuilds `revents` each wait. O(n) per wait — fine for
-    /// hundreds of sockets, and always available.
-    pub struct PollFds {
-        fds: Vec<sys::PollFd>,
-        tokens: Vec<u64>,
-    }
-
-    fn bits(interest: Interest) -> i16 {
-        let mut e = sys::POLLRDHUP;
-        if interest.readable {
-            e |= sys::POLLIN;
-        }
-        if interest.writable {
-            e |= sys::POLLOUT;
-        }
-        e
-    }
-
-    impl PollFds {
-        pub fn new() -> Self {
-            Self {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            }
-        }
-
-        fn position(&self, fd: RawFd, token: u64) -> Option<usize> {
-            self.fds
-                .iter()
-                .zip(&self.tokens)
-                .position(|(p, &t)| p.fd == fd && t == token)
-        }
-
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.fds.push(sys::PollFd {
-                fd,
-                events: bits(interest),
-                revents: 0,
-            });
-            self.tokens.push(token);
-            Ok(())
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            match self.position(fd, token) {
-                Some(i) => {
-                    self.fds[i].events = bits(interest);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        pub fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
-            match self.position(fd, token) {
-                Some(i) => {
-                    self.fds.swap_remove(i);
-                    self.tokens.swap_remove(i);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            if self.fds.is_empty() {
-                // Nothing registered: just honor the timeout.
-                std::thread::sleep(timeout.unwrap_or(Duration::from_millis(10)));
-                return Ok(0);
-            }
-            for p in &mut self.fds {
-                p.revents = 0;
-            }
-            let n = sys::poll(&mut self.fds, timeout)?;
-            if n > 0 {
-                for (p, &token) in self.fds.iter().zip(&self.tokens) {
-                    let got = p.revents;
-                    if got == 0 {
-                        continue;
-                    }
-                    events.push(Event {
-                        token,
-                        readable: got & (sys::POLLIN | sys::POLLRDHUP) != 0,
-                        writable: got & sys::POLLOUT != 0,
-                        hangup: got & (sys::POLLERR | sys::POLLHUP) != 0,
-                    });
-                }
-            }
-            Ok(events.len())
-        }
-    }
-}
-
 mod scan {
     use super::{Event, Interest};
     use std::io;
@@ -876,7 +661,7 @@ mod tests {
             any(target_arch = "x86_64", target_arch = "aarch64")
         ))]
         {
-            vec![Backend::Epoll, Backend::Poll, Backend::Scan]
+            vec![Backend::Epoll, Backend::Scan]
         }
         #[cfg(not(all(
             target_os = "linux",

@@ -146,7 +146,7 @@ fn shared_coherent_streams_bit_identical() {
                 rng.gen_range(0..128usize),
                 64 * rng.gen_range(1..4usize),
                 rng.gen_range(4..24usize),
-                rng.gen_range(0..2u32) == 0,
+                rng.gen_range(0..2u64) == 0,
             ));
         }
         fn make<'a>(
@@ -219,7 +219,7 @@ fn run_traces_coherent_bit_identical() {
                     .map(|_| {
                         (
                             rng.gen_range(0..(16 * KB) as u64),
-                            rng.gen_range(0..3u32) == 0,
+                            rng.gen_range(0..3u64) == 0,
                         )
                     })
                     .collect()
@@ -281,7 +281,7 @@ fn read_hit_directory_skip_bit_identical() {
                     let line = rng.gen_range(0..(size as u64 / 64));
                     for e in 0..8u64 {
                         let addr = line * 64 + e * 8;
-                        v.push((addr, rng.gen_range(0..16u32) == 0));
+                        v.push((addr, rng.gen_range(0..16u64) == 0));
                     }
                 }
                 v
@@ -336,7 +336,7 @@ fn second_shared_array_disables_the_skip_and_stays_identical() {
                 .map(|_| {
                     (
                         rng.gen_range(0..(32 * KB) as u64),
-                        rng.gen_range(0..4u32) == 0,
+                        rng.gen_range(0..4u64) == 0,
                     )
                 })
                 .collect()
