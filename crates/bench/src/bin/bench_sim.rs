@@ -261,7 +261,7 @@ fn main() {
     // formatted by hand (same trick as servet-obs's exporter).
     let json = format!(
         "{{\n\
-         \x20 \"description\": \"Fast-path simulator rewrite (packed LRU ways, hashed MESI directory, block-replay engine) vs the retained pre-rewrite ReferenceMachine on identical traces; bit-identity asserted on every timed workload before timing. Wall-clock medians from crates/bench/src/bin/bench_sim.rs, mirrored by the sim Criterion bench.\",\n\
+         \x20 \"description\": \"Fast-path simulator (packed LRU ways behind one fused set kernel, hashed MESI directory, heap-scheduled block replay with a resolve-once access loop) vs the retained pre-rewrite ReferenceMachine on identical traces; bit-identity asserted on every timed workload before timing. Wall-clock medians from crates/bench/src/bin/bench_sim.rs; the benchmark's sim.replay_* metrics time the same three traces.\",\n\
          \x20 \"environment\": \"shared Linux container, release build, median of {reps} reps after warm-up; absolute numbers are indicative, ratios are the result\",\n\
          \x20 \"micro\": {{\n\
          \x20   \"replay_blocked_shared\": {{\n\

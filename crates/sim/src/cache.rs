@@ -7,18 +7,27 @@
 //!
 //! The production model ([`SetAssocCache`]) stores every way of every set in
 //! one flat, contiguous array with a fixed stride of `associativity` slots
-//! per set, most-recently-used first within each set's occupied prefix. LRU
-//! refresh and fill are in-place rotates over at most `associativity` slots —
-//! no per-set heap vectors, no `remove`/`insert` element shifting through
-//! `Vec` bookkeeping. Set selection uses a mask when the set count is a
-//! power of two (every spec-validated machine cache, and the fully
-//! associative TLB with its single set) and falls back to a modulo for
-//! arbitrary set counts handed to [`SetAssocCache::new`] directly.
+//! per set, most-recently-used first within each set's occupied prefix. Set
+//! selection uses a mask when the set count is a power of two (every
+//! spec-validated machine cache, and the fully associative TLB with its
+//! single set) and falls back to a modulo for arbitrary set counts handed to
+//! [`SetAssocCache::new`] directly.
+//!
+//! It has one access operation, [`SetAssocCache::touch`]: find the set once,
+//! scan it, and leave the line most-recently-used — moved to the front on a
+//! hit, inserted there on a miss with the LRU line of a full set dropped. A
+//! caller that walks a hierarchy calls it level by level until one hits;
+//! there is no separate lookup and fill. The common widths (2, 4, 8 and 16
+//! ways) each get a kernel compiled for that width — an unrolled scan, a
+//! constant-size shift on a miss, and on a hit a move of just the slots in
+//! front of the line — behind one runtime `match`; every other width takes a
+//! prefix-scanning fallback.
 //!
 //! The previous `Vec<Vec<u64>>` model is retained verbatim as
-//! [`reference::ReferenceCache`]: the differential suite replays identical
-//! traces through both and demands bit-identical hits, misses and eviction
-//! decisions (the same pattern PR 5 used for the binomial kernels).
+//! [`reference::ReferenceCache`], with its separate `probe` and `insert`:
+//! the differential suite replays identical traces through both and demands
+//! bit-identical hits, misses and eviction decisions (the same pattern PR 5
+//! used for the binomial kernels).
 
 /// A set-associative cache with LRU replacement, packed into one flat
 /// way array.
@@ -82,78 +91,32 @@ impl SetAssocCache {
         }
     }
 
-    /// Look up `line`; on hit, refresh its LRU position. Does **not**
-    /// allocate on miss — callers decide fill policy via [`Self::insert`].
-    #[inline]
-    pub fn probe(&mut self, line: u64) -> bool {
+    /// Access `line` and leave it most-recently-used: a hit moves it to the
+    /// front of its set, a miss inserts it there and, when the set was
+    /// full, drops the set's LRU line. Returns whether it was a hit.
+    #[inline(always)]
+    pub fn touch(&mut self, line: u64) -> bool {
         let set = self.set_of(line);
+        let occupied = &mut self.occupied[set];
         let base = set * self.associativity;
-        let n = self.occupied[set] as usize;
-        let ways = &mut self.ways[base..base + n];
-        if let Some(pos) = ways.iter().position(|&l| l == line) {
-            // Move to front (MRU): one in-place rotate over pos+1 slots.
-            ways[..=pos].rotate_right(1);
+        let ways = &mut self.ways[base..base + self.associativity];
+        // One kernel per common width; every other width (the fully
+        // associative TLB included) takes the prefix-scanning fallback.
+        // The kernels stay out of line: this wrapper is inlined into each
+        // replay loop, and the loops share one copy of each kernel.
+        let hit = match ways.len() {
+            2 => touch_fixed::<2>(ways, occupied, line),
+            4 => touch_fixed::<4>(ways, occupied, line),
+            8 => touch_fixed::<8>(ways, occupied, line),
+            16 => touch_fixed::<16>(ways, occupied, line),
+            _ => touch_any(ways, occupied, line),
+        };
+        if hit {
             self.hits += 1;
-            true
         } else {
             self.misses += 1;
-            false
         }
-    }
-
-    /// Insert `line` as MRU, evicting the LRU line of its set if full.
-    /// Returns the evicted line, if any. Inserting a resident line just
-    /// refreshes it.
-    #[inline]
-    pub fn insert(&mut self, line: u64) -> Option<u64> {
-        let set = self.set_of(line);
-        let base = set * self.associativity;
-        let n = self.occupied[set] as usize;
-        let ways = &mut self.ways[base..base + self.associativity];
-        if let Some(pos) = ways[..n].iter().position(|&l| l == line) {
-            ways[..=pos].rotate_right(1);
-            return None;
-        }
-        if n == self.associativity {
-            // Full set: the LRU line (last slot) falls out of the rotate.
-            let evicted = ways[n - 1];
-            ways.rotate_right(1);
-            ways[0] = line;
-            Some(evicted)
-        } else {
-            // Shift the occupied prefix right by one; slot 0 becomes MRU.
-            ways[..=n].rotate_right(1);
-            ways[0] = line;
-            self.occupied[set] = (n + 1) as u16;
-            None
-        }
-    }
-
-    /// Insert a line the caller has just proven absent (a failed
-    /// [`Self::probe`] with no intervening insert to this set): skips
-    /// [`Self::insert`]'s residency re-scan. Returns the evicted line,
-    /// if any.
-    #[inline]
-    pub fn fill(&mut self, line: u64) -> Option<u64> {
-        let set = self.set_of(line);
-        debug_assert!(
-            !self.ways[set * self.associativity..][..self.occupied[set] as usize].contains(&line),
-            "fill() of a resident line"
-        );
-        let base = set * self.associativity;
-        let n = self.occupied[set] as usize;
-        let ways = &mut self.ways[base..base + self.associativity];
-        if n == self.associativity {
-            let evicted = ways[n - 1];
-            ways.rotate_right(1);
-            ways[0] = line;
-            Some(evicted)
-        } else {
-            ways[..=n].rotate_right(1);
-            ways[0] = line;
-            self.occupied[set] = (n + 1) as u16;
-            None
-        }
+        hit
     }
 
     /// Whether `line` is resident, without touching LRU state or counters.
@@ -224,6 +187,56 @@ impl SetAssocCache {
             self.hits as f64 / total as f64
         }
     }
+}
+
+/// [`SetAssocCache::touch`] on one `W`-way set.
+///
+/// The scan covers all `W` slots whatever the occupancy, so it unrolls into
+/// `W` compares. Slots past the occupied prefix hold stale keys; the prefix
+/// comes first and holds each line at most once, so the *first* match lies
+/// inside the prefix exactly when the line is resident.
+#[inline(never)]
+fn touch_fixed<const W: usize>(ways: &mut [u64], occupied: &mut u16, line: u64) -> bool {
+    let ways: &mut [u64; W] = ways.try_into().expect("a W-way set");
+    let n = *occupied as usize;
+    let pos = ways.iter().position(|&l| l == line).unwrap_or(W);
+    if pos < n {
+        // Slide the `pos` more recent lines down one slot. A hit at MRU
+        // moves nothing, and the loop is written slot by slot so it stays
+        // inline: a variable-length `copy_within` here is a `memmove` call
+        // on the path hit-dominated replays spend their time in.
+        for i in (1..W).rev() {
+            if i <= pos {
+                ways[i] = ways[i - 1];
+            }
+        }
+        ways[0] = line;
+        true
+    } else {
+        // Shifting the whole set drops the LRU line of a full set and
+        // moves only stale slots past the prefix of a partial one.
+        ways.copy_within(..W - 1, 1);
+        ways[0] = line;
+        *occupied = (n + 1).min(W) as u16;
+        false
+    }
+}
+
+/// [`SetAssocCache::touch`] on one set of any width: scans the occupied
+/// prefix only.
+#[inline(never)]
+fn touch_any(ways: &mut [u64], occupied: &mut u16, line: u64) -> bool {
+    let n = *occupied as usize;
+    let found = ways[..n].iter().position(|&l| l == line);
+    // Slide down the lines in front of the hit, or on a miss every
+    // resident line that fits beside the new one.
+    let moved = found.unwrap_or(n.min(ways.len() - 1));
+    ways.copy_within(..moved, 1);
+    ways[0] = line;
+    if found.is_none() {
+        *occupied = moved as u16 + 1;
+    }
+    found.is_some()
 }
 
 pub mod reference {
@@ -371,9 +384,8 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut c = SetAssocCache::new(4, 2);
-        assert!(!c.probe(7));
-        c.insert(7);
-        assert!(c.probe(7));
+        assert!(!c.touch(7));
+        assert!(c.touch(7));
         assert_eq!(c.stats(), (1, 1));
     }
 
@@ -402,53 +414,47 @@ mod tests {
         // Huge lines: 1 KB cache with 4 KB sector lines.
         let mut c = SetAssocCache::with_geometry(1024, 4096, 2);
         assert_eq!(c.num_sets(), 1);
-        assert_eq!(c.insert(1), None);
-        assert_eq!(c.insert(2), None);
-        assert_eq!(c.insert(3), Some(1));
+        for line in 1..=3 {
+            assert!(!c.touch(line));
+        }
+        assert!(!c.contains(1) && c.contains(2) && c.contains(3));
     }
 
     #[test]
     fn non_power_of_two_sets_still_map_by_modulo() {
         let mut c = SetAssocCache::new(3, 1);
         for line in 0..3u64 {
-            c.insert(line);
+            c.touch(line);
         }
         assert_eq!(c.resident_lines(), 3);
         // Line 3 aliases set 0 (3 % 3) and evicts line 0.
-        assert_eq!(c.insert(3), Some(0));
+        c.touch(3);
+        assert!(!c.contains(0) && c.contains(3));
+        assert_eq!(c.resident_lines(), 3);
     }
 
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = SetAssocCache::new(1, 2);
-        c.insert(10);
-        c.insert(20);
-        assert!(c.probe(10)); // 10 now MRU, 20 LRU
-        let evicted = c.insert(30);
-        assert_eq!(evicted, Some(20));
+        c.touch(10);
+        c.touch(20);
+        assert!(c.touch(10)); // 10 now MRU, 20 LRU
+        assert!(!c.touch(30));
         assert!(c.contains(10));
         assert!(c.contains(30));
         assert!(!c.contains(20));
     }
 
     #[test]
-    fn insert_resident_refreshes_without_evicting() {
-        let mut c = SetAssocCache::new(1, 2);
-        c.insert(1);
-        c.insert(2);
-        assert_eq!(c.insert(1), None); // refresh, 2 becomes LRU
-        assert_eq!(c.insert(3), Some(2));
-    }
-
-    #[test]
     fn lines_map_to_distinct_sets() {
         let mut c = SetAssocCache::new(4, 1);
         for line in 0..4u64 {
-            c.insert(line);
+            c.touch(line);
         }
         assert_eq!(c.resident_lines(), 4);
         // A fifth line aliases set 0 and evicts line 0.
-        assert_eq!(c.insert(4), Some(0));
+        c.touch(4);
+        assert!(!c.contains(0) && c.contains(4));
     }
 
     #[test]
@@ -456,21 +462,11 @@ mod tests {
         // Cyclic LRU access over capacity+1 lines in one set misses forever —
         // the behavior that makes overfull page sets miss in the paper's
         // probabilistic model.
-        let sets = 1usize;
-        let assoc = 4usize;
-        let mut c = SetAssocCache::new(sets, assoc);
-        let lines: Vec<u64> = (0..(assoc as u64 + 1)).map(|i| i * sets as u64).collect();
-        // Warm-up round.
-        for &l in &lines {
-            c.probe(l);
-            c.insert(l);
-        }
-        c.flush_counters();
-        for _ in 0..3 {
-            for &l in &lines {
-                let hit = c.probe(l);
-                assert!(!hit, "line {l} unexpectedly hit");
-                c.insert(l);
+        let assoc = 4u64;
+        let mut c = SetAssocCache::new(1, assoc as usize);
+        for _ in 0..4 {
+            for l in 0..=assoc {
+                assert!(!c.touch(l), "line {l} unexpectedly hit");
             }
         }
     }
@@ -480,12 +476,11 @@ mod tests {
         let mut c = SetAssocCache::new(2, 2);
         let lines = [0u64, 1, 2, 3]; // exactly fills both sets
         for &l in &lines {
-            c.probe(l);
-            c.insert(l);
+            c.touch(l);
         }
         for _ in 0..3 {
             for &l in &lines {
-                assert!(c.probe(l));
+                assert!(c.touch(l));
             }
         }
     }
@@ -493,103 +488,104 @@ mod tests {
     #[test]
     fn invalidate_removes_without_counting() {
         let mut c = SetAssocCache::new(2, 2);
-        c.insert(5);
+        c.touch(5);
         assert!(c.invalidate(5));
         assert!(!c.contains(5));
         assert!(!c.invalidate(5));
         // Counters untouched by invalidation itself.
-        assert_eq!(c.stats(), (0, 0));
+        assert_eq!(c.stats(), (0, 1));
         // The freed way is usable again.
-        c.insert(5);
-        assert!(c.probe(5));
+        assert!(!c.touch(5));
+        assert!(c.touch(5));
     }
 
     #[test]
     fn invalidate_preserves_lru_order_of_survivors() {
         let mut c = SetAssocCache::new(1, 4);
         for l in [1u64, 2, 3, 4] {
-            c.insert(l);
+            c.touch(l);
         }
         // MRU..LRU = 4 3 2 1; drop 3, then fill two more: 1 must go first.
         assert!(c.invalidate(3));
-        assert_eq!(c.insert(5), None); // set now 5 4 2 1
-        assert_eq!(c.insert(6), Some(1));
-        assert_eq!(c.insert(7), Some(2));
+        c.touch(5); // set now 5 4 2 1
+        assert!(c.contains(1));
+        c.touch(6);
+        assert!(!c.contains(1) && c.contains(2));
+        c.touch(7);
+        assert!(!c.contains(2) && c.contains(4));
     }
 
     #[test]
     fn flush_clears_everything() {
         let mut c = SetAssocCache::new(2, 2);
-        c.insert(1);
-        c.probe(1);
+        c.touch(1);
+        c.touch(1);
         c.flush();
         assert_eq!(c.resident_lines(), 0);
         assert_eq!(c.stats(), (0, 0));
         assert_eq!(c.hit_rate(), 0.0);
+        // Stale slots left behind by the flush never match.
+        assert!(!c.touch(1));
     }
 
     #[test]
-    fn hit_rate_tracks_probes() {
+    fn hit_rate_tracks_touches() {
         let mut c = SetAssocCache::new(1, 1);
-        c.probe(5); // miss
-        c.insert(5);
-        c.probe(5); // hit
-        c.probe(5); // hit
+        c.touch(5); // miss
+        c.touch(5); // hit
+        c.touch(5); // hit
         assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
-    /// `fill` after a failed probe behaves exactly like `insert` — same
-    /// eviction decisions, same final state.
-    #[test]
-    fn fill_matches_insert_for_absent_lines() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xF111);
-        let mut a = SetAssocCache::new(8, 4);
-        let mut b = SetAssocCache::new(8, 4);
-        for _ in 0..2000 {
-            let line = rng.gen_range(0..96u64);
-            let ha = a.probe(line);
-            let hb = b.probe(line);
-            assert_eq!(ha, hb);
-            if !ha {
-                assert_eq!(a.fill(line), b.insert(line), "line {line}");
-            }
-        }
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.resident_lines(), b.resident_lines());
-        for line in 0..96u64 {
-            assert_eq!(a.contains(line), b.contains(line));
-        }
-    }
-
-    /// Seeded random op streams through the packed and reference models
-    /// agree on every probe result, every eviction decision and the final
-    /// counters — the cache-level differential gate.
+    /// Seeded random op streams hold `touch` equal to the reference
+    /// model's `probe` + `insert` — return value, residency, counters and
+    /// the complete eviction order, with invalidations interleaved — for
+    /// every associativity on both sides of each specialised width, over
+    /// power-of-two and other set counts: the cache-level differential
+    /// gate.
     #[test]
     fn differential_random_ops_match_reference() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xCAFE);
-        for (sets, assoc) in [(1usize, 1usize), (1, 4), (4, 2), (8, 8), (3, 2), (64, 12)] {
-            let mut fast = SetAssocCache::new(sets, assoc);
-            let mut slow = ReferenceCache::new(sets, assoc);
-            for _ in 0..4000 {
-                let line = rng.gen_range(0..(sets as u64 * assoc as u64 * 3));
-                match rng.gen_range(0..4) {
-                    0 => assert_eq!(fast.probe(line), slow.probe(line)),
-                    1 => assert_eq!(fast.insert(line), slow.insert(line), "line {line}"),
-                    2 => assert_eq!(fast.invalidate(line), slow.invalidate(line)),
-                    _ => assert_eq!(fast.contains(line), slow.contains(line)),
+        for assoc in 1..=17usize {
+            for sets in [1usize, 3, 4, 7, 64] {
+                let universe = (sets * assoc * 3) as u64;
+                let mut fast = SetAssocCache::new(sets, assoc);
+                let mut slow = ReferenceCache::new(sets, assoc);
+                let what = format!("{sets} sets x {assoc} ways");
+                let same_residency = |fast: &SetAssocCache, slow: &ReferenceCache| {
+                    for line in 0..universe + (assoc * sets) as u64 {
+                        assert_eq!(fast.contains(line), slow.contains(line), "{what}: {line}");
+                    }
+                };
+                for _ in 0..3000 {
+                    let line = rng.gen_range(0..universe);
+                    match rng.gen_range(0..8) {
+                        0 => assert_eq!(fast.invalidate(line), slow.invalidate(line), "{what}"),
+                        1 => assert_eq!(fast.contains(line), slow.contains(line), "{what}"),
+                        _ => {
+                            let hit = slow.probe(line);
+                            assert_eq!(fast.touch(line), hit, "{what}: line {line}");
+                            if !hit {
+                                if let Some(evicted) = slow.insert(line) {
+                                    assert!(!fast.contains(evicted), "{what}: kept {evicted}");
+                                }
+                            }
+                        }
+                    }
+                }
+                assert_eq!(fast.stats(), slow.stats(), "{what}");
+                assert_eq!(fast.resident_lines(), slow.resident_lines(), "{what}");
+                same_residency(&fast, &slow);
+                // Push one fresh line per set per round: both models must
+                // give up their old lines in the same order.
+                for fresh in universe..universe + (assoc * sets) as u64 {
+                    assert!(!fast.touch(fresh), "{what}");
+                    slow.probe(fresh);
+                    slow.insert(fresh);
+                    same_residency(&fast, &slow);
                 }
             }
-            assert_eq!(fast.stats(), slow.stats());
-            assert_eq!(fast.resident_lines(), slow.resident_lines());
-        }
-    }
-
-    impl SetAssocCache {
-        fn flush_counters(&mut self) {
-            self.hits = 0;
-            self.misses = 0;
         }
     }
 }

@@ -11,28 +11,42 @@
 //! # The fast path
 //!
 //! Every downstream consumer (zoo sweeps, the false-sharing stage,
-//! `servet-tune`'s trace oracle) bottlenecks on `Machine::access`, so
-//! its constants are hoisted at construction into `LevelParam`s (line
-//! shifts, indexing flags, hit costs) and scalar fields (page shift/mask,
-//! memory latency, coherence line shift): the per-access path does no
-//! spec-struct chasing, no divisions, and no allocation (the coherence
-//! invalidation set lands in a reused scratch vector).
+//! `servet-tune`'s trace oracle) bottlenecks on the per-access loop, so
+//! everything an access needs is resolved before the loop runs, at the
+//! coarsest grain it is constant over:
 //!
-//! The lockstep drivers ([`Machine::traverse_shared`], [`Machine::run_traces`])
-//! add a block-replay fast path: unfinished jobs sit in a binary heap
-//! keyed by virtual clock, the earliest job is popped and its accesses
-//! replayed as a *block* until its clock reaches the next-earliest
-//! clock (`heap.peek()`), then it is pushed back. While the job is
-//! strictly minimal the original one-access-per-selection `min_by` scan
-//! would have picked it too — and the heap breaks ties toward the
-//! smallest job index, exactly as `min_by` does — so the access
-//! interleaving, and therefore every counter and every cycle count, is
-//! bit-identical while the dispatch cost drops from O(jobs) per access
-//! to O(log jobs) per block. A read that hits a cache level private to
-//! the accessing core additionally skips the coherence directory — a
-//! provable MESI no-op while at most one shared address space exists
-//! (the skip proof is documented in `Machine::access`). The
-//! pre-fast-path engine is retained as
+//! * **per machine**, at construction: `LevelParam`s (line shifts,
+//!   indexing flags, hit costs), scalar fields (page shift/mask, memory
+//!   latency, coherence line shift), and each core's path through the
+//!   hierarchy as one contiguous slice of cache-instance indices;
+//! * **per block**, in `Machine::run_block`: that slice, the core's
+//!   prefetcher, TLB and bus clock, the array's page table and `asid` tag,
+//!   whether the array goes through the coherence directory at all, and
+//!   the job's clock and progress, which live in locals until the block
+//!   ends;
+//! * **per access**: translation, one [`SetAssocCache::touch`] per level
+//!   until one hits — a level's line key is computed when the level is
+//!   reached, and a level that misses takes the line in that same call —
+//!   and the cost arithmetic. No spec-struct chasing, no divisions, no
+//!   allocation (the coherence invalidation set lands in a reused scratch
+//!   vector).
+//!
+//! All three public drivers ([`Machine::traverse_shared`],
+//! [`Machine::run_traces`], [`Machine::run_trace`]) describe their jobs as
+//! lanes and run them through one lockstep scheduler: unfinished lanes sit
+//! in a binary heap keyed by virtual clock, the earliest is popped and its
+//! accesses replayed as a *block* until its clock reaches the
+//! next-earliest clock (`heap.peek()`), then it is pushed back. A
+//! single-job run is one block. While the lane is strictly minimal the
+//! original one-access-per-selection `min_by` scan would have picked it
+//! too — and the heap breaks ties toward the smallest job index, exactly
+//! as `min_by` does — so the access interleaving, and therefore every
+//! counter and every cycle count, is bit-identical while the dispatch
+//! cost drops from O(jobs) per access to O(log jobs) per block. A read
+//! that hits a cache level private to the accessing core additionally
+//! skips the coherence directory — a provable MESI no-op while at most
+//! one shared address space exists (the skip proof is documented in
+//! `Machine::run_block`). The pre-fast-path engine is retained as
 //! [`crate::reference::ReferenceMachine`] and the differential suite
 //! holds the two to bit-identical results.
 
@@ -143,10 +157,6 @@ pub struct TraceJob<'a> {
     pub steps: &'a [(u64, bool)],
 }
 
-/// Upper bound on cache levels, so the per-access line-key buffer can
-/// live on the stack (real hierarchies stop at 3).
-const MAX_LEVELS: usize = 8;
-
 /// Lockstep-scheduler heap entry. `BinaryHeap` is a max-heap, so the
 /// ordering is inverted: "greater" means *scheduled sooner* — smaller
 /// clock first, ties broken toward the smaller job index. That
@@ -181,6 +191,52 @@ impl Ord for SchedEntry {
     }
 }
 
+/// One job inside the lockstep scheduler: where it runs, the pass of
+/// accesses it repeats, and its progress on its own virtual clock.
+struct Lane<'a, P> {
+    core: CoreId,
+    array: &'a SimArray,
+    /// `(vaddr, write)` of access `i` of a pass, `i < period`.
+    pattern: P,
+    /// Accesses per pass.
+    period: usize,
+    /// Accesses to perform: every pass, warm-up included.
+    total: usize,
+    /// Accesses in the warm-up passes; the measured window opens when
+    /// `done` reaches it.
+    warm: usize,
+    done: usize,
+    /// Position within the current pass: `done % period`.
+    idx: usize,
+    clock: f64,
+    /// The clock when the measured window opened.
+    measure_start: f64,
+}
+
+impl<'a, P: Fn(usize) -> (u64, bool) + Copy> Lane<'a, P> {
+    fn new(
+        core: CoreId,
+        array: &'a SimArray,
+        pattern: P,
+        period: usize,
+        warmup: usize,
+        passes: usize,
+    ) -> Self {
+        Self {
+            core,
+            array,
+            pattern,
+            period,
+            total: period * (warmup + passes),
+            warm: period * warmup,
+            done: 0,
+            idx: 0,
+            clock: 0.0,
+            measure_start: 0.0,
+        }
+    }
+}
+
 /// Per-cache-level constants hoisted out of the access loop.
 #[derive(Debug, Clone, Copy)]
 struct LevelParam {
@@ -196,11 +252,13 @@ struct LevelParam {
 #[derive(Debug, Clone)]
 pub struct Machine {
     spec: MachineSpec,
-    /// `caches[level][group]`.
-    caches: Vec<Vec<SetAssocCache>>,
-    /// `group_of[level][core]` — index into `caches[level]`.
-    group_of: Vec<Vec<usize>>,
-    /// Hoisted per-level constants, same order as `caches`.
+    /// Every cache instance of every level: one per sharing group.
+    caches: Vec<SetAssocCache>,
+    /// `cache_of[core * levels + level]` — the instance in `caches`
+    /// serving `core` at `level`, so one core's path through the
+    /// hierarchy is one contiguous slice.
+    cache_of: Box<[usize]>,
+    /// Hoisted per-level constants, L1 outward.
     levels: Box<[LevelParam]>,
     prefetchers: Vec<StridePrefetcher>,
     /// Per-core data TLBs (fully associative LRU over `(asid, vpage)`),
@@ -216,16 +274,13 @@ pub struct Machine {
     bus_free_at: Vec<f64>,
     /// MESI directory + snoop bus, when the spec enables coherence.
     coherence: Option<CoherenceEngine>,
-    /// `solo[level][core]` — whether `core`'s sharing group at `level`
-    /// is just itself (a private cache instance).
-    solo: Vec<Box<[bool]>>,
-    /// Whether any core has a TLB (skips the per-core Option load on
-    /// TLB-less machines).
-    has_tlb: bool,
+    /// `solo[core * levels + level]` — whether `core`'s sharing group at
+    /// `level` is just itself (a private cache instance).
+    solo: Box<[bool]>,
     /// Shared arrays allocated over the machine's lifetime. While at
     /// most one shared address space exists, a read that hits a level
     /// private to the accessing core is provably a directory no-op (see
-    /// [`Self::access`]) and the fast path skips the directory probe.
+    /// [`Self::run_block`]) and the fast path skips the directory probe.
     /// A second shared aspace could alias the first's physical frames
     /// (frames are drawn per-aspace from one pool), which would break
     /// the residency ⇒ valid-bit invariant, so the skip is disabled
@@ -259,42 +314,23 @@ impl Machine {
     /// Build a machine with an explicit RNG seed for page allocation.
     pub fn with_seed(spec: MachineSpec, seed: u64) -> Self {
         spec.validate().expect("invalid machine spec");
-        assert!(
-            spec.page_size.is_power_of_two(),
-            "page size must be a power of two"
-        );
-        assert!(
-            spec.caches.len() <= MAX_LEVELS,
-            "at most {MAX_LEVELS} cache levels supported"
-        );
+        let nlev = spec.caches.len();
         let mut caches = Vec::new();
-        let mut group_of = Vec::new();
-        for cl in &spec.caches {
-            let instances: Vec<SetAssocCache> = cl
-                .sharing
-                .iter()
-                .map(|_| SetAssocCache::with_geometry(cl.size, cl.line_size, cl.associativity))
-                .collect();
-            let mut map = vec![usize::MAX; spec.num_cores];
-            for (gi, group) in cl.sharing.iter().enumerate() {
+        let mut cache_of = vec![usize::MAX; spec.num_cores * nlev].into_boxed_slice();
+        let mut solo = vec![false; spec.num_cores * nlev].into_boxed_slice();
+        for (li, cl) in spec.caches.iter().enumerate() {
+            for group in &cl.sharing {
                 for &c in group {
-                    map[c] = gi;
+                    cache_of[c * nlev + li] = caches.len();
+                    solo[c * nlev + li] = group.len() == 1;
                 }
+                caches.push(SetAssocCache::with_geometry(
+                    cl.size,
+                    cl.line_size,
+                    cl.associativity,
+                ));
             }
-            caches.push(instances);
-            group_of.push(map);
         }
-        let solo: Vec<Box<[bool]>> = spec
-            .caches
-            .iter()
-            .map(|cl| {
-                let mut s = vec![false; spec.num_cores].into_boxed_slice();
-                for group in cl.sharing.iter().filter(|g| g.len() == 1) {
-                    s[group[0]] = true;
-                }
-                s
-            })
-            .collect();
         let levels: Box<[LevelParam]> = spec
             .caches
             .iter()
@@ -342,11 +378,10 @@ impl Machine {
             .first()
             .map_or(6, |c| c.line_size.trailing_zeros());
         let tlb_miss_cycles = spec.tlb.map_or(0.0, |t| t.miss_cycles);
-        let has_tlb = spec.tlb.is_some();
         Self {
             spec,
             caches,
-            group_of,
+            cache_of,
             levels,
             prefetchers,
             tlbs,
@@ -355,7 +390,6 @@ impl Machine {
             bus_free_at,
             coherence,
             solo,
-            has_tlb,
             shared_aspaces: 0,
             inv_scratch: Vec::with_capacity(64),
             page_shift,
@@ -411,10 +445,8 @@ impl Machine {
     /// Flush every cache, reset prefetchers and bus clocks. The
     /// coherence directory resets by epoch stamp (O(1)).
     pub fn reset(&mut self) {
-        for level in &mut self.caches {
-            for c in level {
-                c.flush();
-            }
+        for c in &mut self.caches {
+            c.flush();
         }
         for p in &mut self.prefetchers {
             p.reset();
@@ -453,124 +485,174 @@ impl Machine {
         }
     }
 
-    /// Perform one access on `core`, updating cache and coherence state;
-    /// returns `(cycles, went_to_memory)`. Memory-bus serialization is
-    /// handled by the caller, which owns the per-core clocks; snoop-bus
-    /// serialization happens here, against `now` (the accessing core's
-    /// virtual clock).
-    #[inline]
-    fn access(
+    /// Replay `lane` from where it stopped until it finishes or its clock
+    /// reaches `limit` (the next-earliest lane's clock); returns whether
+    /// it finished.
+    ///
+    /// Everything that depends only on the lane is resolved before the
+    /// loop (see the module docs); the clock and the progress counters are
+    /// written back when the block ends. Memory-bus and snoop-bus
+    /// serialization both happen against the lane's own virtual clock.
+    fn run_block<P: Fn(usize) -> (u64, bool) + Copy>(
         &mut self,
-        core: CoreId,
-        array: &SimArray,
-        vaddr: u64,
-        write: bool,
-        now: f64,
-    ) -> (f64, bool) {
-        let aspace = array.aspace();
-        // Translation is a shift/mask: pages are power-of-two sized and
-        // `frames[vpage] * page_size` has no low bits set.
-        let vpage = (vaddr >> self.page_shift) as usize;
-        let paddr = (aspace.frame_of(vpage) << self.page_shift) | (vaddr & self.page_mask);
+        lane: &mut Lane<'_, P>,
+        limit: f64,
+    ) -> bool {
+        let core = lane.core;
+        let aspace = lane.array.aspace();
         let asid_tag = aspace.asid() << 40;
-        // Translation cost first: a TLB miss costs extra regardless of
-        // where the data itself is found.
-        let mut tlb_penalty = 0.0;
-        if self.has_tlb {
-            if let Some(tlb) = self.tlbs[core].as_mut() {
-                let key = asid_tag | (vaddr >> self.page_shift);
-                if !tlb.probe(key) {
-                    tlb.fill(key);
+        let (page_shift, page_mask) = (self.page_shift, self.page_mask);
+        let nlev = self.levels.len();
+        let levels = &self.levels[..];
+        let cache_of = &self.cache_of[..];
+        let path = &cache_of[core * nlev..][..nlev];
+        let solo = &self.solo[core * nlev..][..nlev];
+        let caches = &mut self.caches[..];
+        let prefetcher = &mut self.prefetchers[core];
+        let mut tlb = self.tlbs[core].as_mut();
+        let mut bus_free = self.bus_of[core].map(|bus| &mut self.bus_free_at[bus]);
+        let transfer = self.transfer_cycles[core];
+        // The directory, for a shared array on a machine that models
+        // coherence. A private array never enters it (each benchmark
+        // process owns its pages), so the pre-coherence stages time out
+        // bit-identically.
+        let mut directory = self.coherence.as_mut().filter(|_| lane.array.shared);
+        let may_skip = self.shared_aspaces <= 1;
+        let (pattern, period, total, warm) = (lane.pattern, lane.period, lane.total, lane.warm);
+        let mut clock = lane.clock;
+        let mut done = lane.done;
+        let mut idx = lane.idx;
+        let finished = loop {
+            let (vaddr, write) = pattern(idx);
+            // Translation is a shift/mask: pages are power-of-two sized and
+            // `frame * page_size` has no low bits set.
+            let vpage = vaddr >> page_shift;
+            let paddr = (aspace.frame_of(vpage as usize) << page_shift) | (vaddr & page_mask);
+            // Translation cost first: a TLB miss costs extra regardless of
+            // where the data itself is found.
+            let mut tlb_penalty = 0.0;
+            if let Some(tlb) = tlb.as_deref_mut() {
+                if !tlb.touch(asid_tag | vpage) {
                     tlb_penalty = self.tlb_miss_cycles;
                 }
             }
-        }
-        let covered = self.prefetchers[core].access(vaddr);
-        let nlev = self.levels.len();
-        // Line keys per level, computed once: the probe loop, the
-        // invalidation walk and the fill loop all reuse them.
-        let mut keys = [0u64; MAX_LEVELS];
-        for (li, lp) in self.levels.iter().enumerate() {
-            keys[li] = Self::level_key(lp, asid_tag, vaddr, paddr);
-        }
-        let mut hit_level = nlev; // nlev = memory
-        for (li, &key) in keys.iter().enumerate().take(nlev) {
-            let g = self.group_of[li][core];
-            if self.caches[li][g].probe(key) {
-                hit_level = li;
-                break;
+            let covered = prefetcher.access(vaddr);
+            // Walk outward until a level holds the line. Each level that
+            // misses takes the line in the same `touch`; the levels below
+            // the hit are not consulted.
+            let mut hit_level = nlev; // nlev = memory
+            for (li, (lp, &mine)) in levels.iter().zip(path).enumerate() {
+                if caches[mine].touch(Self::level_key(lp, asid_tag, vaddr, paddr)) {
+                    hit_level = li;
+                    break;
+                }
             }
-        }
-        // Coherence, between probe and fill: the directory decides the
-        // transaction cost and which remote copies die. Private arrays
-        // skip this entirely (each benchmark process owns its pages), so
-        // the pre-coherence stages time out bit-identically.
-        let mut coh_extra = 0.0;
-        let mut supplied_by_cache = false;
-        // Read-hit directory skip: a read that hits a level *private* to
-        // this core proves the core already holds a valid copy, so the
-        // directory access would be a strict no-op (no state change, no
-        // traffic, zero extra cycles — MESI reads of a held line are
-        // silent). The proof needs line residency to imply the valid
-        // bit, which holds while at most one shared address space
-        // exists (see `shared_aspaces`): every invalidation then removes
-        // exactly the victim's resident keys, so a stale resident copy
-        // is impossible. The retained reference engine always probes its
-        // directory and the differential suite holds the two engines to
-        // identical traffic and cycles, skip included.
-        let skip_directory =
-            !write && hit_level < nlev && self.shared_aspaces <= 1 && self.solo[hit_level][core];
-        if array.shared && !skip_directory {
-            if let Some(engine) = self.coherence.as_mut() {
-                let phys_line = paddr >> self.coh_line_shift;
-                let res = engine.access_into(
-                    core,
-                    phys_line,
-                    write,
-                    hit_level < nlev,
-                    now,
-                    &mut self.inv_scratch,
-                );
-                coh_extra = res.extra_cycles;
-                supplied_by_cache = res.supplied_by_cache;
-                // Physically remove invalidated copies from every cache
-                // instance the victims do not share with the writer. The
-                // victims see the same address space (shared array), so
-                // the writer's line keys are theirs too.
-                for k in 0..self.inv_scratch.len() {
-                    let victim = self.inv_scratch[k];
-                    for (li, &key) in keys.iter().enumerate().take(nlev) {
-                        let gv = self.group_of[li][victim];
-                        if gv != self.group_of[li][core] {
-                            self.caches[li][gv].invalidate(key);
+            // Coherence: the directory decides the transaction cost and
+            // which remote copies die. The misses above have already filled
+            // this core's caches, which commutes with this step:
+            // invalidations only ever reach *other* sharing groups.
+            let mut coh_extra = 0.0;
+            let mut supplied_by_cache = false;
+            if let Some(engine) = directory.as_deref_mut() {
+                // Read-hit directory skip: a read that hits a level *private*
+                // to this core proves the core already holds a valid copy, so
+                // the directory access would be a strict no-op (no state
+                // change, no traffic, zero extra cycles — MESI reads of a held
+                // line are silent). The proof needs line residency to imply
+                // the valid bit, which holds while at most one shared address
+                // space exists (see `shared_aspaces`): every invalidation then
+                // removes exactly the victim's resident keys, so a stale
+                // resident copy is impossible. The retained reference engine
+                // always probes its directory and the differential suite
+                // holds the two engines to identical traffic and cycles, skip
+                // included.
+                let skip = !write && hit_level < nlev && may_skip && solo[hit_level];
+                if !skip {
+                    let res = engine.access_into(
+                        core,
+                        paddr >> self.coh_line_shift,
+                        write,
+                        hit_level < nlev,
+                        clock,
+                        &mut self.inv_scratch,
+                    );
+                    coh_extra = res.extra_cycles;
+                    supplied_by_cache = res.supplied_by_cache;
+                    // Physically remove invalidated copies from every cache
+                    // instance the victims do not share with the writer. The
+                    // victims see the same address space (shared array), so
+                    // the writer's line keys are theirs too.
+                    for &victim in &self.inv_scratch {
+                        let theirs = &cache_of[victim * nlev..][..nlev];
+                        for (lp, (&theirs, &mine)) in levels.iter().zip(theirs.iter().zip(path)) {
+                            if theirs != mine {
+                                let key = Self::level_key(lp, asid_tag, vaddr, paddr);
+                                caches[theirs].invalidate(key);
+                            }
                         }
                     }
                 }
             }
-        }
-        // Fill the line into every level above the hit level. The probe
-        // loop just missed these levels and invalidations only touched
-        // *other* sharing groups, so the line is provably absent:
-        // `fill` skips `insert`'s residency re-scan.
-        for (li, &key) in keys.iter().enumerate().take(hit_level) {
-            let g = self.group_of[li][core];
-            self.caches[li][g].fill(key);
-        }
-        if hit_level == nlev {
-            if covered || supplied_by_cache {
-                // The line arrived without a memory access: prefetched,
-                // or supplied cache-to-cache by the previous owner. The
-                // demand access costs an L1 hit plus any coherence
-                // transactions.
+            let (cost, mem) = if hit_level < nlev {
+                (
+                    levels[hit_level].hit_cycles + tlb_penalty + coh_extra,
+                    false,
+                )
+            } else if covered || supplied_by_cache {
+                // The line arrived without a memory access: prefetched, or
+                // supplied cache-to-cache by the previous owner. The demand
+                // access costs an L1 hit plus any coherence transactions.
                 (self.l1_hit_cycles + tlb_penalty + coh_extra, false)
             } else {
                 (self.mem_latency + tlb_penalty + coh_extra, true)
+            };
+            match bus_free.as_deref_mut() {
+                Some(free) if mem => {
+                    let start = clock.max(*free);
+                    *free = start + transfer;
+                    clock = start + transfer + cost;
+                }
+                _ => clock += cost,
             }
-        } else {
-            (
-                self.levels[hit_level].hit_cycles + tlb_penalty + coh_extra,
-                false,
-            )
+            done += 1;
+            idx += 1;
+            if idx == period {
+                idx = 0;
+            }
+            if done == warm {
+                lane.measure_start = clock;
+            }
+            if done >= total {
+                break true;
+            }
+            if clock >= limit {
+                break false;
+            }
+        };
+        lane.clock = clock;
+        lane.done = done;
+        lane.idx = idx;
+        finished
+    }
+
+    /// Run every lane to completion in lockstep: always advance the
+    /// most-behind unfinished lane, block-replaying it while it stays
+    /// strictly most-behind. The heap pops exactly the lane the reference
+    /// engine's linear `min_by` scan would pick (see [`SchedEntry`]);
+    /// peeking the next entry gives the block's replay limit for free.
+    fn lockstep<P: Fn(usize) -> (u64, bool) + Copy>(&mut self, lanes: &mut [Lane<'_, P>]) {
+        let mut heap: std::collections::BinaryHeap<SchedEntry> = (0..lanes.len())
+            .map(|idx| SchedEntry { clock: 0.0, idx })
+            .collect();
+        while let Some(SchedEntry { idx, .. }) = heap.pop() {
+            let limit = heap.peek().map_or(f64::INFINITY, |e| e.clock);
+            let lane = &mut lanes[idx];
+            if !self.run_block(lane, limit) {
+                heap.push(SchedEntry {
+                    clock: lane.clock,
+                    idx,
+                });
+            }
         }
     }
 
@@ -642,72 +724,23 @@ impl Machine {
     ) -> Vec<f64> {
         assert!(!jobs.is_empty());
         assert!(passes > 0, "need at least one measured pass");
-        for j in jobs {
-            assert!(j.stride > 0, "stride must be positive");
-            assert!(j.count > 0, "need at least one access per pass");
-            assert!(j.core < self.spec.num_cores, "core out of range");
-            let span = j.offset + (j.count - 1) * j.stride;
-            assert!(span < j.array.len().max(1), "job walks past its array");
-        }
-        let total: Vec<usize> = jobs.iter().map(|j| j.count * (warmup + passes)).collect();
-        let warm: Vec<usize> = jobs.iter().map(|j| j.count * warmup).collect();
-
-        let n = jobs.len();
-        let mut clock = vec![0.0f64; n];
-        let mut done = vec![0usize; n];
-        let mut measure_start = vec![0.0f64; n];
-        // Lockstep: always advance the most-behind unfinished job,
-        // block-replaying it while it stays strictly most-behind. The
-        // heap pops exactly the job the reference engine's linear
-        // `min_by` scan would pick (see [`SchedEntry`]); peeking the
-        // next entry gives the block's replay limit for free.
-        let mut heap: std::collections::BinaryHeap<SchedEntry> =
-            (0..n).map(|idx| SchedEntry { clock: 0.0, idx }).collect();
-        while let Some(SchedEntry { idx: i, .. }) = heap.pop() {
-            let limit = heap.peek().map_or(f64::INFINITY, |e| e.clock);
-            let job = &jobs[i];
-            let bus = self.bus_of[job.core];
-            let transfer = self.transfer_cycles[job.core];
-            let mut idx = done[i] % job.count;
-            loop {
-                let vaddr = (job.offset + idx * job.stride) as u64;
-                let (cost, mem) = self.access(job.core, job.array, vaddr, job.write, clock[i]);
-                if mem {
-                    if let Some(bus) = bus {
-                        let start = clock[i].max(self.bus_free_at[bus]);
-                        self.bus_free_at[bus] = start + transfer;
-                        clock[i] = start + transfer + cost;
-                    } else {
-                        clock[i] += cost;
-                    }
-                } else {
-                    clock[i] += cost;
-                }
-                done[i] += 1;
-                idx += 1;
-                if idx == job.count {
-                    idx = 0;
-                }
-                if done[i] == warm[i] {
-                    measure_start[i] = clock[i];
-                }
-                if done[i] >= total[i] {
-                    break;
-                }
-                if clock[i] >= limit {
-                    heap.push(SchedEntry {
-                        clock: clock[i],
-                        idx: i,
-                    });
-                    break;
-                }
-            }
-        }
-        (0..n)
-            .map(|i| {
-                let measured = (total[i] - warm[i]) as f64;
-                (clock[i] - measure_start[i]) / measured
+        let mut lanes: Vec<_> = jobs
+            .iter()
+            .map(|j| {
+                assert!(j.stride > 0, "stride must be positive");
+                assert!(j.count > 0, "need at least one access per pass");
+                assert!(j.core < self.spec.num_cores, "core out of range");
+                let span = j.offset + (j.count - 1) * j.stride;
+                assert!(span < j.array.len().max(1), "job walks past its array");
+                let (offset, stride, write) = (j.offset, j.stride, j.write);
+                let pass = move |i| ((offset + i * stride) as u64, write);
+                Lane::new(j.core, j.array, pass, j.count, warmup, passes)
             })
+            .collect();
+        self.lockstep(&mut lanes);
+        lanes
+            .iter()
+            .map(|l| (l.clock - l.measure_start) / (l.total - l.warm) as f64)
             .collect()
     }
 
@@ -719,26 +752,16 @@ impl Machine {
     /// how a tile size behaves on this machine's hierarchy.
     pub fn run_trace(&mut self, core: CoreId, array: &SimArray, addrs: &[u64]) -> f64 {
         assert!(!addrs.is_empty(), "empty trace");
-        let mut clock = 0.0f64;
-        let mut bus_free = self.bus_free_at.clone();
-        let core_bus = self.bus_of[core];
-        let transfer = self.transfer_cycles[core];
-        for &vaddr in addrs {
-            let (cost, mem) = self.access(core, array, vaddr, false, clock);
-            if mem {
-                if let Some(bus) = core_bus {
-                    let start = clock.max(bus_free[bus]);
-                    bus_free[bus] = start + transfer;
-                    clock = start + transfer + cost;
-                } else {
-                    clock += cost;
-                }
-            } else {
-                clock += cost;
-            }
-        }
-        self.bus_free_at = bus_free;
-        clock / addrs.len() as f64
+        let mut lane = [Lane::new(
+            core,
+            array,
+            |i| (addrs[i], false),
+            addrs.len(),
+            0,
+            1,
+        )];
+        self.lockstep(&mut lane);
+        lane[0].clock / addrs.len() as f64
     }
 
     /// Replay several explicit traces concurrently in lockstep, one
@@ -751,59 +774,24 @@ impl Machine {
     /// entry is the kernel's makespan.
     pub fn run_traces(&mut self, jobs: &[TraceJob<'_>]) -> Vec<f64> {
         assert!(!jobs.is_empty());
-        for j in jobs {
-            assert!(!j.steps.is_empty(), "empty trace");
-            assert!(j.core < self.spec.num_cores, "core out of range");
-        }
-        let n = jobs.len();
-        let total: Vec<usize> = jobs.iter().map(|j| j.steps.len()).collect();
-        let mut clock = vec![0.0f64; n];
-        let mut done = vec![0usize; n];
-        // Same heap-driven lockstep as [`Self::traverse_shared`]: pop
-        // order is bit-identical to the reference engine's linear scan.
-        let mut heap: std::collections::BinaryHeap<SchedEntry> =
-            (0..n).map(|idx| SchedEntry { clock: 0.0, idx }).collect();
-        while let Some(SchedEntry { idx: i, .. }) = heap.pop() {
-            let limit = heap.peek().map_or(f64::INFINITY, |e| e.clock);
-            let job = &jobs[i];
-            let bus = self.bus_of[job.core];
-            let transfer = self.transfer_cycles[job.core];
-            loop {
-                let (vaddr, write) = job.steps[done[i]];
-                let (cost, mem) = self.access(job.core, job.array, vaddr, write, clock[i]);
-                if mem {
-                    if let Some(bus) = bus {
-                        let start = clock[i].max(self.bus_free_at[bus]);
-                        self.bus_free_at[bus] = start + transfer;
-                        clock[i] = start + transfer + cost;
-                    } else {
-                        clock[i] += cost;
-                    }
-                } else {
-                    clock[i] += cost;
-                }
-                done[i] += 1;
-                if done[i] >= total[i] {
-                    break;
-                }
-                if clock[i] >= limit {
-                    heap.push(SchedEntry {
-                        clock: clock[i],
-                        idx: i,
-                    });
-                    break;
-                }
-            }
-        }
-        clock
+        let mut lanes: Vec<_> = jobs
+            .iter()
+            .map(|j| {
+                assert!(!j.steps.is_empty(), "empty trace");
+                assert!(j.core < self.spec.num_cores, "core out of range");
+                let steps = j.steps;
+                Lane::new(j.core, j.array, move |i| steps[i], steps.len(), 0, 1)
+            })
+            .collect();
+        self.lockstep(&mut lanes);
+        lanes.iter().map(|l| l.clock).collect()
     }
 
     /// Convenience: hit/miss statistics of the cache instance serving
     /// `core` at `level` (1-based).
     pub fn cache_stats(&self, level: u8, core: CoreId) -> Option<(u64, u64)> {
         let li = self.spec.caches.iter().position(|c| c.level == level)?;
-        let g = self.group_of[li][core];
-        Some(self.caches[li][g].stats())
+        Some(self.caches[self.cache_of[core * self.levels.len() + li]].stats())
     }
 }
 

@@ -12,6 +12,14 @@ use crate::coherence::CoherenceSpec;
 /// Index of a logical core as numbered by the (simulated) OS.
 pub type CoreId = usize;
 
+/// Most cache levels a [`MachineSpec`] may declare (real hierarchies stop
+/// at 3 or 4).
+const MAX_LEVELS: usize = 8;
+
+/// Most ways one cache set, or entries one TLB, may have: the cache model
+/// counts a set's resident lines in a `u16`.
+const MAX_WAYS: usize = u16::MAX as usize;
+
 /// How a cache level is indexed.
 ///
 /// L1 caches are typically virtually indexed; lower levels are physically
@@ -168,6 +176,12 @@ impl MachineSpec {
         if !self.page_size.is_power_of_two() {
             return Err(format!("page size {} not a power of two", self.page_size));
         }
+        if self.caches.len() > MAX_LEVELS {
+            return Err(format!(
+                "{} cache levels, at most {MAX_LEVELS} supported",
+                self.caches.len()
+            ));
+        }
         let mut prev_size = 0usize;
         for c in &self.caches {
             if c.line_size == 0 || !c.line_size.is_power_of_two() {
@@ -175,6 +189,12 @@ impl MachineSpec {
             }
             if c.associativity == 0 {
                 return Err(format!("L{} associativity is zero", c.level));
+            }
+            if c.associativity > MAX_WAYS {
+                return Err(format!(
+                    "L{} associativity {} above {MAX_WAYS}",
+                    c.level, c.associativity
+                ));
             }
             if c.size % (c.line_size * c.associativity) != 0 {
                 return Err(format!(
@@ -222,6 +242,12 @@ impl MachineSpec {
         if let Some(tlb) = &self.tlb {
             if tlb.entries == 0 {
                 return Err("TLB with zero entries".into());
+            }
+            if tlb.entries > MAX_WAYS {
+                return Err(format!(
+                    "TLB with {} entries, above {MAX_WAYS}",
+                    tlb.entries
+                ));
             }
         }
         if let Some(coherence) = &self.coherence {
@@ -396,6 +422,46 @@ mod tests {
         let mut spec = presets::tiny_smp();
         spec.caches[0].associativity = 0;
         assert!(spec.validate().is_err());
+    }
+
+    /// Each spec below used to pass `validate` and then trip an `assert!`
+    /// while the machine was being built.
+    #[test]
+    fn validation_rejects_too_many_levels() {
+        let mut spec = presets::tiny_smp();
+        let outer = spec.caches.last().expect("preset has caches").clone();
+        while spec.caches.len() <= MAX_LEVELS {
+            let level = spec.caches.len() as u8 + 1;
+            spec.caches.push(CacheLevelSpec {
+                level,
+                ..outer.clone()
+            });
+        }
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("cache levels"), "{err}");
+        spec.caches.pop();
+        spec.validate().expect("exactly MAX_LEVELS levels are fine");
+    }
+
+    #[test]
+    fn validation_rejects_oversized_associativity() {
+        let mut spec = presets::tiny_smp();
+        let l2 = &mut spec.caches[1];
+        l2.associativity = MAX_WAYS + 1;
+        l2.size = l2.line_size * l2.associativity;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("associativity"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_oversized_tlb() {
+        let mut spec = presets::tiny_with_tlb();
+        let tlb = spec.tlb.as_mut().expect("preset has a TLB");
+        tlb.entries = MAX_WAYS;
+        spec.validate().expect("MAX_WAYS entries are fine");
+        spec.tlb.as_mut().expect("preset has a TLB").entries = MAX_WAYS + 1;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("TLB"), "{err}");
     }
 
     #[test]

@@ -472,3 +472,119 @@ fn dunnington_pair_bit_identical() {
     assert_all_bits_eq(&cf, &cr, "dunnington 0+12");
     assert_stats_match(&fast, &refr, "dunnington");
 }
+
+/// Blocked-locality byte offsets: `lines` random cache lines of a
+/// `size`-byte array, each followed by its eight 8-byte elements.
+fn blocked_trace(rng: &mut ChaCha8Rng, size: usize, lines: usize) -> Vec<u64> {
+    (0..lines)
+        .flat_map(|_| {
+            let line = rng.gen_range(0..(size / 64) as u64);
+            (0..8u64).map(move |e| line * 64 + e * 8)
+        })
+        .collect()
+}
+
+/// Every arm of the set kernel under single-job runs, each of which is one
+/// block of the resolve-once loop: the 2-, 4-, 8- and 16-way kernels and
+/// the any-width fallback (a direct-mapped L1, Dunnington's 12-way L2 and
+/// 24-way L3). Traversals sit below, between and above every level; the
+/// traces mix hits and misses at each level and run twice so the second
+/// starts from warm caches and a busy bus.
+#[test]
+fn every_set_width_single_job_bit_identical() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5E7);
+    let mut direct_mapped = presets::tiny_smp();
+    direct_mapped.name = "tiny_direct_mapped_l1".into();
+    direct_mapped.caches[0].associativity = 1;
+    for spec in [
+        direct_mapped,
+        presets::tiny_smp(),
+        presets::dempsey(),
+        presets::athlon3200(),
+        presets::dunnington(),
+    ] {
+        let levels: Vec<usize> = spec.caches.iter().map(|c| c.size).collect();
+        let mut sizes = vec![levels[0] / 2];
+        sizes.extend(levels.windows(2).map(|w| (w[0] + w[1]) / 2));
+        sizes.push(2 * levels[levels.len() - 1]);
+        for &size in &sizes {
+            let mut fast = Machine::with_seed(spec.clone(), 17);
+            let mut refr = ReferenceMachine::with_seed(spec.clone(), 17);
+            let fa = fast.alloc_array(size);
+            let ra = refr.alloc_array(size);
+            let cf = fast.traverse(0, &fa, KB, 1, 2);
+            let cr = refr.traverse(0, &ra, KB, 1, 2);
+            assert_bits_eq(cf, cr, &format!("{} traverse size={size}", spec.name));
+            assert_stats_match(&fast, &refr, &spec.name);
+        }
+
+        let mut fast = Machine::with_seed(spec.clone(), 23);
+        let mut refr = ReferenceMachine::with_seed(spec.clone(), 23);
+        let size = 2 * levels[1];
+        let fa = fast.alloc_array(size);
+        let ra = refr.alloc_array(size);
+        let trace = blocked_trace(&mut rng, size, 4000);
+        for round in 0..2 {
+            let cf = fast.run_trace(0, &fa, &trace);
+            let cr = refr.run_trace(0, &ra, &trace);
+            assert_bits_eq(cf, cr, &format!("{} run_trace round={round}", spec.name));
+        }
+        assert_stats_match(&fast, &refr, &spec.name);
+    }
+}
+
+/// The TLB rides the same kernel (fully associative: one set, fallback
+/// arm). A trace over twice the TLB's reach thrashes it while the caches
+/// see a blocked pattern.
+#[test]
+fn tlb_machine_run_trace_bit_identical() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x71B);
+    let spec = presets::tiny_with_tlb();
+    let tlb = spec.tlb.expect("preset has a TLB");
+    let size = 2 * tlb.entries * spec.page_size;
+    let mut fast = Machine::with_seed(spec.clone(), 5);
+    let mut refr = ReferenceMachine::with_seed(spec, 5);
+    let fa = fast.alloc_array(size);
+    let ra = refr.alloc_array(size);
+    let trace = blocked_trace(&mut rng, size, 3000);
+    for round in 0..2 {
+        let cf = fast.run_trace(0, &fa, &trace);
+        let cr = refr.run_trace(0, &ra, &trace);
+        assert_bits_eq(cf, cr, &format!("tlb run_trace round={round}"));
+    }
+    assert_stats_match(&fast, &refr, "tlb run_trace");
+}
+
+/// Two private L1-resident traversals on two cores: every access costs the
+/// same, the clocks tie after each one, and the scheduler hands out blocks
+/// one access long — the resolve-once loop re-resolved per access. Then
+/// the same pair over arrays that miss everywhere and queue on the bus.
+#[test]
+fn one_access_blocks_bit_identical() {
+    for &size in &[4 * KB, 384 * KB] {
+        let mut fast = Machine::with_seed(presets::tiny_shared_l2(), 31);
+        let mut refr = ReferenceMachine::with_seed(presets::tiny_shared_l2(), 31);
+        let fa = fast.alloc_array(size);
+        let fb = fast.alloc_array(size);
+        let ra = refr.alloc_array(size);
+        let rb = refr.alloc_array(size);
+        let jobs = |a, b| {
+            [
+                TraversalJob {
+                    core: 0,
+                    array: a,
+                    stride: 256,
+                },
+                TraversalJob {
+                    core: 1,
+                    array: b,
+                    stride: 256,
+                },
+            ]
+        };
+        let cf = fast.traverse_concurrent(&jobs(&fa, &fb), 1, 3);
+        let cr = refr.traverse_concurrent(&jobs(&ra, &rb), 1, 3);
+        assert_all_bits_eq(&cf, &cr, &format!("one-access blocks size={size}"));
+        assert_stats_match(&fast, &refr, "one-access blocks");
+    }
+}

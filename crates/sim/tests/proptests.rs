@@ -28,7 +28,7 @@ fn lines(rng: &mut ChaCha8Rng, bound: u64, len: Range<usize>) -> Vec<u64> {
 }
 
 /// A cache never holds more lines than its capacity, and a line just
-/// inserted is resident.
+/// touched is resident.
 #[test]
 fn cache_capacity_invariant() {
     let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -37,26 +37,23 @@ fn cache_capacity_invariant() {
         let assoc = rng.gen_range(1usize..8);
         let mut c = SetAssocCache::new(sets, assoc);
         for l in lines(&mut rng, 512, 1..256) {
-            c.probe(l);
-            c.insert(l);
+            c.touch(l);
             assert!(c.contains(l), "{sets} sets × {assoc} ways lost line {l}");
             assert!(c.resident_lines() <= c.capacity_lines());
         }
     }
 }
 
-/// probe() is consistent with contains(): a probe hit implies prior
-/// residency, and after insert the next probe hits.
+/// touch() is consistent with contains(): it hits exactly when the line
+/// was resident, and the line is resident afterwards either way.
 #[test]
-fn cache_probe_insert_consistency() {
+fn cache_touch_consistency() {
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     for _ in 0..CASES {
         let mut c = SetAssocCache::new(4, 2);
         for l in lines(&mut rng, 64, 1..128) {
             let resident = c.contains(l);
-            let hit = c.probe(l);
-            assert_eq!(hit, resident, "line {l}");
-            c.insert(l);
+            assert_eq!(c.touch(l), resident, "line {l}");
             assert!(c.contains(l));
         }
     }
