@@ -10,24 +10,8 @@
 //! factor, where the crossovers fall) before returning — so running the
 //! harness doubles as an end-to-end regression test of the reproduction.
 //!
-//! Binaries:
-//!
-//! | binary | paper artifact |
-//! |---|---|
-//! | `fig2` | Fig. 2(a,b) — mcalibrator cycles and gradients |
-//! | `sec4a` | §IV-A — 10/10 cache sizes on four machines |
-//! | `fig8` | Fig. 8(a,b) — shared-cache ratios |
-//! | `fig9a` | Fig. 9(a) — two-core concurrent memory bandwidth |
-//! | `fig9b` | Fig. 9(b) — effective bandwidth vs concurrent cores |
-//! | `fig10a` | Fig. 10(a) — message latency from core 0 |
-//! | `fig10b` | Fig. 10(b) — latency scalability under concurrency |
-//! | `fig10c` | Fig. 10(c) — p2p bandwidth per layer, Dunnington |
-//! | `fig10d` | Fig. 10(d) — p2p bandwidth per layer, Finis Terrae |
-//! | `table1` | Table I — benchmark execution times |
-//! | `ablation_cache` | cache-detection ablations (ours) |
-//! | `ablation_models` | Hockney/LogGP vs layered model (ours) |
-//! | `app_placement` | profile-guided placement study (ours) |
-//! | `run_all` | everything above, writing `results/` |
+//! One binary runs them: `cargo run --release -p servet-bench -- [id…]`,
+//! with the ids of [`experiments::ALL`] (none = all 14).
 
 pub mod experiments;
 pub mod report;

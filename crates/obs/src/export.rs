@@ -1,107 +1,10 @@
-//! JSON export and the human-readable summary.
-//!
-//! The exporter writes plain JSON by hand — `servet-obs` is std-only, so
-//! nothing here depends on serde. The schema is stable and documented on
-//! [`export_json`]; consumers that want typed access (the run manifest in
-//! `servet-core`, the registry's `stats` response) convert the snapshot
-//! structs themselves.
+//! The human-readable summary of everything recorded. Consumers that want
+//! machine-readable output (the run manifest in `servet-core`, the
+//! registry's `stats` response) serialize the snapshot structs themselves.
 
-use crate::histogram::HistogramSnapshot;
 use crate::metrics::Metrics;
-use crate::span::{self, format_ns, SpanRecord};
+use crate::span::{self, format_ns};
 use std::fmt::Write as _;
-
-/// Escape `s` for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn histogram_json(snap: &HistogramSnapshot) -> String {
-    let buckets: Vec<String> = snap
-        .buckets
-        .iter()
-        .map(|&(upper, n)| format!("[{upper},{n}]"))
-        .collect();
-    format!(
-        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\
-         \"p50\":{},\"p99\":{},\"buckets\":[{}]}}",
-        snap.count,
-        snap.sum,
-        snap.min,
-        snap.max,
-        snap.mean(),
-        snap.quantile(0.50),
-        snap.quantile(0.99),
-        buckets.join(",")
-    )
-}
-
-fn span_json(s: &SpanRecord) -> String {
-    let annotation = s
-        .annotation
-        .as_ref()
-        .map(|a| format!(",\"annotation\":\"{}\"", json_escape(a)))
-        .unwrap_or_default();
-    format!(
-        "{{\"name\":\"{}\",\"depth\":{},\"start_ns\":{},\"duration_ns\":{}{annotation}}}",
-        json_escape(&s.name),
-        s.depth,
-        s.start_ns,
-        s.duration_ns
-    )
-}
-
-/// Serialize `metrics` plus the global span log as one JSON object:
-///
-/// ```text
-/// {
-///   "counters":   { "<name>": <u64>, ... },
-///   "histograms": { "<name>": {"count":..,"sum":..,"min":..,"max":..,
-///                              "mean":..,"p50":..,"p99":..,
-///                              "buckets":[[<upper_bound>,<count>],..]}, .. },
-///   "spans": [ {"name":..,"depth":..,"start_ns":..,"duration_ns":..}, .. ],
-///   "spans_dropped": <u64>
-/// }
-/// ```
-pub fn export_json_from(metrics: &Metrics) -> String {
-    let counters: Vec<String> = metrics
-        .counters_snapshot()
-        .iter()
-        .map(|(k, v)| format!("\"{}\":{v}", json_escape(k)))
-        .collect();
-    let histograms: Vec<String> = metrics
-        .histograms_snapshot()
-        .iter()
-        .map(|(k, s)| format!("\"{}\":{}", json_escape(k), histogram_json(s)))
-        .collect();
-    let spans: Vec<String> = span::spans_snapshot().iter().map(span_json).collect();
-    format!(
-        "{{\"counters\":{{{}}},\"histograms\":{{{}}},\"spans\":[{}],\"spans_dropped\":{}}}",
-        counters.join(","),
-        histograms.join(","),
-        spans.join(","),
-        span::dropped_spans()
-    )
-}
-
-/// [`export_json_from`] over the global metric registry.
-pub fn export_json() -> String {
-    export_json_from(crate::metrics::global())
-}
 
 /// Human-readable summary of `metrics` plus the span log — the body of
 /// the CLI's `--trace` footer.
@@ -148,27 +51,6 @@ pub fn summary() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escaping_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\n\t"), "x\\n\\t");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn export_shape_contains_registered_metrics() {
-        let m = Metrics::new();
-        m.counter("export.hits").add(3);
-        m.histogram("export.lat").record(1000);
-        let json = export_json_from(&m);
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"export.hits\":3"), "{json}");
-        assert!(json.contains("\"export.lat\":{\"count\":1"), "{json}");
-        assert!(json.contains("\"buckets\":[[1023,1]]"), "{json}");
-        assert!(json.contains("\"spans\":["), "{json}");
-    }
 
     #[test]
     fn summary_mentions_counters_histograms_and_spans() {

@@ -2,8 +2,8 @@
 //!
 //! The observability substrate of the Servet workspace: span-based scoped
 //! timers, monotonic counters, and log-bucketed latency histograms behind
-//! a cheap global registry, with JSON export and a human-readable summary
-//! printer. Everything is `std`-only — no dependencies — so every crate
+//! a cheap global registry, with a human-readable summary printer.
+//! Everything is `std`-only — no dependencies — so every crate
 //! in the workspace (and the CI doc sandbox) can use it freely.
 //!
 //! The three primitives, in increasing cost order:
@@ -29,10 +29,8 @@
 //! let spans = servet_obs::spans_snapshot();
 //! assert!(spans.iter().any(|s| s.name == "demo.phase"));
 //! assert!(servet_obs::counter("demo.items").get() >= 3);
-//! // Machine- and human-readable dumps of everything recorded so far:
-//! let json = servet_obs::export_json();
-//! assert!(json.contains("\"demo.items\""));
-//! println!("{}", servet_obs::summary());
+//! // Human-readable dump of everything recorded so far:
+//! assert!(servet_obs::summary().contains("demo.items"));
 //! ```
 //!
 //! Components that need isolation from the global namespace (the registry
@@ -50,7 +48,7 @@ pub mod scope;
 pub mod span;
 
 pub use counter::Counter;
-pub use export::{export_json, export_json_from, json_escape, summary, summary_from};
+pub use export::{summary, summary_from};
 pub use histogram::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use metrics::Metrics;
 pub use scope::{AttachGuard, RunScope, ScopeData, ScopeHandle};
@@ -88,8 +86,8 @@ mod tests {
             let _g = crate::span("facade.span");
         }
         assert!(crate::counter("facade.count").get() >= 2);
-        let json = crate::export_json();
-        assert!(json.contains("facade.count"), "{json}");
-        assert!(json.contains("facade.lat"), "{json}");
+        let text = crate::summary();
+        assert!(text.contains("facade.count"), "{text}");
+        assert!(text.contains("facade.lat"), "{text}");
     }
 }

@@ -9,7 +9,6 @@
 //!   connection never sends a request, so *any* inbound byte is the
 //!   server's `busy:` rejection and an EOF is an eviction — both are
 //!   counted, making "zero rejects at steady state" a measurable claim.
-//!   This path never touches serde, so it runs everywhere.
 //! * **Request traffic** (`ops` over `op_workers` threads): each worker
 //!   drives a [`crate::client::RetryingRegistryClient`] (decorrelated
 //!   jitter, per-worker seed) in either **closed-loop** mode
@@ -19,12 +18,12 @@
 //!   correction).
 //!
 //! The outcome is a [`LoadgenReport`] with throughput and a
-//! p50/p99/p999 latency trajectory, serialized by hand to JSON
-//! ([`LoadgenReport::to_json`]) so writing `BENCH_serve.json` needs no
-//! serializer.
+//! p50/p99/p999 latency trajectory; `servet loadgen --out FILE` writes it
+//! as JSON ([`LoadgenReport::to_json`]).
 
 use crate::client::{RetryPolicy, RetryingRegistryClient};
 use crate::poll::{raise_nofile_limit, Event, Interest, Poller};
+use serde::{Deserialize, Serialize};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,7 +41,8 @@ fn raw_fd(_s: &TcpStream) -> i32 {
 }
 
 /// How request traffic is paced.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Mode {
     /// Back-to-back: each worker issues its next request the moment the
     /// previous response lands. Measures service capacity.
@@ -95,7 +95,7 @@ impl Default for LoadgenConfig {
 }
 
 /// Latency quantiles over one run's request traffic, in nanoseconds.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Requests measured.
     pub count: u64,
@@ -135,7 +135,7 @@ impl LatencyStats {
 }
 
 /// What one [`run`] measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LoadgenReport {
     /// Connections requested.
     pub conns_target: usize,
@@ -158,10 +158,10 @@ pub struct LoadgenReport {
     pub throughput_ops_per_s: f64,
     /// Latency quantiles (`None` when `ops == 0`).
     pub latency: Option<LatencyStats>,
-    /// Whole-run wall time.
-    pub elapsed: Duration,
-    /// `"open"` or `"closed"`.
-    pub mode: &'static str,
+    /// Whole-run wall time, seconds.
+    pub elapsed_s: f64,
+    /// How the request traffic was paced.
+    pub mode: Mode,
 }
 
 impl LoadgenReport {
@@ -175,31 +175,9 @@ impl LoadgenReport {
             && self.conns_opened == self.conns_target
     }
 
-    /// Hand-formatted JSON (std-only on purpose: the report must be
-    /// writable even where no serializer backend exists).
+    /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
-        let latency = match &self.latency {
-            None => "null".to_string(),
-            Some(l) => format!(
-                "{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{}}}",
-                l.count, l.mean_ns, l.p50_ns, l.p99_ns, l.p999_ns, l.max_ns
-            ),
-        };
-        format!(
-            "{{\n  \"bench\": \"serve\",\n  \"mode\": \"{}\",\n  \"conns\": {{\"target\": {}, \"opened\": {}, \"connect_failures\": {}, \"busy_rejects\": {}, \"early_closes\": {}}},\n  \"ops\": {{\"requested\": {}, \"done\": {}, \"failed\": {}, \"throughput_per_s\": {:.1}}},\n  \"latency_ns\": {},\n  \"elapsed_s\": {:.3}\n}}\n",
-            self.mode,
-            self.conns_target,
-            self.conns_opened,
-            self.connect_failures,
-            self.busy_rejects,
-            self.early_closes,
-            self.ops_requested,
-            self.ops_done,
-            self.ops_failed,
-            self.throughput_ops_per_s,
-            latency,
-            self.elapsed.as_secs_f64(),
-        )
+        serde_json::to_string_pretty(self).expect("loadgen report serializes")
     }
 }
 
@@ -394,11 +372,8 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
             0.0
         },
         latency,
-        elapsed: started.elapsed(),
-        mode: match config.mode {
-            Mode::Closed => "closed",
-            Mode::Open { .. } => "open",
-        },
+        elapsed_s: started.elapsed().as_secs_f64(),
+        mode: config.mode,
     })
 }
 
@@ -418,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_well_formed_by_hand() {
+    fn report_json_round_trips() {
         let report = LoadgenReport {
             conns_target: 512,
             conns_opened: 512,
@@ -437,23 +412,23 @@ mod tests {
                 p999_ns: 9_000,
                 max_ns: 10_000,
             }),
-            elapsed: Duration::from_millis(1500),
-            mode: "closed",
+            elapsed_s: 1.5,
+            mode: Mode::Open { rate_hz: 250.0 },
         };
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"serve\""), "{json}");
-        assert!(json.contains("\"p999_ns\":9000"), "{json}");
-        assert!(json.contains("\"throughput_per_s\": 1234.5"), "{json}");
+        let back: LoadgenReport = serde_json::from_str(&report.to_json()).unwrap();
+        assert_eq!(back, report);
         assert!(!report.clean(), "one failed op must not be clean");
-        // The hold-only shape serializes latency as null.
+        // The hold-only shape: no ops, no latency block.
         let hold_only = LoadgenReport {
             ops_requested: 0,
             ops_done: 0,
             ops_failed: 0,
             latency: None,
+            mode: Mode::Closed,
             ..report
         };
-        assert!(hold_only.to_json().contains("\"latency_ns\": null"));
+        let back: LoadgenReport = serde_json::from_str(&hold_only.to_json()).unwrap();
+        assert_eq!(back, hold_only);
         assert!(hold_only.clean());
     }
 }

@@ -30,7 +30,7 @@
 //!   to the retained pre-rewrite engine.
 //! * [`mod@reference`] — that retained engine, [`reference::ReferenceMachine`]:
 //!   the original data structures and access loop, kept as the oracle for
-//!   differential tests and the `BENCH_sim` before/after comparison.
+//!   the differential tests.
 //! * [`membw`] — max-min fair streaming-bandwidth model of the memory
 //!   system, used by the STREAM-like memory overhead benchmark.
 

@@ -1,5 +1,4 @@
-//! The retained pre-fast-path simulator, for differential testing and
-//! the `BENCH_sim` before/after comparison.
+//! The retained pre-fast-path simulator, for differential testing.
 //!
 //! [`ReferenceMachine`] is a faithful copy of the cycle engine as it
 //! stood before the throughput rewrite: per-access division-based

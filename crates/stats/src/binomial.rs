@@ -19,8 +19,7 @@
 //! `P(B(n+1,p) > k) = P(B(n,p) > k) + p·P(B(n,p) = k)`.
 //!
 //! The pre-recurrence per-term kernels survive in [`mod@reference`] as the
-//! ground truth for the property tests and as the baseline
-//! `BENCH_fit.json` measures the speedup from.
+//! ground truth for the property tests.
 
 /// Natural log of the gamma function, Lanczos approximation (g = 7, n = 9).
 ///
@@ -352,8 +351,7 @@ pub fn sf_curve(np_values: &[u64], p: f64, k: u64) -> Vec<f64> {
 /// log-gamma evaluations.
 ///
 /// Kept as the ground truth the property tests compare the incremental
-/// recurrence against, and as the baseline `BENCH_fit.json` measures the
-/// speedup from. Not used on any hot path.
+/// recurrence against. Not used on any hot path.
 pub mod reference {
     use super::Binomial;
 

@@ -177,7 +177,7 @@ pub struct StrategySummary {
     pub mean_evaluations: f64,
 }
 
-/// The full comparison report (`BENCH_tune.json`).
+/// The full comparison report (`servet tune --zoo --out FILE`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompareReport {
     /// Population size.
@@ -203,70 +203,9 @@ impl CompareReport {
             .map(|s| s.parity)
     }
 
-    /// Render as JSON without serde (serde parses the shape back) —
-    /// this is the `BENCH_tune.json` artifact.
+    /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
-        use crate::search::{config_json, fmt_f64};
-        let machines: Vec<String> = self
-            .per_machine
-            .iter()
-            .map(|m| {
-                let results: Vec<String> = m
-                    .results
-                    .iter()
-                    .map(|r| {
-                        format!(
-                            "{{\"strategy\":\"{}\",\"best\":{},\"best_score\":{},\
-                             \"evaluations\":{},\"ratio\":{},\"matched\":{}}}",
-                            r.strategy.wire_name(),
-                            config_json(&r.best),
-                            fmt_f64(r.best_score),
-                            r.evaluations,
-                            fmt_f64(r.ratio),
-                            r.matched,
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"index\":{},\"base\":\"{}\",\"machine\":\"{}\",\"cores\":{},\
-                     \"analytic\":{},\"analytic_score\":{},\"results\":[{}]}}",
-                    m.index,
-                    servet_obs::json_escape(&m.base),
-                    servet_obs::json_escape(&m.machine),
-                    m.cores,
-                    config_json(&m.analytic),
-                    fmt_f64(m.analytic_score),
-                    results.join(","),
-                )
-            })
-            .collect();
-        let summary: Vec<String> = self
-            .summary
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"strategy\":\"{}\",\"matched\":{},\"improved\":{},\"total\":{},\
-                     \"parity\":{},\"mean_ratio\":{},\"mean_evaluations\":{}}}",
-                    s.strategy.wire_name(),
-                    s.matched,
-                    s.improved,
-                    s.total,
-                    fmt_f64(s.parity),
-                    fmt_f64(s.mean_ratio),
-                    fmt_f64(s.mean_evaluations),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"machines\":{},\"seed\":{},\"n\":{},\"epsilon\":{},\
-             \"per_machine\":[{}],\"summary\":[{}]}}",
-            self.machines,
-            self.seed,
-            self.n,
-            fmt_f64(self.epsilon),
-            machines.join(","),
-            summary.join(","),
-        )
+        serde_json::to_string_pretty(self).expect("compare report serializes")
     }
 }
 
@@ -419,5 +358,14 @@ mod tests {
         assert_eq!(one, three);
         assert_eq!(one.per_machine.len(), 3);
         assert_eq!(one.summary.len(), 1);
+    }
+
+    #[test]
+    fn report_json_round_trips() {
+        let mut config = CompareConfig::new(2, 1, 7);
+        config.n = 16;
+        let report = run_compare(&config);
+        let back: CompareReport = serde_json::from_str(&report.to_json()).unwrap();
+        assert_eq!(back, report);
     }
 }

@@ -64,8 +64,8 @@ impl Strategy {
         }
     }
 
-    /// Wire name — matches this enum's serde `snake_case` rename, so
-    /// hand-rendered JSON parses back through serde.
+    /// Wire name — matches this enum's serde `snake_case` rename; the
+    /// registry's memo key spells strategies this way.
     pub fn wire_name(&self) -> &'static str {
         match self {
             Strategy::Exhaustive => "exhaustive",
@@ -169,41 +169,10 @@ pub struct TuneOutcome {
     pub best_score: f64,
 }
 
-/// Render a resolved configuration as a JSON object (keys already
-/// sorted — [`Config`] is a `BTreeMap`).
-pub(crate) fn config_json(config: &Config) -> String {
-    let fields: Vec<String> = config
-        .iter()
-        .map(|(k, v)| format!("\"{}\":{v}", servet_obs::json_escape(k)))
-        .collect();
-    format!("{{{}}}", fields.join(","))
-}
-
 impl TuneOutcome {
-    /// Render as JSON, without going through serde — serde's derives
-    /// still parse this exact shape back. Keeps reporting alive in
-    /// build environments where `serde_json` is stubbed out.
+    /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"oracle\":\"{}\",\"strategy\":\"{}\",\"space_digest\":\"{}\",\
-             \"space_len\":{},\"evaluations\":{},\"best\":{},\"best_score\":{}}}",
-            servet_obs::json_escape(&self.oracle),
-            self.strategy.wire_name(),
-            self.space_digest,
-            self.space_len,
-            self.evaluations,
-            config_json(&self.best),
-            fmt_f64(self.best_score),
-        )
-    }
-}
-
-/// JSON-safe float rendering (JSON has no NaN/inf literals).
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+        serde_json::to_string_pretty(self).expect("tune outcome serializes")
     }
 }
 
@@ -454,13 +423,17 @@ mod tests {
 
     #[test]
     fn options_deserialize_with_defaults() {
-        // Skipped where serde_json is a panicking stub.
-        let Ok(parsed) = std::panic::catch_unwind(|| {
-            serde_json::from_str::<TuneOptions>(r#"{"strategy":"line"}"#)
-        }) else {
-            eprintln!("serde_json unavailable (stub); skipping");
-            return;
-        };
-        assert_eq!(parsed.unwrap(), TuneOptions::new(Strategy::Line));
+        let parsed: TuneOptions = serde_json::from_str(r#"{"strategy":"line"}"#).unwrap();
+        assert_eq!(parsed, TuneOptions::new(Strategy::Line));
+    }
+
+    #[test]
+    fn outcome_json_round_trips() {
+        let s = space();
+        for strategy in Strategy::ALL {
+            let out = tune(&bowl(), &s, &TuneOptions::new(strategy), 1);
+            let back: TuneOutcome = serde_json::from_str(&out.to_json()).unwrap();
+            assert_eq!(back, out, "{strategy}");
+        }
     }
 }

@@ -35,7 +35,7 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let trace = args.iter().any(|a| a == "--trace");
     args.retain(|a| a != "--trace");
-    let code = match args.first().map(String::as_str) {
+    let outcome = match args.first().map(String::as_str) {
         Some("simulate") => cmd_simulate(&args[1..]),
         Some("suite") => cmd_suite(&args[1..]),
         Some("probe") => cmd_probe(&args[1..]),
@@ -49,17 +49,17 @@ fn main() {
         Some("machines") => cmd_machines(),
         Some("help") | None => {
             print_help();
-            0
+            Ok(())
         }
         Some(other) => {
             eprintln!("unknown command '{other}'; try 'servet help'");
-            2
+            Err(2)
         }
     };
     if trace {
         print_trace();
     }
-    std::process::exit(code);
+    std::process::exit(outcome.err().unwrap_or(0));
 }
 
 /// Render everything `servet-obs` accumulated during the run: the span
@@ -98,7 +98,8 @@ fn print_help() {
          \x20 servet tune --zoo [--machines N] [--workers N] [--seed S] [--n N]\n\
          \x20             [--strategies a,b] [--epsilon E] [--check [--min-parity P]] [--out FILE]\n\
          \x20                                                    race search against the analytic\n\
-         \x20                                                    advice across the machine zoo\n\
+         \x20                                                    advice across the machine zoo;\n\
+         \x20                                                    --out FILE keeps the full report\n\
          \x20 servet serve --dir DIR [--addr HOST:PORT] [--read-timeout-ms N] [--workers N]\n\
          \x20              [--backlog N] [--max-conns N] [--drain-grace-ms N]\n\
          \x20                                                    run the profile registry daemon\n\
@@ -140,17 +141,41 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn cmd_machines() -> i32 {
+/// How a command ends: `Err` carries the process exit code (2 for a
+/// usage error, 1 for a failed run).
+type Exit = Result<(), i32>;
+
+/// `--flag VALUE` parsed as `T`, or `default` when the flag is absent. A
+/// value that does not parse is a usage error, never the default.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, i32> {
+    match flag_value(args, flag) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| {
+            eprintln!("invalid value '{v}' for {flag}");
+            2
+        }),
+    }
+}
+
+/// Worker threads when `--workers` is not given: one per CPU, at most 8.
+fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .clamp(1, 8)
+}
+
+fn cmd_machines() -> Exit {
     println!("simulated machine presets:");
     println!("  dunnington     24-core 4x Xeon E7450 node (paper SS IV)");
     println!("  finis_terrae   2 nodes x 16 Itanium2 cores over InfiniBand");
     println!("  dempsey        dual-core Xeon 5060");
     println!("  athlon3200     unicore AMD Athlon");
     println!("  tiny           fast 2x4-core demo cluster");
-    0
+    Ok(())
 }
 
-fn run_and_save(platform: &mut dyn Platform, config: &SuiteConfig, out: Option<&str>) -> i32 {
+fn run_and_save(platform: &mut dyn Platform, config: &SuiteConfig, out: Option<&str>) -> Exit {
     eprintln!("running the Servet suite on '{}' ...", platform.name());
     // The scoped entry point: the manifest holds exactly this run's
     // spans and counters even if other measurements share the process.
@@ -161,27 +186,35 @@ fn run_and_save(platform: &mut dyn Platform, config: &SuiteConfig, out: Option<&
         report.timings.total_s() / 60.0
     );
     if let Some(path) = out {
-        if let Err(e) = report.profile.save(path) {
+        report.profile.save(path).map_err(|e| {
             eprintln!("cannot write {path}: {e}");
-            return 1;
-        }
+            1
+        })?;
         println!("profile written to {path}");
         // The manifest records how the profile was measured: the exact
         // config plus the observed span tree and counters.
         let mpath = servet::core::manifest_path(path);
-        if let Err(e) = manifest.save(&mpath) {
+        manifest.save(&mpath).map_err(|e| {
             eprintln!("cannot write {}: {e}", mpath.display());
-            return 1;
-        }
+            1
+        })?;
         println!("run manifest written to {}", mpath.display());
     }
-    0
+    Ok(())
 }
 
-fn cmd_simulate(args: &[String]) -> i32 {
+/// Write a JSON report atomically, reporting a failure on stderr.
+fn write_report(path: &str, json: &str) -> Exit {
+    servet::core::profile::write_atomic(path, json.as_bytes()).map_err(|e| {
+        eprintln!("cannot write {path}: {e}");
+        1
+    })
+}
+
+fn cmd_simulate(args: &[String]) -> Exit {
     let Some(machine) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!("usage: servet simulate <machine> [--micro] [--false-sharing] [--out FILE]");
-        return 2;
+        return Err(2);
     };
     let (mut platform, mut config) = match machine.as_str() {
         "dunnington" => (SimPlatform::dunnington(), SuiteConfig::default()),
@@ -191,7 +224,7 @@ fn cmd_simulate(args: &[String]) -> i32 {
         "tiny" => (SimPlatform::tiny_cluster(), SuiteConfig::small(256 * 1024)),
         other => {
             eprintln!("unknown machine '{other}'; see 'servet machines'");
-            return 2;
+            return Err(2);
         }
     };
     config.run_micro = has_flag(args, "--micro");
@@ -202,7 +235,7 @@ fn cmd_simulate(args: &[String]) -> i32 {
 /// `servet suite [machine]` — shorthand for `simulate` that defaults to
 /// the fast `tiny` preset, so `servet --trace suite` demos the span tree
 /// in under a second.
-fn cmd_suite(args: &[String]) -> i32 {
+fn cmd_suite(args: &[String]) -> Exit {
     if args.first().is_some_and(|a| !a.starts_with("--")) {
         cmd_simulate(args)
     } else {
@@ -212,10 +245,8 @@ fn cmd_suite(args: &[String]) -> i32 {
     }
 }
 
-fn cmd_probe(args: &[String]) -> i32 {
-    let max_mb: usize = flag_value(args, "--max-mb")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+fn cmd_probe(args: &[String]) -> Exit {
+    let max_mb: usize = parsed_flag(args, "--max-mb", 64)?;
     let mut platform = HostPlatform::new();
     let config = SuiteConfig {
         mcalibrator: McalibratorConfig {
@@ -244,54 +275,42 @@ fn load_profile(args: &[String]) -> Result<MachineProfile, i32> {
     })
 }
 
-fn cmd_show(args: &[String]) -> i32 {
+fn cmd_show(args: &[String]) -> Exit {
     let Some(path) = args.first() else {
         eprintln!("usage: servet show <profile.json>");
-        return 2;
+        return Err(2);
     };
-    match MachineProfile::load(path) {
-        Ok(profile) => {
-            print_profile(&profile);
-            0
-        }
-        Err(e) => {
-            eprintln!("cannot load {path}: {e}");
-            1
-        }
-    }
+    let profile = MachineProfile::load(path).map_err(|e| {
+        eprintln!("cannot load {path}: {e}");
+        1
+    })?;
+    print_profile(&profile);
+    Ok(())
 }
 
 /// Parse `servet advise <what> ...` flags into the shared query type the
 /// registry protocol speaks (the CLI and the server answer identically).
-fn parse_advice_query(what: &str, args: &[String]) -> Result<AdviceQuery, String> {
-    let num = |flag: &str, default: usize| -> usize {
-        flag_value(args, flag)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
+fn parse_advice_query(what: &str, args: &[String]) -> Result<AdviceQuery, i32> {
     match what {
         "threads" => Ok(AdviceQuery::Threads {
-            tolerance: flag_value(args, "--tolerance")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.05),
+            tolerance: parsed_flag(args, "--tolerance", 0.05)?,
         }),
         "tile" => Ok(AdviceQuery::Tile {
-            level: num("--level", 1) as u8,
-            elem_size: num("--elem-size", 8),
-            matrices: num("--matrices", 3),
-            occupancy: flag_value(args, "--occupancy")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.75),
+            level: parsed_flag(args, "--level", 1)?,
+            elem_size: parsed_flag(args, "--elem-size", 8)?,
+            matrices: parsed_flag(args, "--matrices", 3)?,
+            occupancy: parsed_flag(args, "--occupancy", 0.75)?,
         }),
         // ranks 0 means "every measured core"; the engine resolves it.
         "bcast" => Ok(AdviceQuery::Bcast {
-            ranks: num("--ranks", 0),
-            bytes: num("--bytes", 32 * 1024),
+            ranks: parsed_flag(args, "--ranks", 0)?,
+            bytes: parsed_flag(args, "--bytes", 32 * 1024)?,
         }),
         "padding" => Ok(AdviceQuery::Padding),
-        other => Err(format!(
-            "unknown advice '{other}'; use threads | tile | bcast | padding"
-        )),
+        other => {
+            eprintln!("unknown advice '{other}'; use threads | tile | bcast | padding");
+            Err(2)
+        }
     }
 }
 
@@ -362,60 +381,42 @@ fn emit_outcome(outcome: &AdviceOutcome, json: bool) {
     }
 }
 
-fn cmd_advise(args: &[String]) -> i32 {
+fn cmd_advise(args: &[String]) -> Exit {
     let Some(what) = args.first() else {
         eprintln!("usage: servet advise <threads|tile|bcast|padding> --profile FILE [--json]");
-        return 2;
+        return Err(2);
     };
     let rest = &args[1..];
-    let query = match parse_advice_query(what, rest) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let profile = match load_profile(rest) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    match servet::registry::compute_advice(&profile, &query) {
-        Ok(outcome) => {
-            emit_outcome(&outcome, has_flag(rest, "--json"));
-            0
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            1
-        }
-    }
+    let query = parse_advice_query(what, rest)?;
+    let profile = load_profile(rest)?;
+    let outcome = servet::registry::compute_advice(&profile, &query).map_err(|e| {
+        eprintln!("{e}");
+        1
+    })?;
+    emit_outcome(&outcome, has_flag(rest, "--json"));
+    Ok(())
 }
 
 /// Parse the shared search flags (`--strategy`, `--seed`, budget knobs)
 /// into the [`servet::tune::TuneOptions`] both the local searcher and
 /// the registry `tune` op consume.
-fn parse_tune_options(args: &[String]) -> Result<servet::tune::TuneOptions, String> {
+fn parse_tune_options(args: &[String]) -> Result<servet::tune::TuneOptions, i32> {
     use servet::tune::{Strategy, TuneOptions};
     let strategy = match flag_value(args, "--strategy") {
         None => Strategy::Line,
         Some(s) => Strategy::parse(s).ok_or_else(|| {
-            format!("unknown strategy '{s}'; use exhaustive | line | neighborhood | monte-carlo")
+            eprintln!("unknown strategy '{s}'; use exhaustive | line | neighborhood | monte-carlo");
+            2
         })?,
     };
-    let mut options = TuneOptions::new(strategy);
-    if let Some(v) = flag_value(args, "--seed").and_then(|v| v.parse().ok()) {
-        options.seed = v;
-    }
-    if let Some(v) = flag_value(args, "--sweeps").and_then(|v| v.parse().ok()) {
-        options.sweeps = v;
-    }
-    if let Some(v) = flag_value(args, "--steps").and_then(|v| v.parse().ok()) {
-        options.steps = v;
-    }
-    if let Some(v) = flag_value(args, "--samples").and_then(|v| v.parse().ok()) {
-        options.samples = v;
-    }
-    Ok(options)
+    let defaults = TuneOptions::new(strategy);
+    Ok(TuneOptions {
+        strategy,
+        seed: parsed_flag(args, "--seed", defaults.seed)?,
+        sweeps: parsed_flag(args, "--sweeps", defaults.sweeps)?,
+        steps: parsed_flag(args, "--steps", defaults.steps)?,
+        samples: parsed_flag(args, "--samples", defaults.samples)?,
+    })
 }
 
 /// Human rendering of a tuning outcome; `analytic` is the baseline
@@ -458,45 +459,22 @@ fn print_tune_outcome(
     }
 }
 
-fn cmd_tune(args: &[String]) -> i32 {
+fn cmd_tune(args: &[String]) -> Exit {
     use servet::sim::presets;
     use servet::tune::{analytic_config, compare, tune, ProfileOracle, SimOracle};
 
     if has_flag(args, "--zoo") {
         return cmd_tune_zoo(args);
     }
-    let options = match parse_tune_options(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let n: usize = flag_value(args, "--n")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
-        .max(8);
-    let workers: usize = flag_value(args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, 8)
-        })
-        .max(1);
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let options = parse_tune_options(args)?;
+    let n: usize = parsed_flag(args, "--n", 32)?.max(8);
+    let workers: usize = parsed_flag(args, "--workers", default_workers())?.max(1);
+    let seed: u64 = parsed_flag(args, "--seed", 42)?;
 
     // Two oracles: a measured profile prices the kernel with the
     // closed-form model; a simulated preset replays its access trace.
     let (outcome, analytic) = if has_flag(args, "--profile") {
-        let profile = match load_profile(args) {
-            Ok(p) => p,
-            Err(code) => return code,
-        };
-        let oracle = ProfileOracle::new(profile, n);
+        let oracle = ProfileOracle::new(load_profile(args)?, n);
         let space = oracle.space();
         let config = analytic_config(oracle.profile(), &space);
         let score = servet::tune::Oracle::evaluate(&oracle, &config);
@@ -517,7 +495,7 @@ fn cmd_tune(args: &[String]) -> i32 {
                     "unknown machine '{other}'; use dunnington | dempsey | athlon3200 | \
                      tiny_smp | tiny_shared_l2"
                 );
-                return 2;
+                return Err(2);
             }
         };
         let oracle = SimOracle::new(spec, seed, n);
@@ -540,42 +518,25 @@ fn cmd_tune(args: &[String]) -> i32 {
         print_tune_outcome(&outcome, Some((config, *score)));
     }
     if let Some(out) = flag_value(args, "--out") {
-        if let Err(e) = servet::core::profile::write_atomic(out, outcome.to_json().as_bytes()) {
-            eprintln!("cannot write {out}: {e}");
-            return 1;
-        }
+        write_report(out, &outcome.to_json())?;
         println!("tune report written to {out}");
     }
-    0
+    Ok(())
 }
 
 /// `servet tune --zoo`: race the search strategies against the analytic
-/// advice across the seeded machine population, write the
-/// `BENCH_tune.json` artifact, and (with `--check`) gate on parity.
-fn cmd_tune_zoo(args: &[String]) -> i32 {
+/// advice across the seeded machine population, write the comparison to
+/// `--out FILE` when given, and (with `--check`) gate on parity.
+fn cmd_tune_zoo(args: &[String]) -> Exit {
     use servet::tune::{run_compare, CompareConfig, Strategy};
 
-    let machines: usize = flag_value(args, "--machines")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let workers: usize = flag_value(args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, 8)
-        });
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let machines: usize = parsed_flag(args, "--machines", 64)?;
+    let workers: usize = parsed_flag(args, "--workers", default_workers())?;
+    let seed: u64 = parsed_flag(args, "--seed", 42)?;
     let mut config = CompareConfig::new(machines, workers, seed);
-    if let Some(n) = flag_value(args, "--n").and_then(|v| v.parse().ok()) {
-        config.n = n;
-    }
-    if let Some(e) = flag_value(args, "--epsilon").and_then(|v| v.parse().ok()) {
-        config.epsilon = e;
-    }
+    config.n = parsed_flag(args, "--n", config.n)?;
+    config.epsilon = parsed_flag(args, "--epsilon", config.epsilon)?;
+    let min_parity: f64 = parsed_flag(args, "--min-parity", 0.9)?;
     if let Some(list) = flag_value(args, "--strategies") {
         let mut strategies = Vec::new();
         for name in list.split(',').filter(|s| !s.is_empty()) {
@@ -583,17 +544,16 @@ fn cmd_tune_zoo(args: &[String]) -> i32 {
                 Some(s) => strategies.push(s),
                 None => {
                     eprintln!("unknown strategy '{name}' in --strategies");
-                    return 2;
+                    return Err(2);
                 }
             }
         }
         if strategies.is_empty() {
             eprintln!("--strategies lists no strategies");
-            return 2;
+            return Err(2);
         }
         config.strategies = strategies;
     }
-    let out = flag_value(args, "--out").unwrap_or("BENCH_tune.json");
 
     eprintln!(
         "tune zoo: {machines} machines (seed {seed}), kernel n={}, {} worker(s), \
@@ -621,16 +581,12 @@ fn cmd_tune_zoo(args: &[String]) -> i32 {
             s.mean_evaluations
         );
     }
-    if let Err(e) = servet::core::profile::write_atomic(out, report.to_json().as_bytes()) {
-        eprintln!("cannot write {out}: {e}");
-        return 1;
+    if let Some(out) = flag_value(args, "--out") {
+        write_report(out, &report.to_json())?;
+        println!("tune comparison written to {out}");
     }
-    println!("tune comparison written to {out}");
 
     if has_flag(args, "--check") {
-        let min_parity: f64 = flag_value(args, "--min-parity")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.9);
         let mut failed = false;
         for s in &report.summary {
             if s.parity < min_parity {
@@ -644,48 +600,39 @@ fn cmd_tune_zoo(args: &[String]) -> i32 {
             }
         }
         if failed {
-            return 1;
+            return Err(1);
         }
         println!(
             "tune --check passed: every strategy at or above {:.1}% parity",
             100.0 * min_parity
         );
     }
-    0
+    Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> i32 {
+fn cmd_serve(args: &[String]) -> Exit {
     let Some(dir) = flag_value(args, "--dir") else {
         eprintln!(
             "usage: servet serve --dir DIR [--addr HOST:PORT] [--read-timeout-ms N] \
              [--workers N] [--backlog N] [--max-conns N] [--drain-grace-ms N]"
         );
-        return 2;
+        return Err(2);
     };
     let addr = flag_value(args, "--addr").unwrap_or(DEFAULT_ADDR);
-    let read_timeout_ms: u64 = flag_value(args, "--read-timeout-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30_000);
+    let read_timeout_ms: u64 = parsed_flag(args, "--read-timeout-ms", 30_000)?;
     let defaults = ServerConfig::default();
-    let workers: usize = flag_value(args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(defaults.workers);
-    let backlog: usize = flag_value(args, "--backlog")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(defaults.backlog);
-    let max_conns: usize = flag_value(args, "--max-conns")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(defaults.max_conns);
-    let drain_grace_ms: u64 = flag_value(args, "--drain-grace-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(defaults.drain_grace.as_millis() as u64);
-    let registry = match Registry::open(dir) {
-        Ok(r) => Arc::new(r),
-        Err(e) => {
-            eprintln!("cannot open registry at {dir}: {e}");
-            return 1;
-        }
-    };
+    let workers: usize = parsed_flag(args, "--workers", defaults.workers)?;
+    let backlog: usize = parsed_flag(args, "--backlog", defaults.backlog)?;
+    let max_conns: usize = parsed_flag(args, "--max-conns", defaults.max_conns)?;
+    let drain_grace_ms: u64 = parsed_flag(
+        args,
+        "--drain-grace-ms",
+        defaults.drain_grace.as_millis() as u64,
+    )?;
+    let registry = Arc::new(Registry::open(dir).map_err(|e| {
+        eprintln!("cannot open registry at {dir}: {e}");
+        1
+    })?);
     // backlog 0 is meaningful (rendezvous: admit only when a worker is
     // already waiting), so it is passed through unclamped.
     let config = ServerConfig {
@@ -696,24 +643,20 @@ fn cmd_serve(args: &[String]) -> i32 {
         drain_grace: Duration::from_millis(drain_grace_ms),
         ..defaults
     };
-    match serve(registry, addr, config) {
-        Ok(handle) => {
-            println!(
-                "servet-registry: serving profiles from {dir} on {} \
-                 ({} workers, queue {}, up to {} connections)",
-                handle.addr(),
-                workers.max(1),
-                backlog,
-                max_conns.max(1)
-            );
-            handle.join();
-            0
-        }
-        Err(e) => {
-            eprintln!("cannot serve on {addr}: {e}");
-            1
-        }
-    }
+    let handle = serve(registry, addr, config).map_err(|e| {
+        eprintln!("cannot serve on {addr}: {e}");
+        1
+    })?;
+    println!(
+        "servet-registry: serving profiles from {dir} on {} \
+         ({} workers, queue {}, up to {} connections)",
+        handle.addr(),
+        workers.max(1),
+        backlog,
+        max_conns.max(1)
+    );
+    handle.join();
+    Ok(())
 }
 
 fn connect(args: &[String]) -> Result<RegistryClient, i32> {
@@ -724,91 +667,65 @@ fn connect(args: &[String]) -> Result<RegistryClient, i32> {
     })
 }
 
-fn cmd_query(args: &[String]) -> i32 {
+/// `map_err` adapter: report `<what> failed: <error>` on stderr, exit 1.
+fn failed<E: std::fmt::Display>(what: &'static str) -> impl Fn(E) -> i32 {
+    move |e| {
+        eprintln!("{what} failed: {e}");
+        1
+    }
+}
+
+fn cmd_query(args: &[String]) -> Exit {
     let usage = "usage: servet query <put|get|list|advise|tune|stats> [--addr HOST:PORT] ...";
     let Some(what) = args.first() else {
         eprintln!("{usage}");
-        return 2;
+        return Err(2);
     };
     let rest = &args[1..];
     let json = has_flag(rest, "--json");
+    let key = || {
+        flag_value(rest, "--key").ok_or_else(|| {
+            eprintln!("missing --key KEY");
+            2
+        })
+    };
     match what.as_str() {
         "put" => {
-            let profile = match load_profile(rest) {
-                Ok(p) => p,
-                Err(code) => return code,
-            };
-            let mut client = match connect(rest) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            match client.put(&profile, flag_value(rest, "--name")) {
-                Ok(digest) => {
-                    println!("stored {digest}");
-                    0
-                }
-                Err(e) => {
-                    eprintln!("put failed: {e}");
-                    1
-                }
-            }
+            let profile = load_profile(rest)?;
+            let digest = connect(rest)?
+                .put(&profile, flag_value(rest, "--name"))
+                .map_err(failed("put"))?;
+            println!("stored {digest}");
         }
         "get" => {
-            let Some(key) = flag_value(rest, "--key") else {
-                eprintln!("missing --key KEY");
-                return 2;
-            };
-            let mut client = match connect(rest) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            match client.get_profile(key) {
-                Ok((digest, profile)) => {
-                    if json {
-                        println!("{}", profile.to_json());
-                    } else {
-                        println!("digest {digest}");
-                        print_profile(&profile);
-                    }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("get failed: {e}");
-                    1
-                }
+            let key = key()?;
+            let (digest, profile) = connect(rest)?.get_profile(key).map_err(failed("get"))?;
+            if json {
+                println!("{}", profile.to_json());
+            } else {
+                println!("digest {digest}");
+                print_profile(&profile);
             }
         }
         "list" => {
-            let mut client = match connect(rest) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            match client.list() {
-                Ok(entries) => {
-                    if json {
-                        println!(
-                            "{}",
-                            serde_json::to_string_pretty(&entries).expect("entries serialize")
-                        );
-                    } else if entries.is_empty() {
-                        println!("registry is empty");
-                    } else {
-                        for e in entries {
-                            println!(
-                                "{}  {:<16} {:>3} cores  {} cache level(s)  {}",
-                                &e.digest[..12],
-                                e.machine,
-                                e.total_cores,
-                                e.cache_levels,
-                                e.aliases.join(", ")
-                            );
-                        }
-                    }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("list failed: {e}");
-                    1
+            let entries = connect(rest)?.list().map_err(failed("list"))?;
+            if json {
+                println!(
+                    "{}",
+                    serde_json::to_string_pretty(&entries).expect("entries serialize")
+                );
+            } else if entries.is_empty() {
+                println!("registry is empty");
+            } else {
+                for e in entries {
+                    println!(
+                        "{}  {:<16} {:>3} cores  {} cache level(s)  {}",
+                        &e.digest[..12],
+                        e.machine,
+                        e.total_cores,
+                        e.cache_levels,
+                        e.aliases.join(", ")
+                    );
                 }
             }
         }
@@ -817,158 +734,103 @@ fn cmd_query(args: &[String]) -> i32 {
                 eprintln!(
                     "usage: servet query advise <threads|tile|bcast|padding> --key KEY [flags]"
                 );
-                return 2;
+                return Err(2);
             };
-            let flags = &rest[1..];
-            let Some(key) = flag_value(flags, "--key") else {
-                eprintln!("missing --key KEY");
-                return 2;
-            };
-            let query = match parse_advice_query(kind, flags) {
-                Ok(q) => q,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 2;
-                }
-            };
-            let mut client = match connect(flags) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            match client.advise(key, &query) {
-                Ok((digest, cached, outcome)) => {
-                    if !json {
-                        let origin = if cached { "memoized" } else { "computed" };
-                        println!("profile {digest} ({origin}):");
-                    }
-                    emit_outcome(&outcome, json);
-                    0
-                }
-                Err(e) => {
-                    eprintln!("advise failed: {e}");
-                    1
-                }
+            let key = key()?;
+            let query = parse_advice_query(kind, &rest[1..])?;
+            let (digest, cached, outcome) = connect(rest)?
+                .advise(key, &query)
+                .map_err(failed("advise"))?;
+            if !json {
+                let origin = if cached { "memoized" } else { "computed" };
+                println!("profile {digest} ({origin}):");
             }
+            emit_outcome(&outcome, json);
         }
         "tune" => {
-            let Some(key) = flag_value(rest, "--key") else {
-                eprintln!("missing --key KEY");
-                return 2;
-            };
-            let options = match parse_tune_options(rest) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 2;
-                }
-            };
-            let n: usize = flag_value(rest, "--n")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(64);
+            let key = key()?;
             let query = servet::registry::TuneQuery {
                 space: None,
-                options,
-                n,
+                options: parse_tune_options(rest)?,
+                n: parsed_flag(rest, "--n", 64)?,
             };
-            let mut client = match connect(rest) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            match client.tune(key, &query) {
-                Ok((digest, cached, outcome)) => {
-                    if json {
-                        println!("{}", outcome.to_json());
-                    } else {
-                        let origin = if cached { "memoized" } else { "computed" };
-                        println!("profile {digest} ({origin}):");
-                        print_tune_outcome(&outcome, None);
-                    }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("tune failed: {e}");
-                    1
-                }
+            let (digest, cached, outcome) =
+                connect(rest)?.tune(key, &query).map_err(failed("tune"))?;
+            if json {
+                println!("{}", outcome.to_json());
+            } else {
+                let origin = if cached { "memoized" } else { "computed" };
+                println!("profile {digest} ({origin}):");
+                print_tune_outcome(&outcome, None);
             }
         }
         "stats" => {
-            let mut client = match connect(rest) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
-            match client.stats() {
-                Ok(stats) => {
-                    if json {
+            let stats = connect(rest)?.stats().map_err(failed("stats"))?;
+            if json {
+                println!(
+                    "{}",
+                    serde_json::to_string_pretty(&stats).expect("stats serialize")
+                );
+            } else {
+                println!(
+                    "profiles {}  requests {}  advice hits/misses/evictions {}/{}/{}  \
+                     profile-cache hits/misses {}/{}",
+                    stats.profiles,
+                    stats.requests,
+                    stats.advice_hits,
+                    stats.advice_misses,
+                    stats.advice_evictions,
+                    stats.profile_hits,
+                    stats.profile_misses
+                );
+                println!(
+                    "accept queue: accepted {}  rejected {}  depth {}  high-water {}  \
+                     drain-killed {}",
+                    stats.accept.accepted,
+                    stats.accept.rejected,
+                    stats.accept.queue_depth,
+                    stats.accept.queue_depth_max,
+                    stats.accept.drain_killed
+                );
+                println!(
+                    "event loop: conns {}/{} (open/peak)  ready {}  wakeups {}  \
+                     partial-reads {}  deadline-kills {}  oversized {}",
+                    stats.events.conns_open,
+                    stats.events.conns_peak,
+                    stats.events.ready_events,
+                    stats.events.wakeups,
+                    stats.events.partial_reads,
+                    stats.events.deadline_kills,
+                    stats.events.oversized_rejected
+                );
+                if !stats.ops.is_empty() {
+                    println!("request latency per op:");
+                    for op in &stats.ops {
                         println!(
-                            "{}",
-                            serde_json::to_string_pretty(&stats).expect("stats serialize")
+                            "  {:<8} n={:<8} mean={:<10} p50={:<10} p99={:<10} \
+                             p999={:<10} max={}",
+                            op.op,
+                            op.count,
+                            format_ns(if op.count == 0 {
+                                0
+                            } else {
+                                op.total_ns / op.count
+                            }),
+                            format_ns(op.p50_ns),
+                            format_ns(op.p99_ns),
+                            format_ns(op.p999_ns),
+                            format_ns(op.max_ns),
                         );
-                    } else {
-                        println!(
-                            "profiles {}  requests {}  advice hits/misses/evictions {}/{}/{}  \
-                             profile-cache hits/misses {}/{}",
-                            stats.profiles,
-                            stats.requests,
-                            stats.advice_hits,
-                            stats.advice_misses,
-                            stats.advice_evictions,
-                            stats.profile_hits,
-                            stats.profile_misses
-                        );
-                        println!(
-                            "accept queue: accepted {}  rejected {}  depth {}  high-water {}  \
-                             drain-killed {}",
-                            stats.accept.accepted,
-                            stats.accept.rejected,
-                            stats.accept.queue_depth,
-                            stats.accept.queue_depth_max,
-                            stats.accept.drain_killed
-                        );
-                        println!(
-                            "event loop: conns {}/{} (open/peak)  ready {}  wakeups {}  \
-                             partial-reads {}  deadline-kills {}  oversized {}",
-                            stats.events.conns_open,
-                            stats.events.conns_peak,
-                            stats.events.ready_events,
-                            stats.events.wakeups,
-                            stats.events.partial_reads,
-                            stats.events.deadline_kills,
-                            stats.events.oversized_rejected
-                        );
-                        if !stats.ops.is_empty() {
-                            println!("request latency per op:");
-                            for op in &stats.ops {
-                                println!(
-                                    "  {:<8} n={:<8} mean={:<10} p50={:<10} p99={:<10} \
-                                     p999={:<10} max={}",
-                                    op.op,
-                                    op.count,
-                                    format_ns(if op.count == 0 {
-                                        0
-                                    } else {
-                                        op.total_ns / op.count
-                                    }),
-                                    format_ns(op.p50_ns),
-                                    format_ns(op.p99_ns),
-                                    format_ns(op.p999_ns),
-                                    format_ns(op.max_ns),
-                                );
-                            }
-                        }
                     }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("stats failed: {e}");
-                    1
                 }
             }
         }
         other => {
             eprintln!("unknown query '{other}'; {usage}");
-            2
+            return Err(2);
         }
     }
+    Ok(())
 }
 
 /// Streams each zoo machine's measured profile into a registry, riding
@@ -991,24 +853,14 @@ impl servet::core::zoo::ProfileSink for RegistrySink {
     }
 }
 
-fn cmd_zoo(args: &[String]) -> i32 {
+fn cmd_zoo(args: &[String]) -> Exit {
     use servet::core::zoo::{run_zoo, ProfileSink, ZooConfig};
     use servet::registry::{serve, RetryPolicy, RetryingRegistryClient, ServerConfig};
 
-    let machines: usize = flag_value(args, "--machines")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let workers: usize = flag_value(args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .clamp(1, 8)
-        });
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let machines: usize = parsed_flag(args, "--machines", 64)?;
+    let mb: usize = parsed_flag(args, "--mb", 0)?;
+    let workers: usize = parsed_flag(args, "--workers", default_workers())?;
+    let seed: u64 = parsed_flag(args, "--seed", 42)?;
     let out = flag_value(args, "--out").unwrap_or("zoo_report.json");
     let no_stream = has_flag(args, "--no-stream");
 
@@ -1023,7 +875,7 @@ fn cmd_zoo(args: &[String]) -> i32 {
             Ok(mut addrs) => addrs.next(),
             Err(e) => {
                 eprintln!("cannot resolve {addr}: {e}");
-                return 2;
+                return Err(2);
             }
         }
     } else {
@@ -1032,20 +884,14 @@ fn cmd_zoo(args: &[String]) -> i32 {
             .unwrap_or_else(|| {
                 std::env::temp_dir().join(format!("servet-zoo-{}", std::process::id()))
             });
-        let registry = match Registry::open(&dir) {
-            Ok(r) => Arc::new(r),
-            Err(e) => {
-                eprintln!("cannot open registry at {}: {e}", dir.display());
-                return 1;
-            }
-        };
-        let handle = match serve(registry, "127.0.0.1:0", ServerConfig::default()) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("cannot self-host a registry: {e}");
-                return 1;
-            }
-        };
+        let registry = Arc::new(Registry::open(&dir).map_err(|e| {
+            eprintln!("cannot open registry at {}: {e}", dir.display());
+            1
+        })?);
+        let handle = serve(registry, "127.0.0.1:0", ServerConfig::default()).map_err(|e| {
+            eprintln!("cannot self-host a registry: {e}");
+            1
+        })?;
         eprintln!(
             "zoo: self-hosted registry on {} (store: {})",
             handle.addr(),
@@ -1056,9 +902,6 @@ fn cmd_zoo(args: &[String]) -> i32 {
         Some(addr)
     };
 
-    let mb: usize = flag_value(args, "--mb")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
     let mut config = ZooConfig::new(machines, workers, seed);
     config.mb_machines = mb;
     eprintln!(
@@ -1066,7 +909,7 @@ fn cmd_zoo(args: &[String]) -> i32 {
         config.population_size(),
         config.workers.max(1)
     );
-    let report = match run_zoo(&config, |worker| {
+    let report = run_zoo(&config, |worker| {
         Ok(stream_addr.map(|addr| {
             // Decorrelate the workers' retry backoff streams: a shared
             // seed would make every rejected worker sleep in lockstep
@@ -1079,13 +922,11 @@ fn cmd_zoo(args: &[String]) -> i32 {
                 client: RetryingRegistryClient::new(addr, policy),
             }) as Box<dyn ProfileSink>
         }))
-    }) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("zoo run failed: {e}");
-            return 1;
-        }
-    };
+    })
+    .map_err(|e| {
+        eprintln!("zoo run failed: {e}");
+        1
+    })?;
 
     let acc = &report.accuracy;
     println!(
@@ -1141,18 +982,15 @@ fn cmd_zoo(args: &[String]) -> i32 {
         handle.shutdown();
     }
 
-    if let Err(e) = servet::core::profile::write_atomic(out, report.to_json().as_bytes()) {
-        eprintln!("cannot write {out}: {e}");
-        return 1;
-    }
+    write_report(out, &report.to_json())?;
     println!("zoo report written to {out}");
-    0
+    Ok(())
 }
 
 /// `servet loadgen`: hold a connection plateau against a registry while
 /// driving request traffic through it, then report the latency
 /// trajectory. `--check` turns the report into a pass/fail gate for CI.
-fn cmd_loadgen(args: &[String]) -> i32 {
+fn cmd_loadgen(args: &[String]) -> Exit {
     use servet::registry::loadgen::{self, LoadgenConfig, Mode};
 
     let addr_str = flag_value(args, "--addr").unwrap_or(DEFAULT_ADDR);
@@ -1160,36 +998,25 @@ fn cmd_loadgen(args: &[String]) -> i32 {
         Ok(Some(addr)) => addr,
         _ => {
             eprintln!("cannot resolve {addr_str}");
-            return 2;
+            return Err(2);
         }
     };
     let defaults = LoadgenConfig::default();
-    let conns: usize = flag_value(args, "--conns")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(defaults.conns);
-    let ops: u64 = flag_value(args, "--ops")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(defaults.ops);
-    let op_workers: usize = flag_value(args, "--op-workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(defaults.op_workers);
-    let hold_ms: u64 = flag_value(args, "--hold-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(defaults.hold.as_millis() as u64);
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(defaults.seed);
+    let conns: usize = parsed_flag(args, "--conns", defaults.conns)?;
+    let ops: u64 = parsed_flag(args, "--ops", defaults.ops)?;
+    let op_workers: usize = parsed_flag(args, "--op-workers", defaults.op_workers)?;
+    let hold_ms: u64 = parsed_flag(args, "--hold-ms", defaults.hold.as_millis() as u64)?;
+    let seed: u64 = parsed_flag(args, "--seed", defaults.seed)?;
+    // No --max-p99-ms, no bound.
+    let max_p99_ms: u64 = parsed_flag(args, "--max-p99-ms", u64::MAX)?;
     let mode = match flag_value(args, "--mode").unwrap_or("closed") {
         "closed" => Mode::Closed,
-        "open" => {
-            let rate_hz: f64 = flag_value(args, "--rate")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1000.0);
-            Mode::Open { rate_hz }
-        }
+        "open" => Mode::Open {
+            rate_hz: parsed_flag(args, "--rate", 1000.0)?,
+        },
         other => {
             eprintln!("unknown --mode '{other}' (closed|open)");
-            return 2;
+            return Err(2);
         }
     };
     let config = LoadgenConfig {
@@ -1208,13 +1035,7 @@ fn cmd_loadgen(args: &[String]) -> i32 {
          {ops} op(s) over {} worker(s) ...",
         config.op_workers
     );
-    let report = match loadgen::run(&config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("loadgen failed: {e}");
-            return 1;
-        }
-    };
+    let report = loadgen::run(&config).map_err(failed("loadgen"))?;
 
     println!(
         "held {}/{} conns  connect-failures {}  busy-rejects {}  early-closes {}",
@@ -1241,35 +1062,30 @@ fn cmd_loadgen(args: &[String]) -> i32 {
         }
     }
     if let Some(out) = flag_value(args, "--out") {
-        if let Err(e) = servet::core::profile::write_atomic(out, report.to_json().as_bytes()) {
-            eprintln!("cannot write {out}: {e}");
-            return 1;
-        }
+        write_report(out, &report.to_json())?;
         println!("loadgen report written to {out}");
     }
 
     // CI gates: --check demands a clean steady state, --max-p99-ms
     // bounds the request-latency tail.
-    let mut failed = false;
+    let mut breached = false;
     if has_flag(args, "--check") && !report.clean() {
         eprintln!("loadgen --check FAILED: rejects, early closes, or failed ops observed");
-        failed = true;
+        breached = true;
     }
-    if let Some(max_p99_ms) = flag_value(args, "--max-p99-ms").and_then(|v| v.parse::<u64>().ok()) {
-        let p99_ns = report.latency.map(|l| l.p99_ns).unwrap_or(0);
-        if p99_ns > max_p99_ms * 1_000_000 {
-            eprintln!(
-                "loadgen --max-p99-ms FAILED: p99 {} exceeds {} ms",
-                format_ns(p99_ns),
-                max_p99_ms
-            );
-            failed = true;
-        }
+    let p99_ns = report.latency.map(|l| l.p99_ns).unwrap_or(0);
+    if p99_ns > max_p99_ms.saturating_mul(1_000_000) {
+        eprintln!(
+            "loadgen --max-p99-ms FAILED: p99 {} exceeds {} ms",
+            format_ns(p99_ns),
+            max_p99_ms
+        );
+        breached = true;
     }
-    if failed {
-        1
+    if breached {
+        Err(1)
     } else {
-        0
+        Ok(())
     }
 }
 
