@@ -76,19 +76,7 @@ pub fn strided_traversal_ns(size: usize, stride: usize) -> f64 {
 /// elide them; the access order is the caller's, which defeats stride
 /// prefetchers that a sequential sweep would train.
 pub fn pattern_chase_ns(size: usize, offsets: &[u64]) -> f64 {
-    assert!(!offsets.is_empty());
-    let elems = (size / std::mem::size_of::<usize>()).max(1);
-    let mut a = vec![0usize; elems];
-    // Link offset i -> offset i+1 (wrapping), indices in elements.
-    let idx: Vec<usize> = offsets
-        .iter()
-        .map(|&o| (o as usize / std::mem::size_of::<usize>()).min(elems - 1))
-        .collect();
-    for w in idx.windows(2) {
-        a[w[0]] = w[1];
-    }
-    a[*idx.last().expect("non-empty")] = idx[0];
-
+    let (a, idx) = link_chain(size, offsets);
     let steps = offsets.len();
     let run_pass = |a: &[usize], start: usize| -> usize {
         let mut j = start;
@@ -112,6 +100,24 @@ pub fn pattern_chase_ns(size: usize, offsets: &[u64]) -> f64 {
         }
         passes *= 2;
     }
+}
+
+/// The chain [`pattern_chase_ns`] walks: a `size`-byte array in which the
+/// element at each offset holds the index of the next offset's element
+/// (the last links back to the first), and those element indices in order.
+fn link_chain(size: usize, offsets: &[u64]) -> (Vec<usize>, Vec<usize>) {
+    assert!(!offsets.is_empty());
+    let elems = (size / std::mem::size_of::<usize>()).max(1);
+    let mut a = vec![0usize; elems];
+    let idx: Vec<usize> = offsets
+        .iter()
+        .map(|&o| (o as usize / std::mem::size_of::<usize>()).min(elems - 1))
+        .collect();
+    for w in idx.windows(2) {
+        a[w[0]] = w[1];
+    }
+    a[*idx.last().expect("non-empty")] = idx[0];
+    (a, idx)
 }
 
 /// STREAM-like copy bandwidth in GB/s using `buf_bytes` source and
@@ -229,24 +235,53 @@ mod tests {
         );
     }
 
-    #[test]
-    fn pattern_chase_visits_offsets() {
-        // Chasing 64 distinct lines of a small array is fast; the same
-        // pattern over a huge array (cache misses) is slower.
-        let offsets: Vec<u64> = (0..64u64).map(|i| i * 1024).collect();
-        let small = pattern_chase_ns(64 * 1024, &offsets);
-        let big_offsets: Vec<u64> = (0..16_384u64)
+    /// 64 lines of a 64 KB array, and 16 384 scattered pages of a 64 MB one.
+    fn chase_patterns() -> [(usize, Vec<u64>); 2] {
+        let small = (0..64u64).map(|i| i * 1024).collect();
+        let large = (0..16_384u64)
             .map(|i| (i * 7919 + 13) % 16_384 * 4096)
             .collect();
-        let mut dedup = big_offsets.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), big_offsets.len(), "offsets must be distinct");
-        let large = pattern_chase_ns(64 * 1024 * 1024, &big_offsets);
-        assert!(
-            small > 0.0 && large > small,
-            "small {small} vs large {large}"
-        );
+        [(64 * 1024, small), (64 * 1024 * 1024, large)]
+    }
+
+    #[test]
+    fn pattern_chase_visits_offsets() {
+        for (size, offsets) in chase_patterns() {
+            let (a, idx) = link_chain(size, &offsets);
+            let mut seen = vec![false; a.len()];
+            let mut j = idx[0];
+            for (step, &offset) in offsets.iter().enumerate() {
+                assert_eq!(
+                    j * std::mem::size_of::<usize>(),
+                    offset as usize,
+                    "step {step}"
+                );
+                assert!(
+                    !std::mem::replace(&mut seen[j], true),
+                    "step {step} revisits {j}"
+                );
+                j = a[j];
+            }
+            assert_eq!(j, idx[0], "the walk must return to its start");
+        }
+    }
+
+    #[test]
+    fn pattern_chase_is_slower_out_of_cache() {
+        // Chasing 64 lines of a small array is fast; scattered pages of a
+        // huge one miss every cache. One wall-clock comparison on a shared
+        // host can lose to a neighbour, so any of five attempts may show it.
+        let [(small_size, small), (large_size, large)] = chase_patterns();
+        let mut seen = Vec::new();
+        for _ in 0..5 {
+            let fast = pattern_chase_ns(small_size, &small);
+            let slow = pattern_chase_ns(large_size, &large);
+            if fast > 0.0 && slow > fast {
+                return;
+            }
+            seen.push((fast, slow));
+        }
+        panic!("cache effect invisible in five attempts (small, large) ns: {seen:?}");
     }
 
     #[test]

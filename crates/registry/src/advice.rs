@@ -177,16 +177,10 @@ impl Default for AdviceEngine {
 }
 
 impl AdviceEngine {
-    /// An engine with the default cache geometry (8 shards × 512).
+    /// An engine whose memo cache has 8 shards of 512 entries each.
     pub fn new() -> Self {
-        Self::with_capacity(8, 512)
-    }
-
-    /// An engine whose memo cache has `shards` shards of `per_shard`
-    /// entries each.
-    pub fn with_capacity(shards: usize, per_shard: usize) -> Self {
         Self {
-            cache: ShardedCache::new(shards, per_shard),
+            cache: ShardedCache::new(8, 512),
         }
     }
 

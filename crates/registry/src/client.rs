@@ -190,24 +190,20 @@ pub fn is_retryable(e: &io::Error) -> bool {
         )
 }
 
-/// Backoff schedule for [`RetryingRegistryClient`].
+/// Backoff schedule for [`RetryingRegistryClient`]. Retry sleeps are
+/// decorrelated: after the first, each is drawn uniformly from
+/// `[initial_backoff, 3 × previous]` (capped at `max_backoff`), so a
+/// fleet of clients rejected together *returns* spread out instead of as
+/// a synchronized thundering herd — the difference between one `busy:`
+/// storm and many.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts (first try included); at least 1 is always made.
     pub attempts: usize,
-    /// Sleep before the second attempt.
+    /// Sleep before the second attempt, and the floor of every later one.
     pub initial_backoff: Duration,
-    /// Backoff growth factor per further attempt (jitter off only).
-    pub multiplier: f64,
     /// Backoff ceiling.
     pub max_backoff: Duration,
-    /// Decorrelate retry sleeps: after the first, each sleep is drawn
-    /// uniformly from `[initial_backoff, 3 × previous]` (capped at
-    /// `max_backoff`) instead of following the deterministic
-    /// exponential ramp. A fleet of clients rejected together then
-    /// *returns* spread out instead of as a synchronized thundering
-    /// herd — the difference between one `busy:` storm and many.
-    pub jitter: bool,
     /// Seed for the jitter stream. The sequence is a pure function of
     /// the seed, so tests are deterministic; fleet drivers (`servet
     /// zoo`) seed each worker differently to actually decorrelate.
@@ -219,40 +215,19 @@ impl Default for RetryPolicy {
         Self {
             attempts: 5,
             initial_backoff: Duration::from_millis(10),
-            multiplier: 2.0,
             max_backoff: Duration::from_millis(500),
-            jitter: true,
             jitter_seed: 0,
         }
     }
 }
 
-impl RetryPolicy {
-    /// One step of the jitter-free exponential ramp (the `jitter:
-    /// false` schedule): `min(max_backoff, current × multiplier)`.
-    pub fn next_backoff(&self, current: Duration) -> Duration {
-        current
-            .mul_f64(self.multiplier.max(1.0))
-            .min(self.max_backoff)
-    }
-
-    /// The sleep sequence for one operation's retries, seeded from
-    /// [`RetryPolicy::jitter_seed`].
-    pub fn backoff(&self) -> Backoff {
-        Backoff::seeded(self, self.jitter_seed)
-    }
-}
-
-/// The materialized sleep sequence of a [`RetryPolicy`]: plain
-/// exponential when jitter is off, decorrelated jitter
-/// (`min(cap, uniform(base, 3 × previous))`) when on. The first delay
-/// is always exactly `initial_backoff`.
+/// The materialized sleep sequence of a [`RetryPolicy`]: decorrelated
+/// jitter, `min(cap, uniform(base, 3 × previous))`. The first delay is
+/// always exactly `initial_backoff`.
 #[derive(Debug)]
 pub struct Backoff {
     base: Duration,
     cap: Duration,
-    multiplier: f64,
-    jitter: bool,
     prev: Option<Duration>,
     rng: u64,
 }
@@ -264,8 +239,6 @@ impl Backoff {
         Self {
             base: policy.initial_backoff,
             cap: policy.max_backoff.max(policy.initial_backoff),
-            multiplier: policy.multiplier,
-            jitter: policy.jitter,
             prev: None,
             rng: seed,
         }
@@ -276,7 +249,6 @@ impl Backoff {
     pub fn next_delay(&mut self) -> Duration {
         let next = match self.prev {
             None => self.base,
-            Some(prev) if !self.jitter => prev.mul_f64(self.multiplier.max(1.0)).min(self.cap),
             Some(prev) => {
                 let lo = self.base.as_nanos().min(u64::MAX as u128) as u64;
                 let hi = (prev.as_nanos().min(u64::MAX as u128) as u64)
@@ -301,7 +273,7 @@ impl Backoff {
 ///
 /// Each operation runs against a lazily-(re)established connection; on a
 /// [retryable](is_retryable) failure the connection is discarded and the
-/// operation retried after an exponential backoff, up to
+/// operation retried after a jittered backoff, up to
 /// [`RetryPolicy::attempts`]. The last error is returned when the budget
 /// runs out. Retries are counted on the `registry.client.retries`
 /// counter.
@@ -326,16 +298,6 @@ impl RetryingRegistryClient {
             conn: None,
             rng,
         }
-    }
-
-    /// Resolve `addr` and build a client with the [`RetryPolicy`]
-    /// defaults.
-    pub fn connect_lazily(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
-        Ok(Self::new(addr, RetryPolicy::default()))
     }
 
     fn with_retry<T>(
@@ -464,7 +426,6 @@ mod tests {
             RetryPolicy {
                 attempts: 3,
                 initial_backoff: Duration::from_millis(1),
-                multiplier: 2.0,
                 max_backoff: Duration::from_millis(4),
                 ..RetryPolicy::default()
             },
@@ -477,36 +438,10 @@ mod tests {
     }
 
     #[test]
-    fn backoff_grows_and_saturates() {
-        let policy = RetryPolicy {
-            attempts: 5,
-            initial_backoff: Duration::from_millis(10),
-            multiplier: 3.0,
-            max_backoff: Duration::from_millis(50),
-            jitter: false,
-            ..RetryPolicy::default()
-        };
-        let b1 = policy.next_backoff(Duration::from_millis(10));
-        assert_eq!(b1, Duration::from_millis(30));
-        assert_eq!(policy.next_backoff(b1), Duration::from_millis(50));
-        assert_eq!(
-            policy.next_backoff(Duration::from_millis(50)),
-            Duration::from_millis(50)
-        );
-        // The jitter-free Backoff sequence is the same ramp.
-        let mut seq = policy.backoff();
-        assert_eq!(seq.next_delay(), Duration::from_millis(10));
-        assert_eq!(seq.next_delay(), Duration::from_millis(30));
-        assert_eq!(seq.next_delay(), Duration::from_millis(50));
-        assert_eq!(seq.next_delay(), Duration::from_millis(50));
-    }
-
-    #[test]
     fn jittered_backoff_is_seeded_and_stays_in_envelope() {
         let policy = RetryPolicy {
             initial_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(400),
-            jitter: true,
             jitter_seed: 42,
             ..RetryPolicy::default()
         };

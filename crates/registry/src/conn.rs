@@ -117,10 +117,10 @@ pub struct Conn {
     pub peer_eof: bool,
     /// Discard further input; close once the write buffer drains.
     pub closing: bool,
-    /// Idle/read deadline; re-armed on activity.
+    /// When this connection may be killed as idle. Activity only assigns
+    /// it: the event loop's deadline heap holds one entry per connection
+    /// and compares against this field when the entry surfaces.
     pub deadline: Instant,
-    /// Bumped on every re-arm so stale timer-wheel entries are ignored.
-    pub generation: u64,
     /// Interest currently registered with the poller.
     pub registered: Interest,
 }
@@ -140,7 +140,6 @@ impl Conn {
             peer_eof: false,
             closing: false,
             deadline,
-            generation: 0,
             registered: Interest::READ,
         })
     }
@@ -226,14 +225,6 @@ impl Conn {
             readable: !self.inflight && !self.closing && !self.peer_eof,
             writable: self.wants_write(),
         }
-    }
-
-    /// Re-arm the idle deadline after activity; returns the new
-    /// generation for the timer wheel.
-    pub fn rearm_deadline(&mut self, deadline: Instant) -> u64 {
-        self.deadline = deadline;
-        self.generation += 1;
-        self.generation
     }
 
     /// Nothing left to do for this peer: no in-flight request, output

@@ -22,16 +22,16 @@
 //! * [`registry`] — store + caches behind a single request dispatch.
 //! * [`protocol`] — the newline-delimited JSON wire types (documented in
 //!   `DESIGN.md`).
-//! * [`poll`] / [`timer`] / [`conn`] — the std-only event-loop
-//!   substrate: a readiness [`poll::Poller`] (raw-syscall epoll, with a
-//!   scan fallback off Linux), a hashed [`timer::TimerWheel`] of
-//!   idle deadlines, and the per-connection [`conn::Conn`] state
-//!   machine that buffers partial NDJSON lines across readiness
-//!   events.
+//! * [`poll`] / [`conn`] — the std-only event-loop substrate: a
+//!   readiness [`poll::Poller`] chosen by the target (epoll through
+//!   libc's own entry points on Linux, a scan poller elsewhere) and the
+//!   per-connection [`conn::Conn`] state machine that buffers partial
+//!   NDJSON lines across readiness events.
 //! * [`server`] / [`client`] — an event-driven TCP server: one loop
 //!   thread multiplexes every connection (10k+ sockets, `workers + 1`
 //!   threads total) and feeds parsed request lines to a fixed worker
-//!   pool over a bounded queue (idle deadlines, a typed `busy:`
+//!   pool over a bounded queue (idle deadlines in one heap with one
+//!   entry per connection, a typed `busy:`
 //!   rejection on overload at both admission and execution,
 //!   drain-deadline shutdown); plus the blocking client used by
 //!   `servet query`, and the reconnecting
@@ -67,7 +67,6 @@ pub mod protocol;
 pub mod registry;
 pub mod server;
 pub mod store;
-pub mod timer;
 pub mod tune;
 
 pub use advice::{compute_advice, AdviceEngine, AdviceOutcome, AdviceQuery};

@@ -22,7 +22,7 @@
 //! as JSON ([`LoadgenReport::to_json`]).
 
 use crate::client::{RetryPolicy, RetryingRegistryClient};
-use crate::poll::{raise_nofile_limit, Event, Interest, Poller};
+use crate::poll::{raise_nofile_limit, raw_fd, Event, Interest, Poller};
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
@@ -30,15 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-#[cfg(unix)]
-fn raw_fd(s: &TcpStream) -> std::os::fd::RawFd {
-    use std::os::fd::AsRawFd as _;
-    s.as_raw_fd()
-}
-#[cfg(not(unix))]
-fn raw_fd(_s: &TcpStream) -> i32 {
-    -1
-}
+/// Connections opened between 1 ms breathers, pacing the SYN storm.
+const CONNECT_BATCH: usize = 256;
 
 /// How request traffic is paced.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -73,8 +66,6 @@ pub struct LoadgenConfig {
     /// How long to hold the connection plateau after the last op (also
     /// the minimum run length — rejects need time to surface).
     pub hold: Duration,
-    /// Connections opened between 1 ms breathers, pacing the SYN storm.
-    pub connect_batch: usize,
     /// Base seed for the per-worker retry jitter streams.
     pub seed: u64,
 }
@@ -88,7 +79,6 @@ impl Default for LoadgenConfig {
             op_workers: 4,
             mode: Mode::Closed,
             hold: Duration::from_secs(2),
-            connect_batch: 256,
             seed: 0x0005_e7e7,
         }
     }
@@ -201,7 +191,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
     let mut held: Vec<Held> = Vec::with_capacity(config.conns);
     let mut connect_failures = 0u64;
     for i in 0..config.conns {
-        if i > 0 && config.connect_batch > 0 && i % config.connect_batch == 0 {
+        if i > 0 && i % CONNECT_BATCH == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         match TcpStream::connect(config.addr) {

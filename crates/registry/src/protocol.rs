@@ -23,11 +23,15 @@ use std::io::{self, BufRead, Write};
 /// retry with backoff" apart from a request the server actually refused.
 pub const BUSY_PREFIX: &str = "busy:";
 
+/// The error text of [`busy_response`], which the event loop also
+/// hand-builds into a reply line with no serializer in the path.
+pub(crate) const BUSY_ERROR: &str = "busy: accept queue full, retry with backoff";
+
 /// The one-line rejection written (best effort) before the server closes
 /// a connection it cannot queue.
 pub fn busy_response() -> Response {
     Response::Error {
-        error: format!("{BUSY_PREFIX} accept queue full, retry with backoff"),
+        error: BUSY_ERROR.into(),
     }
 }
 

@@ -561,15 +561,7 @@ mod tests {
     fn tune_dispatch_memoizes_and_reports_latency() {
         use servet_tune::{Strategy, TuneOptions};
         let registry = temp_registry("tune");
-        // Storing canonicalizes through serde_json; skip where it is a
-        // panicking stub (the engine-level tests in `tune.rs` still run).
-        let stored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            registry.put(measured_profile(), Some("tiny"))
-        }));
-        let Ok(Ok(_)) = stored else {
-            eprintln!("serde_json unavailable (stub); skipping dispatch test");
-            return;
-        };
+        registry.put(measured_profile(), Some("tiny")).unwrap();
         let request = Request::Tune {
             key: "tiny".into(),
             query: TuneQuery {

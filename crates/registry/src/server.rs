@@ -3,9 +3,12 @@
 //! [`crate::protocol`].
 //!
 //! A single loop thread (`<prefix>-accept`) owns the listener, a
-//! [`crate::poll::Poller`] (epoll where available), a
-//! [`crate::timer::TimerWheel`] of idle deadlines, and every live
-//! [`crate::conn::Conn`]. Sockets are nonblocking; the loop reads
+//! [`crate::poll::Poller`] (epoll on Linux, the scan poller elsewhere), a
+//! heap of idle deadlines, and every live [`crate::conn::Conn`]. The heap
+//! holds one entry per connection and is never searched: activity only
+//! assigns [`crate::conn::Conn::deadline`], and an entry that surfaces
+//! early is pushed back at that value (see `EventLoop::expire_deadlines`).
+//! Sockets are nonblocking; the loop reads
 //! complete request lines out of per-connection buffers and hands them
 //! to [`ServerConfig::workers`] CPU-bound worker threads through a
 //! bounded channel of [`ServerConfig::backlog`] slots. Workers parse,
@@ -35,11 +38,11 @@
 //! [`crate::protocol::EventStats`] via the `stats` operation.
 
 use crate::conn::Conn;
-use crate::poll::{deepen_listen_backlog, raise_nofile_limit, Event, Interest, Poller};
-use crate::protocol::{busy_response, write_message, Request, Response};
+use crate::poll::{deepen_listen_backlog, raise_nofile_limit, raw_fd, Event, Interest, Poller};
+use crate::protocol::{write_message, Request, Response, BUSY_ERROR};
 use crate::registry::Registry;
-use crate::timer::TimerWheel;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,15 +56,6 @@ const LISTENER: u64 = 0;
 const WAKE: u64 = 1;
 /// First token handed to an accepted connection.
 const FIRST_CONN: u64 = 2;
-
-#[cfg(unix)]
-fn raw_fd<T: std::os::fd::AsRawFd>(s: &T) -> std::os::fd::RawFd {
-    s.as_raw_fd()
-}
-#[cfg(not(unix))]
-fn raw_fd<T>(_s: &T) -> i32 {
-    -1
-}
 
 /// Tunables for [`serve`].
 #[derive(Debug, Clone)]
@@ -261,15 +255,6 @@ fn error_line(message: &str) -> Vec<u8> {
     buf
 }
 
-/// The `busy:` rejection as a ready-to-send wire line, serde-free so
-/// the event loop can emit it directly.
-fn busy_line() -> Vec<u8> {
-    match busy_response() {
-        Response::Error { error } => error_line(&error),
-        _ => error_line("busy: server overloaded, retry with backoff"),
-    }
-}
-
 /// Bind `addr` and serve `registry` until [`ServerHandle::shutdown`].
 ///
 /// Spawns `config.workers` worker threads plus one event-loop thread;
@@ -332,11 +317,6 @@ pub fn serve(
     }
 
     let poller = Poller::new()?;
-    // Tick the wheel well inside the idle deadline so kills land close
-    // to it, without sub-millisecond wakeups.
-    let granularity = (config.read_timeout / 8)
-        .max(Duration::from_millis(1))
-        .min(Duration::from_millis(250));
     let event_loop = EventLoop {
         registry,
         config: config.clone(),
@@ -344,7 +324,7 @@ pub fn serve(
         listener,
         wake_rx,
         conns: HashMap::new(),
-        wheel: TimerWheel::new(granularity),
+        deadlines: BinaryHeap::new(),
         next_token: FIRST_CONN,
         job_tx: Some(job_tx),
         completions,
@@ -370,7 +350,11 @@ struct EventLoop {
     listener: TcpListener,
     wake_rx: TcpStream,
     conns: HashMap<u64, Conn>,
-    wheel: TimerWheel,
+    /// Exactly one `(wake-up, token)` entry per live connection, never
+    /// later than that connection's [`Conn::deadline`]. A closed
+    /// connection's entry is dropped when it surfaces; tokens are never
+    /// reused, so it can match nothing else.
+    deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
     next_token: u64,
     /// Dropped at shutdown so workers drain the queue and exit.
     job_tx: Option<mpsc::SyncSender<Job>>,
@@ -436,17 +420,13 @@ impl EventLoop {
         false
     }
 
-    /// How long the poller may sleep: bounded by the next timer tick
-    /// and, while draining, by the drain deadline.
+    /// How long the poller may sleep: until the earliest idle deadline
+    /// or, while draining, the drain deadline — forever when there is
+    /// neither.
     fn poll_timeout(&self, now: Instant, drain: Option<Instant>) -> Option<Duration> {
-        let mut timeout = self.wheel.next_timeout(now);
-        if let Some(deadline) = drain {
-            let until = deadline
-                .saturating_duration_since(now)
-                .max(Duration::from_millis(1));
-            timeout = Some(timeout.map_or(until, |t| t.min(until)));
-        }
-        timeout
+        let earliest = self.deadlines.peek().map(|&Reverse((at, _))| at);
+        let wake = earliest.into_iter().chain(drain).min();
+        wake.map(|at| at.saturating_duration_since(now))
     }
 
     /// Accept everything the kernel has queued. New arrivals past the
@@ -483,7 +463,7 @@ impl EventLoop {
         let mut stream = stream;
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-        let _ = stream.write_all(&busy_line());
+        let _ = stream.write_all(&error_line(BUSY_ERROR));
         let _ = stream.shutdown(Shutdown::Both);
     }
 
@@ -502,7 +482,7 @@ impl EventLoop {
             return;
         }
         self.next_token += 1;
-        self.wheel.insert(deadline, token, conn.generation);
+        self.deadlines.push(Reverse((deadline, token)));
         self.registry.accept_counters().conn_admitted();
         self.registry.event_counters().conn_opened();
         self.conns.insert(token, conn);
@@ -552,8 +532,8 @@ impl EventLoop {
     }
 
     /// Advance one connection's state machine: dispatch a buffered
-    /// line, flush output, decide close, sync poller interest, re-arm
-    /// the idle deadline. Safe to call any time.
+    /// line, flush output, decide close, sync poller interest, move the
+    /// idle deadline. Safe to call any time.
     fn advance(&mut self, token: u64, read_bytes: usize) {
         let mut remove = false;
         if let Some(conn) = self.conns.get_mut(&token) {
@@ -566,17 +546,12 @@ impl EventLoop {
                             .as_ref()
                             .map(|tx| tx.try_send(Job { conn: token, line }));
                         match sent {
-                            Some(Ok(())) => {
-                                conn.inflight = true;
-                                // Cancel the idle deadline while the
-                                // request is ours, not the client's.
-                                conn.generation = conn.generation.wrapping_add(1);
-                            }
+                            Some(Ok(())) => conn.inflight = true,
                             Some(Err(mpsc::TrySendError::Full(_))) => {
                                 self.registry.accept_counters().request_rejected();
                                 self.registry.accept_counters().conn_rejected();
                                 servet_obs::counter("registry.server.rejected").incr();
-                                conn.queue_write(&busy_line());
+                                conn.queue_write(&error_line(BUSY_ERROR));
                                 conn.closing = true;
                             }
                             Some(Err(mpsc::TrySendError::Disconnected(_))) | None => {
@@ -610,8 +585,7 @@ impl EventLoop {
                 }
             }
             if !remove && !conn.inflight && read_bytes > 0 {
-                let generation = conn.rearm_deadline(Instant::now() + self.config.read_timeout);
-                self.wheel.insert(conn.deadline, token, generation);
+                conn.deadline = Instant::now() + self.config.read_timeout;
             }
             if !remove {
                 let want = conn.desired_interest();
@@ -647,29 +621,34 @@ impl EventLoop {
                 };
                 conn.inflight = false;
                 conn.queue_write(&done.line);
-                if !conn.closing && !conn.peer_eof {
-                    let generation = conn.rearm_deadline(Instant::now() + self.config.read_timeout);
-                    self.wheel.insert(conn.deadline, token, generation);
-                }
+                // Also for a peer that has half-closed: if it then never
+                // reads its reply, this is what reaps it.
+                conn.deadline = Instant::now() + self.config.read_timeout;
             }
             self.advance(token, 0);
         }
     }
 
-    /// Kill connections whose idle deadline passed. Stale fires (the
-    /// generation moved on) are ignored.
+    /// Kill connections whose idle deadline passed. An entry that
+    /// surfaces while its request is in flight (the time is ours, not the
+    /// client's) or after activity moved the deadline goes back in at the
+    /// connection's current deadline, so the heap needs no cancellation.
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
-        let mut expired: Vec<(u64, u64)> = Vec::new();
-        self.wheel.expire(now, |token, generation| {
-            expired.push((token, generation));
-        });
-        for (token, generation) in expired {
-            let kill = self
-                .conns
-                .get(&token)
-                .is_some_and(|c| c.generation == generation && !c.inflight);
-            if kill {
+        while let Some(&Reverse((at, token))) = self.deadlines.peek() {
+            if at > now {
+                break;
+            }
+            self.deadlines.pop();
+            let Some(conn) = self.conns.get_mut(&token) else {
+                continue; // closed since; this was its one entry
+            };
+            if conn.inflight {
+                conn.deadline = now + self.config.read_timeout;
+            }
+            if conn.deadline > now {
+                self.deadlines.push(Reverse((conn.deadline, token)));
+            } else {
                 self.registry.event_counters().deadline_kill();
                 self.close_conn(token);
             }
@@ -837,6 +816,118 @@ mod tests {
             "idle kill must be counted"
         );
         server.shutdown();
+    }
+
+    /// Requests re-arm the idle deadline without any timer work: a
+    /// client that speaks every 80 ms outlives three 200 ms timeouts'
+    /// worth of wall time, and is killed one timeout after it stops —
+    /// not before (a deadline fired early) and not much later (the move
+    /// was lost and the loop slept past it).
+    #[test]
+    fn activity_moves_the_idle_deadline() {
+        let read_timeout = Duration::from_millis(200);
+        let registry = temp_registry("activity");
+        let server = serve(
+            Arc::clone(&registry),
+            "127.0.0.1:0",
+            ServerConfig {
+                read_timeout,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let events = registry.event_counters();
+
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        let mut last_send = Instant::now();
+        for round in 0..8 {
+            std::thread::sleep(Duration::from_millis(80));
+            last_send = Instant::now();
+            stream.write_all(b"{\"cmd\":\"list\"}\n").unwrap();
+            line.clear();
+            let got = reader.read_line(&mut line).unwrap();
+            assert!(got > 0, "killed while active, round {round}");
+        }
+        assert_eq!(events.snapshot().deadline_kills, 0);
+
+        // Silence. The deadline was set when the last reply was queued,
+        // which is after the request left here and before the reply
+        // arrived: bound the kill from below by the former and from above
+        // by the latter.
+        let last_reply = Instant::now();
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
+        assert!(
+            last_send.elapsed() >= read_timeout,
+            "killed {:?} after its last request",
+            last_send.elapsed()
+        );
+        assert!(
+            last_reply.elapsed() <= Duration::from_secs(2),
+            "killed {:?} after its last reply",
+            last_reply.elapsed()
+        );
+        assert_eq!(events.snapshot().deadline_kills, 1);
+        server.shutdown();
+    }
+
+    /// A peer that sends a request, half-closes, and then never reads a
+    /// reply too large for the socket buffers leaves the server with
+    /// output it cannot flush and no more input to wait for. Only the
+    /// idle deadline can reap it, so the completion must set one although
+    /// the peer is at EOF.
+    #[test]
+    fn stalled_reader_after_half_close_is_reaped() {
+        let registry = temp_registry("stalled");
+        // A reply that loopback cannot absorb with the reader stalled
+        // (the size `conn.rs::partial_flush_survives_a_full_socket_buffer`
+        // needs): pad the raw sweep until the profile's JSON passes 8 MiB.
+        let samples = 230_000;
+        let mut profile = measured_profile();
+        profile.mcalibrator = Some(servet_core::mcalibrator::McalibratorOutput {
+            sizes: vec![usize::MAX; samples],
+            cycles: vec![std::f64::consts::PI; samples],
+            stride: 64,
+        });
+        assert!(serde_json::to_string(&profile).unwrap().len() > 8 * 1024 * 1024);
+        registry.put(profile, Some("big")).unwrap();
+
+        let server = serve(
+            Arc::clone(&registry),
+            "127.0.0.1:0",
+            ServerConfig {
+                read_timeout: Duration::from_millis(200),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let events = registry.event_counters();
+
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .write_all(b"{\"cmd\":\"get\",\"key\":\"big\"}\n")
+            .unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        // Only a worker's completion wakes the loop here.
+        wait_until("the reply to reach the loop", || {
+            events.snapshot().wakeups >= 1
+        });
+        let replied = Instant::now();
+        while events.snapshot().conns_open != 0 {
+            assert!(
+                replied.elapsed() < Duration::from_secs(2),
+                "stalled half-closed connection never reaped: {:?}",
+                events.snapshot()
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(events.snapshot().deadline_kills, 1);
+        drop(stream);
+        server.shutdown();
+        // Unlike the other stores here this one is 9 MB.
+        let _ = std::fs::remove_dir_all(registry.store().dir());
     }
 
     #[test]
@@ -1114,7 +1205,6 @@ mod tests {
             RetryPolicy {
                 attempts: 40,
                 initial_backoff: Duration::from_millis(5),
-                multiplier: 1.5,
                 max_backoff: Duration::from_millis(100),
                 ..RetryPolicy::default()
             },

@@ -75,16 +75,10 @@ impl Default for TuneEngine {
 }
 
 impl TuneEngine {
-    /// An engine with the default cache geometry (8 shards × 512).
+    /// An engine whose memo cache has 8 shards of 512 entries each.
     pub fn new() -> Self {
-        Self::with_capacity(8, 512)
-    }
-
-    /// An engine whose memo cache has `shards` shards of `per_shard`
-    /// entries each.
-    pub fn with_capacity(shards: usize, per_shard: usize) -> Self {
         Self {
-            cache: ShardedCache::new(shards, per_shard),
+            cache: ShardedCache::new(8, 512),
         }
     }
 
@@ -174,8 +168,7 @@ mod tests {
     #[test]
     fn memoization_hits_on_repeat_and_on_equivalent_spaces() {
         let profile = measured_profile();
-        // A literal digest: the engine never re-derives it, and the real
-        // one would route through serde_json (stubbed out in some builds).
+        // A literal digest: the engine never re-derives it.
         let digest = "a".repeat(64);
         let engine = TuneEngine::new();
         let query = TuneQuery {

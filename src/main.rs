@@ -35,7 +35,9 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let trace = args.iter().any(|a| a == "--trace");
     args.retain(|a| a != "--trace");
-    let outcome = match args.first().map(String::as_str) {
+    let command = args.first().map(String::as_str);
+    let rest = args.get(1..).unwrap_or_default();
+    let outcome = check_flags(command.unwrap_or("help"), rest).and_then(|()| match command {
         Some("simulate") => cmd_simulate(&args[1..]),
         Some("suite") => cmd_suite(&args[1..]),
         Some("probe") => cmd_probe(&args[1..]),
@@ -55,7 +57,7 @@ fn main() {
             eprintln!("unknown command '{other}'; try 'servet help'");
             Err(2)
         }
-    };
+    });
     if trace {
         print_trace();
     }
@@ -127,6 +129,56 @@ fn print_help() {
          \x20 --trace    render the measurement span tree and metric summary on stderr at exit;\n\
          \x20            --out FILE also writes FILE's *.manifest.json measurement record"
     );
+}
+
+/// Per command: the flags that take a value, then the bare switches
+/// (`advise` and `query` list every sub-command's; `--trace` is global and
+/// gone by the time this is consulted).
+#[rustfmt::skip]
+const FLAGS: &[(&str, &[&str], &[&str])] = &[
+    ("simulate", &["--out"], &["--micro", "--false-sharing"]),
+    ("suite", &["--out"], &["--micro", "--false-sharing"]),
+    ("probe", &["--max-mb", "--out"], &["--micro", "--false-sharing"]),
+    ("show", &[], &[]),
+    ("advise", &["--profile", "--tolerance", "--level", "--elem-size", "--matrices", "--occupancy",
+                 "--ranks", "--bytes"], &["--json"]),
+    ("tune", &["--machine", "--profile", "--strategy", "--n", "--seed", "--workers", "--sweeps",
+               "--steps", "--samples", "--out", "--machines", "--strategies", "--epsilon",
+               "--min-parity"], &["--zoo", "--json", "--check"]),
+    ("serve", &["--dir", "--addr", "--read-timeout-ms", "--workers", "--backlog", "--max-conns",
+                "--drain-grace-ms"], &[]),
+    ("query", &["--addr", "--key", "--profile", "--name", "--tolerance", "--level", "--elem-size",
+                "--matrices", "--occupancy", "--ranks", "--bytes", "--strategy", "--n", "--seed",
+                "--sweeps", "--steps", "--samples"], &["--json"]),
+    ("zoo", &["--machines", "--mb", "--workers", "--seed", "--out", "--addr", "--dir"],
+     &["--no-stream"]),
+    ("loadgen", &["--addr", "--conns", "--ops", "--op-workers", "--mode", "--rate", "--hold-ms",
+                  "--out", "--max-p99-ms", "--seed"], &["--check"]),
+    ("machines", &[], &[]),
+    ("help", &[], &[]),
+];
+
+/// Refuse, before anything runs, a `--flag` that `command` does not take
+/// and a value flag with no value after it (the end of the line or
+/// another `--flag`; `-1` is a value). A command not in [`FLAGS`] is left
+/// for `main` to report.
+fn check_flags(command: &str, args: &[String]) -> Exit {
+    let Some((_, valued, switches)) = FLAGS.iter().find(|(name, ..)| *name == command) else {
+        return Ok(());
+    };
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if valued.contains(&arg) {
+            if args.next().is_none_or(|value| value.starts_with("--")) {
+                eprintln!("missing value for {arg}");
+                return Err(2);
+            }
+        } else if arg.starts_with("--") && !switches.contains(&arg) {
+            eprintln!("unknown flag '{arg}' for '{command}'");
+            return Err(2);
+        }
+    }
+    Ok(())
 }
 
 /// Value of `--flag VALUE` in `args`, if present.
@@ -1027,7 +1079,6 @@ fn cmd_loadgen(args: &[String]) -> Exit {
         mode,
         hold: Duration::from_millis(hold_ms),
         seed,
-        ..defaults
     };
 
     eprintln!(

@@ -1,6 +1,7 @@
-//! The `servet` binary's flag parsing: a value that does not parse is a
-//! usage error (exit 2) reported before anything runs, never a silent
-//! fall-back to the flag's default.
+//! The `servet` binary's flag parsing: an unknown flag, a flag without
+//! its value and a value that does not parse are usage errors (exit 2)
+//! reported before anything runs, never a silent fall-back to the flag's
+//! default.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -20,17 +21,22 @@ fn scratch(tag: &str) -> PathBuf {
     path
 }
 
-/// Run `servet args…` and demand the usage error for `value` on `flag`
-/// and nothing else: no stdout, no progress line on stderr.
-fn assert_rejected(args: &[&str], flag: &str, value: &str) {
+/// Run `servet args…` and demand the usage error `message` and nothing
+/// else: exit 2, no stdout, no progress line on stderr.
+fn assert_usage_error(args: &[&str], message: &str) {
     let out = servet(args).output().expect("servet runs");
     assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
     assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
     assert_eq!(
         String::from_utf8_lossy(&out.stderr),
-        format!("invalid value '{value}' for {flag}\n"),
+        format!("{message}\n"),
         "{args:?}"
     );
+}
+
+/// The usage error for a `value` that `flag` cannot parse.
+fn assert_rejected(args: &[&str], flag: &str, value: &str) {
+    assert_usage_error(args, &format!("invalid value '{value}' for {flag}"));
 }
 
 #[test]
@@ -86,6 +92,37 @@ fn malformed_flag_values_are_usage_errors() {
         ],
         "--rate",
         "fast",
+    );
+}
+
+/// A flag the command does not take, and a value flag with nothing after
+/// it, stop the run: the misspelt `--max-con` used to serve with the
+/// default cap, the bare `--n` used to tune n = 32.
+#[test]
+fn unknown_flags_and_missing_values_are_usage_errors() {
+    let dir = scratch("serve-typo");
+    let dir_arg = dir.to_str().unwrap();
+    assert_usage_error(
+        &["serve", "--dir", dir_arg, "--max-con", "3"],
+        "unknown flag '--max-con' for 'serve'",
+    );
+    assert!(
+        !dir.exists(),
+        "serve opened its store before checking flags"
+    );
+    assert_usage_error(
+        &["simulate", "tiny", "--bogus"],
+        "unknown flag '--bogus' for 'simulate'",
+    );
+
+    // At the end of the line, and with another flag where the value goes.
+    assert_usage_error(
+        &["tune", "--machine", "tiny_smp", "--n"],
+        "missing value for --n",
+    );
+    assert_usage_error(
+        &["loadgen", "--conns", "--check"],
+        "missing value for --conns",
     );
 }
 

@@ -83,8 +83,7 @@ fn line_search_converges_on_the_profile_oracle() {
 }
 
 /// The `tune` wire operation: computed once, memoized on repeat, and
-/// identical to the in-process engine. Skips (loudly) when the build
-/// environment stubs out `serde_json`, which the wire protocol needs.
+/// identical to the in-process engine.
 #[test]
 fn registry_tune_memoizes_over_the_wire() {
     use servet::registry::{serve, Registry, ServerConfig};
@@ -110,22 +109,9 @@ fn registry_tune_memoizes_over_the_wire() {
     .unwrap();
     let addr = server.addr();
 
-    // Probe serde availability first: the wire protocol needs a working
-    // `serde_json`, which some build environments stub out. Only this
-    // probe is guarded — real assertion failures below still propagate.
-    let seeded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut client = RegistryClient::connect(addr).unwrap();
-        client.put(&profile, Some("tiny")).unwrap();
-    }));
-    if seeded.is_err() {
-        eprintln!("serde_json unavailable (stubbed build); skipping the wire assertions");
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-        return;
-    }
-
     {
         let mut client = RegistryClient::connect(addr).unwrap();
+        client.put(&profile, Some("tiny")).unwrap();
 
         let query = TuneQuery {
             space: None,

@@ -4,10 +4,6 @@
 //! 90 % of machines. This is the claim `servet-tune` makes in
 //! `TUNING.md` — search and advice check each other — enforced over the
 //! same 64-machine population the zoo accuracy gates use.
-//!
-//! Deliberately serde-free end to end (space digests, the comparison,
-//! and the report are all hand-rolled), so the gate holds even in build
-//! environments where `serde_json` is stubbed out.
 
 use servet::tune::{run_compare, CompareConfig, Strategy};
 
