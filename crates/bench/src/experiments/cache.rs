@@ -52,13 +52,12 @@ pub fn fig2() -> Report {
             &format!("{name}: cycles and gradient vs array size"),
             &["size", "cycles/access", "gradient"],
         );
-        for i in 0..out.len() {
-            let g = if i + 1 < out.len() {
-                format!("{:.3}", gradients[i])
-            } else {
-                "-".to_string()
-            };
-            report.row(&[fmt_size(out.sizes[i]), format!("{:.2}", out.cycles[i]), g]);
+        for (i, (&size, cycles)) in out.sizes.iter().zip(&out.cycles).enumerate() {
+            // One gradient fewer than sizes: the last row has none.
+            let g = gradients
+                .get(i)
+                .map_or("-".to_string(), |g| format!("{g:.3}"));
+            report.row(&[fmt_size(size), format!("{cycles:.2}"), g]);
         }
         // Shape criteria from the paper's Fig. 2 discussion.
         let peaks = find_peaks(&gradients, 1.15);

@@ -163,9 +163,9 @@ impl Report {
 /// Format bytes as a human-readable size ("32K", "3M").
 pub fn fmt_size(bytes: usize) -> String {
     const MB: usize = 1024 * 1024;
-    if bytes >= MB && bytes % MB == 0 {
+    if bytes >= MB && bytes.is_multiple_of(MB) {
         format!("{}M", bytes / MB)
-    } else if bytes >= 1024 && bytes % 1024 == 0 {
+    } else if bytes >= 1024 && bytes.is_multiple_of(1024) {
         format!("{}K", bytes / 1024)
     } else {
         format!("{bytes}")

@@ -12,6 +12,10 @@
 //!   algorithm** (Fig. 3) compares the measured miss-rate curve with the
 //!   binomial prediction `P(X > K), X ~ B(NP, K·PS/CS)` for every tentative
 //!   `(CS, K)` and picks the statistical mode of the best-fitting sizes.
+//!
+//! The fit is one serial loop over the candidate grid
+//! ([`scored_candidates`]); the sweep that feeds it costs hundreds of times
+//! more.
 
 use crate::mcalibrator::McalibratorOutput;
 use serde::{Deserialize, Serialize};
@@ -179,25 +183,10 @@ pub fn probabilistic_size_with_model(
     model: MissRateModel,
 ) -> Option<usize> {
     let _span = servet_obs::span("cache_detect.probabilistic_fit");
-    let scored = scored_candidates(sizes, cycles, page_size, grid, model, None)?;
+    let scored = scored_candidates(sizes, cycles, page_size, grid, model)?;
     let _rank = servet_obs::span("cache_detect.fit.rank");
     let best: Vec<usize> = scored.iter().take(5).map(|&(_, cs)| cs).collect();
     mode(&best)
-}
-
-/// How many candidates one scoring worker must have to make a thread
-/// worth spawning: below this the fork/join overhead beats the win.
-const MIN_CANDIDATES_PER_THREAD: usize = 16;
-
-/// Worker count for `n_candidates`, honoring an explicit override.
-fn scoring_threads(n_candidates: usize, requested: Option<usize>) -> usize {
-    let threads = requested.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(n_candidates / MIN_CANDIDATES_PER_THREAD)
-    });
-    threads.clamp(1, n_candidates.max(1))
 }
 
 /// The scored `(divergence, CS)` ranking behind [`probabilistic_size`]:
@@ -205,22 +194,14 @@ fn scoring_threads(n_candidates: usize, requested: Option<usize>) -> usize {
 /// sorted by `(divergence, CS)`.
 ///
 /// The tie-break on `CS` makes the ranking — and therefore the detected
-/// size — independent of grid iteration order and of how candidates are
-/// partitioned across scoring threads.
-///
-/// `threads` forces the worker count (`Some(1)` = the serial path,
-/// `None` = auto-size to the machine). The output is **bit-identical**
-/// for every thread count: candidates are scored independently, written
-/// to per-chunk slots in grid order, and merged deterministically —
-/// `cache_detect` tests pin serial against parallel. Returns `None` when
-/// the window carries no signal (under two samples, or flat cycles).
+/// size — independent of grid iteration order. Returns `None` when the
+/// window carries no signal (under two samples, or flat cycles).
 pub fn scored_candidates(
     sizes: &[usize],
     cycles: &[f64],
     page_size: usize,
     grid: &CandidateGrid,
     model: MissRateModel,
-    threads: Option<usize>,
 ) -> Option<Vec<(f64, usize)>> {
     assert_eq!(sizes.len(), cycles.len());
     if sizes.len() < 2 {
@@ -249,68 +230,36 @@ pub fn scored_candidates(
     let hi = *sizes.last().expect("non-empty window");
     let tentative = grid.restricted(lo, hi);
 
-    let candidates: Vec<(usize, usize)> = tentative
-        .iter()
-        .flat_map(|&cs| grid.assocs.iter().map(move |&k| (cs, k)))
-        .collect();
-    let threads = scoring_threads(candidates.len(), threads);
-
-    // One slot per candidate, written in grid order whatever the thread
-    // count, so the merged result never depends on scheduling.
-    let mut slots: Vec<Option<(f64, usize)>> = vec![None; candidates.len()];
+    let mut scored: Vec<(f64, usize)> = Vec::new();
     {
         let _span = servet_obs::span("cache_detect.fit.score");
-        if threads <= 1 {
-            score_chunk(&np, &mr, page_size, model, &candidates, &mut slots);
-        } else {
-            servet_obs::counter("cache_detect.parallel_fits").incr();
-            let chunk = candidates.len().div_ceil(threads);
-            let (np, mr) = (&np, &mr);
-            std::thread::scope(|s| {
-                for (cands, out) in candidates.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                    s.spawn(move || score_chunk(np, mr, page_size, model, cands, out));
+        for &cs in &tentative {
+            for &k in &grid.assocs {
+                let p = (k * page_size) as f64 / cs as f64;
+                // The whole predicted curve in one recurrence pass; the
+                // endpoints are the first/last points of the same curve
+                // rather than two extra binomial evaluations.
+                let curve = predicted_miss_curve(&np, p, k, model);
+                let p_first = curve[0];
+                let p_last = *curve.last().expect("non-empty window");
+                let p_span = p_last - p_first;
+                if p_span < 0.05 {
+                    // The candidate predicts an essentially flat window: it
+                    // cannot explain the observed transition at all.
+                    continue;
                 }
-            });
+                let mut div = 0.0;
+                for (i, &predicted_raw) in curve.iter().enumerate() {
+                    let predicted = (predicted_raw - p_first) / p_span;
+                    div += (mr[i] - predicted).abs();
+                }
+                scored.push((div, cs));
+            }
         }
     }
-    let mut scored: Vec<(f64, usize)> = slots.into_iter().flatten().collect();
     servet_obs::counter("cache_detect.candidates_scored").add(scored.len() as u64);
     scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     Some(scored)
-}
-
-/// Score a contiguous run of candidates into its output slots — the body
-/// both the serial and the parallel path share, so they cannot diverge.
-fn score_chunk(
-    np: &[u64],
-    mr: &[f64],
-    page_size: usize,
-    model: MissRateModel,
-    candidates: &[(usize, usize)],
-    out: &mut [Option<(f64, usize)>],
-) {
-    debug_assert_eq!(candidates.len(), out.len());
-    for (&(cs, k), slot) in candidates.iter().zip(out) {
-        let p = (k * page_size) as f64 / cs as f64;
-        // The whole predicted curve in one recurrence pass; the endpoints
-        // are the first/last points of the same curve rather than two
-        // extra binomial evaluations.
-        let curve = predicted_miss_curve(np, p, k, model);
-        let p_first = curve[0];
-        let p_last = *curve.last().expect("non-empty window");
-        let p_span = p_last - p_first;
-        if p_span < 0.05 {
-            // The candidate predicts an essentially flat window: it
-            // cannot explain the observed transition at all.
-            continue;
-        }
-        let mut div = 0.0;
-        for (i, &predicted_raw) in curve.iter().enumerate() {
-            let predicted = (predicted_raw - p_first) / p_span;
-            div += (mr[i] - predicted).abs();
-        }
-        *slot = Some((div, cs));
-    }
 }
 
 /// Configuration for the overall level-detection algorithm (Fig. 4).
@@ -625,36 +574,18 @@ mod tests {
         (sizes, cycles)
     }
 
-    /// Acceptance gate: the parallel scoring path must be bit-identical
-    /// to the serial one — same candidates, same divergences, same order —
-    /// for every thread count, on both miss-rate models.
+    /// The detected size is the mode of the ranking's five best sizes, on
+    /// both miss-rate models.
     #[test]
-    fn parallel_scoring_is_bit_identical_to_serial() {
+    fn detected_size_is_mode_of_top_five_candidates() {
         let (sizes, cycles) = smeared_window(10);
         let grid = CandidateGrid::default();
         for model in [MissRateModel::SizeBiased, MissRateModel::PaperApprox] {
-            let serial = scored_candidates(&sizes, &cycles, 4 * KB, &grid, model, Some(1)).unwrap();
-            assert!(!serial.is_empty());
-            for threads in [2usize, 3, 4, 7, 16, 64] {
-                let parallel =
-                    scored_candidates(&sizes, &cycles, 4 * KB, &grid, model, Some(threads))
-                        .unwrap();
-                assert_eq!(serial.len(), parallel.len(), "threads = {threads}");
-                for (s, p) in serial.iter().zip(&parallel) {
-                    assert_eq!(s.1, p.1, "candidate order diverged at threads = {threads}");
-                    assert_eq!(
-                        s.0.to_bits(),
-                        p.0.to_bits(),
-                        "divergence bits diverged for cs = {} at threads = {threads}",
-                        s.1
-                    );
-                }
-            }
-            // And the detected size (auto thread count) matches the serial
-            // ranking's verdict.
-            let auto = probabilistic_size_with_model(&sizes, &cycles, 4 * KB, &grid, model);
-            let best: Vec<usize> = serial.iter().take(5).map(|&(_, cs)| cs).collect();
-            assert_eq!(auto, mode(&best));
+            let scored = scored_candidates(&sizes, &cycles, 4 * KB, &grid, model).unwrap();
+            assert!(!scored.is_empty());
+            let best: Vec<usize> = scored.iter().take(5).map(|&(_, cs)| cs).collect();
+            let got = probabilistic_size_with_model(&sizes, &cycles, 4 * KB, &grid, model);
+            assert_eq!(got, mode(&best));
         }
     }
 
@@ -667,24 +598,9 @@ mod tests {
         let mut reversed = grid.clone();
         reversed.sizes.reverse();
         reversed.assocs.reverse();
-        let a = scored_candidates(
-            &sizes,
-            &cycles,
-            4 * KB,
-            &grid,
-            MissRateModel::SizeBiased,
-            Some(1),
-        )
-        .unwrap();
-        let b = scored_candidates(
-            &sizes,
-            &cycles,
-            4 * KB,
-            &reversed,
-            MissRateModel::SizeBiased,
-            Some(1),
-        )
-        .unwrap();
+        let model = MissRateModel::SizeBiased;
+        let a = scored_candidates(&sizes, &cycles, 4 * KB, &grid, model).unwrap();
+        let b = scored_candidates(&sizes, &cycles, 4 * KB, &reversed, model).unwrap();
         let key = |v: &[(f64, usize)]| -> Vec<(u64, usize)> {
             v.iter().map(|&(d, cs)| (d.to_bits(), cs)).collect()
         };

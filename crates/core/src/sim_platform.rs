@@ -11,8 +11,8 @@
 //! charges what the *real* benchmark would have cost — the simulated
 //! operation time scaled by the repetition count a real implementation
 //! needs for stable numbers, plus a fixed per-measurement setup overhead
-//! (process spawn, affinity call, barrier). Table I of the paper is
-//! reproduced from this ledger.
+//! (process spawn, affinity call, barrier) — four constants, below.
+//! Table I of the paper is reproduced from this ledger.
 
 use crate::platform::{CoreId, Platform, SharedStreamJob, TraverseJob};
 use rand::{Rng, SeedableRng};
@@ -22,20 +22,18 @@ use servet_sim::machine::{SharedJob, TraversalJob};
 use servet_sim::membw::MemorySystem;
 use servet_sim::{CoherenceSpec, CoherenceTraffic, Machine};
 
-/// What one real-world measurement costs beyond the simulated operation
-/// itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeasurementCost {
-    /// Fixed setup seconds per measurement (allocation, affinity,
-    /// synchronization).
-    pub setup_s: f64,
-    /// How many times a real benchmark repeats a traversal measurement.
-    pub traverse_reps: f64,
-    /// Bytes a real STREAM-like copy moves per bandwidth measurement.
-    pub copy_bytes: f64,
-    /// Ping-pong iterations per latency measurement.
-    pub message_reps: f64,
-}
+// What one real-world measurement costs beyond the simulated operation
+// itself — the Table I ledger's four constants.
+
+/// Fixed setup seconds per measurement (allocation, affinity,
+/// synchronization).
+const SETUP_S: f64 = 0.4;
+/// How many times a real benchmark repeats a traversal measurement.
+const TRAVERSE_REPS: f64 = 128.0;
+/// Bytes a real STREAM-like copy moves per bandwidth measurement.
+const COPY_BYTES: f64 = 8.0 * 1024.0 * 1024.0 * 1024.0;
+/// Ping-pong iterations per latency measurement.
+const MESSAGE_REPS: f64 = 8_000.0;
 
 /// Trials for concurrent traversals (each trial re-allocates every job's
 /// array).
@@ -53,17 +51,6 @@ fn traverse_trials(size: usize, page_size: usize) -> usize {
     (4096usize.div_ceil(pages)).clamp(2, 16)
 }
 
-impl Default for MeasurementCost {
-    fn default() -> Self {
-        Self {
-            setup_s: 0.4,
-            traverse_reps: 128.0,
-            copy_bytes: 8.0 * 1024.0 * 1024.0 * 1024.0,
-            message_reps: 8_000.0,
-        }
-    }
-}
-
 /// Simulator-backed platform.
 pub struct SimPlatform {
     machine: Machine,
@@ -72,7 +59,6 @@ pub struct SimPlatform {
     /// Relative measurement noise (uniform ±noise).
     noise: f64,
     rng: ChaCha8Rng,
-    cost: MeasurementCost,
     elapsed_s: f64,
     /// Coherence traffic already drained out of the machine via
     /// [`Platform::take_coherence_traffic`]; added back to the machine's
@@ -91,7 +77,6 @@ impl SimPlatform {
             cluster,
             noise: 0.005,
             rng: ChaCha8Rng::seed_from_u64(0xBEEF),
-            cost: MeasurementCost::default(),
             elapsed_s: 0.0,
             drained_traffic: CoherenceTraffic::default(),
         }
@@ -161,12 +146,6 @@ impl SimPlatform {
         self
     }
 
-    /// Override the real-measurement cost model used by the Table I ledger.
-    pub fn with_cost(mut self, cost: MeasurementCost) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// The underlying machine.
     pub fn machine(&self) -> &Machine {
         &self.machine
@@ -191,8 +170,8 @@ impl SimPlatform {
         let secs = self
             .machine
             .spec()
-            .cycles_to_seconds(accesses * cycles * self.cost.traverse_reps);
-        self.elapsed_s += self.cost.setup_s + secs;
+            .cycles_to_seconds(accesses * cycles * TRAVERSE_REPS);
+        self.elapsed_s += SETUP_S + secs;
     }
 }
 
@@ -269,7 +248,7 @@ impl Platform for SimPlatform {
         // lasts as long as the slowest core.
         let slowest = bw.iter().copied().fold(f64::INFINITY, f64::min);
         if slowest.is_finite() && slowest > 0.0 {
-            self.elapsed_s += self.cost.setup_s + self.cost.copy_bytes / (slowest * 1e9);
+            self.elapsed_s += SETUP_S + COPY_BYTES / (slowest * 1e9);
         }
         bw.into_iter().map(|b| self.noisy(b)).collect()
     }
@@ -297,7 +276,7 @@ impl Platform for SimPlatform {
             .as_mut()
             .expect("platform has no cluster: messaging unsupported");
         let t = cluster.ping_pong_us(a, b, size, 4);
-        self.elapsed_s += self.cost.setup_s + 2.0 * t * 1e-6 * self.cost.message_reps;
+        self.elapsed_s += SETUP_S + 2.0 * t * 1e-6 * MESSAGE_REPS;
         t
     }
 
@@ -312,7 +291,7 @@ impl Platform for SimPlatform {
             .expect("platform has no cluster: messaging unsupported");
         let lats = cluster.concurrent_send_latency_us(pairs, size);
         let worst = lats.iter().copied().fold(0.0, f64::max);
-        self.elapsed_s += self.cost.setup_s + worst * 1e-6 * self.cost.message_reps;
+        self.elapsed_s += SETUP_S + worst * 1e-6 * MESSAGE_REPS;
         lats
     }
 

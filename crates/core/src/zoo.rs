@@ -257,12 +257,6 @@ pub struct MachineEval {
 }
 
 impl MachineEval {
-    /// True size of every level recovered exactly.
-    pub fn all_sizes_correct(&self) -> bool {
-        self.true_levels == self.detected_levels
-            && self.level_sizes.iter().all(|(_, t, d)| Some(*t) == *d)
-    }
-
     /// The advised padding cures false sharing on this machine: at least
     /// the true line size. `None` when the stage did not run.
     pub fn padding_correct(&self) -> Option<bool> {

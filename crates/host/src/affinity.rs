@@ -115,7 +115,7 @@ mod tests {
     fn page_size_sane() {
         let ps = page_size();
         assert!(ps.is_power_of_two());
-        assert!(ps >= 1024 && ps <= 1024 * 1024);
+        assert!((1024..=1024 * 1024).contains(&ps));
     }
 
     #[cfg(target_os = "linux")]

@@ -45,12 +45,6 @@ impl HostPlatform {
         self
     }
 
-    /// Force pinning on or off.
-    pub fn with_pinning(mut self, pin: bool) -> Self {
-        self.pin = pin;
-        self
-    }
-
     fn maybe_pin(&self, core: CoreId) {
         if self.pin {
             affinity::pin_to_core(core);

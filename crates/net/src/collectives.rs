@@ -1,11 +1,11 @@
-//! Collective communication algorithms over the virtual cluster.
+//! Broadcast algorithms over the virtual cluster.
 //!
 //! The paper's motivation (§I, §V): codes that know the machine's
 //! communication layers can pick hierarchy-aware collective algorithms
 //! (e.g. Sistare et al., Sanders & Träff, Tipparaju et al. — refs \[5\]-\[7\])
-//! instead of topology-blind ones. These simulated collectives let the
-//! autotuning crate *evaluate* that choice against the same network model
-//! the Servet benchmarks characterize.
+//! instead of topology-blind ones. The three simulated broadcasts here
+//! let the autotuning crate *evaluate* that choice against the same
+//! network model the Servet benchmarks characterize.
 
 use crate::cluster::VirtualCluster;
 use serde::{Deserialize, Serialize};
@@ -100,79 +100,6 @@ fn binomial_time(c: &mut VirtualCluster, ranks: &[usize], size: usize) -> f64 {
     t
 }
 
-/// Allgather algorithm choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AllgatherAlgorithm {
-    /// `ranks - 1` rounds around a ring; each rank forwards the block it
-    /// just received. Bandwidth-optimal, latency-heavy.
-    Ring,
-    /// Recursive doubling: `log2(ranks)` rounds of pairwise exchanges
-    /// with doubling block sizes. Requires a power-of-two rank count.
-    RecursiveDoubling,
-}
-
-impl AllgatherAlgorithm {
-    /// All algorithm variants.
-    pub fn all() -> [AllgatherAlgorithm; 2] {
-        [
-            AllgatherAlgorithm::Ring,
-            AllgatherAlgorithm::RecursiveDoubling,
-        ]
-    }
-
-    /// Stable display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AllgatherAlgorithm::Ring => "ring",
-            AllgatherAlgorithm::RecursiveDoubling => "recursive-doubling",
-        }
-    }
-}
-
-/// Simulated completion time (µs) of an allgather where each of `ranks`
-/// ranks contributes `block` bytes.
-pub fn allgather_time_us(
-    c: &mut VirtualCluster,
-    algo: AllgatherAlgorithm,
-    ranks: usize,
-    block: usize,
-) -> f64 {
-    assert!(ranks >= 1 && ranks <= c.num_ranks());
-    if ranks == 1 {
-        return 0.0;
-    }
-    match algo {
-        AllgatherAlgorithm::Ring => {
-            let mut t = 0.0;
-            for _round in 0..ranks - 1 {
-                let pairs: Vec<(usize, usize)> = (0..ranks).map(|r| (r, (r + 1) % ranks)).collect();
-                let lats = c.concurrent_send_latency_us(&pairs, block);
-                t += lats.iter().copied().fold(0.0, f64::max);
-            }
-            t
-        }
-        AllgatherAlgorithm::RecursiveDoubling => {
-            assert!(
-                ranks.is_power_of_two(),
-                "recursive doubling needs a power-of-two rank count"
-            );
-            let mut t = 0.0;
-            let mut dist = 1usize;
-            let mut chunk = block;
-            while dist < ranks {
-                // Every rank exchanges with its partner: both directions
-                // are concurrent messages.
-                let pairs: Vec<(usize, usize)> = (0..ranks).map(|r| (r, r ^ dist)).collect();
-                let lats = c.concurrent_send_latency_us(&pairs, chunk);
-                t += lats.iter().copied().fold(0.0, f64::max);
-                chunk *= 2;
-                dist *= 2;
-            }
-            t
-        }
-    }
-}
-
 /// Ranks `0..ranks` grouped by node, each group in rank order.
 fn group_by_node(c: &VirtualCluster, ranks: usize) -> Vec<Vec<usize>> {
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
@@ -236,42 +163,6 @@ mod tests {
         assert_eq!(BcastAlgorithm::Flat.name(), "flat");
         assert_eq!(BcastAlgorithm::BinomialTree.name(), "binomial");
         assert_eq!(BcastAlgorithm::Hierarchical.name(), "hierarchical");
-    }
-
-    #[test]
-    fn allgather_algorithms_complete() {
-        let mut c = presets::finis_terrae_cluster(2);
-        let ring = allgather_time_us(&mut c, AllgatherAlgorithm::Ring, 32, 4 * 1024);
-        let mut c = presets::finis_terrae_cluster(2);
-        let rd = allgather_time_us(&mut c, AllgatherAlgorithm::RecursiveDoubling, 32, 4 * 1024);
-        assert!(ring > 0.0 && rd > 0.0);
-        // For small blocks, the logarithmic algorithm beats the ring's
-        // 31 latency-bound rounds.
-        assert!(rd < ring, "rd {rd} vs ring {ring}");
-    }
-
-    #[test]
-    fn allgather_single_rank_free() {
-        let mut c = presets::tiny_cluster();
-        for algo in AllgatherAlgorithm::all() {
-            assert_eq!(allgather_time_us(&mut c, algo, 1, 1024), 0.0);
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn recursive_doubling_requires_power_of_two() {
-        let mut c = presets::tiny_cluster();
-        allgather_time_us(&mut c, AllgatherAlgorithm::RecursiveDoubling, 6, 64);
-    }
-
-    #[test]
-    fn allgather_names() {
-        assert_eq!(AllgatherAlgorithm::Ring.name(), "ring");
-        assert_eq!(
-            AllgatherAlgorithm::RecursiveDoubling.name(),
-            "recursive-doubling"
-        );
     }
 
     #[test]

@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn shared_cache_bandwidth_beats_bus_at_medium_sizes() {
         let m = dunnington_comm_model();
-        let s = 1 * MB;
+        let s = MB;
         let sc = m.layer(Layer::SharedCache).bandwidth_gbs(s);
         let inn = m.layer(Layer::IntraNode).bandwidth_gbs(s);
         assert!(sc > inn, "{sc} vs {inn}");

@@ -51,10 +51,10 @@ pub use counter::Counter;
 pub use export::{summary, summary_from};
 pub use histogram::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use metrics::Metrics;
-pub use scope::{AttachGuard, RunScope, ScopeData, ScopeHandle};
+pub use scope::{RunScope, ScopeData};
 pub use span::{
-    dropped_spans, format_ns, render_span_tree, set_spans_enabled, span, spans_enabled,
-    spans_snapshot, take_spans, SpanGuard, SpanRecord, MAX_SPANS,
+    dropped_spans, format_ns, render_span_tree, span, spans_snapshot, take_spans, SpanGuard,
+    SpanRecord, MAX_SPANS,
 };
 
 use std::sync::Arc;

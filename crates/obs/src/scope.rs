@@ -16,13 +16,11 @@
 //! global registry), so process-wide reporting — `servet --trace`, the
 //! metric summary — still sees everything.
 //!
-//! Scopes are thread-scoped: a worker thread spawned *inside* a scoped
-//! region does not inherit the scope automatically. Code that fans out
-//! and records from child threads passes a [`ScopeHandle`]
-//! ([`RunScope::handle`]) and calls [`ScopeHandle::attach`] in the child.
-//! Histograms stay global: none of the per-run records consume them, and
-//! their merge semantics (bucket-wise addition) would complicate the
-//! scope for no consumer.
+//! A scope records the thread that opened it: a worker thread spawned
+//! *inside* a scoped region records into the globals (`HostPlatform`'s
+//! concurrent kernels count there). Histograms stay global too: none of
+//! the per-run records consume them, and their merge semantics
+//! (bucket-wise addition) would complicate the scope for no consumer.
 //!
 //! Counters resolved through the facade are scope-routed at *lookup*
 //! time: a `Arc<Counter>` obtained inside a scope and cached past
@@ -37,7 +35,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// The sink shared by a [`RunScope`] and its [`ScopeHandle`]s.
+/// The sink a [`RunScope`] shares with its thread's active-scope stack.
 #[derive(Debug, Default)]
 pub(crate) struct ScopeShared {
     spans: Mutex<Vec<SpanRecord>>,
@@ -112,14 +110,6 @@ impl RunScope {
         }
     }
 
-    /// A cloneable handle a worker thread can [`attach`](ScopeHandle::attach)
-    /// so its records land in this scope too.
-    pub fn handle(&self) -> ScopeHandle {
-        ScopeHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
     /// Stop recording, merge the collected data into the global span log
     /// and metric registry, and return it. Call on the thread that called
     /// [`RunScope::begin`].
@@ -151,37 +141,6 @@ impl RunScope {
 impl Drop for RunScope {
     fn drop(&mut self) {
         let _ = self.finish_inner();
-    }
-}
-
-/// A handle that lets another thread record into a [`RunScope`].
-#[derive(Debug, Clone)]
-pub struct ScopeHandle {
-    shared: Arc<ScopeShared>,
-}
-
-impl ScopeHandle {
-    /// Route the current thread's spans and counters into the scope until
-    /// the returned guard drops. The owning [`RunScope`] must outlive the
-    /// guard for the records to be collected (late records after
-    /// `finish` land in a sink nobody reads).
-    pub fn attach(&self) -> AttachGuard {
-        push(&self.shared);
-        AttachGuard {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-/// RAII guard of [`ScopeHandle::attach`]; detaches on drop.
-#[derive(Debug)]
-pub struct AttachGuard {
-    shared: Arc<ScopeShared>,
-}
-
-impl Drop for AttachGuard {
-    fn drop(&mut self) {
-        pop(&self.shared);
     }
 }
 
@@ -237,22 +196,6 @@ mod tests {
         assert_eq!(a.counters.get("scope.test.b"), None);
         assert_eq!(b.spans.len(), 50);
         assert!(b.spans.iter().all(|s| s.name == "scope.test.b"));
-    }
-
-    #[test]
-    fn handle_routes_child_thread_records_into_the_scope() {
-        let scope = RunScope::begin();
-        let handle = scope.handle();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let _attached = handle.attach();
-                let _s = crate::span("scope.test.child");
-                crate::counter("scope.test.child").incr();
-            });
-        });
-        let data = scope.finish();
-        assert!(data.spans.iter().any(|s| s.name == "scope.test.child"));
-        assert_eq!(data.counters.get("scope.test.child"), Some(&1));
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! dropped and counted, so a long-lived server cannot leak memory through
 //! instrumentation. [`take_spans`] drains the log (the CLI's `--trace`
 //! does this once at exit); [`spans_snapshot`] copies it without draining
-//! (the run-manifest writer does this). [`set_spans_enabled`] with
-//! `false` turns `span()` into a no-op for benchmark purity.
+//! (the run-manifest writer does this). Spans are always recorded, on the
+//! thread that opened them.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 /// counted in [`dropped_spans`].
 pub const MAX_SPANS: usize = 65_536;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
@@ -64,8 +63,7 @@ pub struct SpanRecord {
 /// Live guard for an open span; dropping it records the span.
 #[derive(Debug)]
 pub struct SpanGuard {
-    /// `None` when spans were disabled at open time (no-op guard).
-    name: Option<String>,
+    name: String,
     depth: usize,
     start: Instant,
     annotation: Option<String>,
@@ -77,24 +75,18 @@ impl SpanGuard {
         self.start.elapsed()
     }
 
-    /// Attach a payload to the span's record (last call wins). A no-op
-    /// on a disabled guard.
+    /// Attach a payload to the span's record (last call wins).
     pub fn annotate(&mut self, text: impl Into<String>) {
-        if self.name.is_some() {
-            self.annotation = Some(text.into());
-        }
+        self.annotation = Some(text.into());
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(name) = self.name.take() else {
-            return;
-        };
         let duration = self.start.elapsed();
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         let record = SpanRecord {
-            name,
+            name: std::mem::take(&mut self.name),
             depth: self.depth,
             start_ns: saturating_ns(self.start.saturating_duration_since(epoch())),
             duration_ns: saturating_ns(duration),
@@ -130,14 +122,6 @@ fn saturating_ns(d: Duration) -> u64 {
 
 /// Open a span; it records itself when the returned guard drops.
 pub fn span(name: impl Into<String>) -> SpanGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return SpanGuard {
-            name: None,
-            depth: 0,
-            start: Instant::now(),
-            annotation: None,
-        };
-    }
     let depth = DEPTH.with(|d| {
         let v = d.get();
         d.set(v + 1);
@@ -145,22 +129,11 @@ pub fn span(name: impl Into<String>) -> SpanGuard {
     });
     let _ = epoch(); // pin the epoch no later than the first span's start
     SpanGuard {
-        name: Some(name.into()),
+        name: name.into(),
         depth,
         start: Instant::now(),
         annotation: None,
     }
-}
-
-/// Globally enable or disable span recording (`true` at startup).
-/// Counters and histograms are unaffected.
-pub fn set_spans_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether spans are currently recorded.
-pub fn spans_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Drain the span log, returning every record accumulated so far and
@@ -226,17 +199,10 @@ mod tests {
     use super::*;
 
     // The span log is process-global, so every assertion here filters by
-    // test-unique span names instead of assuming an empty log — and tests
-    // that record or toggle ENABLED serialize on one lock so a disabled
-    // window in one test cannot swallow another test's spans.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // test-unique span names instead of assuming an empty log.
 
     #[test]
     fn spans_record_name_depth_and_duration() {
-        let _serial = serial();
         {
             let _outer = span("t1.outer");
             let _inner = span("t1.inner");
@@ -248,31 +214,6 @@ mod tests {
         assert_eq!(inner.depth, 1);
         assert!(inner.start_ns >= outer.start_ns);
         assert!(outer.duration_ns >= inner.duration_ns);
-    }
-
-    #[test]
-    fn disabled_spans_do_not_record() {
-        let _serial = serial();
-        set_spans_enabled(false);
-        {
-            let _g = span("t2.invisible");
-        }
-        set_spans_enabled(true);
-        assert!(!spans_snapshot().iter().any(|s| s.name == "t2.invisible"));
-    }
-
-    #[test]
-    fn depth_recovers_after_disabled_window() {
-        let _serial = serial();
-        // A no-op guard must not disturb the thread's depth accounting.
-        set_spans_enabled(false);
-        drop(span("t3.noop"));
-        set_spans_enabled(true);
-        {
-            let _a = span("t3.a");
-        }
-        let spans = spans_snapshot();
-        assert_eq!(spans.iter().find(|s| s.name == "t3.a").unwrap().depth, 0);
     }
 
     #[test]
@@ -302,7 +243,6 @@ mod tests {
 
     #[test]
     fn annotations_survive_to_the_record() {
-        let _serial = serial();
         {
             let mut g = span("t5.annotated");
             g.annotate("first");
@@ -311,14 +251,6 @@ mod tests {
         let spans = spans_snapshot();
         let rec = spans.iter().find(|s| s.name == "t5.annotated").unwrap();
         assert_eq!(rec.annotation.as_deref(), Some("coh inv=7"));
-
-        set_spans_enabled(false);
-        {
-            let mut g = span("t5.disabled");
-            g.annotate("dropped");
-        }
-        set_spans_enabled(true);
-        assert!(!spans_snapshot().iter().any(|s| s.name == "t5.disabled"));
     }
 
     #[test]

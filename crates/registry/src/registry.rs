@@ -194,6 +194,11 @@ impl EventCounters {
     }
 }
 
+/// What [`Registry::advise`] and [`Registry::tune`] return: `None` for an
+/// unknown key, otherwise the profile's digest, the outcome or the
+/// engine's refusal, and whether it was a memo hit.
+pub type Answer<T> = io::Result<Option<(String, Result<T, String>, bool)>>;
+
 /// A profile registry over one store directory.
 pub struct Registry {
     store: ProfileStore,
@@ -268,11 +273,7 @@ impl Registry {
     }
 
     /// Advice for the profile under `key`; the bool reports a memo hit.
-    pub fn advise(
-        &self,
-        key: &str,
-        query: &AdviceQuery,
-    ) -> io::Result<Option<(String, Result<crate::advice::AdviceOutcome, String>, bool)>> {
+    pub fn advise(&self, key: &str, query: &AdviceQuery) -> Answer<crate::advice::AdviceOutcome> {
         let Some((digest, profile)) = self.get(key)? else {
             return Ok(None);
         };
@@ -282,11 +283,7 @@ impl Registry {
 
     /// Run (or recall) a tuning session for the profile under `key`; the
     /// bool reports a memo hit.
-    pub fn tune(
-        &self,
-        key: &str,
-        query: &TuneQuery,
-    ) -> io::Result<Option<(String, Result<TuneOutcome, String>, bool)>> {
+    pub fn tune(&self, key: &str, query: &TuneQuery) -> Answer<TuneOutcome> {
         let Some((digest, profile)) = self.get(key)? else {
             return Ok(None);
         };

@@ -419,14 +419,14 @@ mod tests {
     #[test]
     fn ln_gamma_matches_factorials() {
         // Gamma(n+1) = n!
-        let facts = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0];
+        let facts = [1.0f64, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0];
         for (n, &f) in facts.iter().enumerate() {
             let got = ln_gamma(n as f64 + 1.0);
             assert!(
-                close(got, (f as f64).ln(), 1e-10),
+                close(got, f.ln(), 1e-10),
                 "ln_gamma({}) = {got}, want {}",
                 n + 1,
-                (f as f64).ln()
+                f.ln()
             );
         }
     }

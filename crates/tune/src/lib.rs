@@ -36,6 +36,6 @@ pub mod search;
 pub mod space;
 
 pub use compare::{run_compare, CompareConfig, CompareReport, MachineComparison, StrategySummary};
-pub use oracle::{analytic_config, kernel_space, Oracle, OracleKind, ProfileOracle, SimOracle};
+pub use oracle::{analytic_config, kernel_space, Oracle, ProfileOracle, SimOracle};
 pub use search::{tune, Strategy, TuneOptions, TuneOutcome};
 pub use space::{Config, Param, ParamSpace, Point};

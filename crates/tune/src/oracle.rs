@@ -25,7 +25,6 @@
 //! bit-identical results.
 
 use crate::space::{Config, Param, ParamSpace};
-use serde::{Deserialize, Serialize};
 use servet_autotune::concurrency::advise_memory_threads;
 use servet_autotune::padding::advise_padding;
 use servet_autotune::tiling::select_tile;
@@ -404,18 +403,6 @@ pub fn analytic_config(profile: &MachineProfile, space: &ParamSpace) -> Config {
             (p.name.clone(), v)
         })
         .collect()
-}
-
-/// Tune query/report serde shapes shared by the CLI, the registry wire
-/// protocol, and the zoo comparison — all defined next to the oracles
-/// they configure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum OracleKind {
-    /// Simulate the kernel on a preset machine ([`SimOracle`]).
-    Sim,
-    /// Price the kernel against a stored profile ([`ProfileOracle`]).
-    Profile,
 }
 
 #[cfg(test)]

@@ -30,21 +30,21 @@ fn main() {
     let gradients = sweep.gradients();
 
     println!("{:>10}  {:>14}  {:>9}", "size", "cycles/access", "gradient");
-    for i in 0..sweep.len() {
-        let bar_len = (sweep.cycles[i].ln().max(0.0) * 8.0) as usize;
-        let gradient = if i + 1 < sweep.len() {
-            format!("{:9.3}", gradients[i])
-        } else {
-            format!("{:>9}", "-")
+    for (i, (&size, &cycles)) in sweep.sizes.iter().zip(&sweep.cycles).enumerate() {
+        let bar_len = (cycles.ln().max(0.0) * 8.0) as usize;
+        // One gradient fewer than sizes: the last row has none.
+        let gradient = match gradients.get(i) {
+            Some(g) => format!("{g:9.3}"),
+            None => format!("{:>9}", "-"),
         };
         println!(
             "{:>10}  {:>14.2}  {}  {}",
-            if sweep.sizes[i] >= 1024 * 1024 {
-                format!("{}M", sweep.sizes[i] / (1024 * 1024))
+            if size >= 1024 * 1024 {
+                format!("{}M", size / (1024 * 1024))
             } else {
-                format!("{}K", sweep.sizes[i] / 1024)
+                format!("{}K", size / 1024)
             },
-            sweep.cycles[i],
+            cycles,
             gradient,
             "#".repeat(bar_len)
         );

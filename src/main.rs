@@ -18,8 +18,9 @@
 //! servet --trace suite                          # span tree on stderr at exit
 //! ```
 //!
-//! `--out FILE` also writes a `FILE → *.manifest.json` sibling recording
-//! how the profile was measured (config, span tree, counters).
+//! `servet help` lists every command with its flags. `--out FILE` also
+//! writes a `FILE → *.manifest.json` sibling recording how the profile was
+//! measured (config, span tree, counters).
 
 use servet::obs::format_ns;
 use servet::prelude::*;
@@ -30,38 +31,197 @@ use std::time::Duration;
 /// Default address for `servet serve` / `servet query`.
 const DEFAULT_ADDR: &str = "127.0.0.1:7431";
 
+/// How a command ends: `Err` carries the process exit code (2 for a
+/// usage error, 1 for a failed run).
+type Exit = Result<(), i32>;
+
+/// A row of [`COMMANDS`].
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&[String]) -> Exit,
+    &'static str,
+);
+
+const SUITE: &str = "[--micro] [--false-sharing] [--out FILE]";
+const THREADS: &str = "[--tolerance T]";
+const TILE: &str = "[--level L] [--elem-size B] [--matrices N] [--occupancy F]";
+const BCAST: &str = "[--ranks N] [--bytes B]";
+const SEARCH: &str = "[--strategy S] [--n N] [--seed S] [--sweeps N] [--steps N] [--samples N]";
+
+/// One row per `servet` command: the words that select it, what follows
+/// them, the function that runs it on everything after those words, and a
+/// description. This is the only place a command's grammar is written:
+/// `servet help`, usage errors, flag validation and dispatch all read it.
+///
+/// The synopsis comes in pieces so that commands can share flag groups (a
+/// usage too long for one line gives each piece its own). In it `--flag X`
+/// takes a value and a bare `--flag` is a switch; a piece that begins
+/// outside brackets, with `<positional>` or `--flag X`, begins with
+/// something that must be given.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("simulate", &["<machine>", SUITE], |args| cmd_simulate(&args[0], args),
+     "run the suite on a simulated preset (see 'servet machines')"),
+    ("suite", &["[machine]", SUITE], |args| cmd_simulate(positional(args).unwrap_or("tiny"), args),
+     "like simulate; the machine defaults to 'tiny'"),
+    ("probe", &["[--max-mb N]", SUITE], cmd_probe, "run the suite on this machine"),
+    ("show", &["<profile.json>"], |args| cmd_show(&args[0]), "summarize a stored profile"),
+    ("advise threads", &["--profile FILE", THREADS, "[--json]"], |args| cmd_advise("threads", args),
+     "how many threads should touch memory at once"),
+    ("advise tile", &["--profile FILE", TILE, "[--json]"], |args| cmd_advise("tile", args),
+     "the tile edge of a blocked matmul that fits one cache level"),
+    ("advise bcast", &["--profile FILE", BCAST, "[--json]"], |args| cmd_advise("bcast", args),
+     "rank the broadcast algorithms (0 ranks, the default: every measured core)"),
+    ("advise padding", &["--profile FILE [--json]"], |args| cmd_advise("padding", args),
+     "per-thread padding and alignment against false sharing"),
+    ("tune", &["[--machine PRESET | --profile FILE] [--workers N] [--json] [--out FILE]", SEARCH,
+               "[--zoo [--machines N] [--strategies A,B] [--epsilon E] [--check] [--min-parity P]]"],
+     cmd_tune, "search the blocked-matmul space (strategies: exhaustive, line, neighborhood, monte-carlo);\n\
+                with --zoo, race them against the analytic advice across the machine zoo"),
+    ("serve", &["--dir DIR [--addr HOST:PORT] [--read-timeout-ms N] [--workers N]",
+                "[--backlog N] [--max-conns N] [--drain-grace-ms N]"],
+     cmd_serve, "run the profile registry daemon"),
+    ("query put", &["--profile FILE [--name NAME] [--addr HOST:PORT]"], query_put,
+     "store a profile in the registry"),
+    ("query get", &["--key KEY [--json] [--addr HOST:PORT]"], query_get,
+     "fetch a profile by digest or name"),
+    ("query list", &["[--json] [--addr HOST:PORT]"], query_list, "list the stored profiles"),
+    ("query advise threads", &["--key KEY", THREADS, "[--json] [--addr HOST:PORT]"],
+     |args| query_advise("threads", args), "'advise threads' on a stored profile, memoized by the registry"),
+    ("query advise tile", &["--key KEY", TILE, "[--json] [--addr HOST:PORT]"],
+     |args| query_advise("tile", args), "'advise tile', likewise"),
+    ("query advise bcast", &["--key KEY", BCAST, "[--json] [--addr HOST:PORT]"],
+     |args| query_advise("bcast", args), "'advise bcast', likewise"),
+    ("query advise padding", &["--key KEY [--json] [--addr HOST:PORT]"],
+     |args| query_advise("padding", args), "'advise padding', likewise"),
+    ("query tune", &["--key KEY", SEARCH, "[--json] [--addr HOST:PORT]"], query_tune,
+     "a memoized search priced against a stored profile"),
+    ("query stats", &["[--json] [--addr HOST:PORT]"], query_stats,
+     "cache counters and per-op request latencies"),
+    ("zoo", &["[--machines N] [--mb N] [--workers N] [--seed S] [--out FILE]",
+              "[--addr HOST:PORT | --dir DIR | --no-stream]"],
+     cmd_zoo, "measure a population of perturbed machines (plus --mb MB-range ones), stream the\n\
+               profiles to a registry, score detection accuracy"),
+    ("loadgen", &["[--addr HOST:PORT] [--conns N] [--ops N] [--op-workers N] [--mode closed|open --rate R]",
+                  "[--hold-ms N] [--out FILE] [--check] [--max-p99-ms N] [--seed S]"],
+     cmd_loadgen, "hold N connections against a registry while driving request traffic; report\n\
+                   throughput and p50/p99/p999 latency"),
+    ("machines", &[], |_| cmd_machines(), "list the simulated presets"),
+    ("help", &[], |_| print_help(), "print this listing (also --help, -h)"),
+];
+
+/// The flags a synopsis declares, each with whether it takes a value.
+fn declared_flags(synopsis: &[&'static str]) -> Vec<(&'static str, bool)> {
+    let mut tokens = synopsis.iter().flat_map(|p| p.split(' ')).peekable();
+    let mut flags = Vec::new();
+    while let Some(token) = tokens.next() {
+        let word = token.trim_matches(['[', ']']);
+        if word.starts_with("--") {
+            let value_next = |next: &&str| !next.starts_with(['[', '|', '-']);
+            let valued = !token.ends_with(']') && tokens.peek().is_some_and(value_next);
+            flags.push((word, valued));
+        }
+    }
+    flags
+}
+
+/// `<prefix>servet NAME SYNOPSIS`, on one line if it fits 100 columns and
+/// on one per piece if not.
+fn usage(prefix: &str, name: &str, synopsis: &[&str]) -> String {
+    let line = format!("{prefix}servet {name} {}", synopsis.join(" "));
+    if line.len() <= 100 {
+        return line.trim_end().to_string();
+    }
+    format!("{prefix}servet {name} {}", synopsis.join("\n          "))
+}
+
+fn print_help() -> Exit {
+    println!("servet — measure the hardware parameters autotuned codes need\n\nUSAGE:");
+    for (name, synopsis, _, about) in COMMANDS {
+        println!("{}", usage("  ", name, synopsis));
+        println!("      {}", about.replace('\n', "\n      "));
+    }
+    println!(
+        "\nGLOBAL FLAGS:\n\
+         \x20 --trace    render the measurement span tree and metric summary on stderr at exit;\n\
+         \x20            --out FILE also writes FILE's *.manifest.json measurement record"
+    );
+    Ok(())
+}
+
 fn main() {
     // `--trace` is a global flag: accept it anywhere on the line.
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let trace = args.iter().any(|a| a == "--trace");
     args.retain(|a| a != "--trace");
-    let command = args.first().map(String::as_str);
-    let rest = args.get(1..).unwrap_or_default();
-    let outcome = check_flags(command.unwrap_or("help"), rest).and_then(|()| match command {
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("suite") => cmd_suite(&args[1..]),
-        Some("probe") => cmd_probe(&args[1..]),
-        Some("show") => cmd_show(&args[1..]),
-        Some("advise") => cmd_advise(&args[1..]),
-        Some("tune") => cmd_tune(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("zoo") => cmd_zoo(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("machines") => cmd_machines(),
-        Some("help") | None => {
-            print_help();
-            Ok(())
-        }
-        Some(other) => {
-            eprintln!("unknown command '{other}'; try 'servet help'");
-            Err(2)
-        }
-    });
+    if args.is_empty() || ["--help", "-h"].contains(&args[0].as_str()) {
+        args = vec!["help".to_string()];
+    }
+    let outcome = dispatch(&args);
     if trace {
         print_trace();
     }
     std::process::exit(outcome.err().unwrap_or(0));
+}
+
+/// Find the command whose words lead `args` and run it, once the line is
+/// known to fit its synopsis: every usage error the table can tell is
+/// reported here, before anything runs.
+fn dispatch(args: &[String]) -> Exit {
+    let leading = |name: &str| {
+        let matched = name.split(' ').zip(args).take_while(|(w, a)| w == a);
+        matched.count()
+    };
+    // No command's words are the beginning of another's: at most one fits.
+    let fits = |c: &&Command| leading(c.0) == c.0.split(' ').count();
+    let Some(&(name, synopsis, run, _)) = COMMANDS.iter().find(fits) else {
+        // Not a command: show the ones that begin like the line, if any do.
+        let closest = COMMANDS.iter().map(|c| leading(c.0)).max();
+        let closest = closest.filter(|&words| words > 0);
+        if closest.is_none() {
+            eprintln!("unknown command '{}'; try 'servet help'", args[0]);
+        }
+        for c in COMMANDS.iter().filter(|c| Some(leading(c.0)) == closest) {
+            eprintln!("{}", usage("usage: ", c.0, c.1));
+        }
+        return Err(2);
+    };
+    let args = &args[name.split(' ').count()..];
+    let flags = declared_flags(synopsis);
+    // A `--flag` the command does not take, or a value flag with no value
+    // after it (the end of the line or another `--flag`; `-1` is a value).
+    let mut line = args.iter().map(String::as_str);
+    while let Some(arg) = line.next() {
+        match flags.iter().find(|(flag, _)| *flag == arg) {
+            Some((_, true)) if line.next().is_none_or(|value| value.starts_with("--")) => {
+                eprintln!("missing value for {arg}");
+                return Err(2);
+            }
+            None if arg.starts_with("--") => {
+                eprintln!("unknown flag '{arg}' for '{name}'");
+                return Err(2);
+            }
+            _ => {}
+        }
+    }
+    let given = |piece: &&str| match piece.split(' ').next() {
+        Some(flag) if flag.starts_with("--") => has_flag(args, flag),
+        Some(word) if word.starts_with('<') => positional(args).is_some(),
+        _ => true,
+    };
+    if !synopsis.iter().all(given) {
+        eprintln!("{}", usage("usage: ", name, synopsis));
+        return Err(2);
+    }
+    run(args)
+}
+
+/// The word right after the command's name, unless it is a flag.
+fn positional(args: &[String]) -> Option<&str> {
+    args.first()
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
 }
 
 /// Render everything `servet-obs` accumulated during the run: the span
@@ -77,110 +237,6 @@ fn print_trace() {
     eprint!("{}", servet::obs::summary());
 }
 
-fn print_help() {
-    println!(
-        "servet — measure the hardware parameters autotuned codes need\n\
-         \n\
-         USAGE:\n\
-         \x20 servet simulate <machine> [--micro] [--false-sharing] [--out FILE]\n\
-         \x20                                                    run the suite on a simulated preset\n\
-         \x20 servet suite [machine] [--out FILE]                like simulate; defaults to 'tiny'\n\
-         \x20 servet probe [--max-mb N] [--micro] [--out FILE]   run the suite on this machine\n\
-         \x20 servet show <profile.json>                         summarize a stored profile\n\
-         \x20 servet advise threads --profile FILE [--tolerance T] [--json]\n\
-         \x20 servet advise tile --profile FILE [--level L] [--json]\n\
-         \x20 servet advise bcast --profile FILE [--ranks N] [--bytes B] [--json]\n\
-         \x20 servet advise padding --profile FILE [--json]\n\
-         \x20 servet tune [--machine PRESET | --profile FILE] [--strategy S] [--n N]\n\
-         \x20             [--seed S] [--workers N] [--sweeps N] [--steps N] [--samples N]\n\
-         \x20             [--json] [--out FILE]\n\
-         \x20                                                    search the blocked-matmul space\n\
-         \x20                                                    (strategies: exhaustive, line,\n\
-         \x20                                                    neighborhood, monte-carlo)\n\
-         \x20 servet tune --zoo [--machines N] [--workers N] [--seed S] [--n N]\n\
-         \x20             [--strategies a,b] [--epsilon E] [--check [--min-parity P]] [--out FILE]\n\
-         \x20                                                    race search against the analytic\n\
-         \x20                                                    advice across the machine zoo;\n\
-         \x20                                                    --out FILE keeps the full report\n\
-         \x20 servet serve --dir DIR [--addr HOST:PORT] [--read-timeout-ms N] [--workers N]\n\
-         \x20              [--backlog N] [--max-conns N] [--drain-grace-ms N]\n\
-         \x20                                                    run the profile registry daemon\n\
-         \x20 servet query put --profile FILE [--name NAME] [--addr A]\n\
-         \x20 servet query get --key KEY [--json] [--addr A]\n\
-         \x20 servet query list [--json] [--addr A]\n\
-         \x20 servet query advise <threads|tile|bcast|padding> --key KEY [flags] [--json] [--addr A]\n\
-         \x20 servet query tune --key KEY [--strategy S] [--n N] [tune flags] [--json] [--addr A]\n\
-         \x20 servet query stats [--json] [--addr A]\n\
-         \x20 servet zoo [--machines N] [--mb N] [--workers N] [--seed S] [--out FILE]\n\
-         \x20            [--addr HOST:PORT | --dir DIR | --no-stream]\n\
-         \x20                                                    measure a population of perturbed\n\
-         \x20                                                    machines (plus N MB-range ones),\n\
-         \x20                                                    stream profiles to a registry,\n\
-         \x20                                                    score detection accuracy\n\
-         \x20 servet loadgen [--addr A] [--conns N] [--ops N] [--op-workers N]\n\
-         \x20                [--mode closed|open --rate R] [--hold-ms N] [--out FILE]\n\
-         \x20                [--check] [--max-p99-ms N] [--seed S]\n\
-         \x20                                                    hold N connections against a registry\n\
-         \x20                                                    while driving request traffic; report\n\
-         \x20                                                    throughput + p50/p99/p999 latency\n\
-         \x20 servet machines                                    list simulated presets\n\
-         \n\
-         GLOBAL FLAGS:\n\
-         \x20 --trace    render the measurement span tree and metric summary on stderr at exit;\n\
-         \x20            --out FILE also writes FILE's *.manifest.json measurement record"
-    );
-}
-
-/// Per command: the flags that take a value, then the bare switches
-/// (`advise` and `query` list every sub-command's; `--trace` is global and
-/// gone by the time this is consulted).
-#[rustfmt::skip]
-const FLAGS: &[(&str, &[&str], &[&str])] = &[
-    ("simulate", &["--out"], &["--micro", "--false-sharing"]),
-    ("suite", &["--out"], &["--micro", "--false-sharing"]),
-    ("probe", &["--max-mb", "--out"], &["--micro", "--false-sharing"]),
-    ("show", &[], &[]),
-    ("advise", &["--profile", "--tolerance", "--level", "--elem-size", "--matrices", "--occupancy",
-                 "--ranks", "--bytes"], &["--json"]),
-    ("tune", &["--machine", "--profile", "--strategy", "--n", "--seed", "--workers", "--sweeps",
-               "--steps", "--samples", "--out", "--machines", "--strategies", "--epsilon",
-               "--min-parity"], &["--zoo", "--json", "--check"]),
-    ("serve", &["--dir", "--addr", "--read-timeout-ms", "--workers", "--backlog", "--max-conns",
-                "--drain-grace-ms"], &[]),
-    ("query", &["--addr", "--key", "--profile", "--name", "--tolerance", "--level", "--elem-size",
-                "--matrices", "--occupancy", "--ranks", "--bytes", "--strategy", "--n", "--seed",
-                "--sweeps", "--steps", "--samples"], &["--json"]),
-    ("zoo", &["--machines", "--mb", "--workers", "--seed", "--out", "--addr", "--dir"],
-     &["--no-stream"]),
-    ("loadgen", &["--addr", "--conns", "--ops", "--op-workers", "--mode", "--rate", "--hold-ms",
-                  "--out", "--max-p99-ms", "--seed"], &["--check"]),
-    ("machines", &[], &[]),
-    ("help", &[], &[]),
-];
-
-/// Refuse, before anything runs, a `--flag` that `command` does not take
-/// and a value flag with no value after it (the end of the line or
-/// another `--flag`; `-1` is a value). A command not in [`FLAGS`] is left
-/// for `main` to report.
-fn check_flags(command: &str, args: &[String]) -> Exit {
-    let Some((_, valued, switches)) = FLAGS.iter().find(|(name, ..)| *name == command) else {
-        return Ok(());
-    };
-    let mut args = args.iter().map(String::as_str);
-    while let Some(arg) = args.next() {
-        if valued.contains(&arg) {
-            if args.next().is_none_or(|value| value.starts_with("--")) {
-                eprintln!("missing value for {arg}");
-                return Err(2);
-            }
-        } else if arg.starts_with("--") && !switches.contains(&arg) {
-            eprintln!("unknown flag '{arg}' for '{command}'");
-            return Err(2);
-        }
-    }
-    Ok(())
-}
-
 /// Value of `--flag VALUE` in `args`, if present.
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
@@ -189,13 +245,14 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Value of a flag the command's synopsis requires.
+fn required<'a>(args: &'a [String], flag: &str) -> &'a str {
+    flag_value(args, flag).expect("dispatch refuses a line without its required flags")
+}
+
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
-
-/// How a command ends: `Err` carries the process exit code (2 for a
-/// usage error, 1 for a failed run).
-type Exit = Result<(), i32>;
 
 /// `--flag VALUE` parsed as `T`, or `default` when the flag is absent. A
 /// value that does not parse is a usage error, never the default.
@@ -209,6 +266,11 @@ fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) ->
     }
 }
 
+/// `--flag MILLISECONDS` as a `Duration`, or `default` when the flag is absent.
+fn parsed_ms(args: &[String], flag: &str, default: Duration) -> Result<Duration, i32> {
+    parsed_flag(args, flag, default.as_millis() as u64).map(Duration::from_millis)
+}
+
 /// Worker threads when `--workers` is not given: one per CPU, at most 8.
 fn default_workers() -> usize {
     std::thread::available_parallelism()
@@ -217,14 +279,45 @@ fn default_workers() -> usize {
         .clamp(1, 8)
 }
 
+/// The simulated presets: name, what it is, how to build it, whether it is
+/// small enough for [`SuiteConfig::small`]. `machines` prints the table;
+/// `simulate` and `tune --machine` look their machine up in it.
+#[rustfmt::skip]
+const PRESETS: &[Preset] = &[
+    ("dunnington", "24-core 4x Xeon E7450 node (paper SS IV)", SimPlatform::dunnington, false),
+    ("finis_terrae", "2 nodes x 16 Itanium2 cores over InfiniBand", || SimPlatform::finis_terrae(2), false),
+    ("dempsey", "dual-core Xeon 5060", SimPlatform::dempsey, false),
+    ("athlon3200", "unicore AMD Athlon", SimPlatform::athlon3200, false),
+    ("tiny", "fast 2x4-core demo cluster", SimPlatform::tiny_cluster, true),
+    ("tiny_smp", "one node of it: 4 cores, private 8 KB L1 and 64 KB L2", SimPlatform::tiny, true),
+    ("tiny_shared_l2", "the same with a 128 KB L2 per core pair", SimPlatform::tiny_shared_l2, true),
+    ("tiny_numa", "8 such cores in two cells, a bus per core pair", SimPlatform::tiny_numa, true),
+];
+
+type Preset = (&'static str, &'static str, fn() -> SimPlatform, bool);
+
 fn cmd_machines() -> Exit {
     println!("simulated machine presets:");
-    println!("  dunnington     24-core 4x Xeon E7450 node (paper SS IV)");
-    println!("  finis_terrae   2 nodes x 16 Itanium2 cores over InfiniBand");
-    println!("  dempsey        dual-core Xeon 5060");
-    println!("  athlon3200     unicore AMD Athlon");
-    println!("  tiny           fast 2x4-core demo cluster");
+    for (name, about, ..) in PRESETS {
+        println!("  {name:<15}{about}");
+    }
     Ok(())
+}
+
+/// The preset called `name` with its suite configuration; an unknown name
+/// is a usage error that lists the ones there are.
+fn preset(name: &str) -> Result<(SimPlatform, SuiteConfig), i32> {
+    let Some(&(.., build, small)) = PRESETS.iter().find(|(n, ..)| *n == name) else {
+        let names: Vec<&str> = PRESETS.iter().map(|(n, ..)| *n).collect();
+        eprintln!("unknown machine '{name}'; use {}", names.join(" | "));
+        return Err(2);
+    };
+    let config = if small {
+        SuiteConfig::small(256 * 1024)
+    } else {
+        SuiteConfig::default()
+    };
+    Ok((build(), config))
 }
 
 fn run_and_save(platform: &mut dyn Platform, config: &SuiteConfig, out: Option<&str>) -> Exit {
@@ -263,38 +356,11 @@ fn write_report(path: &str, json: &str) -> Exit {
     })
 }
 
-fn cmd_simulate(args: &[String]) -> Exit {
-    let Some(machine) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: servet simulate <machine> [--micro] [--false-sharing] [--out FILE]");
-        return Err(2);
-    };
-    let (mut platform, mut config) = match machine.as_str() {
-        "dunnington" => (SimPlatform::dunnington(), SuiteConfig::default()),
-        "finis_terrae" => (SimPlatform::finis_terrae(2), SuiteConfig::default()),
-        "dempsey" => (SimPlatform::dempsey(), SuiteConfig::default()),
-        "athlon3200" => (SimPlatform::athlon3200(), SuiteConfig::default()),
-        "tiny" => (SimPlatform::tiny_cluster(), SuiteConfig::small(256 * 1024)),
-        other => {
-            eprintln!("unknown machine '{other}'; see 'servet machines'");
-            return Err(2);
-        }
-    };
+fn cmd_simulate(machine: &str, args: &[String]) -> Exit {
+    let (mut platform, mut config) = preset(machine)?;
     config.run_micro = has_flag(args, "--micro");
     config.run_false_sharing = has_flag(args, "--false-sharing");
     run_and_save(&mut platform, &config, flag_value(args, "--out"))
-}
-
-/// `servet suite [machine]` — shorthand for `simulate` that defaults to
-/// the fast `tiny` preset, so `servet --trace suite` demos the span tree
-/// in under a second.
-fn cmd_suite(args: &[String]) -> Exit {
-    if args.first().is_some_and(|a| !a.starts_with("--")) {
-        cmd_simulate(args)
-    } else {
-        let mut with_default = vec!["tiny".to_string()];
-        with_default.extend(args.iter().cloned());
-        cmd_simulate(&with_default)
-    }
 }
 
 fn cmd_probe(args: &[String]) -> Exit {
@@ -316,54 +382,46 @@ fn cmd_probe(args: &[String]) -> Exit {
     run_and_save(&mut platform, &config, flag_value(args, "--out"))
 }
 
-fn load_profile(args: &[String]) -> Result<MachineProfile, i32> {
-    let Some(path) = flag_value(args, "--profile") else {
-        eprintln!("missing --profile FILE");
-        return Err(2);
-    };
+fn load_profile(path: &str) -> Result<MachineProfile, i32> {
     MachineProfile::load(path).map_err(|e| {
         eprintln!("cannot load {path}: {e}");
         1
     })
 }
 
-fn cmd_show(args: &[String]) -> Exit {
-    let Some(path) = args.first() else {
-        eprintln!("usage: servet show <profile.json>");
-        return Err(2);
-    };
-    let profile = MachineProfile::load(path).map_err(|e| {
-        eprintln!("cannot load {path}: {e}");
-        1
-    })?;
-    print_profile(&profile);
+fn cmd_show(path: &str) -> Exit {
+    print_profile(&load_profile(path)?);
     Ok(())
 }
 
-/// Parse `servet advise <what> ...` flags into the shared query type the
-/// registry protocol speaks (the CLI and the server answer identically).
-fn parse_advice_query(what: &str, args: &[String]) -> Result<AdviceQuery, i32> {
-    match what {
-        "threads" => Ok(AdviceQuery::Threads {
-            tolerance: parsed_flag(args, "--tolerance", 0.05)?,
-        }),
-        "tile" => Ok(AdviceQuery::Tile {
-            level: parsed_flag(args, "--level", 1)?,
-            elem_size: parsed_flag(args, "--elem-size", 8)?,
-            matrices: parsed_flag(args, "--matrices", 3)?,
-            occupancy: parsed_flag(args, "--occupancy", 0.75)?,
-        }),
+/// The `kind` of advice query the flags in `args` ask for, in the shared
+/// query type the registry protocol speaks (the CLI and the server answer
+/// identically). A flag left out takes the value the wire protocol gives a
+/// field left out.
+fn parse_advice_query(kind: &str, args: &[String]) -> Result<AdviceQuery, i32> {
+    let defaults = serde_json::from_str(&format!(r#"{{"kind":"{kind}"}}"#));
+    Ok(match defaults.expect("a kind alone is a whole query") {
+        AdviceQuery::Threads { tolerance } => AdviceQuery::Threads {
+            tolerance: parsed_flag(args, "--tolerance", tolerance)?,
+        },
+        AdviceQuery::Tile {
+            level,
+            elem_size,
+            matrices,
+            occupancy,
+        } => AdviceQuery::Tile {
+            level: parsed_flag(args, "--level", level)?,
+            elem_size: parsed_flag(args, "--elem-size", elem_size)?,
+            matrices: parsed_flag(args, "--matrices", matrices)?,
+            occupancy: parsed_flag(args, "--occupancy", occupancy)?,
+        },
         // ranks 0 means "every measured core"; the engine resolves it.
-        "bcast" => Ok(AdviceQuery::Bcast {
-            ranks: parsed_flag(args, "--ranks", 0)?,
-            bytes: parsed_flag(args, "--bytes", 32 * 1024)?,
-        }),
-        "padding" => Ok(AdviceQuery::Padding),
-        other => {
-            eprintln!("unknown advice '{other}'; use threads | tile | bcast | padding");
-            Err(2)
-        }
-    }
+        AdviceQuery::Bcast { ranks, bytes } => AdviceQuery::Bcast {
+            ranks: parsed_flag(args, "--ranks", ranks)?,
+            bytes: parsed_flag(args, "--bytes", bytes)?,
+        },
+        AdviceQuery::Padding => AdviceQuery::Padding,
+    })
 }
 
 /// Human rendering of an advice outcome (the `--json` path prints the
@@ -433,19 +491,14 @@ fn emit_outcome(outcome: &AdviceOutcome, json: bool) {
     }
 }
 
-fn cmd_advise(args: &[String]) -> Exit {
-    let Some(what) = args.first() else {
-        eprintln!("usage: servet advise <threads|tile|bcast|padding> --profile FILE [--json]");
-        return Err(2);
-    };
-    let rest = &args[1..];
-    let query = parse_advice_query(what, rest)?;
-    let profile = load_profile(rest)?;
+fn cmd_advise(kind: &str, args: &[String]) -> Exit {
+    let query = parse_advice_query(kind, args)?;
+    let profile = load_profile(required(args, "--profile"))?;
     let outcome = servet::registry::compute_advice(&profile, &query).map_err(|e| {
         eprintln!("{e}");
         1
     })?;
-    emit_outcome(&outcome, has_flag(rest, "--json"));
+    emit_outcome(&outcome, has_flag(args, "--json"));
     Ok(())
 }
 
@@ -512,8 +565,7 @@ fn print_tune_outcome(
 }
 
 fn cmd_tune(args: &[String]) -> Exit {
-    use servet::sim::presets;
-    use servet::tune::{analytic_config, compare, tune, ProfileOracle, SimOracle};
+    use servet::tune::{analytic_config, compare, tune, Oracle, ProfileOracle, SimOracle};
 
     if has_flag(args, "--zoo") {
         return cmd_tune_zoo(args);
@@ -525,49 +577,29 @@ fn cmd_tune(args: &[String]) -> Exit {
 
     // Two oracles: a measured profile prices the kernel with the
     // closed-form model; a simulated preset replays its access trace.
-    let (outcome, analytic) = if has_flag(args, "--profile") {
-        let oracle = ProfileOracle::new(load_profile(args)?, n);
-        let space = oracle.space();
-        let config = analytic_config(oracle.profile(), &space);
-        let score = servet::tune::Oracle::evaluate(&oracle, &config);
-        (
-            tune(&oracle, &space, &options, workers),
-            Some((config, score)),
-        )
-    } else {
-        let machine = flag_value(args, "--machine").unwrap_or("tiny_smp");
-        let spec = match machine {
-            "dunnington" => presets::dunnington(),
-            "dempsey" => presets::dempsey(),
-            "athlon3200" => presets::athlon3200(),
-            "tiny_smp" | "tiny" => presets::tiny_smp(),
-            "tiny_shared_l2" => presets::tiny_shared_l2(),
-            other => {
-                eprintln!(
-                    "unknown machine '{other}'; use dunnington | dempsey | athlon3200 | \
-                     tiny_smp | tiny_shared_l2"
-                );
-                return Err(2);
-            }
-        };
-        let oracle = SimOracle::new(spec, seed, n);
-        let space = oracle.space();
-        // The baseline an analytically-advised code would run: advice
-        // from the ground-truth profile, snapped onto the same grid.
-        let truth = compare::ground_truth_profile(oracle.spec());
-        let config = analytic_config(&truth, &space);
-        let score = servet::tune::Oracle::evaluate(&oracle, &config);
-        (
-            tune(&oracle, &space, &options, workers),
-            Some((config, score)),
-        )
+    // The baseline is what an analytically-advised code would run: advice
+    // from the profile (for a preset, its ground-truth profile), snapped
+    // onto the same grid.
+    let (space, truth, oracle): (_, _, Box<dyn Oracle>) = match flag_value(args, "--profile") {
+        Some(path) => {
+            let oracle = ProfileOracle::new(load_profile(path)?, n);
+            (oracle.space(), oracle.profile().clone(), Box::new(oracle))
+        }
+        None => {
+            let (platform, _) = preset(flag_value(args, "--machine").unwrap_or("tiny_smp"))?;
+            let oracle = SimOracle::new(platform.machine().spec().clone(), seed, n);
+            let truth = compare::ground_truth_profile(oracle.spec());
+            (oracle.space(), truth, Box::new(oracle))
+        }
     };
+    let advised = analytic_config(&truth, &space);
+    let advised_score = oracle.evaluate(&advised);
+    let outcome = tune(oracle.as_ref(), &space, &options, workers);
 
     if has_flag(args, "--json") {
         println!("{}", outcome.to_json());
     } else {
-        let (config, score) = analytic.as_ref().expect("baseline always derived");
-        print_tune_outcome(&outcome, Some((config, *score)));
+        print_tune_outcome(&outcome, Some((&advised, advised_score)));
     }
     if let Some(out) = flag_value(args, "--out") {
         write_report(out, &outcome.to_json())?;
@@ -663,49 +695,33 @@ fn cmd_tune_zoo(args: &[String]) -> Exit {
 }
 
 fn cmd_serve(args: &[String]) -> Exit {
-    let Some(dir) = flag_value(args, "--dir") else {
-        eprintln!(
-            "usage: servet serve --dir DIR [--addr HOST:PORT] [--read-timeout-ms N] \
-             [--workers N] [--backlog N] [--max-conns N] [--drain-grace-ms N]"
-        );
-        return Err(2);
-    };
+    let dir = required(args, "--dir");
     let addr = flag_value(args, "--addr").unwrap_or(DEFAULT_ADDR);
-    let read_timeout_ms: u64 = parsed_flag(args, "--read-timeout-ms", 30_000)?;
     let defaults = ServerConfig::default();
-    let workers: usize = parsed_flag(args, "--workers", defaults.workers)?;
-    let backlog: usize = parsed_flag(args, "--backlog", defaults.backlog)?;
-    let max_conns: usize = parsed_flag(args, "--max-conns", defaults.max_conns)?;
-    let drain_grace_ms: u64 = parsed_flag(
-        args,
-        "--drain-grace-ms",
-        defaults.drain_grace.as_millis() as u64,
-    )?;
+    let read_timeout = parsed_ms(args, "--read-timeout-ms", defaults.read_timeout)?;
+    // backlog 0 is meaningful (rendezvous: admit only when a worker is
+    // already waiting), so it is passed through unclamped.
+    let config = ServerConfig {
+        read_timeout: read_timeout.max(Duration::from_millis(1)),
+        workers: parsed_flag(args, "--workers", defaults.workers)?.max(1),
+        backlog: parsed_flag(args, "--backlog", defaults.backlog)?,
+        max_conns: parsed_flag(args, "--max-conns", defaults.max_conns)?.max(1),
+        drain_grace: parsed_ms(args, "--drain-grace-ms", defaults.drain_grace)?,
+        ..defaults
+    };
+    let (workers, backlog, max_conns) = (config.workers, config.backlog, config.max_conns);
     let registry = Arc::new(Registry::open(dir).map_err(|e| {
         eprintln!("cannot open registry at {dir}: {e}");
         1
     })?);
-    // backlog 0 is meaningful (rendezvous: admit only when a worker is
-    // already waiting), so it is passed through unclamped.
-    let config = ServerConfig {
-        read_timeout: Duration::from_millis(read_timeout_ms.max(1)),
-        workers: workers.max(1),
-        backlog,
-        max_conns: max_conns.max(1),
-        drain_grace: Duration::from_millis(drain_grace_ms),
-        ..defaults
-    };
     let handle = serve(registry, addr, config).map_err(|e| {
         eprintln!("cannot serve on {addr}: {e}");
         1
     })?;
     println!(
         "servet-registry: serving profiles from {dir} on {} \
-         ({} workers, queue {}, up to {} connections)",
+         ({workers} workers, queue {backlog}, up to {max_conns} connections)",
         handle.addr(),
-        workers.max(1),
-        backlog,
-        max_conns.max(1)
     );
     handle.join();
     Ok(())
@@ -727,159 +743,139 @@ fn failed<E: std::fmt::Display>(what: &'static str) -> impl Fn(E) -> i32 {
     }
 }
 
-fn cmd_query(args: &[String]) -> Exit {
-    let usage = "usage: servet query <put|get|list|advise|tune|stats> [--addr HOST:PORT] ...";
-    let Some(what) = args.first() else {
-        eprintln!("{usage}");
-        return Err(2);
+fn query_put(args: &[String]) -> Exit {
+    let profile = load_profile(required(args, "--profile"))?;
+    let digest = connect(args)?
+        .put(&profile, flag_value(args, "--name"))
+        .map_err(failed("put"))?;
+    println!("stored {digest}");
+    Ok(())
+}
+
+fn query_get(args: &[String]) -> Exit {
+    let (digest, profile) = connect(args)?
+        .get_profile(required(args, "--key"))
+        .map_err(failed("get"))?;
+    if has_flag(args, "--json") {
+        println!("{}", profile.to_json());
+    } else {
+        println!("digest {digest}");
+        print_profile(&profile);
+    }
+    Ok(())
+}
+
+fn query_list(args: &[String]) -> Exit {
+    let entries = connect(args)?.list().map_err(failed("list"))?;
+    if has_flag(args, "--json") {
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&entries).expect("entries serialize")
+        );
+    } else if entries.is_empty() {
+        println!("registry is empty");
+    } else {
+        for e in entries {
+            println!(
+                "{}  {:<16} {:>3} cores  {} cache level(s)  {}",
+                &e.digest[..12],
+                e.machine,
+                e.total_cores,
+                e.cache_levels,
+                e.aliases.join(", ")
+            );
+        }
+    }
+    Ok(())
+}
+
+fn query_advise(kind: &str, args: &[String]) -> Exit {
+    let query = parse_advice_query(kind, args)?;
+    let (digest, cached, outcome) = connect(args)?
+        .advise(required(args, "--key"), &query)
+        .map_err(failed("advise"))?;
+    let json = has_flag(args, "--json");
+    if !json {
+        let origin = if cached { "memoized" } else { "computed" };
+        println!("profile {digest} ({origin}):");
+    }
+    emit_outcome(&outcome, json);
+    Ok(())
+}
+
+fn query_tune(args: &[String]) -> Exit {
+    let query = servet::registry::TuneQuery {
+        space: None,
+        options: parse_tune_options(args)?,
+        n: parsed_flag(args, "--n", 64)?,
     };
-    let rest = &args[1..];
-    let json = has_flag(rest, "--json");
-    let key = || {
-        flag_value(rest, "--key").ok_or_else(|| {
-            eprintln!("missing --key KEY");
-            2
-        })
-    };
-    match what.as_str() {
-        "put" => {
-            let profile = load_profile(rest)?;
-            let digest = connect(rest)?
-                .put(&profile, flag_value(rest, "--name"))
-                .map_err(failed("put"))?;
-            println!("stored {digest}");
-        }
-        "get" => {
-            let key = key()?;
-            let (digest, profile) = connect(rest)?.get_profile(key).map_err(failed("get"))?;
-            if json {
-                println!("{}", profile.to_json());
-            } else {
-                println!("digest {digest}");
-                print_profile(&profile);
-            }
-        }
-        "list" => {
-            let entries = connect(rest)?.list().map_err(failed("list"))?;
-            if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&entries).expect("entries serialize")
-                );
-            } else if entries.is_empty() {
-                println!("registry is empty");
-            } else {
-                for e in entries {
-                    println!(
-                        "{}  {:<16} {:>3} cores  {} cache level(s)  {}",
-                        &e.digest[..12],
-                        e.machine,
-                        e.total_cores,
-                        e.cache_levels,
-                        e.aliases.join(", ")
-                    );
-                }
-            }
-        }
-        "advise" => {
-            let Some(kind) = rest.first() else {
-                eprintln!(
-                    "usage: servet query advise <threads|tile|bcast|padding> --key KEY [flags]"
-                );
-                return Err(2);
-            };
-            let key = key()?;
-            let query = parse_advice_query(kind, &rest[1..])?;
-            let (digest, cached, outcome) = connect(rest)?
-                .advise(key, &query)
-                .map_err(failed("advise"))?;
-            if !json {
-                let origin = if cached { "memoized" } else { "computed" };
-                println!("profile {digest} ({origin}):");
-            }
-            emit_outcome(&outcome, json);
-        }
-        "tune" => {
-            let key = key()?;
-            let query = servet::registry::TuneQuery {
-                space: None,
-                options: parse_tune_options(rest)?,
-                n: parsed_flag(rest, "--n", 64)?,
-            };
-            let (digest, cached, outcome) =
-                connect(rest)?.tune(key, &query).map_err(failed("tune"))?;
-            if json {
-                println!("{}", outcome.to_json());
-            } else {
-                let origin = if cached { "memoized" } else { "computed" };
-                println!("profile {digest} ({origin}):");
-                print_tune_outcome(&outcome, None);
-            }
-        }
-        "stats" => {
-            let stats = connect(rest)?.stats().map_err(failed("stats"))?;
-            if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&stats).expect("stats serialize")
-                );
-            } else {
-                println!(
-                    "profiles {}  requests {}  advice hits/misses/evictions {}/{}/{}  \
-                     profile-cache hits/misses {}/{}",
-                    stats.profiles,
-                    stats.requests,
-                    stats.advice_hits,
-                    stats.advice_misses,
-                    stats.advice_evictions,
-                    stats.profile_hits,
-                    stats.profile_misses
-                );
-                println!(
-                    "accept queue: accepted {}  rejected {}  depth {}  high-water {}  \
-                     drain-killed {}",
-                    stats.accept.accepted,
-                    stats.accept.rejected,
-                    stats.accept.queue_depth,
-                    stats.accept.queue_depth_max,
-                    stats.accept.drain_killed
-                );
-                println!(
-                    "event loop: conns {}/{} (open/peak)  ready {}  wakeups {}  \
-                     partial-reads {}  deadline-kills {}  oversized {}",
-                    stats.events.conns_open,
-                    stats.events.conns_peak,
-                    stats.events.ready_events,
-                    stats.events.wakeups,
-                    stats.events.partial_reads,
-                    stats.events.deadline_kills,
-                    stats.events.oversized_rejected
-                );
-                if !stats.ops.is_empty() {
-                    println!("request latency per op:");
-                    for op in &stats.ops {
-                        println!(
-                            "  {:<8} n={:<8} mean={:<10} p50={:<10} p99={:<10} \
-                             p999={:<10} max={}",
-                            op.op,
-                            op.count,
-                            format_ns(if op.count == 0 {
-                                0
-                            } else {
-                                op.total_ns / op.count
-                            }),
-                            format_ns(op.p50_ns),
-                            format_ns(op.p99_ns),
-                            format_ns(op.p999_ns),
-                            format_ns(op.max_ns),
-                        );
-                    }
-                }
-            }
-        }
-        other => {
-            eprintln!("unknown query '{other}'; {usage}");
-            return Err(2);
+    let (digest, cached, outcome) = connect(args)?
+        .tune(required(args, "--key"), &query)
+        .map_err(failed("tune"))?;
+    if has_flag(args, "--json") {
+        println!("{}", outcome.to_json());
+    } else {
+        let origin = if cached { "memoized" } else { "computed" };
+        println!("profile {digest} ({origin}):");
+        print_tune_outcome(&outcome, None);
+    }
+    Ok(())
+}
+
+fn query_stats(args: &[String]) -> Exit {
+    let stats = connect(args)?.stats().map_err(failed("stats"))?;
+    if has_flag(args, "--json") {
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&stats).expect("stats serialize")
+        );
+        return Ok(());
+    }
+    println!(
+        "profiles {}  requests {}  advice hits/misses/evictions {}/{}/{}  \
+         profile-cache hits/misses {}/{}",
+        stats.profiles,
+        stats.requests,
+        stats.advice_hits,
+        stats.advice_misses,
+        stats.advice_evictions,
+        stats.profile_hits,
+        stats.profile_misses
+    );
+    println!(
+        "accept queue: accepted {}  rejected {}  depth {}  high-water {}  \
+         drain-killed {}",
+        stats.accept.accepted,
+        stats.accept.rejected,
+        stats.accept.queue_depth,
+        stats.accept.queue_depth_max,
+        stats.accept.drain_killed
+    );
+    println!(
+        "event loop: conns {}/{} (open/peak)  ready {}  wakeups {}  \
+         partial-reads {}  deadline-kills {}  oversized {}",
+        stats.events.conns_open,
+        stats.events.conns_peak,
+        stats.events.ready_events,
+        stats.events.wakeups,
+        stats.events.partial_reads,
+        stats.events.deadline_kills,
+        stats.events.oversized_rejected
+    );
+    if !stats.ops.is_empty() {
+        println!("request latency per op:");
+        for op in &stats.ops {
+            println!(
+                "  {:<8} n={:<8} mean={:<10} p50={:<10} p99={:<10} \
+                 p999={:<10} max={}",
+                op.op,
+                op.count,
+                format_ns(op.total_ns.checked_div(op.count).unwrap_or(0)),
+                format_ns(op.p50_ns),
+                format_ns(op.p99_ns),
+                format_ns(op.p999_ns),
+                format_ns(op.max_ns),
+            );
         }
     }
     Ok(())
@@ -1057,7 +1053,7 @@ fn cmd_loadgen(args: &[String]) -> Exit {
     let conns: usize = parsed_flag(args, "--conns", defaults.conns)?;
     let ops: u64 = parsed_flag(args, "--ops", defaults.ops)?;
     let op_workers: usize = parsed_flag(args, "--op-workers", defaults.op_workers)?;
-    let hold_ms: u64 = parsed_flag(args, "--hold-ms", defaults.hold.as_millis() as u64)?;
+    let hold = parsed_ms(args, "--hold-ms", defaults.hold)?;
     let seed: u64 = parsed_flag(args, "--seed", defaults.seed)?;
     // No --max-p99-ms, no bound.
     let max_p99_ms: u64 = parsed_flag(args, "--max-p99-ms", u64::MAX)?;
@@ -1077,13 +1073,14 @@ fn cmd_loadgen(args: &[String]) -> Exit {
         ops,
         op_workers: op_workers.max(1),
         mode,
-        hold: Duration::from_millis(hold_ms),
+        hold,
         seed,
     };
 
     eprintln!(
-        "loadgen: holding {conns} connection(s) against {addr} for {hold_ms} ms, \
+        "loadgen: holding {conns} connection(s) against {addr} for {} ms, \
          {ops} op(s) over {} worker(s) ...",
+        hold.as_millis(),
         config.op_workers
     );
     let report = loadgen::run(&config).map_err(failed("loadgen"))?;

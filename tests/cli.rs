@@ -1,7 +1,7 @@
-//! The `servet` binary's flag parsing: an unknown flag, a flag without
+//! The `servet` binary's command line: an unknown flag, a flag without
 //! its value and a value that does not parse are usage errors (exit 2)
 //! reported before anything runs, never a silent fall-back to the flag's
-//! default.
+//! default; and what `servet help` lists is what the binary accepts.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -32,6 +32,20 @@ fn assert_usage_error(args: &[&str], message: &str) {
         format!("{message}\n"),
         "{args:?}"
     );
+}
+
+/// What a run that must succeed printed.
+fn stdout_of(args: &[&str]) -> String {
+    let out = servet(args).output().expect("servet runs");
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// Every `--flag` spelt in `text`.
+fn flags_in(text: &str) -> std::collections::BTreeSet<&str> {
+    text.split(|c: char| !c.is_ascii_alphanumeric() && c != '-')
+        .filter(|word| word.len() > 2 && word.starts_with("--") && !word.ends_with('-'))
+        .collect()
 }
 
 /// The usage error for a `value` that `flag` cannot parse.
@@ -126,6 +140,111 @@ fn unknown_flags_and_missing_values_are_usage_errors() {
     );
 }
 
+/// A flag of a sibling command is as unknown as any other.
+#[test]
+fn each_command_takes_only_its_own_flags() {
+    assert_usage_error(
+        &["advise", "threads", "--level", "2"],
+        "unknown flag '--level' for 'advise threads'",
+    );
+    assert_usage_error(
+        &["query", "advise", "bcast", "--level", "1"],
+        "unknown flag '--level' for 'query advise bcast'",
+    );
+}
+
+/// `servet help` is the grammar: a command takes a flag exactly when its
+/// entry lists it, every flag the source reads is listed somewhere, and
+/// `--help` / `-h` print the same listing.
+#[test]
+fn help_lists_exactly_the_flags_each_command_takes() {
+    let help = stdout_of(&["help"]);
+    assert_eq!(stdout_of(&["--help"]), help);
+    assert_eq!(stdout_of(&["-h"]), help);
+    let listed = flags_in(&help);
+    let read: Vec<&str> = include_str!("../src/main.rs")
+        .split('"')
+        .filter(|literal| flags_in(literal).contains(literal))
+        .collect();
+    assert!(read.len() > 40, "{read:?}");
+    for flag in read {
+        assert!(
+            listed.contains(flag),
+            "{flag} is read but not in 'servet help'"
+        );
+    }
+
+    // An entry is a `servet WORDS… SYNOPSIS` line and the synopsis lines
+    // (ten spaces deep) under it. Probe each command with each flag,
+    // followed by a flag nobody takes: the complaint tells whether the
+    // first one was accepted, and nothing runs either way.
+    let mut commands = 0;
+    let mut lines = help.lines().peekable();
+    while let Some(line) = lines.next() {
+        let Some(entry) = line.strip_prefix("  servet ") else {
+            continue;
+        };
+        let mut entry = entry.to_string();
+        while let Some(more) = lines.peek().and_then(|l| l.strip_prefix("          ")) {
+            entry.push_str(more);
+            lines.next();
+        }
+        let words: Vec<&str> = entry
+            .split(' ')
+            .take_while(|word| !word.starts_with(['-', '[', '<']))
+            .collect();
+        let (name, takes) = (words.join(" "), flags_in(&entry));
+        commands += 1;
+        for &flag in listed.iter().filter(|&&flag| flag != "--trace") {
+            let args: Vec<&str> = words.iter().copied().chain([flag, "--zzz"]).collect();
+            let out = servet(&args).output().expect("servet runs");
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+            let refused = format!("unknown flag '{flag}' for '{name}'\n");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr) != refused,
+                takes.contains(flag),
+                "'{name}' and {flag}: {out:?}"
+            );
+        }
+    }
+    assert!(commands > 20, "{help}");
+}
+
+/// `machines`, `simulate` and `tune --machine` know the same presets.
+#[test]
+fn every_preset_is_taken_wherever_a_preset_is_taken() {
+    let names: Vec<String> = stdout_of(&["machines"])
+        .lines()
+        .filter_map(|line| line.strip_prefix("  "))
+        .map(|line| line.split(' ').next().unwrap().to_string())
+        .collect();
+    assert!(names.len() >= 8, "{names:?}");
+    let unknown = format!("unknown machine 'nosuch'; use {}", names.join(" | "));
+    assert_usage_error(&["simulate", "nosuch"], &unknown);
+    assert_usage_error(&["tune", "--machine", "nosuch"], &unknown);
+}
+
+/// README.md shows `servet help` verbatim between two marker comments.
+#[test]
+fn readme_shows_the_current_help() {
+    let readme = include_str!("../README.md");
+    let (begin, end) = ("<!-- servet help -->\n", "<!-- /servet help -->");
+    let block = readme
+        .split(begin)
+        .nth(1)
+        .and_then(|rest| rest.split(end).next());
+    assert_eq!(
+        block.expect("README.md has both markers"),
+        format!("```text\n{}```\n", stdout_of(&["help"])),
+        "README.md's listing is stale; regenerate it with:\n{REGENERATE}"
+    );
+}
+
+/// Rewrites the block `readme_shows_the_current_help` checks.
+const REGENERATE: &str = "{ echo '```text'; cargo run -q --bin servet -- help; echo '```'; } | \
+    sed -i -e '/<!-- servet help -->/r /dev/stdin' \
+    -e '/<!-- servet help -->/,/<!-- \\/servet help -->/{/servet help -->/!d}' README.md";
+
 /// `servet tune --zoo` writes a report only where `--out` says.
 #[test]
 fn tune_zoo_without_out_writes_nothing() {
@@ -160,11 +279,7 @@ fn json_outputs_parse_back_into_their_types() {
     use servet::registry::{serve, LoadgenReport, Registry, RegistryClient, ServerConfig};
     use servet::tune::{compare::ground_truth_profile, TuneOutcome};
 
-    let run = |args: &[&str]| {
-        let out = servet(args).output().expect("servet runs");
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
-        String::from_utf8(out.stdout).expect("utf-8 stdout")
-    };
+    let run = stdout_of;
 
     let local = run(&["tune", "--machine", "tiny_smp", "--n", "16", "--json"]);
     let local: TuneOutcome = serde_json::from_str(&local).expect("tune --json parses");

@@ -321,11 +321,8 @@ fn shutdown_stops_serving() {
     server.shutdown();
     // Either the connect fails or the first call does; both prove the
     // server is gone.
-    match RegistryClient::connect(addr) {
-        Ok(mut c) => {
-            c.set_timeout(Some(Duration::from_millis(500))).unwrap();
-            assert!(c.list().is_err());
-        }
-        Err(_) => {}
+    if let Ok(mut c) = RegistryClient::connect(addr) {
+        c.set_timeout(Some(Duration::from_millis(500))).unwrap();
+        assert!(c.list().is_err());
     }
 }
