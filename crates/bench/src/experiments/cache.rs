@@ -46,7 +46,7 @@ pub fn fig2() -> Report {
         ("dempsey", SimPlatform::dempsey()),
         ("dunnington", SimPlatform::dunnington()),
     ] {
-        let out = mcalibrator(&mut platform, 0, &McalibratorConfig::default());
+        let out = mcalibrator(&mut platform, 0, &McalibratorConfig::paper());
         let gradients = out.gradients();
         report.section(
             &format!("{name}: cycles and gradient vs array size"),
@@ -115,7 +115,7 @@ pub fn sec4a() -> Report {
     let mut correct = 0usize;
     let mut total = 0usize;
     for (name, mut platform, truth) in paper_machines() {
-        let out = mcalibrator(&mut platform, 0, &McalibratorConfig::default());
+        let out = mcalibrator(&mut platform, 0, &McalibratorConfig::paper());
         let levels = detect_cache_levels(&out, platform.page_size(), &DetectConfig::default());
         for (i, &expected) in truth.iter().enumerate() {
             total += 1;
@@ -160,7 +160,7 @@ pub fn ablation_cache() -> Report {
 
     // --- 1 + 2: probabilistic algorithm and miss-rate model, Dempsey L2.
     let mut platform = SimPlatform::dempsey();
-    let out = mcalibrator(&mut platform, 0, &McalibratorConfig::default());
+    let out = mcalibrator(&mut platform, 0, &McalibratorConfig::paper());
     let gradients = out.gradients();
     let peaks = find_peaks(&gradients, 1.15);
     // Peaks-only estimate of L2: position of the max gradient after L1 —
@@ -197,7 +197,7 @@ pub fn ablation_cache() -> Report {
     let mut spec = servet_sim::presets::dempsey();
     spec.page_alloc = PageAllocPolicy::Colored;
     let mut colored = SimPlatform::new(Machine::new(spec), None);
-    let out_colored = mcalibrator(&mut colored, 0, &McalibratorConfig::default());
+    let out_colored = mcalibrator(&mut colored, 0, &McalibratorConfig::paper());
     let levels = detect_cache_levels(&out_colored, 4096, &DetectConfig::default());
     report.section(
         "dempsey under a page-coloring OS",
@@ -220,7 +220,7 @@ pub fn ablation_cache() -> Report {
     // --- 4: the stride choice. A 64 B stride is covered by the
     // prefetcher, flattening the curve and hiding cache levels.
     let mut strided = SimPlatform::dunnington();
-    let cfg_1k = McalibratorConfig::default();
+    let cfg_1k = McalibratorConfig::paper();
     let cfg_64 = McalibratorConfig {
         stride: 64,
         ..cfg_1k

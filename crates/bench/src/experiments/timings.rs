@@ -5,10 +5,15 @@
 //! per-measurement setup), so the *structure* of Table I — which stages
 //! dominate, and how the two machines compare per stage — re-emerges from
 //! the number of pairs, levels and layers each machine has.
+//!
+//! The suite runs with the paper's Fig. 1 loop (every listed size), which
+//! is what its "2'" was measured with; a second, cache-stage-only run with
+//! the suite's bracketed default adds the row that says what that costs.
 
 use crate::report::Report;
+use servet_core::mcalibrator::McalibratorConfig;
 use servet_core::sim_platform::SimPlatform;
-use servet_core::suite::{run_full_suite, SuiteConfig};
+use servet_core::suite::{run_full_suite, SuiteConfig, SuiteReport};
 
 /// Paper Table I, in minutes.
 const PAPER_MINUTES: [(&str, f64, f64); 4] = [
@@ -25,10 +30,22 @@ pub fn table1() -> Report {
         "benchmark execution times in minutes (paper Table I)",
     );
 
+    let paper = SuiteConfig {
+        mcalibrator: McalibratorConfig::paper(),
+        ..SuiteConfig::default()
+    };
+    let cache_stage_only = SuiteConfig {
+        skip_shared: true,
+        skip_memory: true,
+        skip_comm: true,
+        ..SuiteConfig::default()
+    };
     let mut dun = SimPlatform::dunnington();
-    let dun_report = run_full_suite(&mut dun, &SuiteConfig::default());
+    let dun_report = run_full_suite(&mut dun, &paper);
+    let dun_bracketed = run_full_suite(&mut SimPlatform::dunnington(), &cache_stage_only);
     let mut ft = SimPlatform::finis_terrae(2);
-    let ft_report = run_full_suite(&mut ft, &SuiteConfig::default());
+    let ft_report = run_full_suite(&mut ft, &paper);
+    let ft_bracketed = run_full_suite(&mut SimPlatform::finis_terrae(2), &cache_stage_only);
 
     let dun_t = &dun_report.timings;
     let ft_t = &ft_report.timings;
@@ -57,6 +74,15 @@ pub fn table1() -> Report {
             format!("{:.1}'", rows_ft[i] / 60.0),
             format!("{paper_ft:.0}'"),
         ]);
+        if i == 0 {
+            report.row(&[
+                format!("{name} (bracketed)"),
+                format!("{:.1}'", dun_bracketed.timings.cache_size_s / 60.0),
+                "-".to_string(),
+                format!("{:.1}'", ft_bracketed.timings.cache_size_s / 60.0),
+                "-".to_string(),
+            ]);
+        }
     }
     report.row(&[
         "Total".to_string(),
@@ -116,6 +142,23 @@ pub fn table1() -> Report {
             .as_ref()
             .expect("ran")
             .any_shared(),
+    );
+    report.check(
+        "bracketed sweep: the cache-size stage costs at most half the full sweep's on both machines",
+        dun_bracketed.timings.cache_size_s <= 0.5 * rows_measured[0]
+            && ft_bracketed.timings.cache_size_s <= 0.5 * rows_ft[0],
+    );
+    let l1_and_last = |r: &SuiteReport| {
+        let levels = &r.profile.cache_levels;
+        (
+            levels.first().map(|l| l.size),
+            levels.last().map(|l| l.size),
+        )
+    };
+    report.check(
+        "bracketed sweep: same L1 and last-level sizes as the full sweep on both machines",
+        l1_and_last(&dun_bracketed) == l1_and_last(&dun_report)
+            && l1_and_last(&ft_bracketed) == l1_and_last(&ft_report),
     );
     report.note("measured times are virtual: simulated operation time x real-world repetition counts + per-measurement setup");
     report

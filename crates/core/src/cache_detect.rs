@@ -3,8 +3,11 @@
 //! The overall algorithm (Fig. 4) reads the gradient of the mcalibrator
 //! curve:
 //!
-//! * the **first** peak always gives the L1 size directly (L1 caches are
-//!   virtually indexed, so their transition is sharp);
+//! * the **first** rise always gives the L1 size directly: L1 caches are
+//!   virtually indexed, so their transition is one step — the first
+//!   above-threshold step of the series, whatever follows it (a smeared L2
+//!   rise can run on from it without a flat step between, and its largest
+//!   jump is then not L1's);
 //! * a later **sharp** peak (one array size) means the OS applies page
 //!   coloring — the position gives the size directly;
 //! * a later **wide** peak means random page placement smeared the
@@ -14,10 +17,13 @@
 //!   `(CS, K)` and picks the statistical mode of the best-fitting sizes.
 //!
 //! The fit is one serial loop over the candidate grid
-//! ([`scored_candidates`]); the sweep that feeds it costs hundreds of times
-//! more.
+//! ([`scored_candidates`]), `O(max np)` per candidate — so its cost follows
+//! the window's right end. The sweep that feeds it costs tens of times
+//! more on the simulator even when bracketed
+//! ([`Sweep::Bracketed`](crate::mcalibrator::Sweep)), whose dense samples
+//! run on to the same two flat steps the window walk stops at.
 
-use crate::mcalibrator::McalibratorOutput;
+use crate::mcalibrator::{is_flat_step, McalibratorOutput};
 use serde::{Deserialize, Serialize};
 use servet_stats::binomial::{sf_curve, Binomial};
 use servet_stats::gradient::{find_peaks, merge_peaks};
@@ -182,7 +188,10 @@ pub fn probabilistic_size_with_model(
     grid: &CandidateGrid,
     model: MissRateModel,
 ) -> Option<usize> {
-    let _span = servet_obs::span("cache_detect.probabilistic_fit");
+    let mut span = servet_obs::span("cache_detect.probabilistic_fit");
+    if let (Some(lo), Some(hi)) = (sizes.first(), sizes.last()) {
+        span.annotate(format!("window {lo}..{hi}"));
+    }
     let scored = scored_candidates(sizes, cycles, page_size, grid, model)?;
     let _rank = servet_obs::span("cache_detect.fit.rank");
     let best: Vec<usize> = scored.iter().take(5).map(|&(_, cs)| cs).collect();
@@ -309,10 +318,11 @@ pub fn detect_cache_levels(
         return Vec::new();
     };
     let mut levels = Vec::new();
-    // The first peak is always L1 (virtually indexed, so its transition is
-    // the largest jump of its region): gradient[k] is the rise between
-    // S[k] and S[k+1], so S at the maximum gives the last size that fits.
-    let l1_index = first.index;
+    // The first rise is always L1 (virtually indexed, so its transition is
+    // one step): gradient[k] is the rise between S[k] and S[k+1], so S at
+    // the region's first step gives the last size that fits. The region's
+    // maximum can be a later level's jump running on from L1's.
+    let l1_index = first.start;
     levels.push(CacheLevelEstimate {
         level: 1,
         size: out.sizes[l1_index],
@@ -423,7 +433,7 @@ fn saturated_window_end(
         } else {
             rising = 0;
             floor = floor.min(g);
-            if g < 1.005 {
+            if is_flat_step(g) {
                 flats += 1;
                 if flats >= 2 {
                     j += 1;
@@ -509,6 +519,40 @@ mod tests {
         assert_eq!(levels[0].size, 8 * KB);
         assert_eq!(levels[0].method, DetectionMethod::GradientPeak);
         assert_eq!(levels[1].size, 64 * KB, "{levels:?}");
+    }
+
+    /// L1 is the first step of the first rise, not its largest: a smeared
+    /// L2 rise that follows L1's without a flat step between puts its own,
+    /// larger jump in the same above-threshold region.
+    #[test]
+    fn l1_is_the_first_step_of_the_first_rise() {
+        let out = McalibratorOutput {
+            sizes: (0..8).map(|i| (16 * KB) << i).collect(),
+            // 64 KB L1 (3 -> 6 cycles), then a 512 KB L2 rising from 128 KB.
+            cycles: vec![3.0, 3.0, 3.0, 6.0, 15.0, 60.0, 170.0, 180.0],
+            stride: KB,
+        };
+        let levels = detect_cache_levels(&out, 4 * KB, &DetectConfig::default());
+        assert_eq!(levels[0].size, 64 * KB, "{levels:?}");
+        assert_eq!(levels[0].method, DetectionMethod::GradientPeak);
+    }
+
+    /// The same on the machine that showed it: the Athlon's 512 KB
+    /// physically indexed L2 starts rising at the doubling step after its
+    /// 64 KB L1 (the region's maximum read 256 KB on 7 of these seeds).
+    #[test]
+    fn athlon_l1_is_64k_on_every_seed() {
+        let config = McalibratorConfig {
+            max_size: 4 * MB,
+            ..Default::default()
+        };
+        for seed in 1..=20 {
+            let machine = servet_sim::Machine::with_seed(servet_sim::presets::athlon3200(), seed);
+            let mut p = SimPlatform::new(machine, None).with_seed(seed);
+            let out = mcalibrator(&mut p, 0, &config);
+            let levels = detect_cache_levels(&out, 4 * KB, &DetectConfig::default());
+            assert_eq!(levels[0].size, 64 * KB, "seed {seed}: {levels:?}");
+        }
     }
 
     /// Regression for the zoo's `L2 = 2×L1` adjacency miss class

@@ -51,7 +51,7 @@ pub use false_sharing::{
     detect_false_sharing, CacheCommModel, FalseSharingConfig, FalseSharingResult, StridePoint,
 };
 pub use manifest::{manifest_path, RunManifest, SpanEntry, MANIFEST_VERSION};
-pub use mcalibrator::{mcalibrator, McalibratorConfig, McalibratorOutput};
+pub use mcalibrator::{mcalibrator, McalibratorConfig, McalibratorOutput, Sweep};
 pub use mem_overhead::{characterize_memory, MemOverheadConfig, MemOverheadResult};
 pub use micro::{run_micro_probes, MicroConfig, MicroProfile};
 pub use platform::{CoreId, Platform};

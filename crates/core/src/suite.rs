@@ -452,6 +452,27 @@ mod tests {
     }
 
     #[test]
+    fn invalid_sweep_config_is_a_recorded_fallback() {
+        // `run_suite` keeps its signature, so a sweep that fails
+        // `McalibratorConfig::validate` measures nothing and says so; the
+        // later stages run on as they do when no level is detected.
+        let mut p = SimPlatform::tiny_cluster().with_noise(0.0);
+        let cfg = SuiteConfig {
+            mcalibrator: McalibratorConfig {
+                linear_step: 0,
+                ..McalibratorConfig::small(256 * KB)
+            },
+            ..SuiteConfig::small(256 * KB)
+        };
+        let (report, manifest) = run_suite(&mut p, &cfg);
+        assert!(report.profile.mcalibrator.as_ref().unwrap().is_empty());
+        assert!(report.profile.cache_levels.is_empty());
+        assert_eq!(manifest.counters["mcalibrator.invalid_config"], 1);
+        assert_eq!(manifest.counters["mcalibrator.samples"], 0);
+        assert!(report.profile.communication.unwrap().probe_size_fallback);
+    }
+
+    #[test]
     fn detected_probe_size_is_not_flagged_as_fallback() {
         let mut p = SimPlatform::tiny_cluster().with_noise(0.003);
         let report = run_full_suite(&mut p, &SuiteConfig::small(256 * KB));

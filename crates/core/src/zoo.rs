@@ -89,6 +89,7 @@ impl ZooConfig {
                     stride: KB,
                     double_until: 16 * KB,
                     linear_step: 8 * KB,
+                    sweep: crate::mcalibrator::Sweep::Bracketed,
                 },
                 detect: crate::cache_detect::DetectConfig {
                     gradient_threshold: 1.10,
@@ -127,6 +128,7 @@ impl ZooConfig {
                 stride: KB,
                 double_until: 64 * KB,
                 linear_step: 64 * KB,
+                sweep: crate::mcalibrator::Sweep::Bracketed,
             },
             detect: crate::cache_detect::DetectConfig {
                 gradient_threshold: 1.10,

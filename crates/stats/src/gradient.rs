@@ -11,9 +11,17 @@
 /// rather than infinities, so downstream peak detection stays well-behaved on
 /// degenerate measurements.
 pub fn gradient(c: &[f64]) -> Vec<f64> {
-    c.windows(2)
-        .map(|w| if w[0] > 0.0 { w[1] / w[0] } else { 1.0 })
-        .collect()
+    c.windows(2).map(|w| step(w[0], w[1])).collect()
+}
+
+/// One gradient step, `next / prev`, under [`gradient`]'s rule for
+/// degenerate denominators.
+pub fn step(prev: f64, next: f64) -> f64 {
+    if prev > 0.0 {
+        next / prev
+    } else {
+        1.0
+    }
 }
 
 /// A detected peak in a gradient series.

@@ -26,7 +26,9 @@ fn main() {
     };
 
     println!("mcalibrator on '{}' (1 KB stride):\n", platform.name());
-    let sweep = mcalibrator(&mut platform, 0, &McalibratorConfig::default());
+    // Fig. 2 plots every size of the paper's Fig. 1 loop, not the subset
+    // the suite's bracketed default measures.
+    let sweep = mcalibrator(&mut platform, 0, &McalibratorConfig::paper());
     let gradients = sweep.gradients();
 
     println!("{:>10}  {:>14}  {:>9}", "size", "cycles/access", "gradient");

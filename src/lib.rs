@@ -78,7 +78,7 @@ pub mod prelude {
     pub use servet_autotune::tiling::select_tile;
     pub use servet_core::cache_detect::{detect_cache_levels, DetectConfig};
     pub use servet_core::comm::{characterize_communication, CommConfig};
-    pub use servet_core::mcalibrator::{mcalibrator, McalibratorConfig};
+    pub use servet_core::mcalibrator::{mcalibrator, McalibratorConfig, Sweep};
     pub use servet_core::mem_overhead::{characterize_memory, MemOverheadConfig};
     pub use servet_core::platform::Platform;
     pub use servet_core::profile::MachineProfile;

@@ -365,10 +365,9 @@ fn cmd_simulate(machine: &str, args: &[String]) -> Exit {
 
 fn cmd_probe(args: &[String]) -> Exit {
     let max_mb: usize = parsed_flag(args, "--max-mb", 64)?;
-    let mut platform = HostPlatform::new();
     let config = SuiteConfig {
         mcalibrator: McalibratorConfig {
-            max_size: max_mb * 1024 * 1024,
+            max_size: max_mb.saturating_mul(1024 * 1024),
             ..Default::default()
         },
         detect: DetectConfig {
@@ -379,6 +378,11 @@ fn cmd_probe(args: &[String]) -> Exit {
         run_false_sharing: has_flag(args, "--false-sharing"),
         ..Default::default()
     };
+    if let Err(why) = config.mcalibrator.validate() {
+        eprintln!("invalid value '{max_mb}' for --max-mb: {why}");
+        return Err(2);
+    }
+    let mut platform = HostPlatform::new();
     run_and_save(&mut platform, &config, flag_value(args, "--out"))
 }
 

@@ -57,6 +57,12 @@ fn assert_rejected(args: &[&str], flag: &str, value: &str) {
 fn malformed_flag_values_are_usage_errors() {
     // usize: the sweep must not start with the 64 MB default.
     assert_rejected(&["probe", "--max-mb", "abc"], "--max-mb", "abc");
+    // A number that parses but describes no sweep: a typed error from
+    // `McalibratorConfig::validate`, not a backtrace out of `sizes()`.
+    assert_usage_error(
+        &["probe", "--max-mb", "0"],
+        "invalid value '0' for --max-mb: min_size 4096 above max_size 0",
+    );
 
     // usize again, where the default would have served: no store opened.
     let dir = scratch("serve");

@@ -16,6 +16,7 @@ fn host_mcalibrator_sweep_runs() {
         stride: 1024,
         double_until: 2 * 1024 * 1024,
         linear_step: 1024 * 1024,
+        sweep: Sweep::Bracketed,
     };
     let sweep = mcalibrator(&mut host, 0, &config);
     assert_eq!(sweep.len(), config.sizes().len());
@@ -32,6 +33,7 @@ fn host_full_suite_smoke() {
             stride: 1024,
             double_until: 1024 * 1024,
             linear_step: 512 * 1024,
+            sweep: Sweep::Bracketed,
         },
         ..SuiteConfig::small(1024 * 1024)
     };

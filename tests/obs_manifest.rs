@@ -95,6 +95,38 @@ fn manifest_saves_alongside_the_profile() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The bracketed sweep's decision travels with the profile: how many
+/// listed sizes it left out, and each bracket with why it closed.
+#[test]
+fn manifest_records_the_sweep_brackets() {
+    // To 512 KB: the tiny machine's curve is still settling at 256 KB, so
+    // a sweep that ends there has no plateau to leave out.
+    let mut platform = SimPlatform::tiny_cluster().with_noise(0.003);
+    let config = SuiteConfig::small(512 * 1024);
+    let (_, manifest) = run_suite(&mut platform, &config);
+    let (samples, skipped) = (
+        manifest.counters["mcalibrator.samples"],
+        manifest.counters["mcalibrator.sizes_skipped"],
+    );
+    assert!(skipped > 0, "{:?}", manifest.counters);
+    assert_eq!(
+        (samples + skipped) as usize,
+        config.mcalibrator.sizes().len()
+    );
+    let sweep = manifest
+        .spans
+        .iter()
+        .find(|s| s.name == "mcalibrator.sweep")
+        .expect("the sweep's span");
+    let brackets = sweep.annotation.as_deref().expect("brackets annotated");
+    // One bracket from the 8 KB L1 through the 64 KB L2's smeared rise,
+    // closed by the plateau behind it.
+    assert!(
+        brackets.starts_with("brackets: 8192..") && brackets.ends_with("(two flat steps)"),
+        "{brackets}"
+    );
+}
+
 /// The extended stats protocol over a live loopback server: after real
 /// traffic, `stats` reports one latency digest per exercised op, and the
 /// digests are internally consistent.
