@@ -253,6 +253,12 @@ fn misbehaving_clients_never_grow_the_thread_count() {
             "connection #{i} must not spawn a thread"
         );
     }
+    // "No connection open" is also true before the event loop has accepted
+    // the first one — and dropping `held` then would close the floods
+    // unread. It means "all reaped" only once all 24 have been admitted.
+    wait_until("all abusers admitted", || {
+        registry.accept_counters().snapshot().accepted >= 24
+    });
     wait_until("abusers reaped", || {
         registry.event_counters().snapshot().conns_open == 0
     });

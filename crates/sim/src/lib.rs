@@ -47,7 +47,7 @@ pub mod vm;
 
 pub use cache::SetAssocCache;
 pub use coherence::{CoherenceEngine, CoherenceSpec, CoherenceTraffic, MesiState};
-pub use machine::{Machine, SimArray, TraceJob};
+pub use machine::{Machine, SimArray, StreamJob, TraceJob};
 pub use membw::{maxmin_fair, MemorySystem};
 pub use perturb::{perturb, PerturbConfig};
 pub use prefetch::StridePrefetcher;

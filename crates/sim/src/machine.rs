@@ -31,8 +31,9 @@
 //!   allocation (the coherence invalidation set lands in a reused scratch
 //!   vector).
 //!
-//! All three public drivers ([`Machine::traverse_shared`],
-//! [`Machine::run_traces`], [`Machine::run_trace`]) describe their jobs as
+//! All four public drivers ([`Machine::traverse_shared`],
+//! [`Machine::run_traces`], [`Machine::run_trace`],
+//! [`Machine::run_streams`]) describe their jobs as
 //! lanes and run them through one lockstep scheduler: unfinished lanes sit
 //! in a binary heap keyed by virtual clock, the earliest is popped and its
 //! accesses replayed as a *block* until its clock reaches the
@@ -49,6 +50,29 @@
 //! `Machine::run_block`). The pre-fast-path engine is retained as
 //! [`crate::reference::ReferenceMachine`] and the differential suite
 //! holds the two to bit-identical results.
+//!
+//! # Not replaying
+//!
+//! A lane's pattern is an `FnMut`, so its accesses may come from a slice
+//! (`run_traces`) or from a generator that holds a loop nest's indices
+//! (`run_streams`), and `run_streams` takes a *cutoff*: the replay is
+//! abandoned as soon as some lane's clock plus its remaining accesses at
+//! the machine's cheapest hit cost exceeds it. That is a lower bound on
+//! the lane's finish (TLB misses, coherence transactions and bus waits
+//! only add) and so on the makespan; it is discounted by N·ε because the
+//! engine's running sum may round below the one product the bound is
+//! (`Machine::cannot_finish_by`). A search that only wants the best
+//! configuration passes the best makespan it holds and never pays for the
+//! rest of a loser. Every other driver is the same code at `cutoff = ∞`.
+//!
+//! The scheduler itself was left alone, on measurement (the oracle's
+//! replay on `tiny_smp`, where four lanes make one-access blocks;
+//! bit-identical prototypes): a linear `total_cmp` scan for the heap — no
+//! change; `run_block` merged into `lockstep` — −5 %; a branchless
+//! min/second-min over `to_bits` keys — 8.5 → 7.7 ms at 4 lanes, nothing
+//! at 2, and the 64-lane replay 33 → 24 Macc/s; per-access lane selection
+//! — a single lane 3.7 → 5.6 ms. A one-access block costs its prologue
+//! and epilogue (+10.8 ns on a lone lane), not the heap.
 
 use crate::cache::SetAssocCache;
 use crate::coherence::{CoherenceEngine, CoherenceTraffic};
@@ -157,6 +181,30 @@ pub struct TraceJob<'a> {
     pub steps: &'a [(u64, bool)],
 }
 
+/// One job of a generated replay: `core` making the `len` accesses that
+/// `next` hands out, over `array`.
+///
+/// A [`TraceJob`] whose steps are produced on demand rather than held in
+/// memory — see [`Machine::run_streams`]. `next` is called exactly once
+/// per access simulated, with the access's index, in ascending order; a
+/// resumable generator may ignore the index.
+pub struct StreamJob<'a, G> {
+    /// Core executing the steps.
+    pub core: CoreId,
+    /// Array the addresses index into.
+    pub array: &'a SimArray,
+    /// Access `i` of the job: `(vaddr, write)`.
+    pub next: G,
+    /// Accesses in the job.
+    pub len: usize,
+}
+
+/// Under a finite cutoff a lane's block ends after this many accesses at
+/// the latest, so that a lane nobody interrupts is still tested against
+/// the cutoff — often enough to stop early, rarely enough that the test
+/// and the extra heap round trip do not show (one per thousand accesses).
+const CUTOFF_CHECK_EVERY: usize = 1024;
+
 /// Lockstep-scheduler heap entry. `BinaryHeap` is a max-heap, so the
 /// ordering is inverted: "greater" means *scheduled sooner* — smaller
 /// clock first, ties broken toward the smaller job index. That
@@ -196,7 +244,9 @@ impl Ord for SchedEntry {
 struct Lane<'a, P> {
     core: CoreId,
     array: &'a SimArray,
-    /// `(vaddr, write)` of access `i` of a pass, `i < period`.
+    /// `(vaddr, write)` of access `i` of a pass, `i < period`; called
+    /// with `i` ascending through each pass, so a generator that hands
+    /// out a one-pass stream in order may ignore it.
     pattern: P,
     /// Accesses per pass.
     period: usize,
@@ -213,7 +263,7 @@ struct Lane<'a, P> {
     measure_start: f64,
 }
 
-impl<'a, P: Fn(usize) -> (u64, bool) + Copy> Lane<'a, P> {
+impl<'a, P: FnMut(usize) -> (u64, bool)> Lane<'a, P> {
     fn new(
         core: CoreId,
         array: &'a SimArray,
@@ -300,6 +350,10 @@ pub struct Machine {
     coh_line_shift: u32,
     /// TLB miss penalty (0.0 without a TLB).
     tlb_miss_cycles: f64,
+    /// The least any access can cost: the cheapest of every level's hit,
+    /// the first-level hit charged to prefetched and cache-supplied lines,
+    /// and the memory latency. The cutoff's lower bound is built on it.
+    min_access_cycles: f64,
     next_asid: u64,
     seed: u64,
 }
@@ -378,6 +432,10 @@ impl Machine {
             .first()
             .map_or(6, |c| c.line_size.trailing_zeros());
         let tlb_miss_cycles = spec.tlb.map_or(0.0, |t| t.miss_cycles);
+        let min_access_cycles = levels
+            .iter()
+            .map(|lp| lp.hit_cycles)
+            .fold(l1_hit_cycles.min(mem_latency), f64::min);
         Self {
             spec,
             caches,
@@ -398,6 +456,7 @@ impl Machine {
             l1_hit_cycles,
             coh_line_shift,
             tlb_miss_cycles,
+            min_access_cycles,
             next_asid: 1,
             seed,
         }
@@ -485,18 +544,21 @@ impl Machine {
         }
     }
 
-    /// Replay `lane` from where it stopped until it finishes or its clock
-    /// reaches `limit` (the next-earliest lane's clock); returns whether
-    /// it finished.
+    /// Replay `lane` from where it stopped until it finishes, its clock
+    /// reaches `limit` (the next-earliest lane's clock) or it has made
+    /// `budget` accesses; returns whether it finished. A lane stopped by
+    /// its budget is still strictly the earliest, so the scheduler picks
+    /// it again and the interleaving does not depend on the budget.
     ///
     /// Everything that depends only on the lane is resolved before the
     /// loop (see the module docs); the clock and the progress counters are
     /// written back when the block ends. Memory-bus and snoop-bus
     /// serialization both happen against the lane's own virtual clock.
-    fn run_block<P: Fn(usize) -> (u64, bool) + Copy>(
+    fn run_block<P: FnMut(usize) -> (u64, bool)>(
         &mut self,
         lane: &mut Lane<'_, P>,
         limit: f64,
+        budget: usize,
     ) -> bool {
         let core = lane.core;
         let aspace = lane.array.aspace();
@@ -518,11 +580,15 @@ impl Machine {
         // bit-identically.
         let mut directory = self.coherence.as_mut().filter(|_| lane.array.shared);
         let may_skip = self.shared_aspaces <= 1;
-        let (pattern, period, total, warm) = (lane.pattern, lane.period, lane.total, lane.warm);
+        let (period, total, warm) = (lane.period, lane.total, lane.warm);
+        let pattern = &mut lane.pattern;
         let mut clock = lane.clock;
         let mut done = lane.done;
         let mut idx = lane.idx;
-        let finished = loop {
+        // One exit test per access serves both ends: the block's budget
+        // is folded into the access count it stops at.
+        let stop = total.min(done.saturating_add(budget));
+        loop {
             let (vaddr, write) = pattern(idx);
             // Translation is a shift/mask: pages are power-of-two sized and
             // `frame * page_size` has no low bits set.
@@ -622,17 +688,14 @@ impl Machine {
             if done == warm {
                 lane.measure_start = clock;
             }
-            if done >= total {
-                break true;
+            if done >= stop || clock >= limit {
+                break;
             }
-            if clock >= limit {
-                break false;
-            }
-        };
+        }
         lane.clock = clock;
         lane.done = done;
         lane.idx = idx;
-        finished
+        done >= total
     }
 
     /// Run every lane to completion in lockstep: always advance the
@@ -640,20 +703,65 @@ impl Machine {
     /// strictly most-behind. The heap pops exactly the lane the reference
     /// engine's linear `min_by` scan would pick (see [`SchedEntry`]);
     /// peeking the next entry gives the block's replay limit for free.
-    fn lockstep<P: Fn(usize) -> (u64, bool) + Copy>(&mut self, lanes: &mut [Lane<'_, P>]) {
+    ///
+    /// Returns `false`, leaving the lanes wherever they were, as soon as
+    /// some lane cannot finish by `cutoff` (see [`Self::cannot_finish_by`]);
+    /// the test runs before the first access and after every block, and
+    /// under a finite cutoff a block is at most [`CUTOFF_CHECK_EVERY`]
+    /// accesses long so that a lane running alone is tested too. With
+    /// `cutoff = ∞` the test never fires and blocks are unbounded: that is
+    /// the path every traversal and unbounded replay takes.
+    fn lockstep<P: FnMut(usize) -> (u64, bool)>(
+        &mut self,
+        lanes: &mut [Lane<'_, P>],
+        cutoff: f64,
+    ) -> bool {
+        // At infinity nothing can be cut off; skipping the test there keeps
+        // it out of the one-access blocks of every concurrent traversal.
+        let bounded = cutoff < f64::INFINITY;
+        let budget = if bounded {
+            CUTOFF_CHECK_EVERY
+        } else {
+            usize::MAX
+        };
+        if lanes.iter().any(|l| self.cannot_finish_by(l, cutoff)) {
+            return false;
+        }
         let mut heap: std::collections::BinaryHeap<SchedEntry> = (0..lanes.len())
             .map(|idx| SchedEntry { clock: 0.0, idx })
             .collect();
         while let Some(SchedEntry { idx, .. }) = heap.pop() {
             let limit = heap.peek().map_or(f64::INFINITY, |e| e.clock);
             let lane = &mut lanes[idx];
-            if !self.run_block(lane, limit) {
+            if !self.run_block(lane, limit, budget) {
+                if bounded && self.cannot_finish_by(lane, cutoff) {
+                    return false;
+                }
                 heap.push(SchedEntry {
                     clock: lane.clock,
                     idx,
                 });
             }
         }
+        true
+    }
+
+    /// Whether `lane`'s finish time is provably above `cutoff`: every
+    /// remaining access costs at least [`Self::min_access_cycles`] (TLB
+    /// misses, coherence transactions and bus waits only ever add), so
+    /// `clock + remaining · c_min` is a lower bound on where its clock
+    /// ends, and a lane's finish is a lower bound on the makespan.
+    ///
+    /// The engine reaches that finish by one rounded addition per access,
+    /// the bound by one multiplication, and a running sum of N terms may
+    /// fall short of the exact sum by up to N·ε relative. The product is
+    /// therefore discounted by that much (N the lane's whole length)
+    /// before the comparison: the error is always toward *not* cutting
+    /// off, never toward cutting off a lane that would have landed exactly
+    /// on the cutoff.
+    fn cannot_finish_by<P>(&self, lane: &Lane<'_, P>, cutoff: f64) -> bool {
+        let bound = lane.clock + (lane.total - lane.done) as f64 * self.min_access_cycles;
+        bound * (1.0 - (lane.total + 4) as f64 * f64::EPSILON) > cutoff
     }
 
     /// Run `warmup` un-measured passes followed by `passes` measured passes
@@ -737,7 +845,7 @@ impl Machine {
                 Lane::new(j.core, j.array, pass, j.count, warmup, passes)
             })
             .collect();
-        self.lockstep(&mut lanes);
+        self.lockstep(&mut lanes, f64::INFINITY);
         lanes
             .iter()
             .map(|l| (l.clock - l.measure_start) / (l.total - l.warm) as f64)
@@ -760,7 +868,7 @@ impl Machine {
             0,
             1,
         )];
-        self.lockstep(&mut lane);
+        self.lockstep(&mut lane, f64::INFINITY);
         lane[0].clock / addrs.len() as f64
     }
 
@@ -773,18 +881,51 @@ impl Machine {
     /// job took (its finish time on its own virtual clock); the longest
     /// entry is the kernel's makespan.
     pub fn run_traces(&mut self, jobs: &[TraceJob<'_>]) -> Vec<f64> {
-        assert!(!jobs.is_empty());
-        let mut lanes: Vec<_> = jobs
+        let streams = jobs
             .iter()
             .map(|j| {
-                assert!(!j.steps.is_empty(), "empty trace");
-                assert!(j.core < self.spec.num_cores, "core out of range");
                 let steps = j.steps;
-                Lane::new(j.core, j.array, move |i| steps[i], steps.len(), 0, 1)
+                StreamJob {
+                    core: j.core,
+                    array: j.array,
+                    next: move |i| steps[i],
+                    len: steps.len(),
+                }
             })
             .collect();
-        self.lockstep(&mut lanes);
-        lanes.iter().map(|l| l.clock).collect()
+        self.run_streams(streams, f64::INFINITY)
+            .expect("nothing is cut off at infinity")
+    }
+
+    /// [`Self::run_traces`] over steps generated as they are replayed, and
+    /// abandoned as soon as the makespan is known to exceed `cutoff`.
+    ///
+    /// Returns each job's finish time, or `None` when some job's finish —
+    /// and so the longest, the makespan — is provably above `cutoff`. The
+    /// proof is a lower bound (every access still to come costs at least
+    /// the machine's cheapest hit), taken before the first access and then
+    /// at least every 1024 accesses of each lane. A replay that returns
+    /// `Some` had a makespan ≤ `cutoff` *or* was simply never caught:
+    /// `Some` is always the exact result, and `None` is never returned
+    /// for a makespan ≤ `cutoff`. After `None` the machine's caches and
+    /// counters are wherever the replay stopped. With
+    /// `cutoff = f64::INFINITY` this is `run_traces`, access for access.
+    pub fn run_streams<G: FnMut(usize) -> (u64, bool)>(
+        &mut self,
+        jobs: Vec<StreamJob<'_, G>>,
+        cutoff: f64,
+    ) -> Option<Vec<f64>> {
+        assert!(!jobs.is_empty());
+        let mut lanes: Vec<_> = jobs
+            .into_iter()
+            .map(|j| {
+                assert!(j.len > 0, "empty trace");
+                assert!(j.core < self.spec.num_cores, "core out of range");
+                Lane::new(j.core, j.array, j.next, j.len, 0, 1)
+            })
+            .collect();
+        self.lockstep(&mut lanes, cutoff)
+            .then(|| lanes.iter().map(|l| l.clock).collect())
     }
 
     /// Convenience: hit/miss statistics of the cache instance serving
@@ -1289,6 +1430,198 @@ mod tests {
         assert!(
             near_max > 2.0 * far_max,
             "ping-pong {near_max} vs padded {far_max}"
+        );
+    }
+
+    /// Seeded steps over a shared arena, a third of them stores, with a
+    /// hot line every lane writes: hits, misses, bus waits and coherence
+    /// transactions all take part.
+    fn mixed_steps(lanes: usize, len: usize, arena: usize) -> Vec<Vec<(u64, bool)>> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        (0..lanes)
+            .map(|_| {
+                (0..len)
+                    .map(|i| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let addr = if i % 7 == 0 {
+                            0
+                        } else {
+                            ((state >> 33) % arena as u64) & !7
+                        };
+                        (addr, state >> 61 < 3)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn stream_jobs<'a>(
+        cores: &[CoreId],
+        array: &'a SimArray,
+        steps: &'a [Vec<(u64, bool)>],
+    ) -> Vec<StreamJob<'a, impl FnMut(usize) -> (u64, bool) + 'a>> {
+        cores
+            .iter()
+            .zip(steps)
+            .map(|(&core, steps)| StreamJob {
+                core,
+                array,
+                next: move |i| steps[i],
+                len: steps.len(),
+            })
+            .collect()
+    }
+
+    /// With nothing to cut off, a generated replay is `run_traces`: the
+    /// finish times, every cache's counters and the snoop traffic.
+    #[test]
+    fn run_streams_at_infinity_is_run_traces() {
+        for spec in [presets::tiny_smp(), presets::tiny_shared_l2()] {
+            let cores = [0, 1, 3];
+            let steps = mixed_steps(cores.len(), 3000, 96 * KB);
+            let run = |streamed: bool| {
+                let mut m = Machine::with_seed(spec.clone(), 5);
+                let arena = m.alloc_shared_array(96 * KB);
+                m.reset();
+                let clocks = if streamed {
+                    m.run_streams(stream_jobs(&cores, &arena, &steps), f64::INFINITY)
+                        .expect("nothing is cut off at infinity")
+                } else {
+                    let jobs: Vec<_> = cores
+                        .iter()
+                        .zip(&steps)
+                        .map(|(&core, steps)| TraceJob {
+                            core,
+                            array: &arena,
+                            steps,
+                        })
+                        .collect();
+                    m.run_traces(&jobs)
+                };
+                let bits: Vec<u64> = clocks.iter().map(|c| c.to_bits()).collect();
+                let stats: Vec<_> = (0..m.spec().num_cores)
+                    .flat_map(|c| [m.cache_stats(1, c), m.cache_stats(2, c)])
+                    .collect();
+                (bits, stats, m.coherence_traffic())
+            };
+            assert_eq!(run(true), run(false), "{}", spec.name);
+        }
+    }
+
+    /// The cutoff never costs an exact result. For cutoffs on both sides
+    /// of the makespan — the makespan itself and its two neighbours
+    /// included — a replay that completes returns the unbounded clocks
+    /// bit for bit, and one that is cut off had a makespan above the
+    /// cutoff.
+    #[test]
+    fn cutoff_is_sound_on_both_sides_of_the_makespan() {
+        let cores = [0, 1, 2];
+        for (trial, len) in [400, 1500, 5000].into_iter().enumerate() {
+            let steps = mixed_steps(cores.len(), len, 64 * KB);
+            let run = |cutoff: f64| {
+                let mut m = Machine::with_seed(presets::tiny_smp(), trial as u64);
+                let arena = m.alloc_shared_array(64 * KB);
+                m.reset();
+                m.run_streams(stream_jobs(&cores, &arena, &steps), cutoff)
+            };
+            let exact = run(f64::INFINITY).expect("nothing is cut off at infinity");
+            let makespan = exact.iter().cloned().fold(0.0, f64::max);
+            for cutoff in [
+                0.0,
+                0.3 * makespan,
+                0.9 * makespan,
+                makespan.next_down(),
+                makespan,
+                makespan.next_up(),
+                2.0 * makespan,
+            ] {
+                match run(cutoff) {
+                    Some(clocks) => assert_eq!(clocks, exact, "len {len} cutoff {cutoff}"),
+                    None => assert!(makespan > cutoff, "len {len}: {makespan} cut at {cutoff}"),
+                }
+            }
+            assert!(run(0.3 * makespan).is_none(), "len {len}: never cut off");
+        }
+    }
+
+    /// The lower bound is one product where the engine makes one rounded
+    /// addition per access. A lane of nothing but hits, at a cost binary
+    /// cannot represent, finishes *below* `len × cost` by the rounding of
+    /// its running sum — and must still not be cut off by its own finish
+    /// time, which is what the bound's N·ε discount is for.
+    #[test]
+    fn cutoff_equal_to_a_rounded_finish_is_not_cut_off() {
+        let mut spec = presets::tiny_smp();
+        spec.caches[0].hit_cycles = 0.1;
+        let len = 200_000;
+        let run = |cutoff: f64| {
+            let mut m = Machine::new(spec.clone());
+            let arr = m.alloc_array(4 * KB);
+            m.reset();
+            let hits = |len| StreamJob {
+                core: 0,
+                array: &arr,
+                next: |_| (0, false),
+                len,
+            };
+            // Bring the line in first, so that every access below hits.
+            m.run_streams(vec![hits(1)], f64::INFINITY);
+            m.run_streams(vec![hits(len)], cutoff)
+        };
+        let finish = run(f64::INFINITY).expect("nothing is cut off at infinity")[0];
+        assert!(
+            finish < len as f64 * 0.1,
+            "the running sum did not round below the product: {finish}"
+        );
+        assert_eq!(run(finish), Some(vec![finish]));
+        assert_eq!(run(finish * (1.0 - 1e-6)), None);
+    }
+
+    /// A lane running alone is tested against the cutoff as well: it
+    /// stops within `CUTOFF_CHECK_EVERY` accesses of the first one at
+    /// which its lower bound passes the cutoff.
+    #[test]
+    fn lone_lane_stops_within_one_check_interval_of_the_bound() {
+        let spec = presets::tiny_smp();
+        let c_min = spec.caches[0].hit_cycles;
+        let (len, stride) = (20_000usize, KB);
+        let pattern = move |i: usize| ((i * stride % (512 * KB)) as u64, false);
+        // Clock after the first `upto` accesses, unbounded.
+        let clock_after = |upto: usize| {
+            let mut m = Machine::new(spec.clone());
+            let arr = m.alloc_array(512 * KB);
+            m.reset();
+            let job = StreamJob {
+                core: 0,
+                array: &arr,
+                next: pattern,
+                len: upto,
+            };
+            m.run_streams(vec![job], f64::INFINITY).expect("unbounded")[0]
+        };
+        let cutoff = 0.2 * clock_after(len);
+        let mut made = 0usize;
+        let mut m = Machine::new(spec.clone());
+        let arr = m.alloc_array(512 * KB);
+        m.reset();
+        let job = StreamJob {
+            core: 0,
+            array: &arr,
+            next: |i| {
+                made += 1;
+                pattern(i)
+            },
+            len,
+        };
+        assert_eq!(m.run_streams(vec![job], cutoff), None);
+        let bound = |done: usize| clock_after(done) + (len - done) as f64 * c_min;
+        assert!(made > CUTOFF_CHECK_EVERY && made < len / 2, "made {made}");
+        assert!(bound(made) > cutoff, "stopped before the bound passed");
+        assert!(
+            bound(made - CUTOFF_CHECK_EVERY) <= cutoff,
+            "ran more than a check interval past the bound ({made} accesses)"
         );
     }
 

@@ -239,6 +239,20 @@ impl MachineSpec {
                 ));
             }
         }
+        // No access may cost less than nothing: the replay cutoff's lower
+        // bound (`Machine::run_streams`) rests on every component of an
+        // access's cost being non-negative.
+        let costs = self
+            .caches
+            .iter()
+            .map(|c| (format!("L{} hit_cycles", c.level), c.hit_cycles))
+            .chain([("memory latency_cycles".into(), self.memory.latency_cycles)])
+            .chain(self.tlb.map(|t| ("TLB miss_cycles".into(), t.miss_cycles)));
+        for (name, v) in costs {
+            if !v.is_finite() || v < 0.0 {
+                return Err(format!("{name} = {v} must be finite and >= 0"));
+            }
+        }
         if let Some(tlb) = &self.tlb {
             if tlb.entries == 0 {
                 return Err("TLB with zero entries".into());
@@ -421,6 +435,20 @@ mod tests {
         assert!(spec.validate().is_err());
         let mut spec = presets::tiny_smp();
         spec.caches[0].associativity = 0;
+        assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_negative_and_non_finite_costs() {
+        let mut spec = presets::tiny_smp();
+        spec.caches[1].hit_cycles = -1.0;
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("L2 hit_cycles"), "{err}");
+        let mut spec = presets::tiny_smp();
+        spec.memory.latency_cycles = f64::NAN;
+        assert!(spec.validate().is_err());
+        let mut spec = presets::tiny_with_tlb();
+        spec.tlb.as_mut().expect("preset has a TLB").miss_cycles = -25.0;
         assert!(spec.validate().is_err());
     }
 

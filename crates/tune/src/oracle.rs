@@ -4,13 +4,17 @@
 //! Two implementations with deliberately different semantics:
 //!
 //! * [`SimOracle`] **simulates** the kernel. It replays the exact access
-//!   trace of a threaded, blocked matrix multiply on a
-//!   [`servet_sim::Machine`] (via the lockstep
-//!   [`servet_sim::machine::TraceJob`] engine) and scores a
-//!   configuration by its makespan in cycles. Tiling, thread count,
-//!   placement, and accumulator padding all change the trace or the
-//!   core mapping, so their costs emerge from the cache/coherence/bus
-//!   models for the same reasons they do on hardware.
+//!   sequence of a threaded, blocked matrix multiply on a
+//!   [`servet_sim::Machine`] and scores a configuration by its makespan
+//!   in cycles. Tiling, thread count, placement, and accumulator padding
+//!   all change the sequence or the core mapping, so their costs emerge
+//!   from the cache/coherence/bus models for the same reasons they do on
+//!   hardware. The sequence is never held in memory: each thread's share
+//!   is generated a strip of the loop nest at a time, as the lockstep
+//!   [`servet_sim::Machine::run_streams`] engine consumes it — and under
+//!   [`Oracle::evaluate_bounded`] the replay stops as soon as the
+//!   makespan provably exceeds the cutoff, which is how a search spends
+//!   most evaluations.
 //! * [`ProfileOracle`] **prices** the kernel with a closed-form cost
 //!   model over a measured [`MachineProfile`] — the mcalibrator curve
 //!   for the tile's working set, the §III-C concurrency advice for bus
@@ -29,7 +33,7 @@ use servet_autotune::concurrency::advise_memory_threads;
 use servet_autotune::padding::advise_padding;
 use servet_autotune::tiling::select_tile;
 use servet_core::profile::MachineProfile;
-use servet_sim::{Machine, MachineSpec, TraceJob};
+use servet_sim::{Machine, MachineSpec, StreamJob};
 
 /// Dimension name of the tile edge (elements).
 pub const TILE: &str = "tile";
@@ -56,6 +60,18 @@ pub trait Oracle: Sync {
     /// Score one configuration. Must be deterministic and free of
     /// interior mutability — strategies call it from several threads.
     fn evaluate(&self, config: &Config) -> f64;
+    /// Score one configuration, or give up once its score is known to be
+    /// above `cutoff` — what the search calls, with the best score it
+    /// holds. The contract: a return `<= cutoff` is the exact score
+    /// [`Self::evaluate`] gives; a return `> cutoff` says only that the
+    /// exact score is `> cutoff` (any such value will do: `f64::INFINITY`,
+    /// a lower bound, the exact score itself). A score equal to the cutoff
+    /// must come back exact, so ties break as they would unbounded.
+    /// Evaluating in full, the default, always honours it.
+    fn evaluate_bounded(&self, config: &Config, cutoff: f64) -> f64 {
+        let _ = cutoff;
+        self.evaluate(config)
+    }
 }
 
 /// The standard kernel space for an `n × n` blocked matmul on a machine
@@ -81,9 +97,138 @@ fn value(config: &Config, name: &str, default: u64) -> u64 {
     config.get(name).copied().unwrap_or(default)
 }
 
-/// The access trace of one thread's share of the blocked multiply:
-/// rows `[r0, r1)` of `C += A × B` in i-k-j tile order, with a store to
-/// this thread's accumulator slot every [`ACC_EVERY`] updates.
+/// Steps a [`ThreadTrace`] keeps ahead of the replay: one refill runs
+/// whole strips until this many are buffered. Large enough that the
+/// refill's loop-carried state is touched once per thousand steps, small
+/// enough (16 KB a thread) to stay in the host's L1.
+const REFILL_STEPS: usize = 1024;
+
+/// The access trace of one thread's share of the blocked multiply —
+/// rows `[r0, r1)` of `C += A × B` in i-k-j tile order — generated as it
+/// is replayed.
+///
+/// The trace of an `n = 48` evaluation is 236 544 steps however it is
+/// configured, ~3.8 MB as a vector; this holds the loop nest's indices
+/// instead and refills a [`REFILL_STEPS`]-step buffer one strip at a
+/// time. (Resuming the nest at every single step was measured slower
+/// than materialising it; per-strip resumption is faster than both.)
+struct ThreadTrace {
+    n: usize,
+    tile: usize,
+    rows: (usize, usize),
+    acc_addr: u64,
+    /// Tile origin `(ib, kb, jb)` and the strip `(i, k)` within it that
+    /// the next refill starts at.
+    ib: usize,
+    kb: usize,
+    jb: usize,
+    i: usize,
+    k: usize,
+    since_acc: usize,
+    buf: Vec<(u64, bool)>,
+    /// Next step of `buf` to hand out.
+    pos: usize,
+    /// Steps generated so far, the undrained rest of `buf` included.
+    generated: u64,
+}
+
+impl ThreadTrace {
+    fn new(n: usize, tile: usize, rows: (usize, usize), acc_addr: u64) -> Self {
+        Self {
+            n,
+            tile: tile.clamp(1, n),
+            rows,
+            acc_addr,
+            ib: rows.0,
+            kb: 0,
+            jb: 0,
+            i: rows.0,
+            k: 0,
+            since_acc: 0,
+            buf: Vec::with_capacity(REFILL_STEPS + 3 * n),
+            pos: 0,
+            generated: 0,
+        }
+    }
+
+    /// Steps in the whole trace: an `A` load per `(i, k)` per column
+    /// block, a `B` load and a `C` store per update, an accumulator store
+    /// per [`ACC_EVERY`] updates.
+    fn len(&self) -> usize {
+        let (n, rows) = (self.n, self.rows.1 - self.rows.0);
+        let updates = rows * n * n;
+        rows * n * n.div_ceil(self.tile) + 2 * updates + updates / ACC_EVERY
+    }
+
+    /// Steps handed out so far: the accesses the simulator made.
+    fn replayed(&self) -> u64 {
+        self.generated - (self.buf.len() - self.pos) as u64
+    }
+
+    /// The next step. Must not be called more than [`Self::len`] times.
+    #[inline]
+    fn next(&mut self) -> (u64, bool) {
+        if self.pos == self.buf.len() {
+            self.refill();
+        }
+        let step = self.buf[self.pos];
+        self.pos += 1;
+        step
+    }
+
+    /// Replace the drained buffer with the next whole `(i, k)` strips:
+    /// the load of `A[i][k]`, then per column of the tile the load of
+    /// `B[k][j]` and the store to `C[i][j]`, with a store to this thread's
+    /// accumulator slot every [`ACC_EVERY`] updates.
+    fn refill(&mut self) {
+        let (n, t, rows) = (self.n, self.tile, self.rows);
+        let elem = 8u64;
+        let b_base = (n * n) as u64 * elem;
+        let c_base = 2 * b_base;
+        let addr = |base: u64, r: usize, c: usize| base + ((r * n + c) as u64) * elem;
+        let steps = &mut self.buf;
+        steps.clear();
+        self.pos = 0;
+        while steps.len() < REFILL_STEPS && self.ib < rows.1 {
+            let (i, k) = (self.i, self.k);
+            steps.push((addr(0, i, k), false));
+            for j in self.jb..(self.jb + t).min(n) {
+                steps.push((addr(b_base, k, j), false));
+                steps.push((addr(c_base, i, j), true));
+                self.since_acc += 1;
+                if self.since_acc == ACC_EVERY {
+                    steps.push((self.acc_addr, true));
+                    self.since_acc = 0;
+                }
+            }
+            // Step the nest: k, then i, within the tile; past its last
+            // strip the tile origin moves on, jb innermost.
+            self.k += 1;
+            if self.k < (self.kb + t).min(n) {
+                continue;
+            }
+            self.i += 1;
+            if self.i == (self.ib + t).min(rows.1) {
+                self.jb += t;
+                if self.jb >= n {
+                    self.jb = 0;
+                    self.kb += t;
+                    if self.kb >= n {
+                        self.kb = 0;
+                        self.ib += t;
+                    }
+                }
+                self.i = self.ib;
+            }
+            self.k = self.kb;
+        }
+        self.generated += steps.len() as u64;
+    }
+}
+
+/// The specification [`ThreadTrace`] is tested against: the same trace,
+/// materialised by the plain loop nest.
+#[cfg(test)]
 fn thread_trace(n: usize, tile: usize, rows: (usize, usize), acc_addr: u64) -> Vec<(u64, bool)> {
     let elem = 8u64;
     let b_base = (n * n) as u64 * elem;
@@ -164,6 +309,10 @@ impl Oracle for SimOracle {
     }
 
     fn evaluate(&self, config: &Config) -> f64 {
+        self.evaluate_bounded(config, f64::INFINITY)
+    }
+
+    fn evaluate_bounded(&self, config: &Config, cutoff: f64) -> f64 {
         let n = self.n;
         let cores = self.spec.num_cores;
         let tile = value(config, TILE, 8).clamp(1, n as u64) as usize;
@@ -176,7 +325,7 @@ impl Oracle for SimOracle {
         m.reset();
         let acc_base = (3 * n * n * 8) as u64;
         let stride = (cores / threads).max(1);
-        let traces: Vec<(usize, Vec<(u64, bool)>)> = (0..threads)
+        let mut traces: Vec<(usize, ThreadTrace)> = (0..threads)
             .filter_map(|t| {
                 let rows = (t * n / threads, (t + 1) * n / threads);
                 if rows.0 == rows.1 {
@@ -188,20 +337,29 @@ impl Oracle for SimOracle {
                     t % cores
                 };
                 let acc = acc_base + t as u64 * pad;
-                Some((core, thread_trace(n, tile, rows, acc)))
+                Some((core, ThreadTrace::new(n, tile, rows, acc)))
             })
             .collect();
-        let jobs: Vec<TraceJob<'_>> = traces
-            .iter()
-            .map(|(core, steps)| TraceJob {
+        let jobs = traces
+            .iter_mut()
+            .map(|(core, trace)| StreamJob {
                 core: *core,
                 array: &arena,
-                steps,
+                len: trace.len(),
+                next: move |_| trace.next(),
             })
             .collect();
-        m.run_traces(&jobs)
-            .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max)
+        let finish = m.run_streams(jobs, cutoff);
+        let total = |of: fn(&ThreadTrace) -> u64| traces.iter().map(|(_, t)| of(t)).sum();
+        servet_obs::counter("tune.trace_steps_generated").add(total(|t| t.generated));
+        servet_obs::counter("sim.replay_accesses").add(total(ThreadTrace::replayed));
+        match finish {
+            Some(clocks) => clocks.into_iter().fold(f64::NEG_INFINITY, f64::max),
+            None => {
+                servet_obs::counter("tune.evaluations_pruned").incr();
+                f64::INFINITY
+            }
+        }
     }
 }
 
@@ -449,6 +607,92 @@ mod tests {
         let o = SimOracle::new(servet_sim::presets::tiny_smp(), 7, 16);
         let cfg = o.space().config(&o.space().midpoint());
         assert_eq!(o.evaluate(&cfg).to_bits(), o.evaluate(&cfg).to_bits());
+    }
+
+    /// The generator is the loop nest: step for step and in length, over
+    /// ragged tiles, row shares that do not divide, tiles larger than `n`.
+    #[test]
+    fn generated_trace_is_the_loop_nest() {
+        for n in [8, 13, 16, 48, 50] {
+            for tile in [1, 3, 8, 16, 32, 64] {
+                for threads in 1..=4 {
+                    for t in 0..threads {
+                        let rows = (t * n / threads, (t + 1) * n / threads);
+                        let acc = (3 * n * n * 8 + t * 64) as u64;
+                        let spec = thread_trace(n, tile, rows, acc);
+                        let mut generated = ThreadTrace::new(n, tile, rows, acc);
+                        let case = format!("n={n} tile={tile} rows={rows:?}");
+                        assert_eq!(generated.len(), spec.len(), "{case}: length");
+                        for (at, &step) in spec.iter().enumerate() {
+                            assert_eq!(generated.next(), step, "{case}: step {at}");
+                        }
+                        assert_eq!(generated.generated, spec.len() as u64, "{case}");
+                        assert_eq!(generated.replayed(), spec.len() as u64, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The 54 scores of `tiny_smp`, `n = 48`, seed 7, as the materialised
+    /// trace through `run_traces` gave them at the commit before the
+    /// generator: FNV-1a over the scores' bits in space order, and one of
+    /// the two tied winners spelled out.
+    #[test]
+    fn sim_oracle_scores_match_the_materialised_replay() {
+        let o = SimOracle::new(servet_sim::presets::tiny_smp(), 7, 48);
+        let space = o.space();
+        assert_eq!(space.len(), 54);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..space.len() {
+            let cfg = space.config(&space.point(i));
+            let score = o.evaluate(&cfg);
+            if (cfg[TILE], cfg[THREADS], cfg[PLACEMENT], cfg[PAD]) == (16, 4, 0, 256) {
+                assert_eq!(score.to_bits(), 0x4104_fd60_0000_0005, "{score}");
+            }
+            for byte in score.to_bits().to_le_bytes() {
+                digest = (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(digest, 0xfa91_ba16_1d11_d64d);
+    }
+
+    /// The contract of `evaluate_bounded`, on every point of two spaces
+    /// and on both sides of every exact score: at or under the cutoff the
+    /// exact bits come back, above it something above the cutoff.
+    #[test]
+    fn sim_oracle_bounded_scores_are_exact_or_above_the_cutoff() {
+        let mut pruned = 0;
+        for spec in [
+            servet_sim::presets::tiny_smp(),
+            servet_sim::presets::tiny_shared_l2(),
+        ] {
+            let o = SimOracle::new(spec, 7, 16);
+            let space = o.space();
+            for i in 0..space.len() {
+                let cfg = space.config(&space.point(i));
+                let exact = o.evaluate(&cfg);
+                assert!(exact.is_finite() && exact > 0.0);
+                for cutoff in [
+                    0.0,
+                    0.5 * exact,
+                    exact.next_down(),
+                    exact,
+                    exact.next_up(),
+                    1.5 * exact,
+                    f64::INFINITY,
+                ] {
+                    let bounded = o.evaluate_bounded(&cfg, cutoff);
+                    if exact <= cutoff {
+                        assert_eq!(bounded.to_bits(), exact.to_bits(), "{cfg:?} under {cutoff}");
+                    } else {
+                        assert!(bounded > cutoff, "{cfg:?}: {bounded} under {cutoff}");
+                        pruned += usize::from(bounded != exact);
+                    }
+                }
+            }
+        }
+        assert!(pruned > 0, "no evaluation ever stopped early");
     }
 
     #[test]

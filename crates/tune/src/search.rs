@@ -24,6 +24,7 @@ use crate::oracle::Oracle;
 use crate::space::{Config, ParamSpace, Point};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
 /// Hard cap on points an exhaustive search will enumerate; beyond this
@@ -177,11 +178,42 @@ impl TuneOutcome {
 }
 
 /// Memoizing, parallel scorer shared by all strategies.
+///
+/// # Evaluations that stop early
+///
+/// Every evaluation is handed the smallest score seen so far — the
+/// *incumbent* — as [`Oracle::evaluate_bounded`]'s cutoff, and an oracle
+/// that can tell its score will be higher may stop there. The memo entry
+/// of such a pruned point is then only a bound, strictly above a score
+/// already in the memo, and that is all any strategy ever asks of a
+/// loser, so every [`TuneOutcome`] is the one unbounded evaluation gives:
+///
+/// * exhaustive and monte-carlo take one argmin over the memo; a pruned
+///   point's true score and its entry are both strictly above the
+///   incumbent it was pruned against, which is in the memo;
+/// * line's and neighbourhood's `at` is, by induction, the best point
+///   evaluated so far (line moves to the best of a candidate set that
+///   contains `at`, neighbourhood only to a candidate strictly better
+///   than `memo[at]`), and its entry is exact. The incumbent a candidate
+///   is pruned against is therefore `at` or a member of its own batch —
+///   a point it is compared with, and loses to pruned or not;
+/// * a score *equal* to the cutoff comes back exact, so `(score, point)`
+///   tie-breaks see the same values.
+///
+/// Which points get pruned depends on the order they are scored in, and so
+/// on the worker count; the outcome does not. `evaluations` counts the
+/// distinct points scored, pruned or not.
 struct Scorer<'a> {
     oracle: &'a dyn Oracle,
     space: &'a ParamSpace,
     workers: usize,
     memo: BTreeMap<Point, f64>,
+    /// Bits of the smallest non-negative score seen, shared by a batch's
+    /// workers. Non-negative `f64`s order as their bits do, so `fetch_min`
+    /// on the bits is `min` on the scores; a negative or NaN score has its
+    /// sign or payload bits above `∞`'s and never lowers it, which only
+    /// leaves the cutoff higher than it could be.
+    incumbent: AtomicU64,
 }
 
 impl<'a> Scorer<'a> {
@@ -191,12 +223,15 @@ impl<'a> Scorer<'a> {
             space,
             workers: workers.max(1),
             memo: BTreeMap::new(),
+            incumbent: AtomicU64::new(f64::INFINITY.to_bits()),
         }
     }
 
     /// Score every not-yet-seen point in `points`, fanning the batch out
-    /// across workers. Each slot depends only on its own point, so the
-    /// chunking is invisible in the results.
+    /// across workers — or on this thread when it is all one chunk (one
+    /// worker, or one point: most line and neighbourhood batches). Each
+    /// slot's *exact* score depends only on its own point, so the chunking
+    /// is invisible in the results.
     fn score_batch(&mut self, points: &[Point]) {
         let mut todo: Vec<Point> = points
             .iter()
@@ -208,20 +243,35 @@ impl<'a> Scorer<'a> {
         if todo.is_empty() {
             return;
         }
+        // Highest point first. The order decides only how soon a good
+        // incumbent turns up, never the outcome, and dimensions list their
+        // values ascending (tile edge, thread count, padding): a kernel
+        // worth tuning is rarely at its best in the all-smallest corner
+        // that the sorted order would spend its first evaluations in.
+        todo.reverse();
         let _span = servet_obs::span("tune.score_batch");
         servet_obs::counter("tune.evaluations").add(todo.len() as u64);
         let mut scores = vec![0.0f64; todo.len()];
         let chunk = todo.len().div_ceil(self.workers);
-        let (oracle, space) = (self.oracle, self.space);
-        thread::scope(|s| {
-            for (pts, out) in todo.chunks(chunk).zip(scores.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    for (p, slot) in pts.iter().zip(out.iter_mut()) {
-                        *slot = oracle.evaluate(&space.config(p));
-                    }
-                });
+        let (oracle, space, incumbent) = (self.oracle, self.space, &self.incumbent);
+        // Relaxed: the incumbent is a number and publishes nothing else; a
+        // stale read is a higher, still valid, cutoff.
+        let score_chunk = |pts: &[Point], out: &mut [f64]| {
+            for (p, slot) in pts.iter().zip(out) {
+                let cutoff = f64::from_bits(incumbent.load(Ordering::Relaxed));
+                *slot = oracle.evaluate_bounded(&space.config(p), cutoff);
+                incumbent.fetch_min(slot.to_bits(), Ordering::Relaxed);
             }
-        });
+        };
+        if chunk >= todo.len() {
+            score_chunk(&todo, &mut scores);
+        } else {
+            thread::scope(|s| {
+                for (pts, out) in todo.chunks(chunk).zip(scores.chunks_mut(chunk)) {
+                    s.spawn(move || score_chunk(pts, out));
+                }
+            });
+        }
         for (p, score) in todo.into_iter().zip(scores) {
             self.memo.insert(p, score);
         }
@@ -410,6 +460,67 @@ mod tests {
             let many = tune(&bowl(), &s, &opts, 5);
             assert_eq!(one, many, "{strategy} varies with worker count");
         }
+    }
+
+    /// The most eager oracle the contract allows: anything above the
+    /// cutoff comes back as `∞`, and is counted.
+    struct Eager<O> {
+        inner: O,
+        pruned: AtomicU64,
+    }
+
+    impl<O: Oracle> Oracle for Eager<O> {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn evaluate(&self, config: &Config) -> f64 {
+            self.inner.evaluate(config)
+        }
+        fn evaluate_bounded(&self, config: &Config, cutoff: f64) -> f64 {
+            let exact = self.inner.evaluate(config);
+            if exact > cutoff {
+                self.pruned.fetch_add(1, Ordering::Relaxed);
+                return f64::INFINITY;
+            }
+            exact
+        }
+    }
+
+    /// A surface of three plateaus: most candidates tie, so the outcome
+    /// rests on the `(score, point)` tie-break.
+    struct Plateaus;
+
+    impl Oracle for Plateaus {
+        fn name(&self) -> String {
+            "plateaus".into()
+        }
+        fn evaluate(&self, config: &Config) -> f64 {
+            (config.values().sum::<u64>() % 3) as f64
+        }
+    }
+
+    #[test]
+    fn pruned_evaluations_never_change_an_outcome() {
+        fn check(oracle: impl Oracle) {
+            let s = space();
+            let eager = Eager {
+                inner: oracle,
+                pruned: AtomicU64::new(0),
+            };
+            for strategy in Strategy::ALL {
+                for seed in [1, 2, 3] {
+                    let opts = TuneOptions::new(strategy).with_seed(seed);
+                    let exact = tune(&eager.inner, &s, &opts, 1);
+                    for workers in [1, 3] {
+                        let pruned = tune(&eager, &s, &opts, workers);
+                        assert_eq!(pruned, exact, "{strategy} seed {seed} workers {workers}");
+                    }
+                }
+            }
+            assert!(eager.pruned.load(Ordering::Relaxed) > 0, "nothing pruned");
+        }
+        check(bowl());
+        check(Plateaus);
     }
 
     #[test]

@@ -30,6 +30,48 @@ fn tuning_is_deterministic_across_worker_counts() {
     }
 }
 
+/// An oracle that forwards `evaluate` alone — what a timing wrapper
+/// written before `evaluate_bounded` existed does — so the search gets
+/// every score exact.
+struct Unbounded<'a>(&'a SimOracle);
+
+impl Oracle for Unbounded<'_> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn evaluate(&self, config: &servet::tune::Config) -> f64 {
+        self.0.evaluate(config)
+    }
+}
+
+/// Evaluations cut off at the incumbent are invisible: every session
+/// equals the one in which nothing is ever cut off.
+#[test]
+fn pruned_search_equals_unbounded_search() {
+    for spec in [
+        presets::tiny_smp(),
+        presets::tiny_shared_l2(),
+        presets::tiny_numa(),
+    ] {
+        for seed in [7, 8] {
+            let oracle = SimOracle::new(spec.clone(), seed, 16);
+            let space = oracle.space();
+            for strategy in Strategy::ALL {
+                let options = TuneOptions::new(strategy).with_seed(seed);
+                let exact = tune(&Unbounded(&oracle), &space, &options, 1);
+                for workers in [1, 3] {
+                    let pruned = tune(&oracle, &space, &options, workers);
+                    assert_eq!(
+                        pruned, exact,
+                        "{} seed {seed} {strategy} workers {workers}",
+                        spec.name
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Exhaustive search can never lose to the analytic advice, because the
 /// advice is snapped onto the same grid exhaustive enumerates; the
 /// cheaper strategies must stay close behind on the simulator oracle.
