@@ -8,7 +8,7 @@
 //! `servet advise --json` path, so every consumer sees byte-identical
 //! answers.
 
-use crate::cache::{CacheStats, ShardedCache};
+use crate::cache::{CacheStats, Memo};
 use serde::{Deserialize, Serialize};
 use servet_autotune::collectives::{select_broadcast, BcastPrediction};
 use servet_autotune::concurrency::{advise_memory_threads, ConcurrencyAdvice};
@@ -167,7 +167,7 @@ pub fn compute_advice(
 /// A memoizing wrapper over [`compute_advice`], keyed by
 /// `(digest, resolved query)`.
 pub struct AdviceEngine {
-    cache: ShardedCache<String, Result<AdviceOutcome, String>>,
+    cache: Memo<String, Result<AdviceOutcome, String>>,
 }
 
 impl Default for AdviceEngine {
@@ -177,10 +177,10 @@ impl Default for AdviceEngine {
 }
 
 impl AdviceEngine {
-    /// An engine whose memo cache has 8 shards of 512 entries each.
+    /// An engine whose memo holds up to 4096 answers.
     pub fn new() -> Self {
         Self {
-            cache: ShardedCache::new(8, 512),
+            cache: Memo::new(4096),
         }
     }
 
@@ -199,15 +199,12 @@ impl AdviceEngine {
         query: &AdviceQuery,
     ) -> (Result<AdviceOutcome, String>, bool) {
         let resolved = query.resolved(profile);
-        let key = Self::memo_key(digest, &resolved);
-        if let Some(cached) = self.cache.get(&key) {
-            return (cached, true);
-        }
-        let _span = servet_obs::span("advice.compute");
-        servet_obs::counter("advice.computed").incr();
-        let outcome = compute_advice(profile, &resolved);
-        self.cache.insert(key, outcome.clone());
-        (outcome, false)
+        self.cache
+            .get_or_insert_with(Self::memo_key(digest, &resolved), || {
+                let _span = servet_obs::span("advice.compute");
+                servet_obs::counter("advice.computed").incr();
+                compute_advice(profile, &resolved)
+            })
     }
 
     /// Memo-cache counters (the serving tests assert on the hit count).

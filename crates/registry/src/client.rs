@@ -21,6 +21,22 @@ use std::time::Duration;
 use servet_core::profile::MachineProfile;
 use servet_stats::rng::splitmix64;
 
+/// The value of the one reply kind a request expects: `$reply => $value`
+/// picks it out, a `Response::Error` becomes [`protocol_error`]'s error,
+/// and a reply of any other kind is [`io::ErrorKind::InvalidData`].
+macro_rules! reply {
+    ($response:expr, $reply:pat => $value:expr) => {
+        match $response {
+            $reply => Ok($value),
+            Response::Error { error } => Err(protocol_error(error)),
+            other => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unexpected response {other:?}"),
+            )),
+        }
+    };
+}
+
 /// One connection to a registry server.
 pub struct RegistryClient {
     reader: BufReader<TcpStream>,
@@ -60,15 +76,11 @@ impl RegistryClient {
 
     /// Store `profile` (optionally aliased); returns its digest.
     pub fn put(&mut self, profile: &MachineProfile, name: Option<&str>) -> io::Result<String> {
-        let resp = self.call(&Request::Put {
+        let request = Request::Put {
             profile: Box::new(profile.clone()),
             name: name.map(str::to_string),
-        })?;
-        match resp {
-            Response::Stored { digest } => Ok(digest),
-            Response::Error { error } => Err(protocol_error(error)),
-            other => Err(unexpected(&other)),
-        }
+        };
+        reply!(self.call(&request)?, Response::Stored { digest } => digest)
     }
 
     /// Fetch the raw response for a `get` (callers match on it).
@@ -80,20 +92,12 @@ impl RegistryClient {
 
     /// Fetch a profile, treating protocol-level errors as `io::Error`.
     pub fn get_profile(&mut self, key: &str) -> io::Result<(String, MachineProfile)> {
-        match self.get(key)? {
-            Response::Profile { digest, profile } => Ok((digest, *profile)),
-            Response::Error { error } => Err(protocol_error(error)),
-            other => Err(unexpected(&other)),
-        }
+        reply!(self.get(key)?, Response::Profile { digest, profile } => (digest, *profile))
     }
 
     /// List stored profiles.
     pub fn list(&mut self) -> io::Result<Vec<crate::store::StoreEntry>> {
-        match self.call(&Request::List)? {
-            Response::Listing { entries } => Ok(entries),
-            Response::Error { error } => Err(protocol_error(error)),
-            other => Err(unexpected(&other)),
-        }
+        reply!(self.call(&Request::List)?, Response::Listing { entries } => entries)
     }
 
     /// Ask for advice; returns `(digest, cached, outcome)`.
@@ -102,19 +106,12 @@ impl RegistryClient {
         key: &str,
         query: &AdviceQuery,
     ) -> io::Result<(String, bool, AdviceOutcome)> {
-        let resp = self.call(&Request::Advise {
+        let request = Request::Advise {
             key: key.to_string(),
             query: query.clone(),
-        })?;
-        match resp {
-            Response::Advice {
-                digest,
-                cached,
-                outcome,
-            } => Ok((digest, cached, outcome)),
-            Response::Error { error } => Err(protocol_error(error)),
-            other => Err(unexpected(&other)),
-        }
+        };
+        let response = self.call(&request)?;
+        reply!(response, Response::Advice { digest, cached, outcome } => (digest, cached, outcome))
     }
 
     /// Run (or recall) a tuning session; returns `(digest, cached,
@@ -124,36 +121,18 @@ impl RegistryClient {
         key: &str,
         query: &crate::tune::TuneQuery,
     ) -> io::Result<(String, bool, servet_tune::TuneOutcome)> {
-        let resp = self.call(&Request::Tune {
+        let request = Request::Tune {
             key: key.to_string(),
             query: query.clone(),
-        })?;
-        match resp {
-            Response::Tuned {
-                digest,
-                cached,
-                outcome,
-            } => Ok((digest, cached, outcome)),
-            Response::Error { error } => Err(protocol_error(error)),
-            other => Err(unexpected(&other)),
-        }
+        };
+        let response = self.call(&request)?;
+        reply!(response, Response::Tuned { digest, cached, outcome } => (digest, cached, outcome))
     }
 
     /// Fetch server counters.
     pub fn stats(&mut self) -> io::Result<crate::protocol::ServerStats> {
-        match self.call(&Request::Stats)? {
-            Response::Stats { stats } => Ok(stats),
-            Response::Error { error } => Err(protocol_error(error)),
-            other => Err(unexpected(&other)),
-        }
+        reply!(self.call(&Request::Stats)?, Response::Stats { stats } => stats)
     }
-}
-
-fn unexpected(resp: &Response) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("unexpected response {resp:?}"),
-    )
 }
 
 /// Map a protocol-level `Response::Error` string to an [`io::Error`]:

@@ -9,7 +9,7 @@
 //!   digest of their canonical JSON.
 //! * [`store`] — the content-addressed on-disk store with atomic writes
 //!   and a named-alias index (`"dunnington"` → digest).
-//! * [`cache`] — a sharded `RwLock` in-memory cache with hit/miss/
+//! * [`cache`] — [`cache::Memo`], a single-lock FIFO map with hit/miss/
 //!   eviction counters, used for parsed profiles, memoized advice and
 //!   memoized tuning sessions.
 //! * [`advice`] — the `servet-autotune` consumers (`advise_memory_threads`,
@@ -72,7 +72,7 @@ pub mod store;
 pub mod tune;
 
 pub use advice::{compute_advice, AdviceEngine, AdviceOutcome, AdviceQuery};
-pub use cache::{CacheStats, ShardedCache};
+pub use cache::{CacheStats, Memo};
 pub use client::{
     is_retryable, is_server_busy, Backoff, RegistryClient, RetryPolicy, RetryingRegistryClient,
 };

@@ -1,11 +1,12 @@
-//! The registry proper: the content-addressed store fronted by a sharded
-//! parsed-profile cache and the memoizing advice engine, behind a single
-//! [`Registry::handle`] dispatch that the TCP server, the CLI, and the
-//! tests all share. [`Registry::handle_in_memory`] is the same dispatch,
-//! restricted to the requests whose answer is already in memory.
+//! The registry proper: the content-addressed store fronted by a
+//! parsed-profile memo and the memoizing advice and tune engines, behind
+//! a single [`Registry::handle`] dispatch that the TCP server, the CLI,
+//! and the tests all share. [`Registry::handle_in_memory`] is the same
+//! dispatch, restricted to the requests whose answer is already in
+//! memory.
 
 use crate::advice::{AdviceEngine, AdviceQuery};
-use crate::cache::ShardedCache;
+use crate::cache::Memo;
 use crate::digest::looks_like_digest;
 use crate::protocol::{AcceptStats, EventStats, OpLatency, Request, Response, ServerStats};
 use crate::store::{ProfileStore, StoreEntry};
@@ -227,7 +228,7 @@ pub struct Registry {
     store: ProfileStore,
     /// digest → parsed profile, so repeated advice/get on hot profiles
     /// skips disk and JSON parsing.
-    profiles: ShardedCache<String, CachedProfile>,
+    profiles: Memo<String, CachedProfile>,
     advice: AdviceEngine,
     tuner: TuneEngine,
     requests: AtomicU64,
@@ -237,11 +238,11 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Open a registry rooted at `dir` with default cache geometry.
+    /// Open a registry rooted at `dir` with the default memo capacities.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         Ok(Self {
             store: ProfileStore::open(dir)?,
-            profiles: ShardedCache::new(8, 64),
+            profiles: Memo::new(512),
             advice: AdviceEngine::new(),
             tuner: TuneEngine::new(),
             requests: AtomicU64::new(0),

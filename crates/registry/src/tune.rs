@@ -11,10 +11,12 @@
 //! clients declaring the same space differently (`log2` sugar vs an
 //! explicit value list) share one cache entry.
 
-use crate::cache::{CacheStats, ShardedCache};
+use crate::cache::{CacheStats, Memo};
 use serde::{Deserialize, Serialize};
 use servet_core::profile::MachineProfile;
-use servet_tune::{kernel_space, tune, ParamSpace, ProfileOracle, TuneOptions, TuneOutcome};
+use servet_tune::{
+    kernel_space, tune, ParamSpace, ProfileOracle, TuneOptions, TuneOutcome, EXHAUSTIVE_LIMIT,
+};
 
 fn default_n() -> usize {
     64
@@ -24,11 +26,6 @@ fn default_n() -> usize {
 /// closed-form (cost is independent of `n`'s magnitude), but the value
 /// still parameterizes working-set math, so bound it to something sane.
 const MAX_N: usize = 4096;
-
-/// Hard cap on the space an exhaustive request may enumerate
-/// server-side — mirrors the search engine's own limit, but as a typed
-/// error instead of a panic.
-const MAX_EXHAUSTIVE: usize = 1 << 20;
 
 /// One tuning request against a stored profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -65,7 +62,7 @@ fn validate_space(space: &ParamSpace) -> Result<(), String> {
 /// A memoizing tuning engine over stored profiles, the `tune` operation
 /// of the wire protocol.
 pub struct TuneEngine {
-    cache: ShardedCache<String, Result<TuneOutcome, String>>,
+    cache: Memo<String, TuneOutcome>,
 }
 
 impl Default for TuneEngine {
@@ -75,10 +72,10 @@ impl Default for TuneEngine {
 }
 
 impl TuneEngine {
-    /// An engine whose memo cache has 8 shards of 512 entries each.
+    /// An engine whose memo holds up to 4096 sessions.
     pub fn new() -> Self {
         Self {
-            cache: ShardedCache::new(8, 512),
+            cache: Memo::new(4096),
         }
     }
 
@@ -90,7 +87,7 @@ impl TuneEngine {
         format!(
             "{digest}:{}:{}:s{}:w{}:t{}:m{}:n{n}",
             space.digest(),
-            options.strategy.wire_name(),
+            options.strategy.name(),
             options.seed,
             options.sweeps,
             options.steps,
@@ -117,8 +114,10 @@ impl TuneEngine {
             }
             None => kernel_space(profile.total_cores.max(1), query.n),
         };
+        // The search engine's own limit, as a typed refusal instead of
+        // its panic.
         if query.options.strategy == servet_tune::Strategy::Exhaustive
-            && space.len() > MAX_EXHAUSTIVE
+            && space.len() > EXHAUSTIVE_LIMIT
         {
             return Err(format!(
                 "space of {} points is too large for exhaustive search",
@@ -142,7 +141,8 @@ impl TuneEngine {
 
     /// Run (or recall) a tuning session for the profile stored under
     /// `digest`. The second element reports whether the memo cache
-    /// served it. Errors are memoized too — a bad space stays bad.
+    /// served it. A refused query is answered before the memo and never
+    /// stored; a search that runs always succeeds.
     pub fn tune(
         &self,
         digest: &str,
@@ -153,15 +153,13 @@ impl TuneEngine {
             Ok(session) => session,
             Err(e) => return (Err(e), false),
         };
-        if let Some(cached) = self.cache.get(&key) {
-            return (cached, true);
-        }
-        let _span = servet_obs::span("tune.compute");
-        servet_obs::counter("tune.computed").incr();
-        let oracle = ProfileOracle::new(profile.clone(), query.n);
-        let outcome = Ok(tune(&oracle, &space, &query.options, 1));
-        self.cache.insert(key, outcome.clone());
-        (outcome, false)
+        let (outcome, cached) = self.cache.get_or_insert_with(key, || {
+            let _span = servet_obs::span("tune.compute");
+            servet_obs::counter("tune.computed").incr();
+            let oracle = ProfileOracle::new(profile.clone(), query.n);
+            tune(&oracle, &space, &query.options, 1)
+        });
+        (Ok(outcome), cached)
     }
 
     /// Memo-cache counters (the serving tests assert on the hit count).

@@ -235,51 +235,6 @@ impl Binomial {
         }
         total.clamp(0.0, 1.0)
     }
-
-    /// `P(X = i)` for every `i` in `[lo, hi]`, via the same mode-seeded
-    /// incremental recurrence as the tail sums — one log-gamma evaluation
-    /// for the whole range. The property tests pin this against the
-    /// per-point log-gamma [`Self::pmf`].
-    pub fn pmf_range(&self, lo: u64, hi: u64) -> Vec<f64> {
-        assert!(lo <= hi, "pmf_range: lo {lo} > hi {hi}");
-        let len = usize::try_from(hi - lo).expect("range fits in memory") + 1;
-        let mut out = vec![0.0f64; len];
-        let n = self.n;
-        let p = self.p;
-        if p == 0.0 || p == 1.0 {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.pmf(lo + i as u64);
-            }
-            return out;
-        }
-        if lo > n {
-            return out;
-        }
-        let hi = hi.min(n);
-        let q = 1.0 - p;
-        let down = q / p;
-        let up = p / q;
-        let mode = (self.mean().floor() as u64).clamp(lo, hi);
-        let seed = self.pmf(mode);
-        let mut term = seed;
-        let mut k = mode;
-        loop {
-            out[(k - lo) as usize] = term;
-            if k == lo {
-                break;
-            }
-            term *= (k as f64 / (n - k + 1) as f64) * down;
-            k -= 1;
-        }
-        let mut term = seed;
-        let mut k = mode;
-        while k < hi {
-            term *= ((n - k) as f64 / (k + 1) as f64) * up;
-            k += 1;
-            out[(k - lo) as usize] = term;
-        }
-        out
-    }
 }
 
 /// Survival curve `P(B(n, p) > k)` for every `n` in `np_values`, computed
@@ -573,49 +528,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn recurrence_pmf_matches_log_gamma_pmf() {
-        // The incremental recurrence must track the per-point log-gamma
-        // evaluation to ≤ 1e-12 absolute across the whole support, for n
-        // up to 1e5 and the full spread of Fig. 3 candidate probabilities.
-        for &n in &[1u64, 7, 100, 4_096, 100_000] {
-            for &p in &[1e-4, 0.01, 0.5, 0.99] {
-                let b = Binomial::new(n, p);
-                let got = b.pmf_range(0, n);
-                for (k, &term) in got.iter().enumerate() {
-                    let want = b.pmf(k as u64);
-                    assert!(
-                        close(term, want, 1e-12),
-                        "pmf_range(n={n}, p={p})[{k}] = {term}, log-gamma {want}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn recurrence_pmf_partial_ranges_and_degenerates() {
-        let b = Binomial::new(50, 0.3);
-        let got = b.pmf_range(10, 20);
-        for (i, &term) in got.iter().enumerate() {
-            assert!(close(term, b.pmf(10 + i as u64), 1e-13));
-        }
-        // Ranges past n are zero-padded, not a panic.
-        let tail = b.pmf_range(48, 55);
-        assert_eq!(tail.len(), 8);
-        assert!(tail[3..].iter().all(|&t| t == 0.0));
-        assert!(Binomial::new(9, 0.5)
-            .pmf_range(12, 14)
-            .iter()
-            .all(|&t| t == 0.0));
-        // Degenerate p delegates to the exact point masses.
-        assert_eq!(
-            Binomial::new(5, 0.0).pmf_range(0, 5),
-            vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        );
-        assert_eq!(Binomial::new(5, 1.0).pmf_range(4, 5), vec![0.0, 1.0]);
     }
 
     #[test]

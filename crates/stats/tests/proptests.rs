@@ -83,40 +83,6 @@ fn binomial_cdf_plus_sf_is_one() {
 }
 
 #[test]
-fn recurrence_pmf_tracks_log_gamma_pmf() {
-    // Tentpole invariant: the mode-seeded incremental recurrence and
-    // the per-point log-gamma kernel are the same pmf to ≤ 1e-12,
-    // for n up to 1e5 across the Fig. 3 probability spread.
-    let mut rng = ChaCha8Rng::seed_from_u64(4);
-    for case in 0..CASES {
-        let n = rng.gen_range(1u64..100_000);
-        let p = [1e-4, 0.01, 0.5, 0.99][case % 4];
-        let b = Binomial::new(n, p);
-        // The full support would be O(n) log-gamma calls per case; check
-        // a window around the mode (where mass lives) plus both edges.
-        let mode = (b.mean().floor() as u64).min(n);
-        let lo = mode.saturating_sub(64);
-        let hi = (mode + 64).min(n);
-        let range = b.pmf_range(lo, hi);
-        for (i, &term) in range.iter().enumerate() {
-            let k = lo + i as u64;
-            let want = b.pmf(k);
-            assert!(
-                (term - want).abs() <= 1e-12,
-                "pmf(n={n}, p={p}, k={k}) recurrence {term} vs log-gamma {want}"
-            );
-        }
-        for k in [0u64, n / 2, n] {
-            let got = b.pmf_range(k, k)[0];
-            assert!(
-                (got - b.pmf(k)).abs() <= 1e-12,
-                "pmf_range(n={n}, p={p}, k={k}) = {got}"
-            );
-        }
-    }
-}
-
-#[test]
 fn sf_curve_tracks_per_point_sf() {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     for case in 0..CASES {

@@ -37,5 +37,5 @@ pub mod space;
 
 pub use compare::{run_compare, CompareConfig, CompareReport, MachineComparison, StrategySummary};
 pub use oracle::{analytic_config, kernel_space, Oracle, ProfileOracle, SimOracle};
-pub use search::{tune, Strategy, TuneOptions, TuneOutcome};
+pub use search::{tune, Strategy, TuneOptions, TuneOutcome, EXHAUSTIVE_LIMIT};
 pub use space::{Config, Param, ParamSpace, Point};

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Hard cap on points an exhaustive search will enumerate; beyond this
 /// the space is declared wrong for the strategy, not worth hours of
 /// simulation.
-const EXHAUSTIVE_LIMIT: usize = 1 << 20;
+pub const EXHAUSTIVE_LIMIT: usize = 1 << 20;
 
 /// Which search strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,17 +62,6 @@ impl Strategy {
             Strategy::Line => "line",
             Strategy::Neighborhood => "neighborhood",
             Strategy::MonteCarlo => "monte-carlo",
-        }
-    }
-
-    /// Wire name — matches this enum's serde `snake_case` rename; the
-    /// registry's memo key spells strategies this way.
-    pub fn wire_name(&self) -> &'static str {
-        match self {
-            Strategy::Exhaustive => "exhaustive",
-            Strategy::Line => "line",
-            Strategy::Neighborhood => "neighborhood",
-            Strategy::MonteCarlo => "monte_carlo",
         }
     }
 

@@ -31,7 +31,7 @@
 //!   over a measured profile), and the zoo comparison that races search
 //!   against the analytic advice (`servet tune`).
 //! * [`registry`] (`servet-registry`) — the serving layer: a
-//!   content-addressed profile store, sharded caches, a memoized advice
+//!   content-addressed profile store, single-lock memos, a memoized advice
 //!   engine and tune engine, and an event-driven TCP server that
 //!   multiplexes thousands of connections over a fixed worker pool
 //!   (`servet serve` / `servet query` / `servet loadgen`).
