@@ -17,15 +17,16 @@
 //!   `(CS, K)` and picks the statistical mode of the best-fitting sizes.
 //!
 //! The fit is one serial loop over the candidate grid
-//! ([`scored_candidates`]), `O(max np)` per candidate — so its cost follows
-//! the window's right end. The sweep that feeds it costs tens of times
+//! ([`scored_candidates`]): one `O(max np)` recurrence pass per pack of up
+//! to eight tentative sizes that share an associativity — so its cost
+//! follows the window's right end. The sweep that feeds it costs tens of times
 //! more on the simulator even when bracketed
 //! ([`Sweep::Bracketed`](crate::mcalibrator::Sweep)), whose dense samples
 //! run on to the same two flat steps the window walk stops at.
 
 use crate::mcalibrator::{is_flat_step, McalibratorOutput};
 use serde::{Deserialize, Serialize};
-use servet_stats::binomial::{sf_curve, Binomial};
+use servet_stats::binomial::{sf_curves, Binomial};
 use servet_stats::gradient::{find_peaks, merge_peaks};
 use servet_stats::summary::mode;
 
@@ -149,18 +150,20 @@ pub fn predicted_miss_rate(np: u64, p: f64, k: usize, model: MissRateModel) -> f
     }
 }
 
-/// [`predicted_miss_rate`] for every page count in `np` at once: one
-/// `O(max(np))` recurrence pass per candidate instead of an independent
-/// binomial tail walk per sample (see [`sf_curve`]).
-pub fn predicted_miss_curve(np: &[u64], p: f64, k: usize, model: MissRateModel) -> Vec<f64> {
+/// [`predicted_miss_rate`] for every page count in `np` and every
+/// page-set probability in `ps` at associativity `k`: row `i` of the
+/// result (`np.len()` values) is the curve of `ps[i]`. Every candidate
+/// that shares `k` rides the same `O(max(np))` recurrence pass (see
+/// [`sf_curves`]) instead of an independent binomial tail walk per sample.
+fn predicted_miss_curves(np: &[u64], ps: &[f64], k: usize, model: MissRateModel) -> Vec<f64> {
     match model {
         MissRateModel::SizeBiased => {
-            // sf_{n-1}(k-1); np = 0 maps to n = 0 ≤ k-1, which sf_curve
+            // sf_{n-1}(k-1); np = 0 maps to n = 0 ≤ k-1, which sf_curves
             // already answers with 0 — matching the scalar form.
             let shifted: Vec<u64> = np.iter().map(|&n| n.saturating_sub(1)).collect();
-            sf_curve(&shifted, p, k as u64 - 1)
+            sf_curves(&shifted, ps, k as u64 - 1)
         }
-        MissRateModel::PaperApprox => sf_curve(np, p, k as u64),
+        MissRateModel::PaperApprox => sf_curves(np, ps, k as u64),
     }
 }
 
@@ -242,13 +245,24 @@ pub fn scored_candidates(
     let mut scored: Vec<(f64, usize)> = Vec::new();
     {
         let _span = servet_obs::span("cache_detect.fit.score");
-        for &cs in &tentative {
-            for &k in &grid.assocs {
-                let p = (k * page_size) as f64 / cs as f64;
-                // The whole predicted curve in one recurrence pass; the
-                // endpoints are the first/last points of the same curve
-                // rather than two extra binomial evaluations.
-                let curve = predicted_miss_curve(&np, p, k, model);
+        // Every tentative size's predicted curve at one associativity
+        // comes from one batch; the candidates are then scored in
+        // `(cs, k)` order. The endpoints are the first/last points of
+        // each curve rather than two extra binomial evaluations.
+        let curves: Vec<Vec<f64>> = grid
+            .assocs
+            .iter()
+            .map(|&k| {
+                let ps: Vec<f64> = tentative
+                    .iter()
+                    .map(|&cs| (k * page_size) as f64 / cs as f64)
+                    .collect();
+                predicted_miss_curves(&np, &ps, k, model)
+            })
+            .collect();
+        for (row, &cs) in tentative.iter().enumerate() {
+            for by_k in &curves {
+                let curve = &by_k[row * np.len()..][..np.len()];
                 let p_first = curve[0];
                 let p_last = *curve.last().expect("non-empty window");
                 let p_span = p_last - p_first;
@@ -310,6 +324,18 @@ pub fn detect_cache_levels(
     out: &McalibratorOutput,
     page_size: usize,
     config: &DetectConfig,
+) -> Vec<CacheLevelEstimate> {
+    detect_cache_levels_with(out, config, |sizes, cycles, grid| {
+        probabilistic_size(sizes, cycles, page_size, grid)
+    })
+}
+
+/// [`detect_cache_levels`] with the Fig. 3 fit of each smeared window —
+/// its sizes, cycles and floor-cut grid — passed in as `fit`.
+fn detect_cache_levels_with(
+    out: &McalibratorOutput,
+    config: &DetectConfig,
+    mut fit: impl FnMut(&[usize], &[f64], &CandidateGrid) -> Option<usize>,
 ) -> Vec<CacheLevelEstimate> {
     let _span = servet_obs::span("cache_detect.levels");
     let gradients = out.gradients();
@@ -374,9 +400,7 @@ pub fn detect_cache_levels(
             let floor = levels.last().map(|l| l.size * 2).unwrap_or(0);
             let mut grid = config.grid.clone();
             grid.sizes.retain(|&s| s >= floor);
-            if let Some(size) =
-                probabilistic_size(&out.sizes[lo..=hi], &out.cycles[lo..=hi], page_size, &grid)
-            {
+            if let Some(size) = fit(&out.sizes[lo..=hi], &out.cycles[lo..=hi], &grid) {
                 levels.push(CacheLevelEstimate {
                     level,
                     size,
@@ -674,23 +698,91 @@ mod tests {
         assert_eq!(top_a, top_b, "tie-break must neutralize grid order");
     }
 
-    /// The batched curve is the scalar model evaluated at every sample.
+    /// The batched curves are the scalar model evaluated at every sample.
     #[test]
     fn predicted_miss_curve_matches_scalar_model() {
         let np: Vec<u64> = (0..=12).map(|i| i * 137).collect();
         for model in [MissRateModel::SizeBiased, MissRateModel::PaperApprox] {
-            for &(p, k) in &[(0.015625f64, 8usize), (0.25, 2), (0.001, 24)] {
-                let curve = predicted_miss_curve(&np, p, k, model);
-                for (i, &pages) in np.iter().enumerate() {
-                    let want = predicted_miss_rate(pages, p, k, model);
-                    assert!(
-                        (curve[i] - want).abs() < 1e-9,
-                        "curve[{i}] = {} vs scalar {want} (p={p}, k={k}, {model:?})",
-                        curve[i]
-                    );
+            for &(ps, k) in &[
+                (&[0.015625f64, 0.001, 0.5][..], 8usize),
+                (&[0.25][..], 2),
+                (&[0.001, 0.015625][..], 24),
+            ] {
+                let curves = predicted_miss_curves(&np, ps, k, model);
+                for (curve, &p) in curves.chunks(np.len()).zip(ps) {
+                    for (i, &pages) in np.iter().enumerate() {
+                        let want = predicted_miss_rate(pages, p, k, model);
+                        assert!(
+                            (curve[i] - want).abs() < 1e-9,
+                            "curve[{i}] = {} vs scalar {want} (p={p}, k={k}, {model:?})",
+                            curve[i]
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// FNV-1a 64 over `bytes`, continuing from `hash`.
+    fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// The `(divergence bits, CS)` rankings of three sets of windows,
+    /// each under both miss-rate models, folded into one FNV-1a digest:
+    /// BENCH_fit's 64-point window, and every smeared window the detector
+    /// fits in a seed-1 sweep of each paper machine. A change to the fit's
+    /// arithmetic that moves any divergence by one ulp, or reorders the
+    /// ranking, moves the digest.
+    #[test]
+    fn candidate_rankings_are_pinned() {
+        const PAGE: usize = 4 * KB;
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut windows = 0;
+        let mut fold = |sizes: &[usize], cycles: &[f64], page: usize, grid: &CandidateGrid| {
+            windows += 1;
+            for model in [MissRateModel::SizeBiased, MissRateModel::PaperApprox] {
+                let scored =
+                    scored_candidates(sizes, cycles, page, grid, model).unwrap_or_default();
+                digest = fnv1a(digest, &scored.len().to_le_bytes());
+                for (div, cs) in scored {
+                    digest = fnv1a(digest, &div.to_bits().to_le_bytes());
+                    digest = fnv1a(digest, &cs.to_le_bytes());
+                }
+            }
+        };
+
+        // BENCH_fit's window: a smeared 2 MB / 8-way transition, 64 points
+        // from 1 MB to 4 MB with a deterministic ±0.4 % wobble.
+        let p = (8 * PAGE) as f64 / (2 * MB) as f64;
+        let (sizes, cycles): (Vec<usize>, Vec<f64>) = (0..64)
+            .map(|i| {
+                let size = MB + i * (3 * MB) / 64;
+                let miss = Binomial::new((size / PAGE) as u64 - 1, p).sf(7);
+                let wobble = ((i * 2_654_435_761) % 1000) as f64 / 1000.0 - 0.5;
+                (size, 10.0 + 60.0 * miss + 0.25 * wobble)
+            })
+            .unzip();
+        fold(&sizes, &cycles, PAGE, &CandidateGrid::default());
+
+        for spec in servet_sim::presets::paper_machines() {
+            let page = spec.page_size;
+            let mut platform =
+                SimPlatform::new(servet_sim::Machine::with_seed(spec, 1), None).with_seed(1);
+            let out = mcalibrator(&mut platform, 0, &McalibratorConfig::default());
+            detect_cache_levels_with(&out, &DetectConfig::default(), |sizes, cycles, grid| {
+                fold(sizes, cycles, page, grid);
+                probabilistic_size(sizes, cycles, page, grid)
+            });
+        }
+        assert_eq!(windows, 7, "the fitted windows moved");
+        assert_eq!(
+            digest, 0xcbb0_e6b4_260c_1988,
+            "the candidate rankings moved"
+        );
     }
 
     #[test]

@@ -177,8 +177,8 @@ pub struct EventStats {
     /// Readiness events delivered by the poller since startup.
     #[serde(default)]
     pub ready_events: u64,
-    /// Times the loop was woken by a worker completion or shutdown
-    /// (as opposed to socket readiness).
+    /// Worker hand-offs: replies a worker ran that the loop took off its
+    /// completion queue, one per request (a dead connection's included).
     #[serde(default)]
     pub wakeups: u64,
     /// Request lines the loop answered itself, with no worker hand-off

@@ -159,9 +159,10 @@ impl EventCounters {
         self.ready_events.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The loop was woken by the wake channel (completion or shutdown).
-    pub fn wakeup(&self) {
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
+    /// The loop took `n` worker replies off its completion queue,
+    /// including replies whose connection has died since.
+    pub fn handoffs(&self, n: u64) {
+        self.wakeups.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The loop answered a request line itself, without a worker.
@@ -741,7 +742,7 @@ mod tests {
         c.conn_closed();
         c.conn_opened();
         c.ready(5);
-        c.wakeup();
+        c.handoffs(1);
         c.partial_read();
         c.deadline_kill();
         c.oversized();

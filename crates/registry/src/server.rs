@@ -60,7 +60,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -174,12 +174,21 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     loop_thread: Option<JoinHandle<()>>,
     waker: Arc<Waker>,
+    live_threads: Arc<AtomicUsize>,
 }
 
 impl ServerHandle {
     /// The address actually bound (resolves `:0` to the chosen port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The number of this server's threads — the event loop and its
+    /// workers — whose bodies have not yet returned. Each thread's drop
+    /// guard decrements it before the thread can be joined, so it reads
+    /// exactly 0 once [`shutdown`](Self::shutdown) returns.
+    pub fn live_threads(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.live_threads)
     }
 
     /// Stop accepting, drain in-flight requests for up to the
@@ -309,19 +318,43 @@ pub fn serve(
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let prefix = config.thread_prefix.clone();
-    let (event_loop, workers) = EventLoop::new(registry, listener, config)?;
+    let live_threads = Arc::new(AtomicUsize::new(0));
+    let (event_loop, workers) = EventLoop::new(registry, listener, config, &live_threads)?;
     let shutdown = Arc::clone(&event_loop.shutdown);
     let waker = Arc::clone(&event_loop.waker);
+    let alive = LiveThread::new(&live_threads);
     let loop_thread = std::thread::Builder::new()
         .name(format!("{prefix}-accept"))
-        .spawn(move || event_loop.run(workers))?;
+        .spawn(move || {
+            let _alive = alive;
+            event_loop.run(workers)
+        })?;
 
     Ok(ServerHandle {
         addr,
         shutdown,
         loop_thread: Some(loop_thread),
         waker,
+        live_threads,
     })
+}
+
+/// One running server thread in [`ServerHandle::live_threads`]: counted
+/// when made, before the spawn, and uncounted when the thread's body
+/// drops it (or when a failed spawn drops the body unrun).
+struct LiveThread(Arc<AtomicUsize>);
+
+impl LiveThread {
+    fn new(count: &Arc<AtomicUsize>) -> Self {
+        count.fetch_add(1, Ordering::SeqCst);
+        Self(Arc::clone(count))
+    }
+}
+
+impl Drop for LiveThread {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// The body of one worker thread: execute jobs until the channel closes.
@@ -391,6 +424,7 @@ impl EventLoop {
         registry: Arc<Registry>,
         listener: TcpListener,
         config: ServerConfig,
+        live_threads: &Arc<AtomicUsize>,
     ) -> io::Result<(Self, Vec<JoinHandle<()>>)> {
         listener.set_nonblocking(true)?;
         // A 10k-connection storm overruns std's hardcoded 128-deep kernel
@@ -413,10 +447,14 @@ impl EventLoop {
             let job_rx = Arc::clone(&job_rx);
             let completions = Arc::clone(&completions);
             let waker = Arc::clone(&waker);
+            let alive = LiveThread::new(live_threads);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("{}-worker-{i}", config.thread_prefix))
-                    .spawn(move || work(&registry, &job_rx, &completions, &waker))?,
+                    .spawn(move || {
+                        let _alive = alive;
+                        work(&registry, &job_rx, &completions, &waker)
+                    })?,
             );
         }
 
@@ -565,7 +603,6 @@ impl EventLoop {
 
     /// Swallow pending wake bytes (their only job was ending the wait).
     fn drain_waker(&mut self) {
-        self.registry.event_counters().wakeup();
         let mut buf = [0u8; 256];
         loop {
             match self.wake_rx.read(&mut buf) {
@@ -713,6 +750,9 @@ impl EventLoop {
             Ok(mut queue) => std::mem::take(&mut *queue),
             Err(_) => return,
         };
+        // One hand-off per reply a worker ran, delivered or not: one
+        // drain of the wake channel can swallow several wake bytes.
+        self.registry.event_counters().handoffs(batch.len() as u64);
         for done in batch {
             let token = done.conn;
             {
@@ -1052,7 +1092,9 @@ mod tests {
             workers: 1,
             ..ServerConfig::default()
         };
-        let (mut ev, workers) = EventLoop::new(Arc::clone(&registry), listener, config).unwrap();
+        let live = Arc::new(AtomicUsize::new(0));
+        let (mut ev, workers) =
+            EventLoop::new(Arc::clone(&registry), listener, config, &live).unwrap();
         let (mut events, mut drain) = (Vec::new(), None);
         let mut turn_until = |ev: &mut EventLoop, what: &str, done: &dyn Fn(&EventLoop) -> bool| {
             let deadline = Instant::now() + Duration::from_secs(30);
@@ -1253,8 +1295,15 @@ mod tests {
         for c in clients {
             c.join().unwrap();
         }
+        let live = server.live_threads();
+        assert_eq!(live.load(Ordering::SeqCst), WORKERS + 1);
         server.shutdown();
-        assert_eq!(threads_with_prefix("pool64"), 0, "pool threads leaked");
+        assert_eq!(live.load(Ordering::SeqCst), 0, "pool threads leaked");
+        // A joined thread can linger in /proc/self/task for a moment
+        // after `join` returns, so the kernel's view is waited for.
+        wait_until("pool threads gone from /proc", || {
+            threads_with_prefix("pool64") == 0
+        });
     }
 
     /// Admission control: arrivals past `max_conns` get the typed

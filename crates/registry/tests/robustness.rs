@@ -10,6 +10,7 @@
 use servet_registry::{serve, Registry, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -262,12 +263,17 @@ fn misbehaving_clients_never_grow_the_thread_count() {
     wait_until("abusers reaped", || {
         registry.event_counters().snapshot().conns_open == 0
     });
-    assert_eq!(threads_with_prefix("rob5"), baseline);
+    let live = server.live_threads();
+    assert_eq!(live.load(Ordering::SeqCst), baseline);
+    wait_until("no thread beyond the pool", || {
+        threads_with_prefix("rob5") == baseline
+    });
     drop(held);
 
     let events = registry.event_counters().snapshot();
     assert!(events.oversized_rejected >= 8, "events: {events:?}");
     server.shutdown();
+    assert_eq!(live.load(Ordering::SeqCst), 0, "pool threads leaked");
     wait_until("threads gone after shutdown", || {
         threads_with_prefix("rob5") == 0
     });

@@ -12,11 +12,12 @@
 //! log-gamma — but only **once per tail sum**: interior terms follow the
 //! incremental recurrence `pmf(k+1) = pmf(k)·((n−k)/(k+1))·(p/(1−p))`
 //! seeded at the mode, which costs one multiply where the naive kernel
-//! paid three transcendental log-gamma evaluations. The [`sf_curve`]
+//! paid three transcendental log-gamma evaluations. The [`sf_curves`]
 //! batch API goes further for the Fig. 3 fit: it produces the whole
-//! predicted miss-rate curve of a candidate in a single `O(max NP)` pass
-//! using the companion recurrence in `n`,
-//! `P(B(n+1,p) > k) = P(B(n,p) > k) + p·P(B(n,p) = k)`.
+//! predicted miss-rate curves of up to eight candidates that share `K` in
+//! a single `O(max NP)` pass, one lane per candidate, using the companion
+//! recurrence in `n`, `P(B(n+1,p) > k) = P(B(n,p) > k) + p·P(B(n,p) = k)`.
+//! [`sf_curve`] is its one-candidate case.
 //!
 //! The pre-recurrence per-term kernels survive in [`mod@reference`] as the
 //! ground truth for the property tests.
@@ -238,63 +239,128 @@ impl Binomial {
 }
 
 /// Survival curve `P(B(n, p) > k)` for every `n` in `np_values`, computed
-/// in one `O(max(np_values))` pass.
+/// in one `O(max(np_values))` pass: the one-candidate case of
+/// [`sf_curves`].
 ///
-/// The Fig. 3 fit evaluates one `(CS, K)` candidate against *every* array
-/// size of a smeared transition window; calling [`Binomial::sf`] per size
-/// repeats the tail walk from scratch each time. This batch form instead
-/// advances the pair of recurrences in the trial count `n`
+/// `np_values` may be in any order (results come back positionally) and
+/// `p` is clamped to `[0, 1]` like [`Binomial::new`].
+pub fn sf_curve(np_values: &[u64], p: f64, k: u64) -> Vec<f64> {
+    sf_curves(np_values, &[p], k)
+}
+
+/// Candidates one pass of the recurrence advances in lockstep.
+const LANES: usize = 8;
+
+/// Survival curves `P(B(n, p) > k)` of several candidates that share `k`,
+/// for every `n` in `np_values`: row `i` of the result (`np_values.len()`
+/// values) is the curve of `ps[i]`.
+///
+/// The Fig. 3 fit evaluates every `(CS, K)` candidate against *every*
+/// array size of a smeared transition window; calling [`Binomial::sf`]
+/// per size repeats the tail walk from scratch each time. This batch form
+/// instead advances the pair of recurrences in the trial count `n`
 ///
 /// ```text
 /// P(B(n+1,p) > k) = P(B(n,p) > k) + p · P(B(n,p) = k)
 /// P(B(n+1,p) = k) = P(B(n,p) = k) · (1-p) · (n+1) / (n+1-k)
 /// ```
 ///
-/// from `n = k` upward, reading off the curve at each requested page
-/// count. `np_values` may be in any order (results come back positionally)
-/// and `p` is clamped to `[0, 1]` like [`Binomial::new`].
-pub fn sf_curve(np_values: &[u64], p: f64, k: u64) -> Vec<f64> {
-    let p = p.clamp(0.0, 1.0);
-    let mut out = vec![0.0f64; np_values.len()];
-    if np_values.is_empty() || p == 0.0 {
-        // With p = 0, X is identically 0 and P(X > k) = 0 for every k ≥ 0.
+/// from `n = k` upward, reading off the curves at each requested page
+/// count. Candidates with the same `k` step through the same `n`, so up
+/// to eight of them share one pass, each lane performing exactly the
+/// operations a pass of its own would: the curves are the same bits
+/// whatever `ps` holds beside them. `np_values` may be in any order and
+/// each `p` is clamped to `[0, 1]` like [`Binomial::new`].
+pub fn sf_curves(np_values: &[u64], ps: &[f64], k: u64) -> Vec<f64> {
+    let len = np_values.len();
+    let mut out = vec![0.0f64; ps.len() * len];
+    if len == 0 {
         return out;
     }
-    if p == 1.0 {
-        for (slot, &n) in out.iter_mut().zip(np_values) {
-            *slot = if n > k { 1.0 } else { 0.0 };
-        }
-        return out;
-    }
-    let mut order: Vec<usize> = (0..np_values.len()).collect();
+    let mut order: Vec<usize> = (0..len).collect();
     order.sort_by_key(|&i| np_values[i]);
-    let q = 1.0 - p;
-    // State at trial count m ≥ k: `sf = P(B(m,p) > k)`, `pmfk = P(B(m,p) = k)`.
-    // Seeded at m = k, where sf = 0 and pmfk = p^k.
-    let mut m = k;
-    let mut sf = 0.0f64;
-    let mut pmfk = (k as f64 * p.ln()).exp();
-    for &i in &order {
-        let target = np_values[i];
-        // target ≤ k leaves the seed state: P(B(n,p) > k) = 0 for n ≤ k.
-        while m < target {
-            // Once past the peak of P(B(m,p) = k) (at m ≈ k/p) the term
-            // decays geometrically; when it underflows toward subnormal
-            // range it can no longer move `sf`, and grinding through
-            // subnormal multiplies costs a microcode trap per step. Freeze
-            // the converged state and jump to the target.
-            if pmfk < f64::MIN_POSITIVE && (m as f64) * p > k as f64 {
-                pmfk = 0.0;
-                m = target;
-                break;
-            }
-            sf += p * pmfk;
-            pmfk *= q * (m + 1) as f64 / (m + 1 - k) as f64;
-            m += 1;
+    let mut pack: Vec<(usize, f64)> = Vec::with_capacity(LANES);
+    for (row, &p) in ps.iter().enumerate() {
+        let p = p.clamp(0.0, 1.0);
+        if p == 0.0 {
+            // X is identically 0, so P(X > k) = 0 for every k ≥ 0.
+            continue;
         }
-        out[i] = sf.min(1.0);
+        if p == 1.0 {
+            for (slot, &n) in out[row * len..][..len].iter_mut().zip(np_values) {
+                *slot = if n > k { 1.0 } else { 0.0 };
+            }
+            continue;
+        }
+        pack.push((row, p));
+        if pack.len() == LANES {
+            advance::<LANES>(np_values, &order, &pack, k, &mut out);
+            pack.clear();
+        }
+    }
+    match pack.len() {
+        0 => {}
+        1 => advance::<1>(np_values, &order, &pack, k, &mut out),
+        _ => advance::<LANES>(np_values, &order, &pack, k, &mut out),
     }
     out
+}
+
+/// Advance the recurrence of every `(row, p)` of `pack` (at most `N`,
+/// each `p` in `(0, 1)`) through `np_values` in ascending `order`,
+/// writing each candidate's curve into its row of `out`.
+///
+/// Each lane's arithmetic is the scalar recurrence's, in its order;
+/// `(m+1)` and `(m+1−k)` are exact `f64` counters (integers below 2⁵³).
+/// A lane past its subnormal freeze holds `pmfk = 0` and adds `+0.0`,
+/// which leaves its sum unchanged; unused lanes start there.
+fn advance<const N: usize>(
+    np_values: &[u64],
+    order: &[usize],
+    pack: &[(usize, f64)],
+    k: u64,
+    out: &mut [f64],
+) {
+    let len = np_values.len();
+    let kf = k as f64;
+    let (mut p, mut q) = ([0.0f64; N], [1.0f64; N]);
+    // State at trial count m ≥ k: `sf = P(B(m,p) > k)`, `pmfk = P(B(m,p) = k)`.
+    // Seeded at m = k, where sf = 0 and pmfk = p^k.
+    let (mut sf, mut pmfk) = ([0.0f64; N], [0.0f64; N]);
+    for (lane, &(_, pl)) in pack.iter().enumerate() {
+        p[lane] = pl;
+        q[lane] = 1.0 - pl;
+        pmfk[lane] = (kf * pl.ln()).exp();
+    }
+    let mut m = k;
+    let mut mf = kf;
+    // Set once every lane is frozen: no further step can move a sum.
+    let mut settled = false;
+    for &i in order {
+        let target = np_values[i];
+        // target ≤ k leaves the seed state: P(B(n,p) > k) = 0 for n ≤ k.
+        while !settled && m < target {
+            let next = mf + 1.0;
+            let fresh = next - kf;
+            for lane in 0..N {
+                // Once past the peak of P(B(m,p) = k) (at m ≈ k/p) the
+                // term decays geometrically; when it underflows toward
+                // subnormal range it can no longer move `sf`, and
+                // grinding through subnormal multiplies costs a microcode
+                // trap per step. Freeze the converged lane.
+                let frozen = pmfk[lane] < f64::MIN_POSITIVE && mf * p[lane] > kf;
+                pmfk[lane] = if frozen { 0.0 } else { pmfk[lane] };
+                sf[lane] += p[lane] * pmfk[lane];
+                pmfk[lane] *= q[lane] * next / fresh;
+            }
+            m += 1;
+            mf = next;
+            settled = pmfk.iter().all(|&t| t == 0.0);
+        }
+        for (lane, &(row, _)) in pack.iter().enumerate() {
+            out[row * len + i] = sf[lane].min(1.0);
+        }
+    }
 }
 
 /// The pre-recurrence kernels: every pmf term pays its own three

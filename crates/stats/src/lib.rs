@@ -9,8 +9,9 @@
 //!   probabilistic cache-size algorithm (paper Fig. 3), computed stably in
 //!   log space so that page counts in the tens of thousands do not overflow,
 //!   and cheaply via mode-seeded incremental recurrences (one log-gamma
-//!   evaluation per tail sum, plus the batched [`sf_curve`] that yields a
-//!   candidate's whole predicted curve in a single pass).
+//!   evaluation per tail sum, plus the batched [`sf_curves`] that yields
+//!   the whole predicted curves of up to eight candidates sharing an
+//!   associativity in a single pass, one lane each).
 //! * [`gradient`](mod@gradient) — gradients `C[k+1]/C[k]` of a measurement series and peak
 //!   detection over them (paper Figs. 2b and 4).
 //! * [`cluster`] — one-dimensional tolerance clustering used to group "similar"
@@ -36,7 +37,7 @@ pub mod regress;
 pub mod rng;
 pub mod summary;
 
-pub use binomial::{sf_curve, Binomial};
+pub use binomial::{sf_curve, sf_curves, Binomial};
 pub use cluster::{cluster_by_tolerance, Cluster};
 pub use gradient::{find_peaks, gradient, merge_peaks, Peak};
 pub use groups::{groups_from_pairs, DisjointSet};

@@ -2,7 +2,7 @@
 //! fixed number of cases drawn from its own seeded stream, and names the
 //! drawn inputs in its failure message.
 
-use servet_stats::binomial::{reference, sf_curve, Binomial};
+use servet_stats::binomial::{reference, sf_curve, sf_curves, Binomial};
 use servet_stats::cluster::{cluster_by_tolerance, within_tolerance};
 use servet_stats::gradient::{find_peaks, gradient};
 use servet_stats::groups::{groups_from_pairs, DisjointSet};
@@ -101,6 +101,146 @@ fn sf_curve_tracks_per_point_sf() {
             assert!((0.0..=1.0).contains(&curve[i]));
         }
     }
+}
+
+/// Drawn cases of the lane kernel's bit-identity property: the release
+/// build (CI's "Lane kernel against the scalar recurrence") draws ten
+/// times as many.
+const LANE_CASES: usize = if cfg!(debug_assertions) { 200 } else { 2000 };
+
+/// The specification [`sf_curves`] is tested against: the scalar
+/// one-candidate recurrence in `n` it replaced, one pass per `p`.
+fn sf_curve_spec(np_values: &[u64], p: f64, k: u64) -> Vec<f64> {
+    let p = p.clamp(0.0, 1.0);
+    let mut out = vec![0.0f64; np_values.len()];
+    if np_values.is_empty() || p == 0.0 {
+        // With p = 0, X is identically 0 and P(X > k) = 0 for every k ≥ 0.
+        return out;
+    }
+    if p == 1.0 {
+        for (slot, &n) in out.iter_mut().zip(np_values) {
+            *slot = if n > k { 1.0 } else { 0.0 };
+        }
+        return out;
+    }
+    let mut order: Vec<usize> = (0..np_values.len()).collect();
+    order.sort_by_key(|&i| np_values[i]);
+    let q = 1.0 - p;
+    // State at trial count m ≥ k: `sf = P(B(m,p) > k)`, `pmfk = P(B(m,p) = k)`.
+    // Seeded at m = k, where sf = 0 and pmfk = p^k.
+    let mut m = k;
+    let mut sf = 0.0f64;
+    let mut pmfk = (k as f64 * p.ln()).exp();
+    for &i in &order {
+        let target = np_values[i];
+        // target ≤ k leaves the seed state: P(B(n,p) > k) = 0 for n ≤ k.
+        while m < target {
+            // Past the peak of P(B(m,p) = k), once the term underflows
+            // toward subnormal range it can no longer move `sf`: freeze
+            // the converged state and jump to the target.
+            if pmfk < f64::MIN_POSITIVE && (m as f64) * p > k as f64 {
+                pmfk = 0.0;
+                m = target;
+                break;
+            }
+            sf += p * pmfk;
+            pmfk *= q * (m + 1) as f64 / (m + 1 - k) as f64;
+            m += 1;
+        }
+        out[i] = sf.min(1.0);
+    }
+    out
+}
+
+/// Every lane of `sf_curves(np, ps, k)` must equal the specification's
+/// curve for its `p`, bit for bit.
+fn assert_lanes_match_spec(np: &[u64], ps: &[f64], k: u64) {
+    let batch = sf_curves(np, ps, k);
+    assert_eq!(
+        batch.len(),
+        ps.len() * np.len(),
+        "np={np:?} ps={ps:?} k={k}"
+    );
+    for (lane, &p) in ps.iter().enumerate() {
+        let want = sf_curve_spec(np, p, k);
+        let got = &batch[lane * np.len()..][..np.len()];
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "lane {lane} of {} (p={p}, k={k}) at n={}: {g} vs spec {w}",
+                ps.len(),
+                np[i]
+            );
+        }
+    }
+}
+
+/// A drawn probability: the degenerate endpoints, out-of-range values,
+/// tiny values whose seed `p^k` is subnormal or zero, and the spread the
+/// Fig. 3 grid uses.
+fn lane_p(rng: &mut ChaCha8Rng) -> f64 {
+    match rng.gen_range(0u64..10) {
+        0 => 0.0,
+        1 => 1.0,
+        2 => [-0.5, 1.5][rng.gen_range(0usize..2)],
+        3 => 10f64.powf(-rng.gen_range(20.0..320.0)),
+        4..=6 => 10f64.powf(-rng.gen_range(0.0..4.0)),
+        _ => rng.gen_range(0.0..1.0),
+    }
+}
+
+#[test]
+fn lane_kernel_matches_the_scalar_recurrence() {
+    let mut rng = ChaCha8Rng::seed_from_u64(12);
+    for case in 0..LANE_CASES {
+        let k = if case % 8 == 0 {
+            rng.gen_range(0u64..300)
+        } else {
+            rng.gen_range(0u64..40)
+        };
+        let mut np = vec_of(&mut rng, 0..40, |r| r.gen_range(0u64..4000));
+        // Duplicates and page counts at or below k, in any position.
+        for _ in 0..rng.gen_range(0usize..4) {
+            if !np.is_empty() {
+                let dup = np[rng.gen_range(0..np.len())];
+                np.push(dup);
+            }
+            np.push(rng.gen_range(0..k + 1));
+        }
+        rng.shuffle(&mut np);
+        let lanes = 1 + case % 17;
+        let ps: Vec<f64> = (0..lanes).map(|_| lane_p(&mut rng)).collect();
+        assert_lanes_match_spec(&np, &ps, k);
+    }
+}
+
+#[test]
+fn lane_kernel_matches_the_scalar_recurrence_on_edge_cases() {
+    let np: Vec<u64> = vec![4000, 5, 900, 0, 900, 3, 2500, 64, 4000, 1];
+    // p = 0 and p = 1 among ordinary lanes; a lane whose seed p^k is
+    // subnormal (1e-310 at k = 1); lanes that freeze (p = 0.5 underflows
+    // P(B(m,p) = k) long before m = 4000) beside lanes that never do;
+    // and every lane count from 1 to 17.
+    let pool = [0.0, 0.5, 1.0, 1e-310, 0.02, 0.9, 1e-4, 0.3, 0.75];
+    for k in [0u64, 1, 3, 8, 31] {
+        for lanes in 1..=17 {
+            let ps: Vec<f64> = pool.iter().copied().cycle().take(lanes).collect();
+            assert_lanes_match_spec(&np, &ps, k);
+        }
+        // Every lane frozen early: the pass settles and jumps.
+        assert_lanes_match_spec(&np, &[0.5, 0.6, 0.7, 0.8, 0.9, 0.95], k);
+        // np ≤ k everywhere, and no page counts at all.
+        assert_lanes_match_spec(&[0, k, k / 2], &[0.3, 0.5, 0.99], k);
+        assert_lanes_match_spec(&[], &[0.3, 0.5], k);
+    }
+    assert_lanes_match_spec(&np, &[], 4);
+    // The freeze is reached: past the peak at m ≈ k/p, P(B(m,0.5) = 3)
+    // at m = 4000 is far below f64::MIN_POSITIVE.
+    assert!(Binomial::new(4000, 0.5).pmf(3) < f64::MIN_POSITIVE);
+    // And the curve matches the one-candidate form bit for bit.
+    let one = sf_curve(&np, 0.02, 8);
+    assert_eq!(one, sf_curve_spec(&np, 0.02, 8));
 }
 
 #[test]

@@ -6,6 +6,7 @@
 use servet::prelude::*;
 use servet::registry::{profile_digest, serve, AdviceOutcome, AdviceQuery, Response, ServerConfig};
 use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -306,9 +307,23 @@ fn hammer_64_concurrent_connections_with_bounded_pool() {
         CLIENTS * 3,
         get_op.count
     );
+    let live = server.live_threads();
+    assert_eq!(live.load(Ordering::SeqCst), WORKERS + 1);
     server.shutdown();
+    assert_eq!(live.load(Ordering::SeqCst), 0, "pool threads leaked");
+    // A joined thread can linger in /proc/self/task for a moment after
+    // `join` returns, so the kernel's view is waited for, not sampled.
     #[cfg(target_os = "linux")]
-    assert_eq!(threads_with_prefix("hammer64"), 0, "pool threads leaked");
+    {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while threads_with_prefix("hammer64") != 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "pool threads still in /proc after shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
 }
 
 /// Requests whose answer is in memory are answered by the event loop,
