@@ -43,12 +43,15 @@ const CONCURRENT_TRIALS: usize = 2;
 /// repetition loop achieves: the measured miss rate approaches the
 /// binomial expectation of Fig. 3. Small arrays span few pages (noisy,
 /// cheap to re-measure), so the trial count scales until several thousand
-/// page samples back each estimate. A single-core trial costs its page
-/// table: drawing it, and the census that prices the passes from it
-/// (`Machine::traverse_shared`), each tens of nanoseconds per page on
-/// the presets — not a replay of every access through the caches.
-/// So the cost of a measurement is roughly constant across sizes while
-/// trials × pages is capped, and grows with the pages beyond.
+/// page samples back each estimate. A single-core trial costs drawing
+/// its page table, per page, and the census that prices the passes from
+/// it (`Machine::traverse_shared`): one count per access of a pass and
+/// cache level, the passes' clock being added in per-binade runs — not
+/// a replay of every access through the caches (EXPERIMENTS.md,
+/// "Performance", has both costs per page and per access). So the cost
+/// of a measurement is roughly constant across sizes while trials ×
+/// pages is held near 4096 (256 to 2048 pages), and grows with the
+/// pages beyond.
 fn traverse_trials(size: usize, page_size: usize) -> usize {
     let pages = (size / page_size).max(1);
     (4096usize.div_ceil(pages)).clamp(2, 16)

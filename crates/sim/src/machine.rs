@@ -61,10 +61,11 @@
 //! A single-core strided traversal of a private array on a freshly reset
 //! machine — mcalibrator's every trial — is priced from a count of its
 //! lines per cache set instead of replayed (the `census` submodule states
-//! when that is exact). The clock is still summed access by access, in
-//! the engine's order and with its expressions, so the result is the
-//! engine's to the bit; the cache contents the pass leaves behind are
-//! written in only if a later driver call comes before the next reset.
+//! when that is exact). Its clock reaches the engine's bits in
+//! per-binade runs rather than access by access (DESIGN.md §11, "The
+//! clock in per-binade runs"); the cache contents the pass leaves behind
+//! are written in only if a later driver call comes before the next
+//! reset.
 //!
 //! # Not replaying
 //!

@@ -28,21 +28,19 @@
 //!
 //! # The clock
 //!
-//! The clock is summed access by access in the engine's order, with the
-//! engine's expressions (the bus `max` and transfer, `measure_start` when
-//! the warm-up ends): `f64` addition is not associative, and a pass summed
-//! any other way — `passes ×` a per-pass total — would round differently.
-//! That sum and the count are all that is left per access; pass 0, which
-//! misses everywhere whatever the count finds, is summed inside the first
-//! level's count.
+//! The clock comes out with the engine's bits, though it is not summed
+//! access by access: inside one binade every addition the engine makes
+//! is an exact integer step on the mantissa, so a run of accesses that
+//! stays in its binade is added as a count times a step ([`Clock`]; the
+//! argument is DESIGN.md §11's "The clock in per-binade runs").
 //!
 //! # What the pass leaves behind
 //!
 //! Every level ends the traversal holding exactly what one cold pass
 //! leaves in it: a level that sees every access holds the last `K` lines
 //! of each set in the pass's order however many passes ran, and a level
-//! below *j* saw pass 0 only. The counters, the prefetcher and the bus
-//! clock are written at once; the contents are owed, written in by
+//! below *j* saw pass 0 only. The counters and the prefetcher are
+//! written at once; the contents are owed, written in by
 //! [`Machine::settle_owed_pass`] at the top of the next driver call and
 //! dropped by `reset`. A trial loop that resets before every traversal,
 //! as `SimPlatform`'s does, never writes them.
@@ -72,8 +70,13 @@ pub(super) struct Scratch {
     /// All zero between traversals.
     counts: Vec<u32>,
     /// Bit `i`: whether access `i` hits level *j* on every pass after
-    /// the first; it goes to memory otherwise.
+    /// the first; it goes to memory otherwise. Filled only when some
+    /// accesses do and some do not.
     fits: Vec<u64>,
+    /// The last priced traversal's passes, as [`Clock::traverse`] logs
+    /// them.
+    #[cfg(test)]
+    log: Vec<PassLog>,
 }
 
 impl Machine {
@@ -112,7 +115,7 @@ impl Machine {
         for (l, &c) in path.iter().enumerate() {
             base[l + 1] = base[l] + caches[c].num_sets();
         }
-        let Scratch { counts, fits } = &mut self.census;
+        let Scratch { counts, fits, .. } = &mut self.census;
         if counts.len() < base[nlev] {
             counts.resize(base[nlev], 0);
         }
@@ -127,30 +130,7 @@ impl Machine {
                 base + cache.set_of(Self::level_key(lp, asid_tag, vaddr, paddr))
             })
         };
-        // The engine's arithmetic, access by access. With no TLB and no
-        // coherence (a private array) its TLB and coherence terms are 0.0,
-        // which leave a cost unchanged, and no access is prefetched.
-        let bus = self.bus_of[core];
-        let (transfer, mem) = (self.transfer_cycles[core], self.mem_latency);
-        let mut free = 0.0f64;
-        let mut miss = |clock: &mut f64| {
-            if bus.is_some() {
-                let start = clock.max(free);
-                free = start + transfer;
-                *clock = start + transfer + mem;
-            } else {
-                *clock += mem;
-            }
-        };
-        // Pass 0 misses everywhere whatever the census finds, so its clock
-        // is summed in the first level's counting loop: the sum is one
-        // chain of dependent additions, and the count's work overlaps it.
-        let mut clock = 0.0f64;
-        slots(0).for_each(|s| {
-            counts[s] += 1;
-            miss(&mut clock);
-        });
-        for l in 1..nlev {
+        for l in 0..nlev {
             slots(l).for_each(|s| counts[s] += 1);
         }
         // Each per-set question is answered over the accesses or over the
@@ -175,21 +155,15 @@ impl Machine {
             })
             .find(|&(_, fit)| fit > 0);
         // Where the passes after the first are served: level *j*'s hit
-        // cost, and `fits`.
-        fits.clear();
-        let words = n.div_ceil(64);
+        // cost, and, when only some of the accesses hit there, `fits`.
+        let fit = first_fit.map_or(0, |(_, fit)| fit);
         let hit_cycles = match first_fit {
             // No level has a set that fits: nothing hits again.
-            None => {
-                fits.resize(words, 0);
-                Some(0.0)
-            }
-            Some((j, fit)) if fit == n => {
-                fits.resize(words, !0);
-                Some(self.levels[j].hit_cycles)
-            }
+            None => Some(0.0),
+            Some((j, fit)) if fit == n => Some(self.levels[j].hit_cycles),
             Some((j, _)) if j + 1 == nlev => {
-                fits.resize(words, 0);
+                fits.clear();
+                fits.resize(n.div_ceil(64), 0);
                 for (i, s) in slots(j).enumerate() {
                     if counts[s] <= ways(j) {
                         fits[i / 64] |= 1 << (i % 64);
@@ -208,18 +182,15 @@ impl Machine {
         }
         let hit_cycles = hit_cycles?;
 
-        let mut measure_start = 0.0;
-        for pass in 1..warmup + passes {
-            if pass == warmup {
-                measure_start = clock;
-            }
-            for i in 0..n {
-                if fits[i / 64] >> (i % 64) & 1 == 1 {
-                    clock += hit_cycles;
-                } else {
-                    miss(&mut clock);
-                }
-            }
+        // The engine's costs. With no TLB and no coherence (a private
+        // array) its TLB and coherence terms are 0.0, which leave a cost
+        // unchanged, and no access is prefetched.
+        let bus = self.bus_of[core].map(|_| self.transfer_cycles[core]);
+        let mut clock = Clock::new(0.0, hit_cycles, bus, self.mem_latency);
+        let measure_start = clock.traverse(fits, n, fit, warmup, passes);
+        #[cfg(test)]
+        {
+            self.census.log = std::mem::take(&mut clock.log);
         }
 
         // What the engine leaves: every level missed pass 0; above *j*
@@ -241,10 +212,8 @@ impl Machine {
         // prefetcher's reach: it ends untrained, remembering the last
         // address, as one access there leaves it.
         self.prefetchers[core].access((job.offset + (n - 1) * job.stride) as u64);
-        self.restart_clocks();
-        if let Some(bus) = bus {
-            self.bus_free_at[bus] = free;
-        }
+        // The bus clocks are left alone: only `run_block` reads them, and
+        // `lockstep` restarts them before its first block.
         self.contents = Contents::Owed(OwedPass {
             core,
             aspace: aspace.clone(),
@@ -253,7 +222,7 @@ impl Machine {
             count: n,
         });
         self.census_priced += 1;
-        Some((clock - measure_start) / (n * passes) as f64)
+        Some((clock.at - measure_start) / (n * passes) as f64)
     }
 
     /// Write an owed pass into the caches — one cold pass through every
@@ -280,6 +249,213 @@ impl Machine {
         for (&c, &s) in path.iter().zip(&stats) {
             self.caches[c].set_stats(s);
         }
+    }
+}
+
+/// The largest mantissa of a binade, counted in the binade's ulps.
+const MANTISSA_MAX: u64 = (1 << 53) - 1;
+
+/// A step no run may take: the addend it stands for is a tie in the
+/// clock's binade, negative or not smaller than the binade, or the clock
+/// is zero, subnormal or not finite. A count times it saturates above
+/// [`MANTISSA_MAX`] unless the count is 0.
+const NO_STEP: u64 = u64::MAX;
+
+/// The binade a clock is in, and what one access adds to its mantissa
+/// there.
+#[derive(Debug, Clone, Copy)]
+struct Binade {
+    /// The clock's biased exponent: the binade's key.
+    exp: u64,
+    ulp: f64,
+    /// Ulps a hit adds, or [`NO_STEP`].
+    hit: u64,
+    /// Ulps a miss adds (the bus transfer's and memory's, each rounded on
+    /// its own), or [`NO_STEP`].
+    miss: u64,
+}
+
+impl Binade {
+    fn of(at: f64, hit: f64, bus: Option<f64>, mem: f64) -> Self {
+        let exp = at.to_bits() >> 52;
+        // A clock whose ulp would be subnormal (zero included), or that
+        // is not finite, steps one access at a time.
+        if exp <= 52 || exp >= 0x7ff {
+            return Self {
+                exp,
+                ulp: 0.0,
+                hit: NO_STEP,
+                miss: NO_STEP,
+            };
+        }
+        let ulp = f64::from_bits((exp - 52) << 52);
+        // `x / ulp` divides by a power of two: it is exact.
+        let steps = |x: f64| {
+            let q = x / ulp;
+            if (0.0..MANTISSA_MAX as f64).contains(&q) && q - q.floor() != 0.5 {
+                q.round() as u64
+            } else {
+                NO_STEP
+            }
+        };
+        let miss = match bus {
+            Some(transfer) => steps(transfer).saturating_add(steps(mem)),
+            None => steps(mem),
+        };
+        Self {
+            exp,
+            ulp,
+            hit: steps(hit),
+            miss,
+        }
+    }
+}
+
+/// The census's clock: the bits the engine's running sum reaches, added
+/// in runs that stay in one binade (module docs).
+///
+/// A miss through a bus is `(clock + transfer) + mem`, the engine's
+/// `start + transfer + cost` at `start = clock`: the engine starts a
+/// transfer at `max(clock, free)`, and `free ≤ clock` after every miss
+/// (`free` is the sum before adding `mem ≥ 0`), so the census keeps no
+/// bus clock.
+struct Clock {
+    at: f64,
+    hit: f64,
+    bus: Option<f64>,
+    mem: f64,
+    binade: Binade,
+    /// Per pass: the clock where it began and where it ended, and how
+    /// many of its accesses took the engine's expression one by one.
+    #[cfg(test)]
+    log: Vec<PassLog>,
+}
+
+/// One pass of a [`Clock::traverse`]: its first and last clock, and its
+/// accesses stepped one by one.
+#[cfg(test)]
+type PassLog = (f64, f64, usize);
+
+impl Clock {
+    fn new(at: f64, hit: f64, bus: Option<f64>, mem: f64) -> Self {
+        Self {
+            at,
+            hit,
+            bus,
+            mem,
+            binade: Binade::of(at, hit, bus, mem),
+            #[cfg(test)]
+            log: Vec::new(),
+        }
+    }
+
+    /// The mantissa of `at` in its binade's ulps.
+    fn mantissa(&self) -> u64 {
+        self.at.to_bits() & ((1 << 52) - 1) | 1 << 52
+    }
+
+    /// One access, with the engine's expression.
+    fn step(&mut self, hit: bool) {
+        self.at = match self.bus {
+            _ if hit => self.at + self.hit,
+            Some(transfer) => self.at + transfer + self.mem,
+            None => self.at + self.mem,
+        };
+        if self.at.to_bits() >> 52 != self.binade.exp {
+            self.binade = Binade::of(self.at, self.hit, self.bus, self.mem);
+        }
+        #[cfg(test)]
+        if let Some(pass) = self.log.last_mut() {
+            pass.2 += 1;
+        }
+    }
+
+    /// `hits` hits and `misses` misses in any order, if together they
+    /// stay in the clock's binade; otherwise nothing, and `false`.
+    fn take(&mut self, hits: u64, misses: u64) -> bool {
+        debug_assert!(hits + misses > 0);
+        let b = self.binade;
+        let to = hits
+            .saturating_mul(b.hit)
+            .saturating_add(misses.saturating_mul(b.miss))
+            .saturating_add(self.mantissa());
+        let inside = to <= MANTISSA_MAX;
+        if inside {
+            self.at = to as f64 * b.ulp;
+        }
+        inside
+    }
+
+    /// `count` accesses that all hit or all miss: as many as stay in the
+    /// binade at once, then the one that leaves it with the engine's
+    /// expression, and so on.
+    fn run(&mut self, hit: bool, mut count: u64) {
+        while count > 0 {
+            let b = self.binade;
+            let step = if hit { b.hit } else { b.miss };
+            let m = self.mantissa();
+            let k = (MANTISSA_MAX - m)
+                .checked_div(step)
+                .map_or(count, |room| room.min(count));
+            if k > 0 {
+                self.at = (m + k * step) as f64 * b.ulp;
+                count -= k;
+            }
+            if count > 0 {
+                self.step(hit);
+                count -= 1;
+            }
+        }
+    }
+
+    /// One pass of `n` accesses, `fit` of them hits, access `i` a hit iff
+    /// bit `i` of `fits` is set: whole if it stays in the binade, else
+    /// 64 accesses at a time, and the word it leaves the binade in one
+    /// access at a time.
+    fn pass(&mut self, fits: &[u64], n: usize, fit: usize) {
+        if self.take(fit as u64, (n - fit) as u64) {
+            return;
+        }
+        for (w, &bits) in fits.iter().enumerate() {
+            let len = (n - 64 * w).min(64);
+            let hits = (bits & (!0 >> (64 - len))).count_ones() as u64;
+            if !self.take(hits, len as u64 - hits) {
+                for i in 0..len {
+                    self.step(bits >> i & 1 == 1);
+                }
+            }
+        }
+    }
+
+    /// Pass 0, every access a miss, then `warmup + passes - 1` passes of
+    /// `n` accesses of which `fit` hit (`fits` says which when not all or
+    /// none do). Returns the clock when the measured passes began.
+    fn traverse(
+        &mut self,
+        fits: &[u64],
+        n: usize,
+        fit: usize,
+        warmup: usize,
+        passes: usize,
+    ) -> f64 {
+        let mut measure_start = 0.0;
+        for pass in 0..warmup + passes {
+            if pass == warmup && pass > 0 {
+                measure_start = self.at;
+            }
+            #[cfg(test)]
+            self.log.push((self.at, self.at, 0));
+            match if pass == 0 { 0 } else { fit } {
+                0 => self.run(false, n as u64),
+                hits if hits == n => self.run(true, n as u64),
+                _ => self.pass(fits, n, fit),
+            }
+            #[cfg(test)]
+            if let Some(pass) = self.log.last_mut() {
+                pass.1 = self.at;
+            }
+        }
+        measure_start
     }
 }
 
@@ -485,5 +661,177 @@ mod tests {
         assert_eq!(m.cache_stats(2, 0), Some((0, 0)));
         assert_eq!(m.traverse_shared(&[job(0, &a, 0, KB)], 1, 2), first);
         assert_eq!(m.census_priced(), 2);
+    }
+
+    /// The engine's clock over `accesses` (`true` a hit), access by
+    /// access from `at` with its bus clock at 0: the specification
+    /// [`Clock`] is held to.
+    fn clock_spec(
+        mut at: f64,
+        (hit, bus, mem): (f64, Option<f64>, f64),
+        accesses: impl IntoIterator<Item = bool>,
+    ) -> f64 {
+        let mut free = 0.0f64;
+        for is_hit in accesses {
+            match bus {
+                Some(transfer) if !is_hit => {
+                    let start = at.max(free);
+                    free = start + transfer;
+                    at = start + transfer + mem;
+                }
+                _ => at += if is_hit { hit } else { mem },
+            }
+        }
+        at
+    }
+
+    /// The accesses of [`Clock::traverse`]'s passes, and the number of
+    /// them before the measured window.
+    fn traversal(fits: &[u64], n: usize, warmup: usize, passes: usize) -> (Vec<bool>, usize) {
+        let accesses = (0..warmup + passes)
+            .flat_map(|pass| (0..n).map(move |i| pass > 0 && fits[i / 64] >> (i % 64) & 1 == 1))
+            .collect();
+        (accesses, warmup * n)
+    }
+
+    /// A binade's ulp.
+    fn ulp(x: f64) -> f64 {
+        f64::from_bits(((x.to_bits() >> 52).max(53) - 52) << 52)
+    }
+
+    /// The run kernel against the access-by-access sum: from a zero
+    /// clock, a clock just under a power of two or any clock; integer,
+    /// dyadic and log-uniform costs, ties `(2j+1)·u/2` and addends below
+    /// half an ulp of the clock's first binade; with and without a bus;
+    /// passes where no access, every access or some hit; warm-up 0–2 and
+    /// 1–3 measured passes. The clock where the measured passes begin and
+    /// where they end must have the specification's bits.
+    #[test]
+    fn census_clock_runs_match_the_access_by_access_sum() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xB1AD);
+        for case in 0..CASES {
+            let start = match rng.gen_range(0..3usize) {
+                0 => 0.0,
+                1 => {
+                    let power = 2f64.powi(rng.gen_range(0..48usize) as i32);
+                    f64::from_bits(power.to_bits() - rng.gen_range(1..2000u64))
+                }
+                _ => 10f64.powf(rng.gen_range(-2.0..12.0)),
+            };
+            // The ulp the first runs see (from a zero clock, that of the
+            // first access's binade, drawn alike).
+            let u = ulp(if start > 0.0 {
+                start
+            } else {
+                10f64.powf(rng.gen_range(0.0..3.0))
+            });
+            let cost = |rng: &mut ChaCha8Rng| match rng.gen_range(0..5usize) {
+                0 => rng.gen_range(0..400u64) as f64,
+                1 => {
+                    rng.gen_range(0..1u64 << 20) as f64
+                        / 2f64.powi(rng.gen_range(0..24usize) as i32)
+                }
+                2 => 10f64.powf(rng.gen_range(-3.0..4.0)),
+                3 => (2 * rng.gen_range(0..64u64) + 1) as f64 * u / 2.0,
+                _ => rng.f64() * u / 2.0,
+            };
+            let bus = rng.f64() < 0.5;
+            let costs = (cost(&mut rng), bus.then(|| cost(&mut rng)), cost(&mut rng));
+            let n = rng.gen_range(1..300usize);
+            let density = [0.0, 1.0, rng.f64()][rng.gen_range(0..3usize)];
+            let mut fits = vec![0u64; n.div_ceil(64)];
+            for i in 0..n {
+                if rng.f64() < density {
+                    fits[i / 64] |= 1 << (i % 64);
+                }
+            }
+            let fit = fits.iter().map(|w| w.count_ones() as usize).sum();
+            let (warmup, passes) = (rng.gen_range(0..3usize), rng.gen_range(1..4usize));
+
+            let (hit, bus, mem) = costs;
+            let mut clock = Clock::new(start, hit, bus, mem);
+            let measure_start = clock.traverse(&fits, n, fit, warmup, passes);
+            let (accesses, warm) = traversal(&fits, n, warmup, passes);
+            let spec_start = if warm == 0 {
+                0.0
+            } else {
+                clock_spec(start, costs, accesses[..warm].iter().copied())
+            };
+            let spec_end = clock_spec(start, costs, accesses.iter().copied());
+            assert_eq!(
+                (measure_start.to_bits(), clock.at.to_bits()),
+                (spec_start.to_bits(), spec_end.to_bits()),
+                "case {case}: from {start:e}, costs {costs:?}, {n} accesses, {fit} hits, \
+                 {warmup}+{passes} passes"
+            );
+        }
+    }
+
+    /// The run kernel engages on every preset's mcalibrator sweep (one
+    /// trial per size, as `SimPlatform` traverses it): no pass steps more
+    /// than 64 accesses one by one for each binade its clock crosses, a
+    /// pass from a zero clock counting its first access's binade as one.
+    #[test]
+    fn census_clock_steps_few_accesses_one_by_one() {
+        let presets = [
+            presets::dempsey(),
+            presets::athlon3200(),
+            presets::finis_terrae_node(),
+            presets::dunnington(),
+            presets::mb_smp(),
+            presets::tiny_smp(),
+            presets::tiny_shared_l2(),
+            presets::tiny_numa(),
+        ];
+        let binade = |x: f64| (x.to_bits() >> 52) as usize;
+        for spec in presets {
+            // mcalibrator's sizes: doubling up to a threshold, then in
+            // linear steps (`McalibratorConfig::default()` for the MB
+            // machines, `small(256 KB)` for the KB ones).
+            let kb_scale = spec.caches.iter().all(|c| c.size < MB);
+            let (mut size, double_until, step, max) = if kb_scale {
+                (KB, 32 * KB, 32 * KB, 256 * KB)
+            } else {
+                (4 * KB, 2 * MB, MB, 64 * MB)
+            };
+            let mut m = Machine::new(spec);
+            let mut traversals = 0;
+            while size <= max {
+                let a = m.alloc_array(size);
+                m.reset();
+                let job = job(0, &a, 0, KB);
+                if priced(&mut m, job, 1, 2) {
+                    traversals += 1;
+                    let first = clock_spec(
+                        0.0,
+                        (
+                            0.0,
+                            m.bus_of[0].map(|_| m.transfer_cycles[0]),
+                            m.mem_latency,
+                        ),
+                        [false],
+                    );
+                    for (pass, &(start, end, stepped)) in m.census.log.iter().enumerate() {
+                        let crossed = if start == 0.0 {
+                            binade(end) - binade(first) + 1
+                        } else {
+                            binade(end) - binade(start)
+                        };
+                        assert!(
+                            stepped <= 64 * crossed,
+                            "{} at {size} bytes, pass {pass}: {stepped} accesses stepped \
+                             one by one, {crossed} binades crossed",
+                            m.spec().name
+                        );
+                    }
+                }
+                size = if size < double_until {
+                    2 * size
+                } else {
+                    size + step
+                };
+            }
+            assert!(traversals > 0, "{}: nothing priced", m.spec().name);
+        }
     }
 }
