@@ -5,8 +5,10 @@
 //! Two clients live here. [`RegistryClient`] is one connection, one
 //! request at a time, and surfaces every failure to the caller.
 //! [`RetryingRegistryClient`] wraps it for unattended callers (the zoo
-//! driver streaming hundreds of profiles): it reconnects and retries
-//! with decorrelated-jitter backoff ([`Backoff`]) when the server is
+//! driver streaming hundreds of profiles): its one method,
+//! [`RetryingRegistryClient::with_retry`], runs any [`RegistryClient`]
+//! call, reconnecting and retrying it with decorrelated-jitter backoff
+//! ([`Backoff`]) when the server is
 //! overloaded — the typed `busy:` rejection of
 //! [`crate::protocol::busy_response`] — or the connection drops
 //! mid-flight, while still failing fast on errors a retry cannot cure
@@ -279,7 +281,10 @@ impl RetryingRegistryClient {
         }
     }
 
-    fn with_retry<T>(
+    /// Run `op` against the connection, reconnecting and retrying it on a
+    /// [retryable](is_retryable) failure, so any [`RegistryClient`] call
+    /// gets the policy: `client.with_retry(|c| c.put(&profile, None))`.
+    pub fn with_retry<T>(
         &mut self,
         mut op: impl FnMut(&mut RegistryClient) -> io::Result<T>,
     ) -> io::Result<T> {
@@ -313,35 +318,6 @@ impl RetryingRegistryClient {
             }
         }
         Err(last_err.unwrap_or_else(|| io::Error::other("retry budget exhausted")))
-    }
-
-    /// [`RegistryClient::put`], with reconnect-and-retry.
-    pub fn put(&mut self, profile: &MachineProfile, name: Option<&str>) -> io::Result<String> {
-        self.with_retry(|c| c.put(profile, name))
-    }
-
-    /// [`RegistryClient::get_profile`], with reconnect-and-retry.
-    pub fn get_profile(&mut self, key: &str) -> io::Result<(String, MachineProfile)> {
-        self.with_retry(|c| c.get_profile(key))
-    }
-
-    /// [`RegistryClient::list`], with reconnect-and-retry.
-    pub fn list(&mut self) -> io::Result<Vec<crate::store::StoreEntry>> {
-        self.with_retry(|c| c.list())
-    }
-
-    /// [`RegistryClient::advise`], with reconnect-and-retry.
-    pub fn advise(
-        &mut self,
-        key: &str,
-        query: &AdviceQuery,
-    ) -> io::Result<(String, bool, AdviceOutcome)> {
-        self.with_retry(|c| c.advise(key, query))
-    }
-
-    /// [`RegistryClient::stats`], with reconnect-and-retry.
-    pub fn stats(&mut self) -> io::Result<crate::protocol::ServerStats> {
-        self.with_retry(|c| c.stats())
     }
 }
 
@@ -409,7 +385,7 @@ mod tests {
                 ..RetryPolicy::default()
             },
         );
-        let err = client.list().unwrap_err();
+        let err = client.with_retry(|c| c.list()).unwrap_err();
         assert!(
             is_retryable(&err),
             "last error should be the refusal: {err:?}"

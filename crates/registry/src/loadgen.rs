@@ -255,9 +255,9 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
                         // Alternate the two cheap read-only ops so the mix
                         // exercises both the cache path and the stats path.
                         let outcome = if k % 2 == 0 {
-                            client.list().map(|_| ())
+                            client.with_retry(|c| c.list()).map(|_| ())
                         } else {
-                            client.stats().map(|_| ())
+                            client.with_retry(|c| c.stats()).map(|_| ())
                         };
                         match outcome {
                             Ok(()) => {

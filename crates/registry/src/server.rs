@@ -1484,8 +1484,10 @@ mod tests {
                 ..RetryPolicy::default()
             },
         );
-        let digest = retrying.put(&profile, Some("tiny")).unwrap();
-        let (got_digest, got) = retrying.get_profile("tiny").unwrap();
+        let digest = retrying
+            .with_retry(|c| c.put(&profile, Some("tiny")))
+            .unwrap();
+        let (got_digest, got) = retrying.with_retry(|c| c.get_profile("tiny")).unwrap();
         assert_eq!(got_digest, digest);
         assert_eq!(got, profile);
 

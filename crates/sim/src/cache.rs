@@ -7,11 +7,10 @@
 //!
 //! The production model ([`SetAssocCache`]) stores every way of every set in
 //! one flat, contiguous array with a fixed stride of `associativity` slots
-//! per set, most-recently-used first within each set's occupied prefix. Set
-//! selection uses a mask when the set count is a power of two (every
-//! spec-validated machine cache, and the fully associative TLB with its
-//! single set) and falls back to a modulo for arbitrary set counts handed to
-//! [`SetAssocCache::new`] directly.
+//! per set, most-recently-used first within each set's occupied prefix. Its
+//! set count is a power of two — `MachineSpec::validate` rejects any other
+//! for a machine's caches, and the fully associative TLB has one set — so
+//! the set index is a mask of the key; [`SetAssocCache::new`] asserts it.
 //!
 //! It has one access operation, [`SetAssocCache::touch`]: find the set once,
 //! scan it, and leave the line most-recently-used — moved to the front on a
@@ -42,19 +41,20 @@ pub struct SetAssocCache {
     /// Resident-line count per set.
     occupied: Box<[u16]>,
     associativity: usize,
-    num_sets: u64,
-    /// `num_sets - 1` when the set count is a power of two.
+    /// The set count less one; the count is a power of two.
     set_mask: u64,
-    /// Whether `set_mask` is usable (power-of-two set count).
-    pow2_sets: bool,
     hits: u64,
     misses: u64,
 }
 
 impl SetAssocCache {
     /// Build a cache with `num_sets` sets of `associativity` ways.
+    /// Panics unless `num_sets` is a power of two.
     pub fn new(num_sets: usize, associativity: usize) -> Self {
-        assert!(num_sets > 0, "cache needs at least one set");
+        assert!(
+            num_sets.is_power_of_two(),
+            "set count {num_sets} is not a power of two"
+        );
         assert!(associativity > 0, "cache needs at least one way");
         assert!(
             associativity <= u16::MAX as usize,
@@ -64,9 +64,7 @@ impl SetAssocCache {
             ways: vec![0u64; num_sets * associativity].into_boxed_slice(),
             occupied: vec![0u16; num_sets].into_boxed_slice(),
             associativity,
-            num_sets: num_sets as u64,
-            set_mask: (num_sets as u64).wrapping_sub(1),
-            pow2_sets: num_sets.is_power_of_two(),
+            set_mask: num_sets as u64 - 1,
             hits: 0,
             misses: 0,
         }
@@ -75,7 +73,8 @@ impl SetAssocCache {
     /// Build a cache from a geometry in bytes.
     ///
     /// Degenerate geometries (a size smaller than one full set, as perturbed
-    /// sweeps can produce) clamp to a single set instead of panicking.
+    /// sweeps can produce) clamp to a single set instead of panicking; any
+    /// other must give a power-of-two set count, as [`Self::new`] asserts.
     pub fn with_geometry(size: usize, line_size: usize, associativity: usize) -> Self {
         let num_sets = (size / (line_size * associativity)).max(1);
         Self::new(num_sets, associativity)
@@ -84,11 +83,7 @@ impl SetAssocCache {
     /// Set index for a line key.
     #[inline]
     pub(crate) fn set_of(&self, line: u64) -> usize {
-        if self.pow2_sets {
-            (line & self.set_mask) as usize
-        } else {
-            (line % self.num_sets) as usize
-        }
+        (line & self.set_mask) as usize
     }
 
     /// Access `line` and leave it most-recently-used: a hit moves it to the
@@ -160,7 +155,7 @@ impl SetAssocCache {
 
     /// Total line capacity.
     pub fn capacity_lines(&self) -> usize {
-        self.num_sets as usize * self.associativity
+        self.num_sets() * self.associativity
     }
 
     /// Number of ways.
@@ -170,7 +165,7 @@ impl SetAssocCache {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.num_sets as usize
+        self.occupied.len()
     }
 
     /// `(hits, misses)` since construction or the last flush.
@@ -418,16 +413,9 @@ mod tests {
     }
 
     #[test]
-    fn non_power_of_two_sets_still_map_by_modulo() {
-        let mut c = SetAssocCache::new(3, 1);
-        for line in 0..3u64 {
-            c.touch(line);
-        }
-        assert_eq!(c.resident_lines(), 3);
-        // Line 3 aliases set 0 (3 % 3) and evicts line 0.
-        c.touch(3);
-        assert!(!c.contains(0) && c.contains(3));
-        assert_eq!(c.resident_lines(), 3);
+    #[should_panic(expected = "not a power of two")]
+    fn non_power_of_two_set_counts_are_refused() {
+        SetAssocCache::new(3, 1);
     }
 
     #[test]
@@ -528,13 +516,12 @@ mod tests {
     /// model's `probe` + `insert` — return value, residency, counters and
     /// the complete eviction order, with invalidations interleaved — for
     /// every associativity on both sides of each specialised width, over
-    /// power-of-two and other set counts: the cache-level differential
-    /// gate.
+    /// set counts from one to many: the cache-level differential gate.
     #[test]
     fn differential_random_ops_match_reference() {
         let mut rng = servet_stats::rng::ChaCha8Rng::seed_from_u64(0xCAFE);
         for assoc in 1..=17usize {
-            for sets in [1usize, 3, 4, 7, 64] {
+            for sets in [1usize, 2, 4, 8, 64] {
                 let universe = (sets * assoc * 3) as u64;
                 let mut fast = SetAssocCache::new(sets, assoc);
                 let mut slow = ReferenceCache::new(sets, assoc);

@@ -81,10 +81,13 @@
 //! configuration passes the best makespan it holds and never pays for the
 //! rest of a loser. Every other driver is the same code at `cutoff = ∞`.
 //!
-//! The scheduler itself was left alone, on measurement (the oracle's
-//! replay on `tiny_smp`, where four lanes make one-access blocks;
-//! bit-identical prototypes): a linear `total_cmp` scan for the heap — no
-//! change; `run_block` merged into `lockstep` — −5 %; a branchless
+//! The scheduler itself was left alone, on measurement (bit-identical
+//! prototypes; the oracle's replay on `tiny_smp`, where four lanes make
+//! one-access blocks): a linear first-minimum scan for the heap — the
+//! four-lane `sim.oracle_eval_ms` 11.5–14.3 → 8.5–14.1, inside its spread,
+//! but the 64-lane `sim.replay_blocked_shared_macc_per_s` 13.6–18.6 →
+//! 5.3–7.3 Macc/s (traced `tune_search`, 4 s, seeds 1–3, six alternating
+//! pairs); `run_block` merged into `lockstep` — −5 %; a branchless
 //! min/second-min over `to_bits` keys — 8.5 → 7.7 ms at 4 lanes, nothing
 //! at 2, and the 64-lane replay 33 → 24 Macc/s; per-access lane selection
 //! — a single lane 3.7 → 5.6 ms. A one-access block costs its prologue

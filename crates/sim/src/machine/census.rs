@@ -24,7 +24,8 @@
 //! accesses to its overflowing sets go on — to memory when *j* is the
 //! last level. Before any other level they would make a filtered stream
 //! whose first reuse still sees pass 0's other lines, a transient the
-//! count does not describe, so such a traversal goes to the engine.
+//! count does not describe, so such a traversal goes to the engine. The
+//! census counts the levels in this order and stops at *j*.
 //!
 //! # The clock
 //!
@@ -46,7 +47,7 @@
 //! as `SimPlatform`'s does, never writes them.
 
 use super::{Contents, Machine, SharedJob};
-use crate::spec::{CoreId, MAX_LEVELS};
+use crate::spec::CoreId;
 use crate::vm::AddressSpace;
 
 /// About how many set counters a scan reads in the time it takes to
@@ -66,8 +67,8 @@ pub(super) struct OwedPass {
 /// The census's buffers, reused from traversal to traversal.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Scratch {
-    /// Lines per set, for the levels of one core's path laid end to end.
-    /// All zero between traversals.
+    /// Lines per set of the level being counted, sized to the largest
+    /// level counted so far. All zero between traversals.
     counts: Vec<u32>,
     /// Bit `i`: whether access `i` hits level *j* on every pass after
     /// the first; it goes to memory otherwise. Filled only when some
@@ -110,77 +111,71 @@ impl Machine {
         let aspace = job.array.aspace();
         let asid_tag = aspace.asid() << 40;
         let (page_shift, page_mask) = (self.page_shift, self.page_mask);
-        // Level `l`'s sets occupy `counts[base[l]..base[l + 1]]`.
-        let mut base = [0; MAX_LEVELS + 1];
-        for (l, &c) in path.iter().enumerate() {
-            base[l + 1] = base[l] + caches[c].num_sets();
-        }
         let Scratch { counts, fits, .. } = &mut self.census;
-        if counts.len() < base[nlev] {
-            counts.resize(base[nlev], 0);
-        }
-        // The entries of `counts` that a pass's accesses fall in at level
-        // `l`, in access order.
+        // The sets a pass's accesses fall in at level `l`, in access order.
         let slots = |l: usize| {
-            let (lp, cache, base) = (&self.levels[l], &caches[path[l]], base[l]);
+            let (lp, cache) = (&self.levels[l], &caches[path[l]]);
             (0..n).map(move |i| {
                 let vaddr = (job.offset + i * job.stride) as u64;
                 let frame = aspace.frame_of((vaddr >> page_shift) as usize);
                 let paddr = (frame << page_shift) | (vaddr & page_mask);
-                base + cache.set_of(Self::level_key(lp, asid_tag, vaddr, paddr))
+                cache.set_of(Self::level_key(lp, asid_tag, vaddr, paddr))
             })
         };
+        // Count one level at a time, outward, up to the first level *j*
+        // with a set that fits, and how many of a pass's accesses fall in
+        // such sets there: the levels past it do not change the answer.
+        let mut first_fit = None;
         for l in 0..nlev {
+            let cache = &caches[path[l]];
+            let (sets, ways) = (cache.num_sets(), cache.associativity() as u32);
+            if counts.len() < sets {
+                counts.resize(sets, 0);
+            }
             slots(l).for_each(|s| counts[s] += 1);
-        }
-        // Each per-set question is answered over the accesses or over the
-        // level's sets, whichever costs less: a small array on a large
-        // cache touches a handful of its sets.
-        let few = |l: usize| n * ACCESS_COST_IN_SETS < base[l + 1] - base[l];
-        let ways = |l: usize| caches[path[l]].associativity() as u32;
-        // The first level with a set that fits, and how many of a pass's
-        // accesses fall in such sets there.
-        let first_fit = (0..nlev)
-            .map(|l| {
-                let fit = if few(l) {
-                    slots(l).filter(|&s| counts[s] <= ways(l)).count()
-                } else {
-                    counts[base[l]..base[l + 1]]
-                        .iter()
-                        .filter(|&&c| c <= ways(l))
-                        .map(|&c| c as usize)
-                        .sum()
-                };
-                (l, fit)
-            })
-            .find(|&(_, fit)| fit > 0);
-        // Where the passes after the first are served: level *j*'s hit
-        // cost, and, when only some of the accesses hit there, `fits`.
-        let fit = first_fit.map_or(0, |(_, fit)| fit);
-        let hit_cycles = match first_fit {
-            // No level has a set that fits: nothing hits again.
-            None => Some(0.0),
-            Some((j, fit)) if fit == n => Some(self.levels[j].hit_cycles),
-            Some((j, _)) if j + 1 == nlev => {
+            // Each per-set question is answered over the accesses or over
+            // the level's sets, whichever costs less: a small array on a
+            // large cache touches a handful of its sets.
+            let few = n * ACCESS_COST_IN_SETS < sets;
+            let fit = if few {
+                slots(l).filter(|&s| counts[s] <= ways).count()
+            } else {
+                counts[..sets]
+                    .iter()
+                    .filter(|&&c| c <= ways)
+                    .map(|&c| c as usize)
+                    .sum()
+            };
+            // When only some accesses hit at the last level, `fits` says
+            // which; before another level they leave a transient the count
+            // does not describe.
+            let partial = 0 < fit && fit < n;
+            if partial && l + 1 == nlev {
                 fits.clear();
                 fits.resize(n.div_ceil(64), 0);
-                for (i, s) in slots(j).enumerate() {
-                    if counts[s] <= ways(j) {
+                for (i, s) in slots(l).enumerate() {
+                    if counts[s] <= ways {
                         fits[i / 64] |= 1 << (i % 64);
                     }
                 }
-                Some(self.levels[j].hit_cycles)
             }
-            Some(_) => None,
-        };
-        for l in 0..nlev {
-            if few(l) {
+            if few {
                 slots(l).for_each(|s| counts[s] = 0);
             } else {
-                counts[base[l]..base[l + 1]].fill(0);
+                counts[..sets].fill(0);
+            }
+            if partial && l + 1 < nlev {
+                return None;
+            }
+            if fit > 0 {
+                first_fit = Some((l, fit));
+                break;
             }
         }
-        let hit_cycles = hit_cycles?;
+        // Where the passes after the first are served: level *j*'s hit
+        // cost, or nowhere when no level has a set that fits.
+        let (hit_cycles, fit) =
+            first_fit.map_or((0.0, 0), |(j, fit)| (self.levels[j].hit_cycles, fit));
 
         // The engine's costs. With no TLB and no coherence (a private
         // array) its TLB and coherence terms are 0.0, which leave a cost

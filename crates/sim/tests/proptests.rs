@@ -45,7 +45,7 @@ fn lines(rng: &mut ChaCha8Rng, bound: u64, len: Range<usize>) -> Vec<u64> {
 fn cache_capacity_invariant() {
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     for _ in 0..CASES {
-        let sets = rng.gen_range(1usize..16);
+        let sets = 1usize << rng.gen_range(0..4usize);
         let assoc = rng.gen_range(1usize..8);
         let mut c = SetAssocCache::new(sets, assoc);
         for l in lines(&mut rng, 512, 1..256) {

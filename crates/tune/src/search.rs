@@ -200,7 +200,9 @@ impl TuneOutcome {
 /// A point whose configuration [`Oracle::canonical`] maps to another point
 /// of the space — its *representative* — is not evaluated: it takes the
 /// representative's score, and each representative is evaluated once a
-/// session, whoever asks first. That changes no outcome either. A copied
+/// session, whoever asks first: `scores` holds one entry per
+/// representative, and `memo` one per point asked for, copied from it
+/// whatever batch evaluated it. That changes no outcome either. A copied
 /// exact score is exact. A copied bound was pruned against an incumbent
 /// `I` that is in the memo, so it and the alias's true score are both
 /// strictly above `I`. Copied in a later batch, the alias still meets a
@@ -211,10 +213,11 @@ struct Scorer<'a> {
     oracle: &'a dyn Oracle,
     space: &'a ParamSpace,
     workers: usize,
+    /// Every point asked for, with its representative's score.
     memo: BTreeMap<Point, f64>,
-    /// Scores of representatives that are not (yet) points of `memo`:
-    /// scored for an alias, before anyone asks for the point itself.
-    unasked: BTreeMap<Point, f64>,
+    /// Every representative evaluated, with its score — whether or not
+    /// anyone has asked for the point itself.
+    scores: BTreeMap<Point, f64>,
     /// The configuration each point is written into in turn on this
     /// thread, for `canonical` and for evaluation: building a fresh one per
     /// point costs about what a profile oracle's evaluation does.
@@ -234,7 +237,7 @@ impl<'a> Scorer<'a> {
             space,
             workers: workers.max(1),
             memo: BTreeMap::new(),
-            unasked: BTreeMap::new(),
+            scores: BTreeMap::new(),
             config: Config::new(),
             incumbent: AtomicU64::new(f64::INFINITY.to_bits()),
         }
@@ -258,39 +261,34 @@ impl<'a> Scorer<'a> {
         if todo.is_empty() {
             return;
         }
-        // Highest point first. The order decides only how soon a good
-        // incumbent turns up, never the outcome, and dimensions list their
-        // values ascending (tile edge, thread count, padding): a kernel
-        // worth tuning is rarely at its best in the all-smallest corner
-        // that the sorted order would spend its first evaluations in.
-        todo.reverse();
         let _span = servet_obs::span("tune.score_batch");
         servet_obs::counter("tune.evaluations").add(todo.len() as u64);
         let (oracle, space, incumbent) = (self.oracle, self.space, &self.incumbent);
         let mut config = std::mem::take(&mut self.config);
-        // The point of the space each one is scored as, when the oracle
-        // names another.
-        let aliases: Vec<Option<Point>> = todo
+        // The point of the space each one is scored as: the one the oracle
+        // names, or itself.
+        let reps: Vec<Point> = todo
             .iter()
             .map(|p| {
                 space.set_config(p, &mut config);
-                let rep = space.point_of(&oracle.canonical(&config)?)?;
-                (rep != *p).then_some(rep)
+                oracle
+                    .canonical(&config)
+                    .and_then(|canon| space.point_of(&canon))
+                    .unwrap_or_else(|| p.clone())
             })
             .collect();
-        let rep = |i: usize| aliases[i].as_ref().unwrap_or(&todo[i]);
-        // The representatives never scored, each once, highest first. (A
-        // point of `todo` is not in `memo`; another point may be.)
-        let mut run: Vec<usize> = (0..todo.len())
-            .filter(|&i| {
-                aliases[i]
-                    .as_ref()
-                    .is_none_or(|r| !self.memo.contains_key(r))
-                    && !self.unasked.contains_key(rep(i))
-            })
+        // The representatives never scored, each once, highest first. The
+        // order decides only how soon a good incumbent turns up, never the
+        // outcome, and dimensions list their values ascending (tile edge,
+        // thread count, padding): a kernel worth tuning is rarely at its
+        // best in the all-smallest corner that ascending order would spend
+        // its first evaluations in.
+        let mut run: Vec<&Point> = reps
+            .iter()
+            .filter(|r| !self.scores.contains_key(*r))
             .collect();
-        run.sort_unstable_by(|&a, &b| rep(b).cmp(rep(a)));
-        run.dedup_by(|a, b| rep(*a) == rep(*b));
+        run.sort_unstable_by(|a, b| b.cmp(a));
+        run.dedup();
         servet_obs::counter("tune.evaluations_aliased").add((todo.len() - run.len()) as u64);
         // The session's configuration is the first worker's; any other
         // starts empty and fills its keys on its first point.
@@ -298,31 +296,17 @@ impl<'a> Scorer<'a> {
         configs.resize_with(self.workers.min(run.len()).max(1), Config::new);
         // Relaxed: the incumbent is a number and publishes nothing else; a
         // stale read is a higher, still valid, cutoff.
-        let scores = par::map(&run, &mut configs, |config, &i| {
-            space.set_config(rep(i), config);
+        let scores = par::map(&run, &mut configs, |config, rep| {
+            space.set_config(rep, config);
             let cutoff = f64::from_bits(incumbent.load(Ordering::Relaxed));
             let score = oracle.evaluate_bounded(config, cutoff);
             incumbent.fetch_min(score.to_bits(), Ordering::Relaxed);
             score
         });
         self.config = configs.swap_remove(0);
-        let score_of = |r: &Point| match run.binary_search_by(|&i| r.cmp(rep(i))) {
-            Ok(k) => scores[k],
-            Err(_) => *self
-                .memo
-                .get(r)
-                .or_else(|| self.unasked.get(r))
-                .expect("a representative not run now was scored before"),
-        };
-        let got: Vec<f64> = (0..todo.len()).map(|i| score_of(rep(i))).collect();
-        for (&i, &score) in run.iter().zip(&scores) {
-            if let Some(r) = &aliases[i] {
-                self.unasked.insert(r.clone(), score);
-            }
-        }
-        for (p, score) in todo.into_iter().zip(got) {
-            self.unasked.remove(&p);
-            self.memo.insert(p, score);
+        self.scores.extend(run.into_iter().cloned().zip(scores));
+        for (p, rep) in todo.into_iter().zip(&reps) {
+            self.memo.insert(p, self.scores[rep]);
         }
     }
 
@@ -664,6 +648,77 @@ mod tests {
         }
         let (with, without) = check(bowl(), true);
         assert_eq!(with, without, "a canonical form off the grid is ignored");
+    }
+
+    /// `inner`, counting the evaluations it is asked for.
+    struct Counted<'a> {
+        inner: &'a dyn Oracle,
+        evaluations: AtomicU64,
+    }
+
+    impl Oracle for Counted<'_> {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn evaluate(&self, config: &Config) -> f64 {
+            self.evaluate_bounded(config, f64::INFINITY)
+        }
+        fn evaluate_bounded(&self, config: &Config, cutoff: f64) -> f64 {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+            self.inner.evaluate_bounded(config, cutoff)
+        }
+        fn canonical(&self, config: &Config) -> Option<Config> {
+            self.inner.canonical(config)
+        }
+    }
+
+    /// Every strategy at seeds 1–3 and workers 1 and 3, against the
+    /// simulator (whose `canonical` aliases and whose cutoff prunes) and a
+    /// profile oracle: FNV-1a over each outcome's best configuration, the
+    /// bits of its score, its evaluation count and the evaluations the
+    /// oracle was asked for. Taken before the scorer kept one score per
+    /// representative; any change to which points are scored, or how
+    /// often, moves it.
+    #[test]
+    fn search_outcomes_and_oracle_calls_are_pinned() {
+        use crate::compare::ground_truth_profile;
+        use crate::oracle::{ProfileOracle, SimOracle};
+        let spec = servet_sim::presets::tiny_smp();
+        let sim = SimOracle::new(spec.clone(), 1, 16);
+        let profile = ProfileOracle::new(ground_truth_profile(&spec), 48);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &byte in bytes {
+                digest = (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for (oracle, space) in [
+            (&sim as &dyn Oracle, sim.space()),
+            (&profile, profile.space()),
+        ] {
+            let counted = Counted {
+                inner: oracle,
+                evaluations: AtomicU64::new(0),
+            };
+            for strategy in Strategy::ALL {
+                for seed in [1, 2, 3] {
+                    for workers in [1, 3] {
+                        let before = counted.evaluations.load(Ordering::Relaxed);
+                        let opts = TuneOptions::new(strategy).with_seed(seed);
+                        let out = tune(&counted, &space, &opts, workers);
+                        let calls = counted.evaluations.load(Ordering::Relaxed) - before;
+                        for (name, value) in &out.best {
+                            eat(name.as_bytes());
+                            eat(&value.to_le_bytes());
+                        }
+                        eat(&out.best_score.to_bits().to_le_bytes());
+                        eat(&(out.evaluations as u64).to_le_bytes());
+                        eat(&calls.to_le_bytes());
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0x4183_aa06_5ec4_53ad);
     }
 
     #[test]

@@ -901,7 +901,7 @@ impl servet::core::zoo::ProfileSink for RegistrySink {
         _manifest: &servet::core::RunManifest,
     ) -> std::io::Result<()> {
         self.client
-            .put(&report.profile, Some(&machine.spec.name))
+            .with_retry(|c| c.put(&report.profile, Some(&machine.spec.name)))
             .map(|_digest| ())
     }
 }
@@ -1022,7 +1022,7 @@ fn cmd_zoo(args: &[String]) -> Exit {
     // accept queue coped with the fan-in.
     if let Some(addr) = stream_addr {
         let mut client = RetryingRegistryClient::new(addr, RetryPolicy::default());
-        match client.stats() {
+        match client.with_retry(|c| c.stats()) {
             Ok(stats) => println!(
                 "registry after streaming: {} profiles, {} requests, \
                  accept rejected {} (queue high-water {})",

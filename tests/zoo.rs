@@ -153,7 +153,7 @@ impl ProfileSink for TestSink {
         _manifest: &RunManifest,
     ) -> io::Result<()> {
         self.client
-            .put(&report.profile, Some(&machine.spec.name))
+            .with_retry(|c| c.put(&report.profile, Some(&machine.spec.name)))
             .map(|_| ())
     }
 }
