@@ -9,7 +9,7 @@
 //! The three primitives, in increasing cost order:
 //!
 //! * [`Counter`] — one relaxed atomic add; always on; for event totals
-//!   (`mcalibrator.samples`, `advice.computed`).
+//!   (`mcalibrator.samples`, `tune.evaluations`).
 //! * [`Histogram`] — one relaxed add into a log2 bucket plus min/max;
 //!   always on; for latency distributions (the registry server records one
 //!   per NDJSON op).

@@ -202,7 +202,6 @@ impl AdviceEngine {
         self.cache
             .get_or_insert_with(Self::memo_key(digest, &resolved), || {
                 let _span = servet_obs::span("advice.compute");
-                servet_obs::counter("advice.computed").incr();
                 compute_advice(profile, &resolved)
             })
     }

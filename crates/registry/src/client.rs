@@ -9,8 +9,8 @@
 //! [`RetryingRegistryClient::with_retry`], runs any [`RegistryClient`]
 //! call, reconnecting and retrying it with decorrelated-jitter backoff
 //! ([`Backoff`]) when the server is
-//! overloaded — the typed `busy:` rejection of
-//! [`crate::protocol::busy_response`] — or the connection drops
+//! overloaded — the typed `busy:` rejection,
+//! [`crate::protocol::BUSY_ERROR`] — or the connection drops
 //! mid-flight, while still failing fast on errors a retry cannot cure
 //! (a malformed request, an unknown profile key).
 
@@ -324,7 +324,7 @@ impl RetryingRegistryClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::busy_response;
+    use crate::protocol::BUSY_ERROR;
     use std::io::BufRead as _;
     use std::net::TcpListener;
 
@@ -348,7 +348,9 @@ mod tests {
 
     #[test]
     fn busy_rejection_maps_to_the_typed_busy_error() {
-        let (addr, server) = one_shot_server(busy_response());
+        let (addr, server) = one_shot_server(Response::Error {
+            error: BUSY_ERROR.into(),
+        });
         let mut client = RegistryClient::connect(addr).unwrap();
         let err = client.list().unwrap_err();
         assert!(is_server_busy(&err), "wanted busy, got {err:?}");

@@ -36,11 +36,6 @@ pub struct LineBuffer {
 }
 
 impl LineBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Append a chunk received from the socket.
     pub fn extend(&mut self, chunk: &[u8]) {
         self.buf.extend_from_slice(chunk);
@@ -92,21 +87,10 @@ impl LineBuffer {
     }
 }
 
-/// What a read pass over a ready socket produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadOutcome {
-    /// Bytes appended to the line buffer.
-    pub bytes: usize,
-    /// The peer half-closed (clean EOF).
-    pub eof: bool,
-}
-
 /// One live client connection owned by the event loop.
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
-    /// The poller token this connection is registered under.
-    pub token: u64,
     /// Incoming bytes not yet consumed as lines.
     pub lines: LineBuffer,
     /// Outgoing bytes not yet accepted by the kernel.
@@ -128,13 +112,12 @@ pub struct Conn {
 
 impl Conn {
     /// Adopt an accepted socket (made nonblocking here).
-    pub fn new(stream: TcpStream, token: u64, deadline: Instant) -> io::Result<Self> {
+    pub fn new(stream: TcpStream, deadline: Instant) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true).ok();
         Ok(Self {
             stream,
-            token,
-            lines: LineBuffer::new(),
+            lines: LineBuffer::default(),
             write_buf: Vec::new(),
             write_pos: 0,
             inflight: false,
@@ -151,9 +134,10 @@ impl Conn {
     }
 
     /// Drain the socket into the line buffer until `WouldBlock`, EOF,
-    /// or `max_buffered` bytes are pending. Sets [`Self::peer_eof`] on
-    /// EOF; transport errors bubble up (caller closes).
-    pub fn read_ready(&mut self, max_buffered: usize) -> io::Result<ReadOutcome> {
+    /// or `max_buffered` bytes are pending, and return the bytes read.
+    /// Sets [`Self::peer_eof`] on EOF; transport errors bubble up (caller
+    /// closes).
+    pub fn read_ready(&mut self, max_buffered: usize) -> io::Result<usize> {
         let mut chunk = [0u8; 8 * 1024];
         let mut total = 0usize;
         loop {
@@ -174,10 +158,7 @@ impl Conn {
                 Err(e) => return Err(e),
             }
         }
-        Ok(ReadOutcome {
-            bytes: total,
-            eof: self.peer_eof,
-        })
+        Ok(total)
     }
 
     /// Queue response bytes for writing.
@@ -258,7 +239,7 @@ mod tests {
 
     #[test]
     fn lines_split_across_arbitrary_chunks() {
-        let mut lb = LineBuffer::new();
+        let mut lb = LineBuffer::default();
         lb.extend(b"{\"cmd\":");
         assert_eq!(lb.pop_line(), None);
         lb.extend(b"\"list\"}\n{\"cmd\"");
@@ -272,7 +253,7 @@ mod tests {
     #[test]
     fn byte_at_a_time_assembly() {
         // The slow-loris shape: one byte per readiness event.
-        let mut lb = LineBuffer::new();
+        let mut lb = LineBuffer::default();
         for b in b"{\"cmd\":\"list\"}" {
             lb.extend(&[*b]);
             assert_eq!(lb.pop_line(), None);
@@ -283,7 +264,7 @@ mod tests {
 
     #[test]
     fn overflow_only_counts_the_unterminated_head() {
-        let mut lb = LineBuffer::new();
+        let mut lb = LineBuffer::default();
         lb.extend(b"tiny\n");
         lb.extend(&[b'x'; 64]);
         // 69 bytes total but the unterminated head is 64: a 64-byte cap
@@ -298,7 +279,7 @@ mod tests {
 
     #[test]
     fn empty_lines_pop_as_empty_frames() {
-        let mut lb = LineBuffer::new();
+        let mut lb = LineBuffer::default();
         lb.extend(b"\n\n");
         assert_eq!(lb.pop_line().as_deref(), Some(&b""[..]));
         assert_eq!(lb.pop_line().as_deref(), Some(&b""[..]));
@@ -315,15 +296,14 @@ mod tests {
     #[test]
     fn conn_reads_flushes_and_tracks_interest() {
         let (mut client, server_side) = pair();
-        let mut conn = Conn::new(server_side, 5, Instant::now()).unwrap();
+        let mut conn = Conn::new(server_side, Instant::now()).unwrap();
         assert_eq!(conn.desired_interest(), Interest::READ);
 
         client.write_all(b"{\"cmd\":\"list\"}\n").unwrap();
         client.flush().unwrap();
         // Give loopback a moment, then drain.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let got = conn.read_ready(1 << 20).unwrap();
-        assert!(got.bytes > 0 && !got.eof);
+        assert!(conn.read_ready(1 << 20).unwrap() > 0 && !conn.peer_eof);
         assert!(conn.lines.pop_line().is_some());
 
         // In-flight pauses reads; queued output arms writes.
@@ -342,15 +322,15 @@ mod tests {
         client.read_exact(&mut reply).unwrap();
         drop(client);
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let got = conn.read_ready(1 << 20).unwrap();
-        assert!(got.eof);
+        conn.read_ready(1 << 20).unwrap();
+        assert!(conn.peer_eof);
         assert!(!conn.desired_interest().readable);
     }
 
     #[test]
     fn partial_flush_survives_a_full_socket_buffer() {
         let (client, server_side) = pair();
-        let mut conn = Conn::new(server_side, 1, Instant::now()).unwrap();
+        let mut conn = Conn::new(server_side, Instant::now()).unwrap();
         // Queue far more than loopback buffers absorb with the reader
         // stalled: flush must make partial progress and report pending.
         let blob = vec![b'z'; 8 * 1024 * 1024];

@@ -33,17 +33,19 @@
 //!   threads total), answers what is already in memory and feeds the
 //!   other parsed requests to a fixed worker pool over a bounded queue
 //!   (idle deadlines in one heap with one
-//!   entry per connection, a typed `busy:`
-//!   rejection on overload at both admission and execution,
+//!   entry per connection, one typed `busy:` line,
+//!   [`protocol::BUSY_ERROR`], on overload at both admission and execution,
 //!   drain-deadline shutdown); plus the blocking client used by
 //!   `servet query`, and the reconnecting
 //!   [`client::RetryingRegistryClient`] (decorrelated-jitter backoff)
 //!   that `servet zoo` streams profiles through.
 //!
 //! Request handling is instrumented with per-operation latency histograms
-//! (`servet-obs`), surfaced through the `stats` protocol command — see
-//! [`protocol::OpLatency`] and `crates/registry/README.md` for the wire
-//! format.
+//! (`servet-obs`), surfaced through the `stats` protocol command beside
+//! the front end's counters, which the [`Registry`] owns and the server
+//! bumps once per event — see [`protocol::OpLatency`],
+//! [`protocol::AcceptStats`], [`protocol::EventStats`] and
+//! `crates/registry/README.md` for the wire format.
 //!
 //! ```no_run
 //! use servet_registry::prelude::*;
@@ -78,10 +80,9 @@ pub use client::{
 };
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use protocol::{
-    busy_response, is_busy_error, AcceptStats, EventStats, OpLatency, Request, Response,
-    ServerStats, BUSY_PREFIX,
+    is_busy_error, AcceptStats, EventStats, OpLatency, Request, Response, ServerStats, BUSY_ERROR,
 };
-pub use registry::{AcceptCounters, EventCounters, Registry};
+pub use registry::Registry;
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use store::{canonical_json, profile_digest, ProfileStore, StoreEntry};
 pub use tune::{TuneEngine, TuneQuery};

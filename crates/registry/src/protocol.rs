@@ -16,35 +16,17 @@ use servet_core::profile::MachineProfile;
 use servet_tune::TuneOutcome;
 use std::io::{self, BufRead, Write};
 
-/// Prefix of the [`Response::Error`] diagnostic written when the server
-/// rejects a connection because its accept queue is full. Clients match
-/// on this prefix (via [`is_busy_error`]) to tell "server overloaded,
-/// retry with backoff" apart from a request the server actually refused.
-pub const BUSY_PREFIX: &str = "busy:";
+/// The error text of the one line the server writes (best effort) before
+/// it closes a connection it cannot admit or whose request it cannot
+/// queue. The event loop hand-builds the line with no serializer in the
+/// path; clients recognize it with [`is_busy_error`].
+pub const BUSY_ERROR: &str = "busy: accept queue full, retry with backoff";
 
-/// The error text of [`busy_response`], which the event loop also
-/// hand-builds into a reply line with no serializer in the path.
-pub(crate) const BUSY_ERROR: &str = "busy: accept queue full, retry with backoff";
-
-/// The one-line rejection written (best effort) before the server closes
-/// a connection it cannot queue.
-pub fn busy_response() -> Response {
-    Response::Error {
-        error: BUSY_ERROR.into(),
-    }
-}
-
-/// Whether a protocol-level error string is the server-busy rejection.
+/// Whether a protocol-level error string is the server-busy rejection —
+/// "server overloaded, retry with backoff", as opposed to a request the
+/// server actually refused.
 pub fn is_busy_error(error: &str) -> bool {
-    error.starts_with(BUSY_PREFIX)
-}
-
-/// Whether a raw, still-unparsed reply line carries the server-busy
-/// rejection. A string-level match on the error field: busy lines are
-/// hand-built by the server (never routed through the JSON encoder), so
-/// transports can classify a rejection before — or without — parsing.
-pub fn is_busy_line(line: &str) -> bool {
-    line.contains("\"error\":\"busy:")
+    error.starts_with("busy:")
 }
 
 /// A client request, one JSON object per line.
@@ -474,7 +456,10 @@ mod tests {
     #[test]
     fn busy_rejection_is_recognizable_on_the_wire() {
         let mut buf = Vec::new();
-        write_message(&mut buf, &busy_response()).unwrap();
+        let busy = Response::Error {
+            error: BUSY_ERROR.into(),
+        };
+        write_message(&mut buf, &busy).unwrap();
         let mut reader = io::BufReader::new(&buf[..]);
         match read_message::<Response>(&mut reader).unwrap().unwrap() {
             Response::Error { error } => assert!(is_busy_error(&error), "{error}"),
@@ -483,22 +468,6 @@ mod tests {
         // An ordinary protocol error must NOT look busy, or clients would
         // retry requests the server deliberately refused.
         assert!(!is_busy_error("no profile named tiny"));
-    }
-
-    #[test]
-    fn busy_line_matches_raw_wire_bytes_without_parsing() {
-        // The exact shape the server hand-builds for both busy flavors.
-        assert!(is_busy_line(
-            "{\"reply\":\"error\",\"error\":\"busy: accept queue full, retry with backoff\"}"
-        ));
-        assert!(is_busy_line(
-            "{\"reply\":\"error\",\"error\":\"busy: server overloaded, retry with backoff\"}"
-        ));
-        // Ordinary errors and non-error replies must not look busy.
-        assert!(!is_busy_line(
-            "{\"reply\":\"error\",\"error\":\"no profile named tiny\"}"
-        ));
-        assert!(!is_busy_line("{\"reply\":\"listing\",\"entries\":[]}"));
     }
 
     #[test]

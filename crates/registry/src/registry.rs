@@ -5,15 +5,14 @@
 //! dispatch, restricted to the requests whose answer is already in
 //! memory.
 
-use crate::advice::{AdviceEngine, AdviceQuery};
+use crate::advice::AdviceEngine;
 use crate::cache::Memo;
 use crate::digest::looks_like_digest;
 use crate::protocol::{AcceptStats, EventStats, OpLatency, Request, Response, ServerStats};
 use crate::store::{ProfileStore, StoreEntry};
-use crate::tune::{TuneEngine, TuneQuery};
+use crate::tune::TuneEngine;
 use servet_core::profile::MachineProfile;
 use servet_obs::Histogram;
-use servet_tune::TuneOutcome;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,81 +67,19 @@ impl OpMetrics {
     }
 }
 
-/// Live accept-path counters, owned by the registry so the `stats`
-/// operation can report the serving layer's health next to the per-op
-/// latency digests. The TCP front end increments them; an in-process
-/// registry simply reports zeros.
-///
-/// `accepted` counts connections admitted to the event loop and
-/// `rejected` the `busy:` replies, at admission or at a full request
-/// queue; the queue-depth pair tracks *requests* waiting in the bounded
-/// worker queue.
+/// The TCP front end's counters, owned by the registry so the `stats`
+/// operation reports the serving layer's state next to the per-op latency
+/// digests, and so concurrently running registries never mix their
+/// numbers through process globals. Each method is one event, called at
+/// the one place in the server where it happens; an in-process registry
+/// reports zeros.
 #[derive(Debug, Default)]
-pub struct AcceptCounters {
+pub(crate) struct FrontEnd {
     accepted: AtomicU64,
     rejected: AtomicU64,
     queue_depth: AtomicU64,
     queue_depth_max: AtomicU64,
     drain_killed: AtomicU64,
-}
-
-impl AcceptCounters {
-    /// A connection passed admission and now multiplexes on the event
-    /// loop.
-    pub fn conn_admitted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was turned away — at admission (`max_conns` live
-    /// connections already) or because the request queue was full when
-    /// its request arrived. Either way the peer got the one-line
-    /// `busy:` rejection and a close.
-    pub fn conn_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request is about to be offered to the worker queue. Counted
-    /// into the depth *before* the offer so a racing worker's
-    /// [`Self::request_dequeued`] can never underflow it.
-    pub fn request_enqueued(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// A worker took a queued request into service.
-    pub fn request_dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The queue was full ([`Self::request_enqueued`] already ran): roll
-    /// the depth back; the caller also counts the connection rejected.
-    pub fn request_rejected(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// A connection was killed for overstaying the shutdown drain
-    /// grace period.
-    pub fn drain_killed(&self) {
-        self.drain_killed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current values as the wire struct.
-    pub fn snapshot(&self) -> AcceptStats {
-        AcceptStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_max: self.queue_depth_max.load(Ordering::Relaxed),
-            drain_killed: self.drain_killed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Live event-loop counters, owned by the registry for the same reason
-/// as [`AcceptCounters`]: concurrently running registries must never
-/// mix their numbers through process globals.
-#[derive(Debug, Default)]
-pub struct EventCounters {
     ready_events: AtomicU64,
     wakeups: AtomicU64,
     answered_on_loop: AtomicU64,
@@ -153,68 +90,100 @@ pub struct EventCounters {
     conns_peak: AtomicU64,
 }
 
-impl EventCounters {
-    /// `n` readiness events came back from one poller wait.
-    pub fn ready(&self, n: u64) {
-        self.ready_events.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The loop took `n` worker replies off its completion queue,
-    /// including replies whose connection has died since.
-    pub fn handoffs(&self, n: u64) {
-        self.wakeups.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The loop answered a request line itself, without a worker.
-    pub fn answered_on_loop(&self) {
-        self.answered_on_loop.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A read pass buffered bytes without completing a line.
-    pub fn partial_read(&self) {
-        self.partial_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was killed by its read/idle deadline.
-    pub fn deadline_kill(&self) {
-        self.deadline_kills.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was closed for an oversized request line.
-    pub fn oversized(&self) {
-        self.oversized_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was registered with the event loop.
-    pub fn conn_opened(&self) {
+impl FrontEnd {
+    /// A connection passed admission and now multiplexes on the event
+    /// loop.
+    pub(crate) fn admitted(&self) {
+        self.accepted.fetch_add(1, Ordering::Relaxed);
         let open = self.conns_open.fetch_add(1, Ordering::Relaxed) + 1;
         self.conns_peak.fetch_max(open, Ordering::Relaxed);
     }
 
     /// A connection was deregistered.
-    pub fn conn_closed(&self) {
+    pub(crate) fn closed(&self) {
         self.conns_open.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Current values as the wire struct.
-    pub fn snapshot(&self) -> EventStats {
-        EventStats {
-            ready_events: self.ready_events.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            answered_on_loop: self.answered_on_loop.load(Ordering::Relaxed),
-            partial_reads: self.partial_reads.load(Ordering::Relaxed),
-            deadline_kills: self.deadline_kills.load(Ordering::Relaxed),
-            oversized_rejected: self.oversized_rejected.load(Ordering::Relaxed),
-            conns_open: self.conns_open.load(Ordering::Relaxed),
-            conns_peak: self.conns_peak.load(Ordering::Relaxed),
-        }
+    /// A peer got the `busy:` line and a close: at admission (`max_conns`
+    /// live connections already) or because the request queue was full.
+    pub(crate) fn refused(&self) {
+        self.rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A request is about to be offered to the worker queue. Counted into
+    /// the depth *before* the offer so a racing worker's
+    /// [`Self::dequeued`] can never underflow it.
+    pub(crate) fn enqueued(&self) {
+        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        self.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
+    }
+
+    /// A request left the worker queue: a worker took it into service, or
+    /// the offer failed.
+    pub(crate) fn dequeued(&self) {
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// A connection was killed for overstaying the shutdown drain grace
+    /// period.
+    pub(crate) fn drain_killed(&self) {
+        self.drain_killed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `n` readiness events came back from one poller wait.
+    pub(crate) fn ready(&self, n: u64) {
+        self.ready_events.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The loop took `n` worker replies off its completion queue,
+    /// including replies whose connection has died since.
+    pub(crate) fn handoffs(&self, n: u64) {
+        self.wakeups.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The loop answered a request line itself, without a worker.
+    pub(crate) fn answered_on_loop(&self) {
+        self.answered_on_loop.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A read pass buffered bytes without completing a line.
+    pub(crate) fn partial_read(&self) {
+        self.partial_reads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A connection was killed by its read/idle deadline.
+    pub(crate) fn deadline_kill(&self) {
+        self.deadline_kills.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A connection was closed for an oversized request line.
+    pub(crate) fn oversized(&self) {
+        self.oversized_rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Current values as the two wire structs.
+    fn snapshot(&self) -> (AcceptStats, EventStats) {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let accept = AcceptStats {
+            accepted: load(&self.accepted),
+            rejected: load(&self.rejected),
+            queue_depth: load(&self.queue_depth),
+            queue_depth_max: load(&self.queue_depth_max),
+            drain_killed: load(&self.drain_killed),
+        };
+        let events = EventStats {
+            ready_events: load(&self.ready_events),
+            wakeups: load(&self.wakeups),
+            answered_on_loop: load(&self.answered_on_loop),
+            partial_reads: load(&self.partial_reads),
+            deadline_kills: load(&self.deadline_kills),
+            oversized_rejected: load(&self.oversized_rejected),
+            conns_open: load(&self.conns_open),
+            conns_peak: load(&self.conns_peak),
+        };
+        (accept, events)
     }
 }
-
-/// What [`Registry::advise`] and [`Registry::tune`] return: `None` for an
-/// unknown key, otherwise the profile's digest, the outcome or the
-/// engine's refusal, and whether it was a memo hit.
-pub type Answer<T> = io::Result<Option<(String, Result<T, String>, bool)>>;
 
 /// A parsed profile in the cache, with the byte length of its canonical
 /// JSON — about what a `get` reply carrying it weighs.
@@ -234,8 +203,8 @@ pub struct Registry {
     tuner: TuneEngine,
     requests: AtomicU64,
     ops: OpMetrics,
-    accept: AcceptCounters,
-    events: EventCounters,
+    /// The TCP front end's counters; the server bumps them.
+    pub(crate) front_end: FrontEnd,
 }
 
 impl Registry {
@@ -248,24 +217,13 @@ impl Registry {
             tuner: TuneEngine::new(),
             requests: AtomicU64::new(0),
             ops: OpMetrics::default(),
-            accept: AcceptCounters::default(),
-            events: EventCounters::default(),
+            front_end: FrontEnd::default(),
         })
     }
 
     /// The underlying store.
     pub fn store(&self) -> &ProfileStore {
         &self.store
-    }
-
-    /// The accept-path counters the TCP front end maintains.
-    pub fn accept_counters(&self) -> &AcceptCounters {
-        &self.accept
-    }
-
-    /// The event-loop counters the TCP front end maintains.
-    pub fn event_counters(&self) -> &EventCounters {
-        &self.events
     }
 
     /// Store a profile (optionally aliased); returns its digest.
@@ -307,29 +265,11 @@ impl Registry {
             .list(|digest| self.profiles.peek(digest).map(|c| c.profile))
     }
 
-    /// Advice for the profile under `key`; the bool reports a memo hit.
-    pub fn advise(&self, key: &str, query: &AdviceQuery) -> Answer<crate::advice::AdviceOutcome> {
-        let Some((digest, profile)) = self.get(key)? else {
-            return Ok(None);
-        };
-        let (outcome, cached) = self.advice.advise(&digest, &profile, query);
-        Ok(Some((digest, outcome, cached)))
-    }
-
-    /// Run (or recall) a tuning session for the profile under `key`; the
-    /// bool reports a memo hit.
-    pub fn tune(&self, key: &str, query: &TuneQuery) -> Answer<TuneOutcome> {
-        let Some((digest, profile)) = self.get(key)? else {
-            return Ok(None);
-        };
-        let (outcome, cached) = self.tuner.tune(&digest, &profile, query);
-        Ok(Some((digest, outcome, cached)))
-    }
-
     /// Counter snapshot, including per-operation latency digests.
     pub fn stats(&self) -> ServerStats {
         let advice = self.advice.stats();
         let profiles = self.profiles.stats();
+        let (accept, events) = self.front_end.snapshot();
         ServerStats {
             profiles: self.store.len().unwrap_or(0),
             requests: self.requests.load(Ordering::Relaxed),
@@ -339,8 +279,8 @@ impl Registry {
             profile_hits: profiles.hits,
             profile_misses: profiles.misses,
             ops: self.ops.snapshot(),
-            accept: self.accept.snapshot(),
-            events: self.events.snapshot(),
+            accept,
+            events,
         }
     }
 
@@ -403,6 +343,24 @@ impl Registry {
         Some((digest, cached))
     }
 
+    /// The reply about the profile `key` names: `answer`'s, or the error
+    /// for a key that names no profile or a store that failed.
+    fn about(
+        &self,
+        key: &str,
+        answer: impl FnOnce(String, Arc<MachineProfile>) -> Response,
+    ) -> Response {
+        match self.get(key) {
+            Ok(Some((digest, profile))) => answer(digest, profile),
+            Ok(None) => Response::Error {
+                error: format!("no profile matches {key:?}"),
+            },
+            Err(e) => Response::Error {
+                error: e.to_string(),
+            },
+        }
+    }
+
     fn dispatch(&self, request: Request) -> Response {
         match request {
             Request::Put { profile, name } => {
@@ -424,52 +382,36 @@ impl Registry {
                     },
                 }
             }
-            Request::Get { key } => match self.get(&key) {
-                Ok(Some((digest, profile))) => Response::Profile {
-                    digest,
-                    profile: Box::new((*profile).clone()),
-                },
-                Ok(None) => Response::Error {
-                    error: format!("no profile matches {key:?}"),
-                },
-                Err(e) => Response::Error {
-                    error: e.to_string(),
-                },
-            },
+            Request::Get { key } => self.about(&key, |digest, profile| Response::Profile {
+                digest,
+                profile: Box::new((*profile).clone()),
+            }),
             Request::List => match self.list() {
                 Ok(entries) => Response::Listing { entries },
                 Err(e) => Response::Error {
                     error: e.to_string(),
                 },
             },
-            Request::Advise { key, query } => match self.advise(&key, &query) {
-                Ok(Some((digest, Ok(outcome), cached))) => Response::Advice {
-                    digest,
-                    cached,
-                    outcome,
-                },
-                Ok(Some((_, Err(error), _))) => Response::Error { error },
-                Ok(None) => Response::Error {
-                    error: format!("no profile matches {key:?}"),
-                },
-                Err(e) => Response::Error {
-                    error: e.to_string(),
-                },
-            },
-            Request::Tune { key, query } => match self.tune(&key, &query) {
-                Ok(Some((digest, Ok(outcome), cached))) => Response::Tuned {
-                    digest,
-                    cached,
-                    outcome,
-                },
-                Ok(Some((_, Err(error), _))) => Response::Error { error },
-                Ok(None) => Response::Error {
-                    error: format!("no profile matches {key:?}"),
-                },
-                Err(e) => Response::Error {
-                    error: e.to_string(),
-                },
-            },
+            Request::Advise { key, query } => self.about(&key, |digest, profile| {
+                match self.advice.advise(&digest, &profile, &query) {
+                    (Ok(outcome), cached) => Response::Advice {
+                        digest,
+                        cached,
+                        outcome,
+                    },
+                    (Err(error), _) => Response::Error { error },
+                }
+            }),
+            Request::Tune { key, query } => self.about(&key, |digest, profile| {
+                match self.tuner.tune(&digest, &profile, &query) {
+                    (Ok(outcome), cached) => Response::Tuned {
+                        digest,
+                        cached,
+                        outcome,
+                    },
+                    (Err(error), _) => Response::Error { error },
+                }
+            }),
             Request::Stats => Response::Stats {
                 stats: self.stats(),
             },
@@ -480,7 +422,9 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advice::AdviceQuery;
     use crate::store::profile_digest;
+    use crate::tune::TuneQuery;
     use servet_core::suite::{run_full_suite, SuiteConfig};
     use servet_core::SimPlatform;
 
@@ -705,56 +649,57 @@ mod tests {
     }
 
     #[test]
-    fn accept_counters_track_depth_and_high_water() {
-        let registry = temp_registry("accept");
-        let c = registry.accept_counters();
-        assert_eq!(c.snapshot(), AcceptStats::default());
-        // Three connections admitted, each with a request queued...
+    fn front_end_counts_each_event_once() {
+        let registry = temp_registry("front-end");
+        let front = &registry.front_end;
+        let stats = registry.stats();
+        assert_eq!(stats.accept, AcceptStats::default());
+        assert_eq!(stats.events, EventStats::default());
+        // Three connections admitted, each with a request queued, and one
+        // closed...
         for _ in 0..3 {
-            c.conn_admitted();
-            c.request_enqueued();
+            front.admitted();
+            front.enqueued();
         }
-        // ...one request taken by a worker, then a fourth connection's
-        // request finds the queue full (roll back + conn rejection) and
-        // a drain kill lands during shutdown.
-        c.request_dequeued();
-        c.request_enqueued();
-        c.request_rejected();
-        c.conn_rejected();
-        c.drain_killed();
-        let snap = c.snapshot();
-        assert_eq!(snap.accepted, 3);
-        assert_eq!(snap.rejected, 1);
-        assert_eq!(snap.queue_depth, 2);
-        assert_eq!(snap.queue_depth_max, 3);
-        assert_eq!(snap.drain_killed, 1);
-        // And the stats surface carries them.
-        assert_eq!(registry.stats().accept, snap);
-    }
-
-    #[test]
-    fn event_counters_track_open_high_water() {
-        let registry = temp_registry("events");
-        let c = registry.event_counters();
-        assert_eq!(c.snapshot(), crate::protocol::EventStats::default());
-        c.conn_opened();
-        c.conn_opened();
-        c.conn_closed();
-        c.conn_opened();
-        c.ready(5);
-        c.handoffs(1);
-        c.partial_read();
-        c.deadline_kill();
-        c.oversized();
-        let snap = c.snapshot();
-        assert_eq!(snap.conns_open, 2);
-        assert_eq!(snap.conns_peak, 2);
-        assert_eq!(snap.ready_events, 5);
-        assert_eq!(snap.wakeups, 1);
-        assert_eq!(snap.partial_reads, 1);
-        assert_eq!(snap.deadline_kills, 1);
-        assert_eq!(snap.oversized_rejected, 1);
-        assert_eq!(registry.stats().events, snap);
+        front.closed();
+        // ...one request taken by a worker, then another finds the queue
+        // full (rolled back, its peer refused) and a drain kill lands
+        // during shutdown.
+        front.dequeued();
+        front.enqueued();
+        front.dequeued();
+        front.refused();
+        front.drain_killed();
+        front.ready(5);
+        front.handoffs(1);
+        front.answered_on_loop();
+        front.partial_read();
+        front.deadline_kill();
+        front.oversized();
+        let stats = registry.stats();
+        assert_eq!(
+            stats.accept,
+            AcceptStats {
+                accepted: 3,
+                rejected: 1,
+                queue_depth: 2,
+                queue_depth_max: 3,
+                drain_killed: 1,
+            }
+        );
+        assert_eq!(
+            stats.events,
+            EventStats {
+                ready_events: 5,
+                wakeups: 1,
+                answered_on_loop: 1,
+                partial_reads: 1,
+                deadline_kills: 1,
+                oversized_rejected: 1,
+                conns_open: 2,
+                conns_peak: 3,
+            }
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! runs exactly `workers + 1` threads no matter how many clients
 //! connect (see [`ServerConfig::max_conns`] for the admission cap).
 //! Overload is explicit at two layers, both answered with a one-line
-//! `busy:` rejection ([`crate::protocol::busy_response`]) and a close:
+//! `busy:` rejection ([`crate::protocol::BUSY_ERROR`]) and a close:
 //!
 //! * **admission** — more than `max_conns` live connections;
 //! * **execution** — a parsed request finds the worker queue full.
@@ -91,7 +91,7 @@ pub struct ServerConfig {
     /// Parsed requests that may wait for a free worker. When all
     /// workers are busy and this many requests are queued, further
     /// requests are answered with a one-line `busy:` rejection
-    /// ([`crate::protocol::busy_response`]) and the connection is
+    /// ([`crate::protocol::BUSY_ERROR`]) and the connection is
     /// closed. `0` means rendezvous: a request is accepted only if a
     /// worker is blocked waiting for one — useful in tests that need
     /// rejection to be deterministic.
@@ -372,7 +372,7 @@ fn work(
             Err(_) => break,
         };
         let Ok(job) = received else { break };
-        registry.accept_counters().request_dequeued();
+        registry.front_end.dequeued();
         // A panicking handler must cost its request, not the worker —
         // and never leave the client waiting forever on a response that
         // will not come.
@@ -497,7 +497,7 @@ impl EventLoop {
             return true;
         }
         if !events.is_empty() {
-            self.registry.event_counters().ready(events.len() as u64);
+            self.registry.front_end.ready(events.len() as u64);
         }
         let backlogged = std::mem::take(&mut self.backlogged);
         for &ev in events.iter() {
@@ -548,7 +548,6 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    servet_obs::counter("registry.server.connections").incr();
                     if draining {
                         let _ = stream.shutdown(Shutdown::Both);
                         continue;
@@ -571,8 +570,7 @@ impl EventLoop {
     /// effort under a short write timeout — a rejection must never
     /// stall the loop behind a slow client.
     fn reject_conn(&mut self, stream: TcpStream) {
-        self.registry.accept_counters().conn_rejected();
-        servet_obs::counter("registry.server.rejected").incr();
+        self.registry.front_end.refused();
         let mut stream = stream;
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
@@ -583,7 +581,7 @@ impl EventLoop {
     fn admit(&mut self, stream: TcpStream) {
         let token = self.next_token;
         let deadline = Instant::now() + self.config.read_timeout;
-        let Ok(conn) = Conn::new(stream, token, deadline) else {
+        let Ok(conn) = Conn::new(stream, deadline) else {
             return;
         };
         if self
@@ -596,8 +594,7 @@ impl EventLoop {
         }
         self.next_token += 1;
         self.deadlines.push(Reverse((deadline, token)));
-        self.registry.accept_counters().conn_admitted();
-        self.registry.event_counters().conn_opened();
+        self.registry.front_end.admitted();
         self.conns.insert(token, conn);
     }
 
@@ -628,7 +625,7 @@ impl EventLoop {
                 // line limit so the overflow check can trip.
                 let cap = self.config.max_line_bytes.saturating_add(64 * 1024);
                 match conn.read_ready(cap) {
-                    Ok(outcome) => read_bytes = outcome.bytes,
+                    Ok(bytes) => read_bytes = bytes,
                     Err(_) => dead = true,
                 }
             }
@@ -667,7 +664,7 @@ impl EventLoop {
                 }
                 let Some(line) = conn.lines.pop_line() else {
                     if conn.lines.line_overflows(self.config.max_line_bytes) {
-                        self.registry.event_counters().oversized();
+                        self.registry.front_end.oversized();
                         conn.queue_write(&error_line(&format!(
                             "bad request: line exceeds {} bytes",
                             self.config.max_line_bytes
@@ -676,21 +673,21 @@ impl EventLoop {
                         continue;
                     }
                     if taken == 0 && read_bytes > 0 && !conn.lines.is_empty() {
-                        self.registry.event_counters().partial_read();
+                        self.registry.front_end.partial_read();
                     }
                     break;
                 };
                 taken += 1;
                 match route(&self.registry, line) {
                     Route::Reply(reply) => {
-                        self.registry.event_counters().answered_on_loop();
+                        self.registry.front_end.answered_on_loop();
                         conn.queue_write(&reply);
                         // As for a worker's reply: a peer that never reads
                         // it is reaped one timeout from now.
                         conn.deadline = Instant::now() + self.config.read_timeout;
                     }
                     Route::Worker(request) => {
-                        self.registry.accept_counters().request_enqueued();
+                        self.registry.front_end.enqueued();
                         let sent = self.job_tx.as_ref().map(|tx| {
                             tx.try_send(Job {
                                 conn: token,
@@ -700,14 +697,13 @@ impl EventLoop {
                         match sent {
                             Some(Ok(())) => conn.inflight = true,
                             Some(Err(mpsc::TrySendError::Full(_))) => {
-                                self.registry.accept_counters().request_rejected();
-                                self.registry.accept_counters().conn_rejected();
-                                servet_obs::counter("registry.server.rejected").incr();
+                                self.registry.front_end.dequeued();
+                                self.registry.front_end.refused();
                                 conn.queue_write(&error_line(BUSY_ERROR));
                                 conn.closing = true;
                             }
                             Some(Err(mpsc::TrySendError::Disconnected(_))) | None => {
-                                self.registry.accept_counters().request_rejected();
+                                self.registry.front_end.dequeued();
                                 conn.closing = true;
                             }
                         }
@@ -752,7 +748,7 @@ impl EventLoop {
         };
         // One hand-off per reply a worker ran, delivered or not: one
         // drain of the wake channel can swallow several wake bytes.
-        self.registry.event_counters().handoffs(batch.len() as u64);
+        self.registry.front_end.handoffs(batch.len() as u64);
         for done in batch {
             let token = done.conn;
             {
@@ -789,7 +785,7 @@ impl EventLoop {
             if conn.deadline > now {
                 self.deadlines.push(Reverse((conn.deadline, token)));
             } else {
-                self.registry.event_counters().deadline_kill();
+                self.registry.front_end.deadline_kill();
                 self.close_conn(token);
             }
         }
@@ -813,7 +809,7 @@ impl EventLoop {
     fn kill_remaining(&mut self) {
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
-            self.registry.accept_counters().drain_killed();
+            self.registry.front_end.drain_killed();
             self.close_conn(token);
         }
     }
@@ -822,7 +818,7 @@ impl EventLoop {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.deregister(raw_fd(conn.stream()), token);
             conn.shutdown();
-            self.registry.event_counters().conn_closed();
+            self.registry.front_end.closed();
         }
     }
 }
@@ -952,7 +948,7 @@ mod tests {
         let got: io::Result<Option<Response>> = read_message(&mut reader);
         assert!(matches!(got, Ok(None)), "expected EOF, got {got:?}");
         assert!(
-            registry.event_counters().snapshot().deadline_kills >= 1,
+            registry.stats().events.deadline_kills >= 1,
             "idle kill must be counted"
         );
         server.shutdown();
@@ -976,7 +972,7 @@ mod tests {
             },
         )
         .unwrap();
-        let events = registry.event_counters();
+        let events = || registry.stats().events;
 
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -990,7 +986,7 @@ mod tests {
             let got = reader.read_line(&mut line).unwrap();
             assert!(got > 0, "killed while active, round {round}");
         }
-        assert_eq!(events.snapshot().deadline_kills, 0);
+        assert_eq!(events().deadline_kills, 0);
 
         // Silence. The deadline was set when the last reply was queued,
         // which is after the request left here and before the reply
@@ -1009,7 +1005,7 @@ mod tests {
             "killed {:?} after its last reply",
             last_reply.elapsed()
         );
-        assert_eq!(events.snapshot().deadline_kills, 1);
+        assert_eq!(events().deadline_kills, 1);
         server.shutdown();
     }
 
@@ -1043,7 +1039,7 @@ mod tests {
             },
         )
         .unwrap();
-        let events = registry.event_counters();
+        let events = || registry.stats().events;
 
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream
@@ -1051,19 +1047,17 @@ mod tests {
             .unwrap();
         stream.shutdown(Shutdown::Write).unwrap();
         // Only a worker's completion wakes the loop here.
-        wait_until("the reply to reach the loop", || {
-            events.snapshot().wakeups >= 1
-        });
+        wait_until("the reply to reach the loop", || events().wakeups >= 1);
         let replied = Instant::now();
-        while events.snapshot().conns_open != 0 {
+        while events().conns_open != 0 {
             assert!(
                 replied.elapsed() < Duration::from_secs(2),
                 "stalled half-closed connection never reaped: {:?}",
-                events.snapshot()
+                events()
             );
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(events.snapshot().deadline_kills, 1);
+        assert_eq!(events().deadline_kills, 1);
         drop(stream);
         server.shutdown();
         // Unlike the other stores here this one is 9 MB.
@@ -1146,7 +1140,7 @@ mod tests {
         });
         turn_until(&mut ev, "the burst's replies", &|_| client.is_finished());
         assert!(client.join().unwrap() == expected, "replies out of order");
-        let events_seen = registry.event_counters().snapshot();
+        let events_seen = registry.stats().events;
         assert_eq!(events_seen.answered_on_loop, replies as u64 - 2);
         assert_eq!(events_seen.wakeups, 2, "the put and the tune miss");
         turn_until(&mut ev, "the burst's connection closed", &|ev| {
@@ -1163,7 +1157,7 @@ mod tests {
                 .get(&flooder_token)
                 .is_some_and(|conn| conn.wants_write())
         });
-        let answered = registry.event_counters().snapshot().answered_on_loop;
+        let answered = registry.stats().events.answered_on_loop;
         let conn = &ev.conns[&flooder_token];
         let reply_len = expected[0].len();
         assert!(
@@ -1191,7 +1185,7 @@ mod tests {
         turn_until(&mut ev, "the flooder to be reaped", &|ev| {
             ev.conns.is_empty()
         });
-        assert_eq!(registry.event_counters().snapshot().deadline_kills, 1);
+        assert_eq!(registry.stats().events.deadline_kills, 1);
         drop(flooder);
         ev.shutdown.store(true, Ordering::SeqCst);
         ev.waker.wake();
@@ -1283,11 +1277,11 @@ mod tests {
         // 64 live, served connections, yet the server is exactly the
         // fixed pool plus the event loop.
         assert_eq!(threads_with_prefix("pool64"), WORKERS + 1);
-        let snap = registry.accept_counters().snapshot();
+        let snap = registry.stats().accept;
         assert_eq!(snap.accepted, CLIENTS as u64);
         assert_eq!(snap.rejected, 0, "nothing rejected: {snap:?}");
         assert_eq!(snap.queue_depth, 0, "all requests drained: {snap:?}");
-        let events = registry.event_counters().snapshot();
+        let events = registry.stats().events;
         assert_eq!(events.conns_open, CLIENTS as u64, "{events:?}");
         assert!(events.conns_peak >= CLIENTS as u64, "{events:?}");
 
@@ -1323,30 +1317,25 @@ mod tests {
             },
         )
         .unwrap();
-        let accept = registry.accept_counters();
-        let events = registry.event_counters();
+        let accept = || registry.stats().accept;
+        let events = || registry.stats().events;
 
         let first = TcpStream::connect(server.addr()).unwrap();
-        wait_until("first connection admitted", || {
-            events.snapshot().conns_open == 1
-        });
+        wait_until("first connection admitted", || events().conns_open == 1);
         let _second = TcpStream::connect(server.addr()).unwrap();
-        wait_until("second connection admitted", || {
-            events.snapshot().conns_open == 2
-        });
+        wait_until("second connection admitted", || events().conns_open == 2);
         // The third is over the cap: busy line, then a close.
         let turned_away = TcpStream::connect(server.addr()).unwrap();
-        wait_until("third connection rejected", || {
-            accept.snapshot().rejected == 1
-        });
-        // The busy line is hand-built (never JSON-encoded), so read it
-        // raw: it must classify as busy straight off the wire.
+        wait_until("third connection rejected", || accept().rejected == 1);
+        // The busy line is hand-built (never JSON-encoded): read it raw,
+        // it must be that line byte for byte.
         let mut reader = BufReader::new(turned_away);
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
-        assert!(
-            crate::protocol::is_busy_line(&line),
-            "expected busy rejection, got {line:?}"
+        assert_eq!(
+            line.as_bytes(),
+            error_line(BUSY_ERROR),
+            "expected busy rejection"
         );
         let mut rest = String::new();
         assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "expected EOF");
@@ -1354,7 +1343,7 @@ mod tests {
         // Freeing a slot lets the next arrival in: a (malformed)
         // request line still draws a response line.
         drop(first);
-        wait_until("slot freed", || events.snapshot().conns_open == 1);
+        wait_until("slot freed", || events().conns_open == 1);
         let mut admitted = TcpStream::connect(server.addr()).unwrap();
         admitted.write_all(b"not json\n").unwrap();
         let mut line = String::new();
@@ -1363,7 +1352,7 @@ mod tests {
             .unwrap();
         assert!(!line.trim().is_empty(), "admitted connection never served");
 
-        let snap = accept.snapshot();
+        let snap = accept();
         assert_eq!(snap.accepted, 3);
         assert_eq!(snap.rejected, 1);
         server.shutdown();
@@ -1406,7 +1395,7 @@ mod tests {
                         if reader.read_line(&mut line).unwrap_or(0) == 0 {
                             continue;
                         }
-                        if crate::protocol::is_busy_line(&line) {
+                        if line.as_bytes() == error_line(BUSY_ERROR) {
                             // The busy line is followed by a close.
                             let mut rest = String::new();
                             assert_eq!(reader.read_line(&mut rest).unwrap_or(0), 0);
@@ -1424,7 +1413,7 @@ mod tests {
             .filter_map(|h| h.join().unwrap())
             .collect();
         assert!(!busy_lines.is_empty());
-        assert!(registry.accept_counters().snapshot().rejected >= 1);
+        assert!(registry.stats().accept.rejected >= 1);
         server.shutdown();
     }
 
@@ -1449,15 +1438,13 @@ mod tests {
             },
         )
         .unwrap();
-        let accept = registry.accept_counters();
-        let events = registry.event_counters();
+        let accept = || registry.stats().accept;
+        let events = || registry.stats().events;
         let profile = measured_profile();
 
         // Occupy the only slot.
         let busy = TcpStream::connect(server.addr()).unwrap();
-        wait_until("first connection admitted", || {
-            events.snapshot().conns_open == 1
-        });
+        wait_until("first connection admitted", || events().conns_open == 1);
 
         // A plain client is turned away. Depending on how the server's
         // close races the put's write it sees the typed busy error or a
@@ -1467,7 +1454,7 @@ mod tests {
         plain.set_timeout(Some(Duration::from_secs(10))).unwrap();
         let err = plain.put(&profile, Some("tiny")).unwrap_err();
         assert!(is_retryable(&err), "wanted retryable, got {err:?}");
-        wait_until("rejection counted", || accept.snapshot().rejected >= 1);
+        wait_until("rejection counted", || accept().rejected >= 1);
 
         // Free the slot shortly; the retrying client's backoff must
         // carry it past the rejections to a successful put.
@@ -1508,14 +1495,12 @@ mod tests {
             },
         )
         .unwrap();
-        let events = registry.event_counters();
+        let events = || registry.stats().events;
 
         let a = TcpStream::connect(server.addr()).unwrap();
         let b = TcpStream::connect(server.addr()).unwrap();
         let c = TcpStream::connect(server.addr()).unwrap();
-        wait_until("three connections admitted", || {
-            events.snapshot().conns_open == 3
-        });
+        wait_until("three connections admitted", || events().conns_open == 3);
 
         // Shutdown must close every live connection, promptly, and
         // without needing the drain-kill hammer (they are all idle).
@@ -1526,7 +1511,7 @@ mod tests {
             "shutdown took {:?}",
             start.elapsed()
         );
-        assert_eq!(registry.accept_counters().snapshot().drain_killed, 0);
+        assert_eq!(registry.stats().accept.drain_killed, 0);
         for stream in [a, b, c] {
             let mut reader = BufReader::new(stream);
             let got: io::Result<Option<Response>> = read_message(&mut reader);

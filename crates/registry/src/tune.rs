@@ -155,7 +155,6 @@ impl TuneEngine {
         };
         let (outcome, cached) = self.cache.get_or_insert_with(key, || {
             let _span = servet_obs::span("tune.compute");
-            servet_obs::counter("tune.computed").incr();
             let oracle = ProfileOracle::new(profile.clone(), query.n);
             tune(&oracle, &space, &query.options, 1)
         });

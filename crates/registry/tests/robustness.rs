@@ -79,11 +79,11 @@ fn oversized_line_is_rejected_with_error_and_eof() {
     assert!(rest.is_empty(), "no bytes expected after the rejection");
 
     assert!(
-        registry.event_counters().snapshot().oversized_rejected >= 1,
+        registry.stats().events.oversized_rejected >= 1,
         "oversized rejection must be counted"
     );
     wait_until("oversized conn reaped", || {
-        registry.event_counters().snapshot().conns_open == 0
+        registry.stats().events.conns_open == 0
     });
     server.shutdown();
 }
@@ -120,7 +120,7 @@ fn slow_loris_half_line_is_killed_at_the_idle_deadline() {
         "a never-completed line must not produce a reply, got {buf:?}"
     );
 
-    let events = registry.event_counters().snapshot();
+    let events = registry.stats().events;
     assert!(
         events.deadline_kills >= 1,
         "stalled connection must die by deadline, events: {events:?}"
@@ -130,7 +130,7 @@ fn slow_loris_half_line_is_killed_at_the_idle_deadline() {
         "the trickle must register as partial reads, events: {events:?}"
     );
     wait_until("loris conn reaped", || {
-        registry.event_counters().snapshot().conns_open == 0
+        registry.stats().events.conns_open == 0
     });
     server.shutdown();
 }
@@ -154,13 +154,11 @@ fn half_open_peers_are_reaped_and_conns_drop_to_zero() {
     let silent: Vec<TcpStream> = (0..16)
         .map(|_| TcpStream::connect(server.addr()).unwrap())
         .collect();
-    wait_until("all admitted", || {
-        registry.event_counters().snapshot().conns_peak >= 16
-    });
+    wait_until("all admitted", || registry.stats().events.conns_peak >= 16);
     wait_until("all reaped by deadline", || {
-        registry.event_counters().snapshot().conns_open == 0
+        registry.stats().events.conns_open == 0
     });
-    let events = registry.event_counters().snapshot();
+    let events = registry.stats().events;
     assert!(
         events.deadline_kills >= 16,
         "every silent conn must die by deadline, events: {events:?}"
@@ -191,11 +189,11 @@ fn mid_request_disconnect_does_not_wedge_the_server() {
         drop(stream);
     }
     wait_until("abandoned requests drained", || {
-        let accept = registry.accept_counters().snapshot();
+        let accept = registry.stats().accept;
         accept.accepted >= 8 && accept.queue_depth == 0
     });
     wait_until("abandoned conns reaped", || {
-        registry.event_counters().snapshot().conns_open == 0
+        registry.stats().events.conns_open == 0
     });
 
     // The server still serves: a fresh client gets a reply line (any
@@ -258,11 +256,9 @@ fn misbehaving_clients_never_grow_the_thread_count() {
     // the first one — and dropping `held` then would close the floods
     // unread. It means "all reaped" only once all 24 have been admitted.
     wait_until("all abusers admitted", || {
-        registry.accept_counters().snapshot().accepted >= 24
+        registry.stats().accept.accepted >= 24
     });
-    wait_until("abusers reaped", || {
-        registry.event_counters().snapshot().conns_open == 0
-    });
+    wait_until("abusers reaped", || registry.stats().events.conns_open == 0);
     let live = server.live_threads();
     assert_eq!(live.load(Ordering::SeqCst), baseline);
     wait_until("no thread beyond the pool", || {
@@ -270,7 +266,7 @@ fn misbehaving_clients_never_grow_the_thread_count() {
     });
     drop(held);
 
-    let events = registry.event_counters().snapshot();
+    let events = registry.stats().events;
     assert!(events.oversized_rejected >= 8, "events: {events:?}");
     server.shutdown();
     assert_eq!(live.load(Ordering::SeqCst), 0, "pool threads leaked");

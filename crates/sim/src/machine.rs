@@ -98,6 +98,7 @@ use crate::coherence::{CoherenceEngine, CoherenceTraffic};
 use crate::prefetch::StridePrefetcher;
 use crate::spec::{CoreId, Indexing, MachineSpec};
 use crate::vm::AddressSpace;
+use std::sync::Arc;
 
 mod census;
 
@@ -112,7 +113,9 @@ mod census;
 /// entirely, which keeps the pre-coherence stages bit-identical.
 #[derive(Debug, Clone)]
 pub struct SimArray {
-    aspace: AddressSpace,
+    /// Behind an `Arc` so a pass the census owes the caches shares the
+    /// page table rather than copying it.
+    aspace: Arc<AddressSpace>,
     len: usize,
     shared: bool,
 }
@@ -121,7 +124,7 @@ impl SimArray {
     /// Internal constructor, shared with the reference engine.
     pub(crate) fn new_raw(aspace: AddressSpace, len: usize, shared: bool) -> Self {
         Self {
-            aspace,
+            aspace: Arc::new(aspace),
             len,
             shared,
         }
@@ -507,7 +510,7 @@ impl Machine {
         self.next_asid += 1;
         let (page, policy) = (self.spec.page_size, self.spec.page_alloc);
         SimArray {
-            aspace: AddressSpace::new(asid, len_bytes, page, policy, self.seed),
+            aspace: Arc::new(AddressSpace::new(asid, len_bytes, page, policy, self.seed)),
             len: len_bytes,
             shared: false,
         }

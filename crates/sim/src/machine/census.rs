@@ -49,6 +49,7 @@
 use super::{Contents, Machine, SharedJob};
 use crate::spec::CoreId;
 use crate::vm::AddressSpace;
+use std::sync::Arc;
 
 /// About how many set counters a scan reads in the time it takes to
 /// find one access's set again (translation, key, set index).
@@ -58,7 +59,8 @@ const ACCESS_COST_IN_SETS: usize = 8;
 #[derive(Debug, Clone)]
 pub(super) struct OwedPass {
     core: CoreId,
-    aspace: AddressSpace,
+    /// The array's own page table, shared.
+    aspace: Arc<AddressSpace>,
     offset: usize,
     stride: usize,
     count: usize,
@@ -211,7 +213,7 @@ impl Machine {
         // `lockstep` restarts them before its first block.
         self.contents = Contents::Owed(OwedPass {
             core,
-            aspace: aspace.clone(),
+            aspace: Arc::clone(&job.array.aspace),
             offset: job.offset,
             stride: job.stride,
             count: n,
@@ -656,6 +658,19 @@ mod tests {
         assert_eq!(m.cache_stats(2, 0), Some((0, 0)));
         assert_eq!(m.traverse_shared(&[job(0, &a, 0, KB)], 1, 2), first);
         assert_eq!(m.census_priced(), 2);
+    }
+
+    /// An owed pass shares its array's page table, and `reset` lets go
+    /// of it.
+    #[test]
+    fn owed_pass_shares_the_page_table() {
+        let mut m = Machine::new(presets::dempsey());
+        let a = m.alloc_array(MB);
+        assert_eq!(Arc::strong_count(&a.aspace), 1);
+        assert!(priced(&mut m, job(0, &a, 0, KB), 1, 2));
+        assert_eq!(Arc::strong_count(&a.aspace), 2);
+        m.reset();
+        assert_eq!(Arc::strong_count(&a.aspace), 1);
     }
 
     /// The engine's clock over `accesses` (`true` a hit), access by

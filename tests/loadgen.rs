@@ -36,7 +36,7 @@ fn held_plateau_with_request_traffic_is_clean() {
         ..LoadgenConfig::default()
     })
     .unwrap();
-    let server_side = registry.accept_counters().snapshot();
+    let server_side = registry.stats().accept;
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -61,7 +61,7 @@ fn admission_cap_rejects_exactly_the_overflow() {
         ..LoadgenConfig::default()
     })
     .unwrap();
-    let server_side = registry.accept_counters().snapshot();
+    let server_side = registry.stats().accept;
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -69,5 +69,6 @@ fn admission_cap_rejects_exactly_the_overflow() {
     assert_eq!(report.busy_rejects, 64, "{report:?}");
     assert_eq!(report.early_closes, 0, "{report:?}");
     assert!(!report.clean());
+    assert_eq!(server_side.accepted, 64, "{server_side:?}");
     assert_eq!(server_side.rejected, 64, "{server_side:?}");
 }

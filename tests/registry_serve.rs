@@ -407,14 +407,31 @@ fn loop_answers_match_the_in_process_registry() {
     );
 
     let on_loop = script.iter().filter(|(_, on_loop)| *on_loop).count() as u64 + 1;
-    let events = registry.event_counters().snapshot();
+    let (served, expected) = (registry.stats(), shadow.stats());
+    let (accept, events) = (&served.accept, &served.events);
     assert_eq!(events.answered_on_loop, on_loop, "{events:?}");
     assert_eq!(
         events.wakeups,
         script.len() as u64 + 1 - on_loop,
         "{events:?}"
     );
-    let (served, expected) = (registry.stats(), shadow.stats());
+    // One sequential client fixes every front-end count: an event counted
+    // twice, or not at all, moves one of these.
+    assert_eq!((accept.accepted, accept.rejected), (1, 0), "{accept:?}");
+    assert_eq!(
+        (accept.queue_depth, accept.queue_depth_max),
+        (0, 1),
+        "{accept:?}"
+    );
+    assert_eq!(
+        (
+            events.conns_peak,
+            events.deadline_kills,
+            events.oversized_rejected
+        ),
+        (1, 0, 0),
+        "{events:?}"
+    );
     let op_counts = |stats: &servet::registry::ServerStats| -> Vec<(String, u64)> {
         stats.ops.iter().map(|o| (o.op.clone(), o.count)).collect()
     };
@@ -429,6 +446,7 @@ fn loop_answers_match_the_in_process_registry() {
         (expected.profile_hits, expected.profile_misses)
     );
     server.shutdown();
+    assert_eq!(registry.stats().events.conns_open, 0);
     let _ = std::fs::remove_dir_all(&shadow_dir);
 }
 
