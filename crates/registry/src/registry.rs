@@ -649,19 +649,15 @@ mod tests {
     }
 
     #[test]
-    fn front_end_counts_each_event_once() {
-        let registry = temp_registry("front-end");
+    fn accept_counters_track_depth_and_high_water() {
+        let registry = temp_registry("accept");
         let front = &registry.front_end;
-        let stats = registry.stats();
-        assert_eq!(stats.accept, AcceptStats::default());
-        assert_eq!(stats.events, EventStats::default());
-        // Three connections admitted, each with a request queued, and one
-        // closed...
+        assert_eq!(registry.stats().accept, AcceptStats::default());
+        // Three connections admitted, each with a request queued...
         for _ in 0..3 {
             front.admitted();
             front.enqueued();
         }
-        front.closed();
         // ...one request taken by a worker, then another finds the queue
         // full (rolled back, its peer refused) and a drain kill lands
         // during shutdown.
@@ -670,15 +666,8 @@ mod tests {
         front.dequeued();
         front.refused();
         front.drain_killed();
-        front.ready(5);
-        front.handoffs(1);
-        front.answered_on_loop();
-        front.partial_read();
-        front.deadline_kill();
-        front.oversized();
-        let stats = registry.stats();
         assert_eq!(
-            stats.accept,
+            registry.stats().accept,
             AcceptStats {
                 accepted: 3,
                 rejected: 1,
@@ -687,8 +676,25 @@ mod tests {
                 drain_killed: 1,
             }
         );
+    }
+
+    #[test]
+    fn event_counters_track_open_high_water() {
+        let registry = temp_registry("events");
+        let front = &registry.front_end;
+        assert_eq!(registry.stats().events, EventStats::default());
+        front.admitted();
+        front.admitted();
+        front.closed();
+        front.admitted();
+        front.ready(5);
+        front.handoffs(1);
+        front.answered_on_loop();
+        front.partial_read();
+        front.deadline_kill();
+        front.oversized();
         assert_eq!(
-            stats.events,
+            registry.stats().events,
             EventStats {
                 ready_events: 5,
                 wakeups: 1,
@@ -697,7 +703,7 @@ mod tests {
                 deadline_kills: 1,
                 oversized_rejected: 1,
                 conns_open: 2,
-                conns_peak: 3,
+                conns_peak: 2,
             }
         );
     }
