@@ -11,6 +11,15 @@
 use serde::{Deserialize, Serialize};
 use servet_core::profile::MachineProfile;
 
+/// Default cache level a tile targets (1-based).
+pub const DEFAULT_LEVEL: u8 = 1;
+/// Default bytes per matrix element (f64).
+pub const DEFAULT_ELEM_SIZE: usize = 8;
+/// Default number of concurrently resident tiles (A, B and C).
+pub const DEFAULT_MATRICES: usize = 3;
+/// Default fraction of the cache level the tiles may fill (25 % headroom).
+pub const DEFAULT_OCCUPANCY: f64 = 0.75;
+
 /// A selected tile size and its provenance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TileChoice {

@@ -13,23 +13,23 @@ use serde::{Deserialize, Serialize};
 use servet_autotune::collectives::{select_broadcast, BcastPrediction};
 use servet_autotune::concurrency::{advise_memory_threads, ConcurrencyAdvice};
 use servet_autotune::padding::{advise_padding, PaddingAdvice};
-use servet_autotune::tiling::{select_tile, TileChoice};
+use servet_autotune::tiling::{self, select_tile, TileChoice};
 use servet_core::profile::MachineProfile;
 
 fn default_tolerance() -> f64 {
     0.05
 }
 fn default_level() -> u8 {
-    1
+    tiling::DEFAULT_LEVEL
 }
 fn default_elem_size() -> usize {
-    8
+    tiling::DEFAULT_ELEM_SIZE
 }
 fn default_matrices() -> usize {
-    3
+    tiling::DEFAULT_MATRICES
 }
 fn default_occupancy() -> f64 {
-    0.75
+    tiling::DEFAULT_OCCUPANCY
 }
 fn default_bytes() -> usize {
     32 * 1024

@@ -23,11 +23,11 @@
 //! * [`registry`] — store + caches behind a single request dispatch.
 //! * [`protocol`] — the newline-delimited JSON wire types (documented in
 //!   `DESIGN.md`).
-//! * [`poll`] / [`conn`] — the std-only event-loop substrate: a
-//!   readiness [`poll::Poller`] chosen by the target (epoll through
-//!   libc's own entry points on Linux, a scan poller elsewhere) and the
-//!   per-connection [`conn::Conn`] state machine that buffers partial
-//!   NDJSON lines across readiness events.
+//! * `poll` / [`conn`] — the std-only event-loop substrate: a private
+//!   readiness poller, which only the server waits on, chosen by the
+//!   target (epoll through libc's own entry points on Linux, a scan
+//!   poller elsewhere) and the per-connection [`conn::Conn`] state
+//!   machine that buffers partial NDJSON lines across readiness events.
 //! * [`server`] / [`client`] — an event-driven TCP server: one loop
 //!   thread multiplexes every connection (10k+ sockets, `workers + 1`
 //!   threads total), answers what is already in memory and feeds the
@@ -66,7 +66,7 @@ pub mod client;
 pub mod conn;
 pub mod digest;
 pub mod loadgen;
-pub mod poll;
+mod poll;
 pub mod protocol;
 pub mod registry;
 pub mod server;
@@ -85,7 +85,7 @@ pub use protocol::{
 pub use registry::Registry;
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use store::{canonical_json, profile_digest, ProfileStore, StoreEntry};
-pub use tune::{TuneEngine, TuneQuery};
+pub use tune::{compute_tune, TuneEngine, TuneQuery};
 
 /// The common imports for serving and querying.
 pub mod prelude {
@@ -95,5 +95,5 @@ pub mod prelude {
     pub use crate::registry::Registry;
     pub use crate::server::{serve, ServerConfig};
     pub use crate::store::profile_digest;
-    pub use crate::tune::{TuneEngine, TuneQuery};
+    pub use crate::tune::{compute_tune, TuneEngine, TuneQuery};
 }

@@ -3,12 +3,12 @@
 //!
 //! Two kinds of load compose in one run:
 //!
-//! * **Held connections** (`conns`): opened up front and parked,
-//!   multiplexed client-side over one [`crate::poll::Poller`] (so 10k+
-//!   connections cost one thread, mirroring the server). A held
-//!   connection never sends a request, so *any* inbound byte is the
-//!   server's `busy:` rejection and an EOF is an eviction — both are
-//!   counted, making "zero rejects at steady state" a measurable claim.
+//! * **Held connections** (`conns`): opened up front and parked on the
+//!   calling thread. A held connection never sends a request, so when
+//!   the hold ends one nonblocking read per socket tells its fate: *any*
+//!   inbound byte is the server's `busy:` rejection and an EOF is an
+//!   eviction — both are counted, making "zero rejects at steady state"
+//!   a measurable claim.
 //! * **Request traffic** (`ops` over `op_workers` threads): each worker
 //!   drives a [`crate::client::RetryingRegistryClient`] (decorrelated
 //!   jitter, per-worker seed) in either **closed-loop** mode
@@ -22,7 +22,7 @@
 //! as JSON ([`LoadgenReport::to_json`]).
 
 use crate::client::{RetryPolicy, RetryingRegistryClient};
-use crate::poll::{raise_nofile_limit, raw_fd, Event, Interest, Poller};
+use crate::poll::raise_nofile_limit;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
@@ -171,24 +171,18 @@ impl LoadgenReport {
     }
 }
 
-/// One held connection client-side: just the socket and its fate.
-struct Held {
-    stream: TcpStream,
-    dead: bool,
-}
-
 /// Drive one load-generation run against `config.addr`.
 ///
 /// Phases: raise the fd limit, establish the connection plateau, fire
 /// the request traffic (if any) while the plateau holds, keep holding
-/// for [`LoadgenConfig::hold`], then tear down and report.
+/// for [`LoadgenConfig::hold`], read each held connection's fate, then
+/// tear down and report.
 pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
     let started = Instant::now();
     let _ = raise_nofile_limit();
 
     // Phase 1: the plateau.
-    let mut poller = Poller::new()?;
-    let mut held: Vec<Held> = Vec::with_capacity(config.conns);
+    let mut held: Vec<TcpStream> = Vec::with_capacity(config.conns);
     let mut connect_failures = 0u64;
     for i in 0..config.conns {
         if i > 0 && i % CONNECT_BATCH == 0 {
@@ -197,20 +191,15 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
         match TcpStream::connect(config.addr) {
             Ok(stream) => {
                 stream.set_nonblocking(true)?;
-                let token = held.len() as u64;
-                poller.register(raw_fd(&stream), token, Interest::READ)?;
-                held.push(Held {
-                    stream,
-                    dead: false,
-                });
+                held.push(stream);
             }
             Err(_) => connect_failures += 1,
         }
     }
     let conns_opened = held.len();
 
-    // Phase 2: request traffic from worker threads while we babysit
-    // the plateau on this one.
+    // Phase 2: request traffic from worker threads while the plateau
+    // holds.
     let ops_done = Arc::new(AtomicU64::new(0));
     let ops_failed = Arc::new(AtomicU64::new(0));
     let samples: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
@@ -281,60 +270,28 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
         Vec::new()
     };
 
-    // Babysit the plateau until the workers finish AND the hold
-    // elapses: any byte on a held connection is a busy reject, any EOF
-    // an early close.
-    let mut busy_rejects = 0u64;
-    let mut early_closes = 0u64;
+    // The plateau holds until the workers finish and the hold elapses.
     let hold_until = Instant::now() + config.hold;
-    let mut events: Vec<Event> = Vec::new();
-    let mut workers = workers;
-    loop {
-        let now = Instant::now();
-        let workers_live = !workers.is_empty();
-        if now >= hold_until && !workers_live {
-            break;
-        }
-        let timeout = if workers_live {
-            Duration::from_millis(50)
-        } else {
-            (hold_until - now).min(Duration::from_millis(200))
-        };
-        let _ = poller.wait(&mut events, Some(timeout));
-        for ev in &events {
-            let Some(conn) = held.get_mut(ev.token as usize) else {
-                continue;
-            };
-            if conn.dead || !(ev.readable || ev.hangup) {
-                continue;
-            }
-            let mut buf = [0u8; 4096];
-            let verdict = loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => break Some(false), // EOF: evicted
-                    Ok(_) => break Some(true),  // data: busy line
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break None,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break Some(false),
-                }
-            };
-            if let Some(was_busy) = verdict {
-                if was_busy {
-                    busy_rejects += 1;
-                } else {
-                    early_closes += 1;
-                }
-                conn.dead = true;
-                let _ = poller.deregister(raw_fd(&conn.stream), ev.token);
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-        workers.retain(|w| !w.is_finished());
-    }
     for w in workers {
         let _ = w.join();
     }
+    std::thread::sleep(hold_until.saturating_duration_since(Instant::now()));
     let op_elapsed = op_phase_start.elapsed();
+
+    // Phase 3: one nonblocking read per held connection. Any byte is a
+    // busy reject, EOF or an error an early close, nothing yet a
+    // connection still held.
+    let mut busy_rejects = 0u64;
+    let mut early_closes = 0u64;
+    let mut buf = [0u8; 4096];
+    for mut stream in held {
+        match stream.read(&mut buf) {
+            Ok(0) => early_closes += 1,
+            Ok(_) => busy_rejects += 1,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(_) => early_closes += 1,
+        }
+    }
 
     let done = ops_done.load(Ordering::Relaxed);
     let failed = ops_failed.load(Ordering::Relaxed);

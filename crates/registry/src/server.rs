@@ -3,7 +3,7 @@
 //! [`crate::protocol`].
 //!
 //! A single loop thread (`<prefix>-accept`) owns the listener, a
-//! [`crate::poll::Poller`] (epoll on Linux, the scan poller elsewhere), a
+//! readiness poller (epoll on Linux, the scan poller elsewhere), a
 //! heap of idle deadlines, and every live [`crate::conn::Conn`]. The heap
 //! holds one entry per connection and is never searched: activity only
 //! assigns [`crate::conn::Conn::deadline`], and an entry that surfaces
@@ -42,8 +42,7 @@
 //! are backpressured by the kernel. The loop takes at most
 //! `LINES_PER_TURN` (16) lines from one connection per turn, picking the
 //! rest up on the next turn, so one pipelining client cannot monopolise
-//! it. Unterminated lines longer than [`ServerConfig::max_line_bytes`]
-//! are refused.
+//! it. Unterminated lines longer than [`MAX_LINE_BYTES`] are refused.
 //!
 //! [`ServerHandle::shutdown`] stops accepting, closes every idle
 //! connection at once, lets in-flight requests finish for up to
@@ -74,6 +73,11 @@ const FIRST_CONN: u64 = 2;
 
 /// Request lines the loop takes from one connection in one turn.
 const LINES_PER_TURN: usize = 16;
+
+/// Longest accepted request line. An unterminated line growing past this
+/// is refused with an error response and a close (the slow-loris bound:
+/// per-connection memory stays finite).
+pub const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
 
 /// The error line of a request whose handler panicked.
 const PANICKED: &str = "internal: request handler panicked";
@@ -106,10 +110,6 @@ pub struct ServerConfig {
     /// How long [`ServerHandle::shutdown`] waits for in-flight
     /// requests to finish before killing their connections.
     pub drain_grace: Duration,
-    /// Longest accepted request line. An unterminated line growing past
-    /// this is refused with an error response and a close (the
-    /// slow-loris bound: per-connection memory stays finite).
-    pub max_line_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -124,7 +124,6 @@ impl Default for ServerConfig {
             thread_prefix: "servet".into(),
             max_conns: 10_240,
             drain_grace: Duration::from_secs(5),
-            max_line_bytes: 16 * 1024 * 1024,
         }
     }
 }
@@ -623,7 +622,7 @@ impl EventLoop {
             if (ev.readable || ev.hangup) && !conn.inflight && !conn.closing {
                 // Cap buffered-but-unparsed input a little above the
                 // line limit so the overflow check can trip.
-                let cap = self.config.max_line_bytes.saturating_add(64 * 1024);
+                let cap = MAX_LINE_BYTES + 64 * 1024;
                 match conn.read_ready(cap) {
                     Ok(bytes) => read_bytes = bytes,
                     Err(_) => dead = true,
@@ -663,11 +662,10 @@ impl EventLoop {
                     break;
                 }
                 let Some(line) = conn.lines.pop_line() else {
-                    if conn.lines.line_overflows(self.config.max_line_bytes) {
+                    if conn.lines.line_overflows(MAX_LINE_BYTES) {
                         self.registry.front_end.oversized();
                         conn.queue_write(&error_line(&format!(
-                            "bad request: line exceeds {} bytes",
-                            self.config.max_line_bytes
+                            "bad request: line exceeds {MAX_LINE_BYTES} bytes"
                         )));
                         conn.closing = true;
                         continue;

@@ -15,7 +15,8 @@ use crate::cache::{CacheStats, Memo};
 use serde::{Deserialize, Serialize};
 use servet_core::profile::MachineProfile;
 use servet_tune::{
-    kernel_space, tune, ParamSpace, ProfileOracle, TuneOptions, TuneOutcome, EXHAUSTIVE_LIMIT,
+    kernel_space, tune, ParamSpace, ProfileOracle, Strategy, TuneOptions, TuneOutcome,
+    EXHAUSTIVE_LIMIT,
 };
 
 fn default_n() -> usize {
@@ -41,22 +42,42 @@ pub struct TuneQuery {
     pub n: usize,
 }
 
-/// Validate a space that arrived over the wire (it bypassed
-/// [`ParamSpace::new`]'s panicking asserts, so every declaration bug
-/// must become a protocol error here).
-fn validate_space(space: &ParamSpace) -> Result<(), String> {
-    if space.params.is_empty() {
-        return Err("space has no parameters".into());
-    }
-    for (i, p) in space.params.iter().enumerate() {
-        if p.values.is_empty() {
-            return Err(format!("parameter {:?} has no values", p.name));
+impl TuneQuery {
+    /// The space this query searches, or the refusal the `tune` op
+    /// answers with: `n` out of range, a sent space that fails
+    /// [`ParamSpace::check`], or an exhaustive search past the engine's
+    /// limit (its panic, as a typed refusal). An omitted space is the
+    /// standard kernel space for the profiled machine.
+    pub fn space_for(&self, profile: &MachineProfile) -> Result<ParamSpace, String> {
+        if !(8..=MAX_N).contains(&self.n) {
+            return Err(format!("n must be between 8 and {MAX_N}, got {}", self.n));
         }
-        if space.params[..i].iter().any(|q| q.name == p.name) {
-            return Err(format!("duplicate parameter name {:?}", p.name));
+        let space = match &self.space {
+            Some(space) => space.check().map(|()| space.clone())?,
+            None => kernel_space(profile.total_cores.max(1), self.n),
+        };
+        if self.options.strategy == Strategy::Exhaustive && space.len() > EXHAUSTIVE_LIMIT {
+            return Err(format!(
+                "space of {} points is too large for exhaustive search",
+                space.len()
+            ));
         }
+        Ok(space)
     }
-    Ok(())
+}
+
+/// Run a tuning session directly (no memoization) — the single code path
+/// shared by `servet tune --profile` and the server, as
+/// [`crate::advice::compute_advice`] is for advice. The outcome does not
+/// depend on `workers`; a refusal is the text the wire reply carries.
+pub fn compute_tune(
+    profile: &MachineProfile,
+    query: &TuneQuery,
+    workers: usize,
+) -> Result<TuneOutcome, String> {
+    let space = query.space_for(profile)?;
+    let oracle = ProfileOracle::new(profile.clone(), query.n);
+    Ok(tune(&oracle, &space, &query.options, workers))
 }
 
 /// A memoizing tuning engine over stored profiles, the `tune` operation
@@ -95,37 +116,16 @@ impl TuneEngine {
         )
     }
 
-    /// The validated space a query searches and its memo key, or the
-    /// refusal [`Self::tune`] answers with.
+    /// The memo key of a query [`Self::tune`] would run, or the refusal
+    /// it answers with. The key hashes the resolved space, so an explicit
+    /// identical space shares the memo entry with the omitted form.
     fn session(
         digest: &str,
         profile: &MachineProfile,
         query: &TuneQuery,
-    ) -> Result<(ParamSpace, String), String> {
-        if !(8..=MAX_N).contains(&query.n) {
-            return Err(format!("n must be between 8 and {MAX_N}, got {}", query.n));
-        }
-        // Resolve the default space so an explicit identical space
-        // shares the memo entry with the omitted form.
-        let space = match &query.space {
-            Some(space) => {
-                validate_space(space)?;
-                space.clone()
-            }
-            None => kernel_space(profile.total_cores.max(1), query.n),
-        };
-        // The search engine's own limit, as a typed refusal instead of
-        // its panic.
-        if query.options.strategy == servet_tune::Strategy::Exhaustive
-            && space.len() > EXHAUSTIVE_LIMIT
-        {
-            return Err(format!(
-                "space of {} points is too large for exhaustive search",
-                space.len()
-            ));
-        }
-        let key = Self::memo_key(digest, &space, &query.options, query.n);
-        Ok((space, key))
+    ) -> Result<String, String> {
+        let space = query.space_for(profile)?;
+        Ok(Self::memo_key(digest, &space, &query.options, query.n))
     }
 
     /// Whether [`Self::tune`] would answer this query from the memo cache
@@ -136,27 +136,26 @@ impl TuneEngine {
         profile: &MachineProfile,
         query: &TuneQuery,
     ) -> bool {
-        Self::session(digest, profile, query).is_ok_and(|(_, key)| self.cache.peek(&key).is_some())
+        Self::session(digest, profile, query).is_ok_and(|key| self.cache.peek(&key).is_some())
     }
 
-    /// Run (or recall) a tuning session for the profile stored under
-    /// `digest`. The second element reports whether the memo cache
-    /// served it. A refused query is answered before the memo and never
-    /// stored; a search that runs always succeeds.
+    /// Run (or recall) [`compute_tune`]'s session for the profile stored
+    /// under `digest`, on one worker. The second element reports whether
+    /// the memo cache served it. A refused query is answered before the
+    /// memo and never stored; a search that runs always succeeds.
     pub fn tune(
         &self,
         digest: &str,
         profile: &MachineProfile,
         query: &TuneQuery,
     ) -> (Result<TuneOutcome, String>, bool) {
-        let (space, key) = match Self::session(digest, profile, query) {
-            Ok(session) => session,
+        let key = match Self::session(digest, profile, query) {
+            Ok(key) => key,
             Err(e) => return (Err(e), false),
         };
         let (outcome, cached) = self.cache.get_or_insert_with(key, || {
             let _span = servet_obs::span("tune.compute");
-            let oracle = ProfileOracle::new(profile.clone(), query.n);
-            tune(&oracle, &space, &query.options, 1)
+            compute_tune(profile, query, 1).expect("a query with a memo key runs")
         });
         (Ok(outcome), cached)
     }

@@ -7,6 +7,7 @@
 //! and `busy:` rejections — are hand-built lines, emitted even when no
 //! JSON backend is available.
 
+use servet_registry::server::MAX_LINE_BYTES;
 use servet_registry::{serve, Registry, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -55,7 +56,6 @@ fn oversized_line_is_rejected_with_error_and_eof() {
         Arc::clone(&registry),
         "127.0.0.1:0",
         ServerConfig {
-            max_line_bytes: 1024,
             read_timeout: Duration::from_secs(10),
             ..ServerConfig::default()
         },
@@ -63,14 +63,16 @@ fn oversized_line_is_rejected_with_error_and_eof() {
     .unwrap();
 
     let mut stream = TcpStream::connect(server.addr()).unwrap();
-    // 4 KiB of newline-free garbage: an unterminated line four times the
-    // cap. The server must answer with a typed error, then hang up.
-    stream.write_all(&vec![b'x'; 4096]).unwrap();
+    // Newline-free garbage one byte past the cap: an unterminated line
+    // the server has read whole when it trips, so nothing is left unread
+    // behind the refusal. The server must answer with a typed error,
+    // then hang up.
+    stream.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     assert!(
-        line.contains("line exceeds 1024 bytes"),
+        line.contains(&format!("line exceeds {MAX_LINE_BYTES} bytes")),
         "want oversized rejection, got: {line:?}"
     );
     // And the connection is closed behind the error.
@@ -221,7 +223,6 @@ fn misbehaving_clients_never_grow_the_thread_count() {
         ServerConfig {
             workers: WORKERS,
             read_timeout: Duration::from_millis(150),
-            max_line_bytes: 512,
             thread_prefix: "rob5".into(),
             ..ServerConfig::default()
         },
@@ -236,13 +237,14 @@ fn misbehaving_clients_never_grow_the_thread_count() {
 
     // Three flavors of abuse at once: instant disconnects, oversized
     // floods, and silent half-open peers.
+    let flood = vec![b'y'; MAX_LINE_BYTES + 1];
     let mut held = Vec::new();
     for i in 0..24 {
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         match i % 3 {
             0 => drop(stream),
             1 => {
-                let _ = stream.write_all(&vec![b'y'; 2048]);
+                let _ = stream.write_all(&flood);
                 held.push(stream);
             }
             _ => held.push(stream),

@@ -33,7 +33,7 @@
 use crate::space::{Config, Param, ParamSpace};
 use servet_autotune::concurrency::advise_memory_threads;
 use servet_autotune::padding::advise_padding;
-use servet_autotune::tiling::select_tile;
+use servet_autotune::tiling::{self, select_tile};
 use servet_core::profile::MachineProfile;
 use servet_sim::{Machine, MachineSpec, StreamJob};
 
@@ -431,16 +431,6 @@ impl ProfileOracle {
         Self { profile, n }
     }
 
-    /// The profile being priced against.
-    pub fn profile(&self) -> &MachineProfile {
-        &self.profile
-    }
-
-    /// Matrix edge length.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The standard kernel space for the profiled machine.
     pub fn space(&self) -> ParamSpace {
         kernel_space(self.profile.total_cores.max(1), self.n)
@@ -579,9 +569,15 @@ pub fn analytic_config(profile: &MachineProfile, space: &ParamSpace) -> Config {
         .map(|p| {
             let v = match p.name.as_str() {
                 TILE => {
-                    let tile = select_tile(profile, 1, 8, 3, 0.75)
-                        .map(|c| c.tile as u64)
-                        .unwrap_or(8);
+                    let tile = select_tile(
+                        profile,
+                        tiling::DEFAULT_LEVEL,
+                        tiling::DEFAULT_ELEM_SIZE,
+                        tiling::DEFAULT_MATRICES,
+                        tiling::DEFAULT_OCCUPANCY,
+                    )
+                    .map(|c| c.tile as u64)
+                    .unwrap_or(8);
                     pick_le(&p.values, tile)
                 }
                 THREADS => pick_le(&p.values, total as u64),

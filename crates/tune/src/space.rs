@@ -94,19 +94,29 @@ pub struct ParamSpace {
 }
 
 impl ParamSpace {
-    /// Build a space. Panics if two dimensions share a name or any
-    /// dimension is empty — both are declaration bugs, not user input.
+    /// Build a space. Panics with [`Self::check`]'s refusal — a
+    /// declaration bug here, not user input.
     pub fn new(params: Vec<Param>) -> Self {
-        assert!(!params.is_empty(), "a space needs at least one parameter");
-        for (i, p) in params.iter().enumerate() {
-            assert!(!p.values.is_empty(), "parameter {:?} has no values", p.name);
-            assert!(
-                params[..i].iter().all(|q| q.name != p.name),
-                "duplicate parameter name {:?}",
-                p.name
-            );
+        let space = Self { params };
+        space.check().unwrap_or_else(|why| panic!("{why}"));
+        space
+    }
+
+    /// Whether the space can be searched: at least one dimension, none
+    /// empty, no two of one name. A deserialized space needs this check.
+    pub fn check(&self) -> Result<(), String> {
+        if self.params.is_empty() {
+            return Err("space has no parameters".into());
         }
-        Self { params }
+        for (i, p) in self.params.iter().enumerate() {
+            if p.values.is_empty() {
+                return Err(format!("parameter {:?} has no values", p.name));
+            }
+            if self.params[..i].iter().any(|q| q.name == p.name) {
+                return Err(format!("duplicate parameter name {:?}", p.name));
+            }
+        }
+        Ok(())
     }
 
     /// Total number of points (the product of the dimension sizes).
@@ -392,6 +402,32 @@ mod tests {
             Param::fixed_set("x", &[1]),
             Param::fixed_set("x", &[2]),
         ]);
+    }
+
+    #[test]
+    fn check_names_each_declaration_bug() {
+        let space = |params| ParamSpace { params };
+        assert_eq!(
+            space(vec![]).check().unwrap_err(),
+            "space has no parameters"
+        );
+        let empty = Param {
+            name: "x".into(),
+            values: Vec::new(),
+        };
+        assert_eq!(
+            space(vec![empty]).check().unwrap_err(),
+            r#"parameter "x" has no values"#
+        );
+        let twice = vec![Param::fixed_set("x", &[1]), Param::fixed_set("x", &[2])];
+        assert_eq!(
+            space(twice).check().unwrap_err(),
+            r#"duplicate parameter name "x""#
+        );
+        assert_eq!(
+            ParamSpace::new(vec![Param::fixed_set("x", &[1])]).check(),
+            Ok(())
+        );
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! cargo run --release --example tiled_matmul
 //! ```
 
+use servet::autotune::tiling::{
+    DEFAULT_ELEM_SIZE as ELEM, DEFAULT_MATRICES as TILES, DEFAULT_OCCUPANCY as FILL,
+};
 use servet::prelude::*;
 use servet::tune::oracle::{PAD, PLACEMENT, THREADS, TILE};
 use servet::tune::Config;
@@ -39,18 +42,18 @@ fn main() {
         println!("  L{}: {} KB", l.level, l.size / 1024);
     }
 
-    // 2. Choose tiles for each level (f64 elements, A, B and C tiles live
-    //    together, keep 25 % headroom).
-    println!("\ntile choices (3 tiles of f64 at 75% occupancy):");
+    // 2. Choose tiles for each level with the tile query's defaults (f64
+    //    elements, A, B and C tiles live together, keep 25 % headroom).
+    println!("\ntile choices ({TILES} tiles of f64, {FILL} occupancy):");
     let mut choices = Vec::new();
     for level in 1..=profile.num_cache_levels() as u8 {
-        if let Some(choice) = select_tile(&profile, level, 8, 3, 0.75) {
+        if let Some(choice) = select_tile(&profile, level, ELEM, TILES, FILL) {
             println!(
                 "  target L{}: {} x {} elements ({} KB working set)",
                 level,
                 choice.tile,
                 choice.tile,
-                3 * choice.tile * choice.tile * 8 / 1024
+                TILES * choice.tile * choice.tile * ELEM / 1024
             );
             choices.push(choice);
         }

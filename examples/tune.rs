@@ -9,11 +9,10 @@
 //! cargo run --release --example tune
 //! ```
 
+use servet::registry::{compute_tune, TuneQuery};
 use servet::sim::presets;
 use servet::tune::compare::ground_truth_profile;
-use servet::tune::{
-    analytic_config, tune, Oracle, ProfileOracle, SimOracle, Strategy, TuneOptions,
-};
+use servet::tune::{analytic_config, tune, Oracle, SimOracle, Strategy, TuneOptions};
 
 fn main() {
     // 1. The machine and the kernel: a 4-core SMP running a 64x64
@@ -65,12 +64,15 @@ fn main() {
     }
 
     // 4. The registry's view: a closed-form oracle over the measured
-    //    profile prices candidates without a simulator, which is what
-    //    `servet query tune` serves for machines the registry has only
-    //    profiles for. Line search suffices on its convex surface.
-    let remote = ProfileOracle::new(profile, n);
-    let remote_space = remote.space();
-    let outcome = tune(&remote, &remote_space, &TuneOptions::new(Strategy::Line), 1);
+    //    profile prices candidates without a simulator. This session is
+    //    what `servet query tune` serves for machines the registry has
+    //    only profiles for. Line search suffices on its convex surface.
+    let query = TuneQuery {
+        space: None,
+        options: TuneOptions::new(Strategy::Line),
+        n,
+    };
+    let outcome = compute_tune(&profile, &query, 1).expect("n is within the served range");
     println!(
         "\nprofile-oracle line search (what the registry serves): {}  ({} evaluations)",
         show(&outcome.best),

@@ -88,8 +88,8 @@ pub mod prelude {
     pub use servet_core::zoo::{generate_population, run_zoo, ZooConfig, ZooReport};
     pub use servet_host::HostPlatform;
     pub use servet_registry::{
-        compute_advice, AdviceOutcome, AdviceQuery, Registry, RegistryClient,
-        RetryingRegistryClient,
+        compute_advice, compute_tune, AdviceOutcome, AdviceQuery, Registry, RegistryClient,
+        RetryingRegistryClient, TuneQuery,
     };
     pub use servet_tune::{
         analytic_config, kernel_space, tune, Oracle, ParamSpace, ProfileOracle, SimOracle,

@@ -78,7 +78,8 @@ const COMMANDS: &[Command] = &[
     ("tune", &["[--machine PRESET | --profile FILE] [--workers N] [--json] [--out FILE]", SEARCH,
                "[--zoo [--machines N] [--strategies A,B] [--epsilon E] [--check] [--min-parity P]]"],
      cmd_tune, "search the blocked-matmul space (strategies: exhaustive, line, neighborhood, monte-carlo);\n\
-                with --zoo, race them against the analytic advice across the machine zoo"),
+                --profile runs the session 'query tune' serves, in process; --zoo races the\n\
+                strategies against the analytic advice across the machine zoo"),
     ("serve", &["--dir DIR [--addr HOST:PORT] [--read-timeout-ms N] [--workers N]",
                 "[--backlog N] [--max-conns N] [--drain-grace-ms N]"],
      cmd_serve, "run the profile registry daemon"),
@@ -495,22 +496,25 @@ fn emit_outcome(outcome: &AdviceOutcome, json: bool) {
     }
 }
 
+/// A query the profile cannot answer: the engine's text, exit 1.
+fn refused(why: String) -> i32 {
+    eprintln!("{why}");
+    1
+}
+
 fn cmd_advise(kind: &str, args: &[String]) -> Exit {
     let query = parse_advice_query(kind, args)?;
     let profile = load_profile(required(args, "--profile"))?;
-    let outcome = servet::registry::compute_advice(&profile, &query).map_err(|e| {
-        eprintln!("{e}");
-        1
-    })?;
+    let outcome = compute_advice(&profile, &query).map_err(refused)?;
     emit_outcome(&outcome, has_flag(args, "--json"));
     Ok(())
 }
 
-/// Parse the shared search flags (`--strategy`, `--seed`, budget knobs)
-/// into the [`servet::tune::TuneOptions`] both the local searcher and
-/// the registry `tune` op consume.
-fn parse_tune_options(args: &[String]) -> Result<servet::tune::TuneOptions, i32> {
-    use servet::tune::{Strategy, TuneOptions};
+/// The tune query the search flags in `args` ask for, as
+/// [`parse_advice_query`] does for advice; the strategy, which the wire
+/// requires, is `line` when `--strategy` is left out.
+fn parse_tune_query(args: &[String]) -> Result<TuneQuery, i32> {
+    use servet::tune::Strategy;
     let strategy = match flag_value(args, "--strategy") {
         None => Strategy::Line,
         Some(s) => Strategy::parse(s).ok_or_else(|| {
@@ -518,14 +522,16 @@ fn parse_tune_options(args: &[String]) -> Result<servet::tune::TuneOptions, i32>
             2
         })?,
     };
-    let defaults = TuneOptions::new(strategy);
-    Ok(TuneOptions {
-        strategy,
-        seed: parsed_flag(args, "--seed", defaults.seed)?,
-        sweeps: parsed_flag(args, "--sweeps", defaults.sweeps)?,
-        steps: parsed_flag(args, "--steps", defaults.steps)?,
-        samples: parsed_flag(args, "--samples", defaults.samples)?,
-    })
+    let strategy = serde_json::to_string(&strategy).expect("a strategy serializes");
+    let defaults = serde_json::from_str(&format!(r#"{{"options":{{"strategy":{strategy}}}}}"#));
+    let mut query: TuneQuery = defaults.expect("a strategy alone is a whole query");
+    let options = &mut query.options;
+    options.seed = parsed_flag(args, "--seed", options.seed)?;
+    options.sweeps = parsed_flag(args, "--sweeps", options.sweeps)?;
+    options.steps = parsed_flag(args, "--steps", options.steps)?;
+    options.samples = parsed_flag(args, "--samples", options.samples)?;
+    query.n = parsed_flag(args, "--n", query.n)?;
+    Ok(query)
 }
 
 /// Human rendering of a tuning outcome; `analytic` is the baseline
@@ -568,37 +574,55 @@ fn print_tune_outcome(
     }
 }
 
+/// `tune --machine`'s default `n`: the simulator's cost grows as n³.
+const MACHINE_N: usize = 32;
+/// Page-allocator seed of the machine `tune --machine` simulates.
+const MACHINE_SEED: u64 = 42;
+
 fn cmd_tune(args: &[String]) -> Exit {
-    use servet::tune::{analytic_config, compare, tune, Oracle, ProfileOracle, SimOracle};
+    use servet::tune::{compare, Param};
 
     if has_flag(args, "--zoo") {
         return cmd_tune_zoo(args);
     }
-    let options = parse_tune_options(args)?;
-    let n: usize = parsed_flag(args, "--n", 32)?.max(8);
+    let query = parse_tune_query(args)?;
     let workers: usize = parsed_flag(args, "--workers", default_workers())?.max(1);
-    let seed: u64 = parsed_flag(args, "--seed", 42)?;
 
-    // Two oracles: a measured profile prices the kernel with the
-    // closed-form model; a simulated preset replays its access trace.
-    // The baseline is what an analytically-advised code would run: advice
-    // from the profile (for a preset, its ground-truth profile), snapped
-    // onto the same grid.
-    let (space, truth, oracle): (_, _, Box<dyn Oracle>) = match flag_value(args, "--profile") {
+    // A measured profile runs the registry's session in process; a
+    // simulated preset replays its access trace. The baseline is what an
+    // analytically-advised code would run: advice from the profile (for a
+    // preset, its ground-truth profile), snapped onto the same grid.
+    let (outcome, advised, advised_score) = match flag_value(args, "--profile") {
         Some(path) => {
-            let oracle = ProfileOracle::new(load_profile(path)?, n);
-            (oracle.space(), oracle.profile().clone(), Box::new(oracle))
+            let profile = load_profile(path)?;
+            let outcome = compute_tune(&profile, &query, workers).map_err(refused)?;
+            // The baseline is priced by the same session, over the
+            // one-point space of the advised configuration.
+            let advised = analytic_config(&profile, &query.space_for(&profile).map_err(refused)?);
+            let point = advised
+                .iter()
+                .map(|(name, &v)| Param::fixed_set(name, &[v]));
+            let baseline = TuneQuery {
+                space: Some(ParamSpace::new(point.collect())),
+                options: TuneOptions::new(Strategy::Exhaustive),
+                n: query.n,
+            };
+            let advised_score = compute_tune(&profile, &baseline, 1)
+                .map_err(refused)?
+                .best_score;
+            (outcome, advised, advised_score)
         }
         None => {
             let (platform, _) = preset(flag_value(args, "--machine").unwrap_or("tiny_smp"))?;
-            let oracle = SimOracle::new(platform.machine().spec().clone(), seed, n);
-            let truth = compare::ground_truth_profile(oracle.spec());
-            (oracle.space(), truth, Box::new(oracle))
+            let n = parsed_flag(args, "--n", MACHINE_N)?.max(8);
+            let oracle = SimOracle::new(platform.machine().spec().clone(), MACHINE_SEED, n);
+            let space = oracle.space();
+            let advised = analytic_config(&compare::ground_truth_profile(oracle.spec()), &space);
+            let advised_score = oracle.evaluate(&advised);
+            let outcome = tune(&oracle, &space, &query.options, workers);
+            (outcome, advised, advised_score)
         }
     };
-    let advised = analytic_config(&truth, &space);
-    let advised_score = oracle.evaluate(&advised);
-    let outcome = tune(oracle.as_ref(), &space, &options, workers);
 
     if has_flag(args, "--json") {
         println!("{}", outcome.to_json());
@@ -808,11 +832,7 @@ fn query_advise(kind: &str, args: &[String]) -> Exit {
 }
 
 fn query_tune(args: &[String]) -> Exit {
-    let query = servet::registry::TuneQuery {
-        space: None,
-        options: parse_tune_options(args)?,
-        n: parsed_flag(args, "--n", 64)?,
-    };
+    let query = parse_tune_query(args)?;
     let (digest, cached, outcome) = connect(args)?
         .tune(required(args, "--key"), &query)
         .map_err(failed("tune"))?;

@@ -329,3 +329,83 @@ fn json_outputs_parse_back_into_their_types() {
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&report);
 }
+
+/// `servet tune --profile` is the in-process `servet query tune`: on one
+/// stored profile the two print the same outcome byte for byte, and an
+/// `n` the registry refuses is refused with the registry's text.
+#[test]
+fn tune_profile_prints_what_query_tune_prints() {
+    use servet::registry::{serve, Registry, RegistryClient, ServerConfig};
+    use servet::tune::compare::ground_truth_profile;
+
+    let dir = scratch("tune-store");
+    let file = scratch("tune-profile.json");
+    let file_arg = file.to_str().unwrap();
+    let profile = ground_truth_profile(&servet::sim::presets::tiny_smp());
+    profile.save(&file).unwrap();
+    let registry = std::sync::Arc::new(Registry::open(&dir).unwrap());
+    let server = serve(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    RegistryClient::connect(server.addr())
+        .unwrap()
+        .put(&profile, Some("tiny"))
+        .unwrap();
+
+    let local = stdout_of(&[
+        "tune",
+        "--profile",
+        file_arg,
+        "--strategy",
+        "line",
+        "--json",
+    ]);
+    let served = stdout_of(&[
+        "query",
+        "tune",
+        "--key",
+        "tiny",
+        "--strategy",
+        "line",
+        "--json",
+        "--addr",
+        &addr,
+    ]);
+    assert_eq!(local, served);
+
+    let out = servet(&["tune", "--profile", file_arg, "--n", "4"])
+        .output()
+        .expect("servet runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "n must be between 8 and 4096, got 4\n"
+    );
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&file);
+}
+
+/// `--seed` feeds only the sampler: a line search on a simulated machine,
+/// which draws nothing, runs the same session whatever the seed. (At
+/// n = 48 the kernel's working set outgrows the L1, so a machine whose
+/// pages were placed from the seed would score differently.)
+#[test]
+fn tune_machine_seed_feeds_only_the_sampler() {
+    let tune = |seed: &str| {
+        stdout_of(&[
+            "tune",
+            "--machine",
+            "tiny_smp",
+            "--n",
+            "48",
+            "--strategy",
+            "line",
+            "--seed",
+            seed,
+            "--json",
+        ])
+    };
+    assert_eq!(tune("1"), tune("2"));
+}
