@@ -44,10 +44,10 @@ const CONCURRENT_TRIALS: usize = 2;
 /// binomial expectation of Fig. 3. Small arrays span few pages (noisy,
 /// cheap to re-measure), so the trial count scales until several thousand
 /// page samples back each estimate. A single-core trial costs drawing
-/// its page table, per page, and the census that prices the passes from
-/// it (`Machine::traverse_shared`): one count per access of a pass and
-/// cache level, the passes' clock being added in per-binade runs — not
-/// a replay of every access through the caches (EXPERIMENTS.md,
+/// its page table, about 18–25 ns a page, and the census that prices the
+/// passes from it (`Machine::traverse_shared`): one count per access of a
+/// pass and cache level, the passes' clock being added in per-binade runs
+/// — not a replay of every access through the caches (EXPERIMENTS.md,
 /// "Performance", has both costs per page and per access). So the cost
 /// of a measurement is roughly constant across sizes while trials ×
 /// pages is held near 4096 (256 to 2048 pages), and grows with the

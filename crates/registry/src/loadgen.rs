@@ -144,7 +144,9 @@ pub struct LoadgenReport {
     pub ops_done: u64,
     /// Requests that failed even after retries.
     pub ops_failed: u64,
-    /// Completed requests per second of op-phase wall time.
+    /// Completed requests per second of request traffic: from the first
+    /// request to the last op worker's finish. The hold that follows is
+    /// not counted, so the figure measures the server, not `hold`.
     pub throughput_ops_per_s: f64,
     /// Latency quantiles (`None` when `ops == 0`).
     pub latency: Option<LatencyStats>,
@@ -275,8 +277,9 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
     for w in workers {
         let _ = w.join();
     }
-    std::thread::sleep(hold_until.saturating_duration_since(Instant::now()));
+    // Throughput is over the request traffic alone, not the hold after it.
     let op_elapsed = op_phase_start.elapsed();
+    std::thread::sleep(hold_until.saturating_duration_since(Instant::now()));
 
     // Phase 3: one nonblocking read per held connection. Any byte is a
     // busy reject, EOF or an error an early close, nothing yet a

@@ -1,8 +1,9 @@
-//! The two serving claims no benchmark workload carries, checked against
-//! an in-process server: a held connection plateau costs request traffic
-//! nothing, and the admission cap refuses exactly the connections beyond
-//! it. Sizes keep both tests, run side by side, under a 1024-descriptor
-//! soft limit (each held connection is one client and one server socket).
+//! The serving claims no benchmark workload carries, checked against an
+//! in-process server: a held connection plateau costs request traffic
+//! nothing, the admission cap refuses exactly the connections beyond it,
+//! and the reported throughput is the traffic's, not the hold's. Sizes
+//! keep the tests, run side by side, under a 1024-descriptor soft limit
+//! (each held connection is one client and one server socket).
 
 use servet::registry::loadgen::{self, LoadgenConfig};
 use servet::registry::{serve, Registry, ServerConfig, ServerHandle};
@@ -71,4 +72,30 @@ fn admission_cap_rejects_exactly_the_overflow() {
     assert!(!report.clean());
     assert_eq!(server_side.accepted, 64, "{server_side:?}");
     assert_eq!(server_side.rejected, 64, "{server_side:?}");
+}
+
+/// Throughput counts the request traffic, not the hold after it: a few
+/// hundred requests against a 2 s hold still read faster than
+/// `ops_done / hold`, which is what timing the hold too gives at most.
+#[test]
+fn throughput_excludes_the_hold() {
+    let (_registry, server, dir) = start_server("throughput", 64);
+    let hold = Duration::from_secs(2);
+    let report = loadgen::run(&LoadgenConfig {
+        addr: server.addr(),
+        conns: 4,
+        ops: 300,
+        hold,
+        ..LoadgenConfig::default()
+    })
+    .unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(report.ops_done, 300, "{report:?}");
+    assert!(report.elapsed_s >= hold.as_secs_f64(), "{report:?}");
+    assert!(
+        report.throughput_ops_per_s > report.ops_done as f64 / hold.as_secs_f64(),
+        "{report:?}"
+    );
 }
