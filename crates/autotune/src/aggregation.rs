@@ -46,6 +46,22 @@ pub fn slowdown_at(comm: &CommResult, layer: usize, n: usize) -> f64 {
     }
 }
 
+/// Price of a message between two cores the profile measured no layer
+/// for (out-of-range cores): large enough to keep a search inside the
+/// measured machine.
+pub(crate) const UNMEASURED_PAIR_US: f64 = 1e6;
+
+/// Predicted latency (µs) of one of `n` concurrent `size`-byte messages on
+/// `layer`: the layer's latency at that size × the measured slowdown at
+/// `n`. The one message price every profile-side decision pays; `None`
+/// (a pair in no measured layer) costs [`UNMEASURED_PAIR_US`].
+pub(crate) fn message_us(comm: &CommResult, layer: Option<usize>, size: usize, n: usize) -> f64 {
+    match layer {
+        Some(l) => comm.layers[l].latency_for_size(size) * slowdown_at(comm, l, n),
+        None => UNMEASURED_PAIR_US,
+    }
+}
+
 /// Decide whether `n` messages of `size` bytes on `layer` should be
 /// gathered into one. `gather_ns_per_byte` models the local copy cost of
 /// packing (a memcpy through cache, ~0.1–0.5 ns/B).
@@ -58,10 +74,9 @@ pub fn aggregation_decision(
 ) -> AggregationDecision {
     assert!(layer < comm.layers.len(), "layer out of range");
     assert!(n >= 1);
-    let l = &comm.layers[layer];
-    let concurrent_us = l.latency_for_size(size) * slowdown_at(comm, layer, n);
+    let concurrent_us = message_us(comm, Some(layer), size, n);
     let pack_us = (n * size) as f64 * gather_ns_per_byte / 1000.0;
-    let aggregated_us = l.latency_for_size(n * size) + pack_us;
+    let aggregated_us = comm.layers[layer].latency_for_size(n * size) + pack_us;
     AggregationDecision {
         concurrent_us,
         aggregated_us,

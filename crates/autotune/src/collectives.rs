@@ -7,9 +7,10 @@
 //! the measured contention sweep) and picks the winner. The test suite
 //! then verifies the pick against the ground-truth virtual cluster.
 
-use crate::aggregation::slowdown_at;
+use crate::aggregation::{message_us, UNMEASURED_PAIR_US};
 use serde::{Deserialize, Serialize};
 use servet_core::profile::MachineProfile;
+use servet_net::collectives::broadcast_schedule_us;
 pub use servet_net::collectives::BcastAlgorithm;
 
 /// Predicted cost of one algorithm.
@@ -21,28 +22,10 @@ pub struct BcastPrediction {
     pub predicted_us: f64,
 }
 
-/// Predicted latency between two cores from the profile, with a large
-/// penalty for unmeasured pairs.
-fn latency(profile: &MachineProfile, a: usize, b: usize, size: usize) -> f64 {
-    if a == b {
-        return 0.0;
-    }
-    profile.latency_us(a, b, size).unwrap_or(1e6)
-}
-
-/// Slowdown estimate for `n` concurrent messages on the layer of `(a, b)`.
-fn slowdown(profile: &MachineProfile, a: usize, b: usize, n: usize) -> f64 {
-    let Some(comm) = profile.communication.as_ref() else {
-        return 1.0;
-    };
-    match comm.layer_of(a, b) {
-        Some(layer) => slowdown_at(comm, layer, n),
-        None => 1.0,
-    }
-}
-
 /// Predict the completion time of `algo` broadcasting `size` bytes from
-/// core 0 to cores `0..ranks` (identity rank→core mapping).
+/// core 0 to cores `0..ranks` (identity rank→core mapping): the cluster's
+/// schedule, each round costing its slowest message at the round's
+/// message count.
 pub fn predict_broadcast_us(
     profile: &MachineProfile,
     algo: BcastAlgorithm,
@@ -50,55 +33,19 @@ pub fn predict_broadcast_us(
     size: usize,
 ) -> f64 {
     assert!(ranks >= 1 && ranks <= profile.total_cores);
-    match algo {
-        BcastAlgorithm::Flat => (1..ranks).map(|r| latency(profile, 0, r, size)).sum(),
-        BcastAlgorithm::BinomialTree => {
-            binomial_rounds(&(0..ranks).collect::<Vec<_>>(), profile, size)
-        }
-        BcastAlgorithm::Hierarchical => {
-            let per_node = profile.cores_per_node.max(1);
-            let nodes: Vec<Vec<usize>> =
-                (0..ranks).fold(Vec::new(), |mut acc: Vec<Vec<usize>>, r| {
-                    let node = r / per_node;
-                    if acc.len() <= node {
-                        acc.push(Vec::new());
-                    }
-                    acc[node].push(r);
-                    acc
-                });
-            let leaders: Vec<usize> = nodes.iter().map(|g| g[0]).collect();
-            let inter = binomial_rounds(&leaders, profile, size);
-            let intra = nodes
-                .iter()
-                .map(|g| binomial_rounds(g, profile, size))
-                .fold(0.0, f64::max);
-            inter + intra
-        }
-    }
-}
-
-/// Cost of a binomial tree over the given cores: each round's concurrent
-/// messages cost the slowest one, adjusted by the measured contention at
-/// that round's message count.
-fn binomial_rounds(cores: &[usize], profile: &MachineProfile, size: usize) -> f64 {
-    let n = cores.len();
-    if n <= 1 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    let mut have = 1usize;
-    while have < n {
-        let senders = have.min(n - have);
-        let round: f64 = (0..senders)
-            .map(|i| {
-                let (a, b) = (cores[i], cores[have + i]);
-                latency(profile, a, b, size) * slowdown(profile, a, b, senders)
+    let per_node = profile.cores_per_node.max(1);
+    let nodes: Vec<usize> = (0..ranks).map(|r| r / per_node).collect();
+    let comm = profile.communication.as_ref();
+    broadcast_schedule_us(algo, &nodes, |pairs| {
+        pairs
+            .iter()
+            .map(|&(a, b)| {
+                comm.map_or(UNMEASURED_PAIR_US, |c| {
+                    message_us(c, c.layer_of(a, b), size, pairs.len())
+                })
             })
-            .fold(0.0, f64::max);
-        total += round;
-        have += senders;
-    }
-    total
+            .fold(0.0, f64::max)
+    })
 }
 
 /// Pick the algorithm with the lowest predicted time; returns all
@@ -181,9 +128,10 @@ mod tests {
 
     #[test]
     fn single_rank_is_free() {
+        // +0.0 exactly: a sum that starts at −0.0 prints "-0.0".
         let prof = profile();
         for algo in BcastAlgorithm::all() {
-            assert_eq!(predict_broadcast_us(&prof, algo, 1, 1024), 0.0);
+            assert_eq!(predict_broadcast_us(&prof, algo, 1, 1024).to_bits(), 0);
         }
     }
 

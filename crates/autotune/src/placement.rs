@@ -7,7 +7,9 @@
 //! paper emphasizes: the costs are *measured by Servet*, not read from
 //! vendor documentation.
 
+use crate::aggregation::message_us;
 use serde::{Deserialize, Serialize};
+use servet_core::comm::CommResult;
 use servet_core::profile::MachineProfile;
 use servet_stats::rng::ChaCha8Rng;
 
@@ -31,6 +33,25 @@ impl CommPattern {
     /// Weight between two ranks.
     pub fn weight_between(&self, a: usize, b: usize) -> f64 {
         self.weight[self.idx(a, b)]
+    }
+
+    /// Cost (µs per iteration) of the pattern under `mapping` (`mapping[rank]`
+    /// is the rank's core): every talking pair of ranks, both directions'
+    /// weight, times `latency` of one `message_size` message between the
+    /// pair's cores. The caller prices the message: [`Placer`] from the
+    /// measured profile, a ground-truth check from the machine itself.
+    pub fn cost(&self, mapping: &[usize], mut latency: impl FnMut(usize, usize) -> f64) -> f64 {
+        assert_eq!(mapping.len(), self.ranks);
+        let mut total = 0.0;
+        for a in 0..self.ranks {
+            for b in a + 1..self.ranks {
+                let w = self.weight_between(a, b) + self.weight_between(b, a);
+                if w > 0.0 {
+                    total += w * latency(mapping[a], mapping[b]);
+                }
+            }
+        }
+        total
     }
 
     /// A ring: each rank talks to its two neighbours.
@@ -126,48 +147,28 @@ pub struct PlacementResult {
 /// Placement optimizer over a machine profile.
 pub struct Placer<'a> {
     profile: &'a MachineProfile,
-    /// Latency charged for pairs the profile has no measurement for
-    /// (out-of-range cores): a large penalty keeps the search inside the
-    /// measured machine.
-    fallback_us: f64,
+    comm: &'a CommResult,
 }
 
 impl<'a> Placer<'a> {
     /// Build a placer over a profile that includes communication results.
     pub fn new(profile: &'a MachineProfile) -> Self {
-        assert!(
-            profile.communication.is_some(),
-            "profile lacks communication data"
-        );
-        Self {
-            profile,
-            fallback_us: 1e6,
-        }
+        let comm = profile
+            .communication
+            .as_ref()
+            .expect("profile lacks communication data");
+        Self { profile, comm }
     }
 
-    /// Predicted one-way latency between two cores.
-    fn latency(&self, a: usize, b: usize, size: usize) -> f64 {
-        if a == b {
-            return 0.0;
-        }
-        self.profile
-            .latency_us(a, b, size)
-            .unwrap_or(self.fallback_us)
-    }
-
-    /// Predicted cost (µs) of running `pattern` under `mapping`.
+    /// Predicted cost (µs) of running `pattern` under `mapping`: each
+    /// message priced as one isolated message on its pair's layer.
     pub fn cost(&self, pattern: &CommPattern, mapping: &[usize]) -> f64 {
-        assert_eq!(mapping.len(), pattern.ranks);
-        let mut total = 0.0;
-        for a in 0..pattern.ranks {
-            for b in a + 1..pattern.ranks {
-                let w = pattern.weight_between(a, b) + pattern.weight_between(b, a);
-                if w > 0.0 {
-                    total += w * self.latency(mapping[a], mapping[b], pattern.message_size);
-                }
+        pattern.cost(mapping, |a, b| {
+            if a == b {
+                return 0.0;
             }
-        }
-        total
+            message_us(self.comm, self.comm.layer_of(a, b), pattern.message_size, 1)
+        })
     }
 
     /// The naive mapping: rank `i` on core `i`.

@@ -5,7 +5,7 @@ use crate::report::{fmt_size, Report};
 use servet_core::comm::{characterize_communication, CommConfig, CommResult};
 use servet_core::platform::Platform;
 use servet_core::sim_platform::SimPlatform;
-use servet_net::baselines::{HockneyModel, LogGpModel};
+use servet_net::baselines::{mean_relative_error, HockneyModel, LogGpModel};
 use servet_sim::KB;
 
 fn dunnington_comm() -> (SimPlatform, CommResult) {
@@ -275,9 +275,9 @@ pub fn ablation_models() -> Report {
     }
     let servet_err = servet_err_acc.iter().sum::<f64>() / servet_err_acc.len() as f64;
     let hockney = HockneyModel::fit(&samples).expect("fit succeeds");
-    let hockney_err = hockney.mean_relative_error(&samples);
+    let hockney_err = mean_relative_error(|s| hockney.predict_us(s), &samples);
     let loggp = LogGpModel::fit(&samples).expect("fit succeeds");
-    let loggp_err = loggp.mean_relative_error(&samples);
+    let loggp_err = mean_relative_error(|s| loggp.predict_us(s), &samples);
 
     report.section(
         "mean relative prediction error over all layers and sizes",

@@ -8,31 +8,21 @@ use servet_core::sim_platform::SimPlatform;
 use servet_core::suite::{run_full_suite, SuiteConfig};
 use servet_net::VirtualCluster;
 
-/// Ground-truth cost of a mapping: drive the actual virtual cluster with
-/// the pattern (something the placer never sees — it only knows the
+/// Ground-truth cost of a mapping: the pattern priced on the actual
+/// virtual cluster, each pair's cores pinned to ranks 0 and 1 and
+/// ping-ponged (something the placer never sees — it only knows the
 /// measured profile).
 fn ground_truth_cost(
     cluster: &mut VirtualCluster,
     pattern: &CommPattern,
     mapping: &[usize],
 ) -> f64 {
-    let mut total = 0.0;
-    for a in 0..pattern.ranks {
-        for b in a + 1..pattern.ranks {
-            let w = pattern.weight_between(a, b) + pattern.weight_between(b, a);
-            if w > 0.0 {
-                // Query latency between the mapped cores directly.
-                let mut aff: Vec<usize> = vec![mapping[a], mapping[b]];
-                let rest: Vec<usize> = (0..cluster.topology().total_cores())
-                    .filter(|c| !aff.contains(c))
-                    .collect();
-                aff.extend(rest);
-                cluster.set_affinity(aff);
-                total += w * cluster.ping_pong_us(0, 1, pattern.message_size, 2);
-            }
-        }
-    }
-    total
+    pattern.cost(mapping, |a, b| {
+        let mut aff: Vec<usize> = vec![a, b];
+        aff.extend((0..cluster.topology().total_cores()).filter(|&c| c != a && c != b));
+        cluster.set_affinity(aff);
+        cluster.ping_pong_us(0, 1, pattern.message_size, 2)
+    })
 }
 
 fn ft_profile() -> MachineProfile {

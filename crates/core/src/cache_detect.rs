@@ -26,12 +26,10 @@
 
 use crate::mcalibrator::{is_flat_step, McalibratorOutput};
 use serde::{Deserialize, Serialize};
+use servet_sim::{KB, MB};
 use servet_stats::binomial::{sf_curves, Binomial};
 use servet_stats::gradient::{find_peaks, merge_peaks};
 use servet_stats::summary::mode;
-
-const KB: usize = 1024;
-const MB: usize = 1024 * 1024;
 
 /// How a cache level's size was determined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

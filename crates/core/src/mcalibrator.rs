@@ -51,10 +51,8 @@
 
 use crate::platform::{CoreId, Platform};
 use serde::{Deserialize, Serialize};
+use servet_sim::{KB, MB};
 use servet_stats::gradient::{gradient, step};
-
-const KB: usize = 1024;
-const MB: usize = 1024 * 1024;
 
 /// Which of [`McalibratorConfig::sizes`] a sweep measures (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]

@@ -125,13 +125,6 @@ impl MachineProfile {
         self.micro.and_then(|m| m.l1_associativity)
     }
 
-    /// Padding (bytes) to insert between per-thread data so concurrent
-    /// writers never false-share a line, as measured by the
-    /// false-sharing sweep.
-    pub fn advised_padding(&self) -> Option<usize> {
-        self.false_sharing.as_ref().and_then(|f| f.advised_padding)
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("profile serializes")
@@ -215,7 +208,6 @@ mod tests {
         assert!(p.cores_sharing_cache(2, 0).is_empty());
         assert_eq!(p.latency_us(0, 1, 64), None);
         assert_eq!(p.memory_bandwidth_gbs(&[0, 1]), None);
-        assert_eq!(p.advised_padding(), None);
     }
 
     #[test]

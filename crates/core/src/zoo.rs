@@ -29,7 +29,7 @@ use crate::suite::{run_suite, SuiteConfig, SuiteReport, SuiteTimings};
 use serde::{Deserialize, Serialize};
 use servet_sim::perturb::perturb;
 use servet_sim::spec::MachineSpec;
-use servet_sim::Machine;
+use servet_sim::{Machine, KB, MB};
 use servet_stats::rng::{splitmix64, ChaCha8Rng};
 use std::collections::BTreeMap;
 use std::io;
@@ -71,7 +71,6 @@ impl ZooConfig {
     /// the Fig. 3 fit to separate the true size from its multiplier
     /// neighbors under noise.
     pub fn new(machines: usize, workers: usize, seed: u64) -> Self {
-        const KB: usize = 1024;
         Self {
             machines,
             workers,
@@ -111,8 +110,6 @@ impl ZooConfig {
     /// Affordable only on the packed fast-path engine: the sweep
     /// replays ~10⁸ simulated accesses per machine.
     pub fn mb_suite() -> SuiteConfig {
-        const KB: usize = 1024;
-        const MB: usize = 1024 * KB;
         SuiteConfig {
             skip_memory: true,
             mcalibrator: crate::mcalibrator::McalibratorConfig {

@@ -10,6 +10,19 @@
 use serde::{Deserialize, Serialize};
 use servet_stats::regress::fit_line;
 
+/// Mean relative error of a model's `predict_us` over `(size_bytes,
+/// latency_us)` samples; 0 for no samples.
+pub fn mean_relative_error(predict_us: impl Fn(usize) -> f64, samples: &[(usize, f64)]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples
+        .iter()
+        .map(|&(s, t)| ((predict_us(s) - t) / t).abs())
+        .sum::<f64>()
+        / samples.len() as f64
+}
+
 /// Hockney's linear model: `T(s) = latency + s / bandwidth`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HockneyModel {
@@ -40,18 +53,6 @@ impl HockneyModel {
     /// Predicted latency for a `size`-byte message, µs.
     pub fn predict_us(&self, size: usize) -> f64 {
         self.latency_us + size as f64 / self.bytes_per_us
-    }
-
-    /// Mean relative prediction error over samples.
-    pub fn mean_relative_error(&self, samples: &[(usize, f64)]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        samples
-            .iter()
-            .map(|&(s, t)| ((self.predict_us(s) - t) / t).abs())
-            .sum::<f64>()
-            / samples.len() as f64
     }
 }
 
@@ -97,18 +98,6 @@ impl LogGpModel {
     pub fn predict_us(&self, size: usize) -> f64 {
         self.l_plus_2o_us + (size.saturating_sub(1)) as f64 * self.gap_per_byte_us
     }
-
-    /// Mean relative prediction error over samples.
-    pub fn mean_relative_error(&self, samples: &[(usize, f64)]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        samples
-            .iter()
-            .map(|&(s, t)| ((self.predict_us(s) - t) / t).abs())
-            .sum::<f64>()
-            / samples.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +117,7 @@ mod tests {
         let m = HockneyModel::fit(&linear_samples()).unwrap();
         assert!((m.latency_us - 2.0).abs() < 1e-6);
         assert!((m.bytes_per_us - 1000.0).abs() < 1e-3);
-        assert!(m.mean_relative_error(&linear_samples()) < 1e-9);
+        assert!(mean_relative_error(|s| m.predict_us(s), &linear_samples()) < 1e-9);
     }
 
     #[test]
@@ -154,9 +143,9 @@ mod tests {
             .collect();
         let m = HockneyModel::fit(&samples).unwrap();
         assert!(
-            m.mean_relative_error(&samples) > 0.5,
+            mean_relative_error(|s| m.predict_us(s), &samples) > 0.5,
             "err = {}",
-            m.mean_relative_error(&samples)
+            mean_relative_error(|s| m.predict_us(s), &samples)
         );
     }
 
@@ -164,7 +153,7 @@ mod tests {
     fn loggp_predicts_monotonically() {
         let m = LogGpModel::fit(&linear_samples()).unwrap();
         assert!(m.predict_us(64) < m.predict_us(4096));
-        assert!(m.mean_relative_error(&linear_samples()) < 0.5);
+        assert!(mean_relative_error(|s| m.predict_us(s), &linear_samples()) < 0.5);
     }
 
     #[test]

@@ -54,64 +54,73 @@ pub fn broadcast_time_us(
     size: usize,
 ) -> f64 {
     assert!(ranks >= 1 && ranks <= c.num_ranks());
+    let nodes: Vec<usize> = (0..ranks)
+        .map(|r| c.topology().node_of(c.core_of_rank(r)))
+        .collect();
+    broadcast_schedule_us(algo, &nodes, |pairs| match *pairs {
+        // One message meets no contention: `send_latency_us` is the
+        // concurrent price at slowdown exactly 1, with the same jitter
+        // draw, without building the contention tally.
+        [(a, b)] => c.send_latency_us(a, b, size),
+        _ => c
+            .concurrent_send_latency_us(pairs, size)
+            .into_iter()
+            .fold(0.0, f64::max),
+    })
+}
+
+/// Completion time of broadcasting from rank 0 to the ranks `0..nodes.len()`
+/// with `algo`, where rank `r` sits on node `nodes[r]`.
+///
+/// The schedule is the algorithm's definition; the price is the caller's.
+/// `round` prices one round, the `(sender, receiver)` rank pairs whose
+/// messages travel concurrently, and rounds run one after another:
+/// * flat is `ranks − 1` one-message rounds from the root;
+/// * binomial doubles the ranks holding the data each round;
+/// * hierarchical runs a binomial tree among the node leaders (each node's
+///   first rank, in the order rank 0's node first), then one binomial tree
+///   per node, concurrently, costing as much as the slowest node.
+pub fn broadcast_schedule_us(
+    algo: BcastAlgorithm,
+    nodes: &[usize],
+    mut round: impl FnMut(&[(usize, usize)]) -> f64,
+) -> f64 {
+    let ranks: Vec<usize> = (0..nodes.len()).collect();
     match algo {
-        BcastAlgorithm::Flat => {
-            let mut t = 0.0;
-            for r in 1..ranks {
-                t += c.send_latency_us(0, r, size);
-            }
-            t
-        }
-        BcastAlgorithm::BinomialTree => binomial_time(c, &(0..ranks).collect::<Vec<_>>(), size),
+        BcastAlgorithm::Flat => (1..nodes.len()).fold(0.0, |t, r| t + round(&[(0, r)])),
+        BcastAlgorithm::BinomialTree => binomial_us(&ranks, &mut round),
         BcastAlgorithm::Hierarchical => {
-            // Group ranks by the node their core sits on.
-            let nodes = group_by_node(c, ranks);
-            // Stage 1: binomial among node leaders.
-            let leaders: Vec<usize> = nodes.iter().map(|g| g[0]).collect();
-            let t_inter = binomial_time(c, &leaders, size);
-            // Stage 2: per-node binomial trees, concurrently; the stage
-            // costs as much as the slowest node.
-            let t_intra = nodes
-                .iter()
-                .map(|g| binomial_time(c, g, size))
-                .fold(0.0, f64::max);
-            t_inter + t_intra
+            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+            for (r, &node) in nodes.iter().enumerate() {
+                match groups.iter_mut().find(|(n, _)| *n == node) {
+                    Some((_, g)) => g.push(r),
+                    None => groups.push((node, vec![r])),
+                }
+            }
+            let leaders: Vec<usize> = groups.iter().map(|(_, g)| g[0]).collect();
+            let inter = binomial_us(&leaders, &mut round);
+            inter
+                + groups
+                    .iter()
+                    .map(|(_, g)| binomial_us(g, &mut round))
+                    .fold(0.0, f64::max)
         }
     }
 }
 
-/// Completion time of a binomial-tree broadcast over the given ranks
-/// (first rank is the root). Each round's messages are sent concurrently.
-fn binomial_time(c: &mut VirtualCluster, ranks: &[usize], size: usize) -> f64 {
-    let n = ranks.len();
-    if n <= 1 {
-        return 0.0;
-    }
+/// Binomial tree over `ranks` rooted at `ranks[0]`: each round, every rank
+/// holding the data sends to one that does not.
+fn binomial_us(ranks: &[usize], round: &mut impl FnMut(&[(usize, usize)]) -> f64) -> f64 {
     let mut t = 0.0;
-    let mut have = 1usize; // ranks[0..have] already hold the data
-    while have < n {
-        let senders = have.min(n - have);
+    let mut have = 1; // ranks[..have] already hold the data
+    while have < ranks.len() {
+        let senders = have.min(ranks.len() - have);
         let pairs: Vec<(usize, usize)> =
             (0..senders).map(|i| (ranks[i], ranks[have + i])).collect();
-        let lats = c.concurrent_send_latency_us(&pairs, size);
-        t += lats.iter().copied().fold(0.0, f64::max);
+        t += round(&pairs);
         have += senders;
     }
     t
-}
-
-/// Ranks `0..ranks` grouped by node, each group in rank order.
-fn group_by_node(c: &VirtualCluster, ranks: usize) -> Vec<Vec<usize>> {
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for r in 0..ranks {
-        let node = c.topology().node_of(c.core_of_rank(r));
-        match groups.iter_mut().find(|(n, _)| *n == node) {
-            Some((_, g)) => g.push(r),
-            None => groups.push((node, vec![r])),
-        }
-    }
-    groups.sort_by_key(|(n, _)| *n);
-    groups.into_iter().map(|(_, g)| g).collect()
 }
 
 #[cfg(test)]
@@ -152,9 +161,10 @@ mod tests {
 
     #[test]
     fn single_rank_broadcast_is_free() {
+        // +0.0 exactly: a sum that starts at −0.0 prints "-0.0".
         let mut c = presets::tiny_cluster();
         for algo in BcastAlgorithm::all() {
-            assert_eq!(broadcast_time_us(&mut c, algo, 1, 4096), 0.0);
+            assert_eq!(broadcast_time_us(&mut c, algo, 1, 4096).to_bits(), 0);
         }
     }
 
@@ -165,12 +175,75 @@ mod tests {
         assert_eq!(BcastAlgorithm::Hierarchical.name(), "hierarchical");
     }
 
+    /// Every round of an algorithm's schedule, and its cost when each
+    /// round costs 1.
+    fn rounds(algo: BcastAlgorithm, nodes: &[usize]) -> (Vec<Vec<(usize, usize)>>, f64) {
+        let mut seen = Vec::new();
+        let t = broadcast_schedule_us(algo, nodes, |pairs| {
+            seen.push(pairs.to_vec());
+            1.0
+        });
+        (seen, t)
+    }
+
+    #[test]
+    fn schedules_list_their_rounds() {
+        let (flat, t) = rounds(BcastAlgorithm::Flat, &[0; 4]);
+        assert_eq!(flat, [vec![(0, 1)], vec![(0, 2)], vec![(0, 3)]]);
+        assert_eq!(t, 3.0);
+        let (binomial, t) = rounds(BcastAlgorithm::BinomialTree, &[0; 8]);
+        assert_eq!(
+            binomial,
+            [
+                vec![(0, 1)],
+                vec![(0, 2), (1, 3)],
+                vec![(0, 4), (1, 5), (2, 6), (3, 7)],
+            ]
+        );
+        assert_eq!(t, 3.0);
+        // 2 nodes × 4 ranks: the leaders' round, then both nodes' trees,
+        // which overlap: 1 + max(2, 2).
+        let (hier, t) = rounds(BcastAlgorithm::Hierarchical, &[0, 0, 0, 0, 1, 1, 1, 1]);
+        assert_eq!(
+            hier,
+            [
+                vec![(0, 4)],
+                vec![(0, 1)],
+                vec![(0, 2), (1, 3)],
+                vec![(4, 5)],
+                vec![(4, 6), (5, 7)],
+            ]
+        );
+        assert_eq!(t, 3.0);
+    }
+
     #[test]
     fn group_by_node_partitions_ranks() {
+        // On 2 nodes × 16 cores: the leaders are each node's first rank,
+        // every later message stays inside one node, and every other rank
+        // receives exactly once.
         let c = presets::finis_terrae_cluster(2);
-        let groups = group_by_node(&c, 32);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0], (0..16).collect::<Vec<_>>());
-        assert_eq!(groups[1], (16..32).collect::<Vec<_>>());
+        let nodes: Vec<usize> = (0..32)
+            .map(|r| c.topology().node_of(c.core_of_rank(r)))
+            .collect();
+        let (hier, _) = rounds(BcastAlgorithm::Hierarchical, &nodes);
+        assert_eq!(hier[0], [(0, 16)]);
+        let mut reached: Vec<usize> = hier[1..]
+            .iter()
+            .flatten()
+            .map(|&(a, b)| {
+                assert_eq!(nodes[a], nodes[b]);
+                b
+            })
+            .collect();
+        reached.sort_unstable();
+        assert_eq!(reached, (1..16).chain(17..32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn hierarchical_tree_is_rooted_at_rank_zero() {
+        // Rank 0 on node 1: its node leads the leaders' tree.
+        let (hier, _) = rounds(BcastAlgorithm::Hierarchical, &[1, 1, 0, 0]);
+        assert_eq!(hier, [vec![(0, 2)], vec![(0, 1)], vec![(2, 3)]]);
     }
 }

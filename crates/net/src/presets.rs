@@ -11,9 +11,7 @@ use crate::cluster::VirtualCluster;
 use crate::contention::ContentionModel;
 use crate::model::{CommModel, LayerModel, ProtocolSegment};
 use crate::topology::{ClusterTopology, Layer};
-
-const KB: usize = 1024;
-const MB: usize = 1024 * 1024;
+use servet_sim::{KB, MB};
 
 fn seg(max_size: usize, base_us: f64, per_byte_ns: f64) -> ProtocolSegment {
     ProtocolSegment {

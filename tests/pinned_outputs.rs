@@ -6,10 +6,15 @@
 //! or a measured profile (Fig. 5 ratio and array size, Fig. 6 tolerance,
 //! micro-probe grids, false-sharing sweep, Fig. 7 tolerance).
 
+use servet::autotune::collectives::select_broadcast;
+use servet::autotune::placement::{CommPattern, Placer};
 use servet::core::manifest::RunManifest;
 use servet::core::zoo::{generate_population, ZooConfig};
 use servet::core::{run_full_suite, SimPlatform, SuiteConfig};
+use servet::net::collectives::{broadcast_time_us, BcastAlgorithm};
+use servet::net::presets::finis_terrae_cluster;
 use servet::registry::profile_digest;
+use servet::sim::{KB, MB};
 
 /// FNV-1a 64 over `bytes`, continuing from `hash`.
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
@@ -82,4 +87,62 @@ fn manifest_with_stage_configs_still_loads() {
     assert!(manifest.spans.iter().any(|s| s.name == "suite.cache_size"));
     let again = RunManifest::from_json(&manifest.to_json()).unwrap();
     assert_eq!(again, manifest);
+}
+
+/// The communication decisions, priced by the measured profile and by the
+/// cluster: the broadcast ranking on the tiny cluster's profile, the
+/// cluster's broadcast times on two Finis Terrae sizes (one cluster per
+/// size, so the jitter draws' order is pinned too), and the placer's
+/// linear, greedy and annealed costs on `app_placement`'s four patterns.
+#[test]
+fn communication_decisions_are_pinned() {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| digest = fnv1a(digest, bytes);
+    let config = SuiteConfig {
+        skip_shared: true,
+        skip_memory: true,
+        ..SuiteConfig::small(256 * KB)
+    };
+    let tiny = run_full_suite(&mut SimPlatform::tiny_cluster(), &config).profile;
+    for ranks in [1, 2, 3, 5, 8] {
+        for bytes in [64, 8 * KB, MB] {
+            for prediction in select_broadcast(&tiny, ranks, bytes) {
+                eat(prediction.algorithm.name().as_bytes());
+                eat(&prediction.predicted_us.to_bits().to_le_bytes());
+            }
+        }
+    }
+    for nodes in [2, 4] {
+        let mut cluster = finis_terrae_cluster(nodes);
+        for ranks in [1, 2, 5, 16, 17, 31, 16 * nodes] {
+            for bytes in [64, 32 * KB] {
+                for algorithm in BcastAlgorithm::all() {
+                    let t = broadcast_time_us(&mut cluster, algorithm, ranks, bytes);
+                    eat(&t.to_bits().to_le_bytes());
+                }
+            }
+        }
+    }
+    let config = SuiteConfig {
+        skip_shared: true,
+        skip_memory: true,
+        ..SuiteConfig::default()
+    };
+    let ft = run_full_suite(&mut SimPlatform::finis_terrae(2), &config).profile;
+    let placer = Placer::new(&ft);
+    for pattern in [
+        CommPattern::shift(16, 8, 16 * KB),
+        CommPattern::ring(32, 16 * KB),
+        CommPattern::stencil2d(4, 4, 16 * KB),
+        CommPattern::master_worker(16, 16 * KB),
+    ] {
+        for placed in [
+            placer.linear(&pattern),
+            placer.greedy(&pattern),
+            placer.anneal(&pattern, 11, 4000),
+        ] {
+            eat(&placed.cost_us.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(format!("{digest:016x}"), "b460da365717add4");
 }
