@@ -323,18 +323,6 @@ pub fn detect_cache_levels(
     page_size: usize,
     config: &DetectConfig,
 ) -> Vec<CacheLevelEstimate> {
-    detect_cache_levels_with(out, config, |sizes, cycles, grid| {
-        probabilistic_size(sizes, cycles, page_size, grid)
-    })
-}
-
-/// [`detect_cache_levels`] with the Fig. 3 fit of each smeared window —
-/// its sizes, cycles and floor-cut grid — passed in as `fit`.
-fn detect_cache_levels_with(
-    out: &McalibratorOutput,
-    config: &DetectConfig,
-    mut fit: impl FnMut(&[usize], &[f64], &CandidateGrid) -> Option<usize>,
-) -> Vec<CacheLevelEstimate> {
     let _span = servet_obs::span("cache_detect.levels");
     let gradients = out.gradients();
     let first_peaks = find_peaks(&gradients, config.gradient_threshold);
@@ -398,7 +386,8 @@ fn detect_cache_levels_with(
             let floor = levels.last().map(|l| l.size * 2).unwrap_or(0);
             let mut grid = config.grid.clone();
             grid.sizes.retain(|&s| s >= floor);
-            if let Some(size) = fit(&out.sizes[lo..=hi], &out.cycles[lo..=hi], &grid) {
+            let (sizes, cycles) = (&out.sizes[lo..=hi], &out.cycles[lo..=hi]);
+            if let Some(size) = probabilistic_size(sizes, cycles, page_size, &grid) {
                 levels.push(CacheLevelEstimate {
                     level,
                     size,
@@ -771,10 +760,35 @@ mod tests {
             let mut platform =
                 SimPlatform::new(servet_sim::Machine::with_seed(spec, 1), None).with_seed(1);
             let out = mcalibrator(&mut platform, 0, &McalibratorConfig::default());
-            detect_cache_levels_with(&out, &DetectConfig::default(), |sizes, cycles, grid| {
-                fold(sizes, cycles, page, grid);
-                probabilistic_size(sizes, cycles, page, grid)
-            });
+            let config = DetectConfig::default();
+            let scope = servet_obs::RunScope::begin();
+            let levels = detect_cache_levels(&out, page, &config);
+            let spans = scope.finish().spans;
+            // Each fit records one span annotated with its window's end
+            // sizes, and pushes one level; its grid drops the sizes under
+            // twice the level before it.
+            let mut fitted =
+                (0..levels.len()).filter(|&k| levels[k].method == DetectionMethod::Probabilistic);
+            for span in spans
+                .iter()
+                .filter(|s| s.name == "cache_detect.probabilistic_fit")
+            {
+                let window = span
+                    .annotation
+                    .as_deref()
+                    .and_then(|a| a.strip_prefix("window "));
+                let (lo, hi) = window.and_then(|w| w.split_once("..")).expect("a window");
+                let at = |size: &str| {
+                    let size: usize = size.parse().unwrap();
+                    out.sizes.iter().position(|&s| s == size).unwrap()
+                };
+                let (lo, hi) = (at(lo), at(hi));
+                let k = fitted.next().expect("every fitted window gives a level");
+                let mut grid = config.grid.clone();
+                grid.sizes.retain(|&s| s >= levels[k - 1].size * 2);
+                fold(&out.sizes[lo..=hi], &out.cycles[lo..=hi], page, &grid);
+            }
+            assert_eq!(fitted.next(), None, "a level without its window");
         }
         assert_eq!(windows, 7, "the fitted windows moved");
         assert_eq!(

@@ -221,6 +221,28 @@ mod tests {
         );
     }
 
+    /// One message meets no contention: its concurrent price is the
+    /// point-to-point price bit for bit, with the same jitter draw — so a
+    /// broadcast round of one message may be priced either way.
+    #[test]
+    fn one_concurrent_message_is_a_send() {
+        for make in [ft as fn() -> VirtualCluster, presets::dunnington_cluster] {
+            let (mut alone, mut concurrent) = (make(), make());
+            let topo = alone.topology().clone();
+            for layer in topo.layers_present() {
+                let (a, b) = (1..topo.total_cores())
+                    .map(|b| (0, b))
+                    .find(|&(a, b)| topo.layer_between(a, b) == layer)
+                    .expect("a pair from core 0 on every layer");
+                for size in [64, 4096, 1 << 20] {
+                    let one = concurrent.concurrent_send_latency_us(&[(a, b)], size);
+                    let send = alone.send_latency_us(a, b, size);
+                    assert_eq!(one[0].to_bits(), send.to_bits(), "{layer:?} {size} B");
+                }
+            }
+        }
+    }
+
     #[test]
     fn affinity_changes_layers() {
         let mut c = ft();

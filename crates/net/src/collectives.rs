@@ -57,15 +57,10 @@ pub fn broadcast_time_us(
     let nodes: Vec<usize> = (0..ranks)
         .map(|r| c.topology().node_of(c.core_of_rank(r)))
         .collect();
-    broadcast_schedule_us(algo, &nodes, |pairs| match *pairs {
-        // One message meets no contention: `send_latency_us` is the
-        // concurrent price at slowdown exactly 1, with the same jitter
-        // draw, without building the contention tally.
-        [(a, b)] => c.send_latency_us(a, b, size),
-        _ => c
-            .concurrent_send_latency_us(pairs, size)
+    broadcast_schedule_us(algo, &nodes, |pairs| {
+        c.concurrent_send_latency_us(pairs, size)
             .into_iter()
-            .fold(0.0, f64::max),
+            .fold(0.0, f64::max)
     })
 }
 

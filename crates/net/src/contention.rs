@@ -12,7 +12,6 @@
 
 use crate::topology::{ClusterTopology, GlobalCore, Layer};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A shared interconnect resource, identified structurally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -47,17 +46,8 @@ impl ContentionModel {
         a: GlobalCore,
         b: GlobalCore,
     ) -> Vec<Resource> {
-        match topo.layer_between(a, b) {
-            Layer::SharedCache => Vec::new(),
-            Layer::IntraProcessor | Layer::IntraCell | Layer::IntraNode => {
-                vec![Resource::NodeBus(topo.node_of(a))]
-            }
-            Layer::InterNode => vec![
-                Resource::Nic(topo.node_of(a)),
-                Resource::Nic(topo.node_of(b)),
-                Resource::Switch,
-            ],
-        }
+        let (rs, n) = crossed(topo, a, b);
+        rs[..n].to_vec()
     }
 
     /// Slowdown slope of a resource.
@@ -77,32 +67,52 @@ impl ContentionModel {
         topo: &ClusterTopology,
         pairs: &[(GlobalCore, GlobalCore)],
     ) -> Vec<f64> {
-        // Count concurrent messages per resource.
-        let mut load: HashMap<Resource, usize> = HashMap::new();
-        let per_msg: Vec<Vec<Resource>> = pairs
+        // Concurrent messages per resource: each node's bus, then each
+        // node's NIC, then the switch.
+        let nodes = topo.num_nodes;
+        let slot = |r: Resource| match r {
+            Resource::NodeBus(node) => node,
+            Resource::Nic(node) => nodes + node,
+            Resource::Switch => 2 * nodes,
+        };
+        let crossings: Vec<([Resource; 3], usize)> =
+            pairs.iter().map(|&(a, b)| crossed(topo, a, b)).collect();
+        let mut load = vec![0usize; 2 * nodes + 1];
+        for (rs, n) in &crossings {
+            for &r in &rs[..*n] {
+                load[slot(r)] += 1;
+            }
+        }
+        let others = (pairs.len() as f64 - 1.0).max(0.0);
+        crossings
             .iter()
-            .map(|&(a, b)| {
-                let rs = self.resources_for(topo, a, b);
-                for &r in &rs {
-                    *load.entry(r).or_insert(0) += 1;
-                }
-                rs
-            })
-            .collect();
-        per_msg
-            .iter()
-            .map(|rs| {
-                let mut slow: f64 = 1.0
-                    + self.alpha_cache
-                        * (pairs.len() as f64 - 1.0).max(0.0)
-                        * if rs.is_empty() { 1.0 } else { 0.0 };
-                for &r in rs {
-                    let n = load[&r] as f64;
-                    slow = slow.max(1.0 + self.alpha(r) * (n - 1.0));
-                }
-                slow
+            .map(|(rs, n)| match &rs[..*n] {
+                [] => 1.0 + self.alpha_cache * others,
+                rs => rs.iter().fold(1.0, |slow: f64, &r| {
+                    slow.max(1.0 + self.alpha(r) * (load[slot(r)] as f64 - 1.0))
+                }),
             })
             .collect()
+    }
+}
+
+/// The resources a message between `a` and `b` crosses, as the first `n`
+/// of three: none within a shared cache, the node's bus within a node,
+/// and both NICs and the switch between nodes.
+fn crossed(topo: &ClusterTopology, a: GlobalCore, b: GlobalCore) -> ([Resource; 3], usize) {
+    let (node_a, node_b) = (topo.node_of(a), topo.node_of(b));
+    let bus = [Resource::NodeBus(node_a); 3];
+    match topo.layer_between(a, b) {
+        Layer::SharedCache => (bus, 0),
+        Layer::IntraProcessor | Layer::IntraCell | Layer::IntraNode => (bus, 1),
+        Layer::InterNode => (
+            [
+                Resource::Nic(node_a),
+                Resource::Nic(node_b),
+                Resource::Switch,
+            ],
+            3,
+        ),
     }
 }
 

@@ -1,14 +1,14 @@
-//! The advice engine: the `servet-autotune` consumers behind a uniform
-//! query type, memoized per `(profile digest, query)`.
+//! Analytic advice: the `servet-autotune` consumers behind a uniform
+//! query type.
 //!
 //! Profiles are immutable once stored (they are content-addressed), so an
-//! advice answer never goes stale — a perfect memoization target. The
+//! advice answer never goes stale: the [`Registry`](crate::Registry)
+//! memoizes it per `(profile digest, resolved query)`. The
 //! query and outcome types are serde structs shared verbatim between the
 //! wire protocol, the `servet query advise` client, and the in-process
 //! `servet advise --json` path, so every consumer sees byte-identical
 //! answers.
 
-use crate::cache::{CacheStats, Memo};
 use serde::{Deserialize, Serialize};
 use servet_autotune::collectives::{select_broadcast, BcastPrediction};
 use servet_autotune::concurrency::{advise_memory_threads, ConcurrencyAdvice};
@@ -164,64 +164,22 @@ pub fn compute_advice(
     }
 }
 
-/// A memoizing wrapper over [`compute_advice`], keyed by
-/// `(digest, resolved query)`.
-pub struct AdviceEngine {
-    cache: Memo<String, Result<AdviceOutcome, String>>,
-}
-
-impl Default for AdviceEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AdviceEngine {
-    /// An engine whose memo holds up to 4096 answers.
-    pub fn new() -> Self {
-        Self {
-            cache: Memo::new(4096),
-        }
-    }
-
-    fn memo_key(digest: &str, query: &AdviceQuery) -> String {
-        let q = serde_json::to_string(query).expect("query serializes");
-        format!("{digest}:{q}")
-    }
-
-    /// Answer `query` for the profile stored under `digest`, consulting
-    /// the memo cache first. The second element reports whether the
-    /// answer came from the cache.
-    pub fn advise(
-        &self,
-        digest: &str,
-        profile: &MachineProfile,
-        query: &AdviceQuery,
-    ) -> (Result<AdviceOutcome, String>, bool) {
-        let resolved = query.resolved(profile);
-        self.cache
-            .get_or_insert_with(Self::memo_key(digest, &resolved), || {
-                let _span = servet_obs::span("advice.compute");
-                compute_advice(profile, &resolved)
-            })
-    }
-
-    /// Memo-cache counters (the serving tests assert on the hit count).
-    pub fn stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::profile_digest;
+    use crate::{Registry, Request, Response};
     use servet_core::suite::{run_full_suite, SuiteConfig};
     use servet_core::SimPlatform;
 
     fn measured_profile() -> MachineProfile {
         let mut platform = SimPlatform::tiny_cluster().with_noise(0.003);
         run_full_suite(&mut platform, &SuiteConfig::small(256 * 1024)).profile
+    }
+
+    fn temp_registry(tag: &str) -> Registry {
+        let dir = std::env::temp_dir().join(format!("servet-advice-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Registry::open(dir).unwrap()
     }
 
     #[test]
@@ -291,36 +249,59 @@ mod tests {
     #[test]
     fn memoization_hits_on_repeat_and_on_equivalent_queries() {
         let profile = measured_profile();
-        let digest = profile_digest(&profile);
-        let engine = AdviceEngine::new();
-        let query = AdviceQuery::Bcast {
-            ranks: 0,
-            bytes: 8192,
+        let registry = temp_registry("memo");
+        let digest = registry.put(profile.clone(), Some("tiny")).unwrap();
+        let advise = |key: &str, ranks, bytes| match registry.handle(Request::Advise {
+            key: key.into(),
+            query: AdviceQuery::Bcast { ranks, bytes },
+        }) {
+            Response::Advice {
+                cached, outcome, ..
+            } => (outcome, cached),
+            other => panic!("unexpected {other:?}"),
         };
 
-        let (first, cached) = engine.advise(&digest, &profile, &query);
+        let (first, cached) = advise("tiny", 0, 8192);
         assert!(!cached);
-        assert_eq!(engine.stats().hits, 0);
+        assert_eq!(registry.stats().advice_hits, 0);
 
-        let (second, cached) = engine.advise(&digest, &profile, &query);
+        let (second, cached) = advise("tiny", 0, 8192);
         assert!(cached, "second identical query must be memoized");
         assert_eq!(first, second);
-        assert_eq!(engine.stats().hits, 1);
+        assert_eq!(registry.stats().advice_hits, 1);
 
-        // ranks: 0 resolves to total_cores — the explicit form hits too.
-        let explicit = AdviceQuery::Bcast {
-            ranks: profile.total_cores,
-            bytes: 8192,
+        // ranks: 0 resolves to total_cores — the explicit form hits too,
+        // on the event loop's path as on the dispatch's.
+        let explicit = Request::Advise {
+            key: digest,
+            query: AdviceQuery::Bcast {
+                ranks: profile.total_cores,
+                bytes: 8192,
+            },
         };
-        let (third, cached) = engine.advise(&digest, &profile, &explicit);
-        assert!(
-            cached,
-            "resolved-equivalent query must share the memo entry"
-        );
-        assert_eq!(first, third);
+        match registry.handle_in_memory(explicit) {
+            Ok(Response::Advice {
+                cached, outcome, ..
+            }) => {
+                assert!(
+                    cached,
+                    "resolved-equivalent query must share the memo entry"
+                );
+                assert_eq!(outcome, first);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(registry.stats().advice_hits, 2);
 
         // A different digest must not share entries.
-        let (_, cached) = engine.advise("other-digest", &profile, &query);
+        let mut other = profile.clone();
+        other.machine = "other".into();
+        registry.put(other, Some("other")).unwrap();
+        let (_, cached) = advise("other", 0, 8192);
+        assert!(!cached);
+
+        // Nor a different message size.
+        let (_, cached) = advise("tiny", 0, 4096);
         assert!(!cached);
     }
 
@@ -358,12 +339,19 @@ mod tests {
     fn errors_are_memoized_too() {
         let mut profile = measured_profile();
         profile.memory = None;
-        let digest = profile_digest(&profile);
-        let engine = AdviceEngine::new();
-        let query = AdviceQuery::Threads { tolerance: 0.05 };
-        let (first, cached) = engine.advise(&digest, &profile, &query);
-        assert!(first.is_err() && !cached);
-        let (second, cached) = engine.advise(&digest, &profile, &query);
-        assert!(second.is_err() && cached);
+        let registry = temp_registry("errors");
+        registry.put(profile, Some("tiny")).unwrap();
+        let request = Request::Advise {
+            key: "tiny".into(),
+            query: AdviceQuery::Threads { tolerance: 0.05 },
+        };
+        for hits in [0, 1] {
+            match registry.handle(request.clone()) {
+                Response::Error { error } => assert!(error.contains("memory"), "{error}"),
+                other => panic!("unexpected {other:?}"),
+            }
+            let stats = registry.stats();
+            assert_eq!((stats.advice_hits, stats.advice_misses), (hits, 1));
+        }
     }
 }

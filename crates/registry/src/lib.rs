@@ -14,13 +14,14 @@
 //!   memoized tuning sessions.
 //! * [`advice`] — the `servet-autotune` consumers (`advise_memory_threads`,
 //!   `select_tile`, `select_broadcast`) behind one serde query/outcome
-//!   type, memoized per `(digest, query)` — content addressing makes
-//!   answers immortal.
+//!   type.
 //! * [`tune`] — search-based tuning sessions (the `servet-tune`
-//!   strategies over the profile-oracle cost model), memoized per
-//!   `(digest, space digest, options)` so a session is computed once per
-//!   stored profile, ever.
-//! * [`registry`] — store + caches behind a single request dispatch.
+//!   strategies over the profile-oracle cost model) behind one serde
+//!   query type.
+//! * [`registry`] — store + memos behind a single request dispatch: the
+//!   registry memoizes advice per `(digest, resolved query)` and tuning
+//!   sessions per `(digest, space digest, options)` — content addressing
+//!   makes answers immortal, so each is computed once per stored profile.
 //! * [`protocol`] — the newline-delimited JSON wire types (documented in
 //!   `DESIGN.md`).
 //! * `poll` / [`conn`] — the std-only event-loop substrate: a private
@@ -73,7 +74,7 @@ pub mod server;
 pub mod store;
 pub mod tune;
 
-pub use advice::{compute_advice, AdviceEngine, AdviceOutcome, AdviceQuery};
+pub use advice::{compute_advice, AdviceOutcome, AdviceQuery};
 pub use cache::{CacheStats, Memo};
 pub use client::{
     is_retryable, is_server_busy, Backoff, RegistryClient, RetryPolicy, RetryingRegistryClient,
@@ -85,7 +86,7 @@ pub use protocol::{
 pub use registry::Registry;
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use store::{canonical_json, profile_digest, ProfileStore, StoreEntry};
-pub use tune::{compute_tune, TuneEngine, TuneQuery};
+pub use tune::{compute_tune, TuneQuery};
 
 /// The common imports for serving and querying.
 pub mod prelude {
@@ -95,5 +96,5 @@ pub mod prelude {
     pub use crate::registry::Registry;
     pub use crate::server::{serve, ServerConfig};
     pub use crate::store::profile_digest;
-    pub use crate::tune::{compute_tune, TuneEngine, TuneQuery};
+    pub use crate::tune::{compute_tune, TuneQuery};
 }

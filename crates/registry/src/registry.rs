@@ -1,18 +1,20 @@
-//! The registry proper: the content-addressed store fronted by a
-//! parsed-profile memo and the memoizing advice and tune engines, behind
+//! The registry proper: the content-addressed store fronted by three
+//! memos — parsed profiles, advice answers and tuning sessions — behind
 //! a single [`Registry::handle`] dispatch that the TCP server, the CLI,
 //! and the tests all share. [`Registry::handle_in_memory`] is the same
 //! dispatch, restricted to the requests whose answer is already in
-//! memory.
+//! memory; it looks a tuning session up under the key the dispatch
+//! stores it under.
 
-use crate::advice::AdviceEngine;
+use crate::advice::{compute_advice, AdviceOutcome, AdviceQuery};
 use crate::cache::Memo;
 use crate::digest::looks_like_digest;
 use crate::protocol::{AcceptStats, EventStats, OpLatency, Request, Response, ServerStats};
 use crate::store::{ProfileStore, StoreEntry};
-use crate::tune::TuneEngine;
+use crate::tune::{search, TuneQuery};
 use servet_core::profile::MachineProfile;
 use servet_obs::Histogram;
+use servet_tune::{ParamSpace, TuneOutcome};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,6 +26,13 @@ use std::time::Instant;
 /// carries: a bound on what one request may cost the loop thread, not a
 /// protocol limit. Longer lines and larger profiles go to a worker.
 pub const IN_MEMORY_BYTES: usize = 16 * 1024;
+
+/// Parsed profiles the registry keeps in memory.
+const PROFILE_MEMO: usize = 512;
+/// Advice answers the registry keeps in memory.
+const ADVICE_MEMO: usize = 4096;
+/// Tuning sessions the registry keeps in memory.
+const TUNE_MEMO: usize = 4096;
 
 /// Per-operation handling-latency histograms, owned by the registry (not
 /// the process-global `servet-obs` metrics) so concurrently running
@@ -193,14 +202,49 @@ struct CachedProfile {
     json_len: usize,
 }
 
+/// The advice memo's key: the digest and the serialized query, resolved
+/// against the profile first so that equivalent queries share an entry.
+fn advice_key(digest: &str, resolved: &AdviceQuery) -> String {
+    let q = serde_json::to_string(resolved).expect("query serializes");
+    format!("{digest}:{q}")
+}
+
+/// The tune memo's key and the space the session searches, or the
+/// refusal the query draws. The key is the digest, the space digest and
+/// a canonical rendering of every option that can change the result (no
+/// serializer involved, so it is stable across serde versions), so an
+/// explicit space equal to the omitted default shares its entry.
+fn tune_key(
+    digest: &str,
+    profile: &MachineProfile,
+    query: &TuneQuery,
+) -> Result<(String, ParamSpace), String> {
+    let space = query.space_for(profile)?;
+    let o = &query.options;
+    let key = format!(
+        "{digest}:{}:{}:s{}:w{}:t{}:m{}:n{}",
+        space.digest(),
+        o.strategy.name(),
+        o.seed,
+        o.sweeps,
+        o.steps,
+        o.samples,
+        query.n,
+    );
+    Ok((key, space))
+}
+
 /// A profile registry over one store directory.
 pub struct Registry {
     store: ProfileStore,
     /// digest → parsed profile, so repeated advice/get on hot profiles
     /// skips disk and JSON parsing.
     profiles: Memo<String, CachedProfile>,
-    advice: AdviceEngine,
-    tuner: TuneEngine,
+    /// [`advice_key`] → answer or refusal; content addressing makes
+    /// answers immortal.
+    advice: Memo<String, Result<AdviceOutcome, String>>,
+    /// [`tune_key`] → session outcome; a refused query is never stored.
+    pub(crate) tunes: Memo<String, TuneOutcome>,
     requests: AtomicU64,
     ops: OpMetrics,
     /// The TCP front end's counters; the server bumps them.
@@ -212,9 +256,9 @@ impl Registry {
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         Ok(Self {
             store: ProfileStore::open(dir)?,
-            profiles: Memo::new(512),
-            advice: AdviceEngine::new(),
-            tuner: TuneEngine::new(),
+            profiles: Memo::new(PROFILE_MEMO),
+            advice: Memo::new(ADVICE_MEMO),
+            tunes: Memo::new(TUNE_MEMO),
             requests: AtomicU64::new(0),
             ops: OpMetrics::default(),
             front_end: FrontEnd::default(),
@@ -320,7 +364,8 @@ impl Registry {
             Request::Advise { key, .. } => self.cached_profile(key).is_some(),
             Request::Tune { key, query } => {
                 self.cached_profile(key).is_some_and(|(digest, cached)| {
-                    self.tuner.is_memoized(&digest, &cached.profile, query)
+                    tune_key(&digest, &cached.profile, query)
+                        .is_ok_and(|(memo_key, _)| self.tunes.peek(&memo_key).is_some())
                 })
             }
             Request::Put { .. } | Request::List | Request::Stats => false,
@@ -393,7 +438,12 @@ impl Registry {
                 },
             },
             Request::Advise { key, query } => self.about(&key, |digest, profile| {
-                match self.advice.advise(&digest, &profile, &query) {
+                let resolved = query.resolved(&profile);
+                let memo_key = advice_key(&digest, &resolved);
+                match self.advice.get_or_insert_with(memo_key, || {
+                    let _span = servet_obs::span("advice.compute");
+                    compute_advice(&profile, &resolved)
+                }) {
                     (Ok(outcome), cached) => Response::Advice {
                         digest,
                         cached,
@@ -403,13 +453,18 @@ impl Registry {
                 }
             }),
             Request::Tune { key, query } => self.about(&key, |digest, profile| {
-                match self.tuner.tune(&digest, &profile, &query) {
-                    (Ok(outcome), cached) => Response::Tuned {
-                        digest,
-                        cached,
-                        outcome,
-                    },
-                    (Err(error), _) => Response::Error { error },
+                let (memo_key, space) = match tune_key(&digest, &profile, &query) {
+                    Ok(session) => session,
+                    Err(error) => return Response::Error { error },
+                };
+                let (outcome, cached) = self.tunes.get_or_insert_with(memo_key, || {
+                    let _span = servet_obs::span("tune.compute");
+                    search(&profile, &space, &query, 1)
+                });
+                Response::Tuned {
+                    digest,
+                    cached,
+                    outcome,
                 }
             }),
             Request::Stats => Response::Stats {
@@ -422,9 +477,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::advice::AdviceQuery;
     use crate::store::profile_digest;
-    use crate::tune::TuneQuery;
     use servet_core::suite::{run_full_suite, SuiteConfig};
     use servet_core::SimPlatform;
 
@@ -560,9 +613,9 @@ mod tests {
         };
         // Handed back untouched, and nothing counted.
         let handed_back = |request: Request| {
-            let (before, tunes) = (registry.stats(), registry.tuner.stats());
+            let (before, tunes) = (registry.stats(), registry.tunes.stats());
             assert_eq!(registry.handle_in_memory(request.clone()), Err(request));
-            assert_eq!(registry.tuner.stats(), tunes);
+            assert_eq!(registry.tunes.stats(), tunes);
             let after = registry.stats();
             assert_eq!((after.requests, after.ops), (before.requests, before.ops));
             assert_eq!(

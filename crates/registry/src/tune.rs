@@ -1,17 +1,16 @@
-//! The tune engine: search-based autotuning served from stored
-//! profiles, memoized per `(profile digest, space digest, options)`.
+//! Search-based autotuning served from stored profiles: the `tune`
+//! query and the session it runs.
 //!
-//! The shape mirrors [`crate::advice::AdviceEngine`] exactly — profiles
-//! are content-addressed and immutable, the search strategies are
-//! deterministic in their options, and the profile oracle is a pure
-//! function of the profile, so a tuning session's outcome can never go
-//! stale and is a perfect memoization target. Unlike the advice memo
-//! key (digest + serialized query), the tune key is built from the
-//! *space digest* plus a canonical rendering of the options, so two
-//! clients declaring the same space differently (`log2` sugar vs an
-//! explicit value list) share one cache entry.
+//! Profiles are content-addressed and immutable, the search strategies
+//! are deterministic in their options, and the profile oracle is a pure
+//! function of the profile, so a session's outcome can never go stale:
+//! the [`Registry`](crate::Registry) memoizes it per `(profile digest,
+//! space digest, options)`. Unlike the advice memo key (digest +
+//! serialized query), the tune key is built from the *space digest* plus
+//! a canonical rendering of the options, so two clients declaring the
+//! same space differently (`log2` sugar vs an explicit value list) share
+//! one cache entry.
 
-use crate::cache::{CacheStats, Memo};
 use serde::{Deserialize, Serialize};
 use servet_core::profile::MachineProfile;
 use servet_tune::{
@@ -75,100 +74,25 @@ pub fn compute_tune(
     query: &TuneQuery,
     workers: usize,
 ) -> Result<TuneOutcome, String> {
-    let space = query.space_for(profile)?;
+    Ok(search(profile, &query.space_for(profile)?, query, workers))
+}
+
+/// The session `query` runs over `space`, the space
+/// [`TuneQuery::space_for`] resolved it to.
+pub(crate) fn search(
+    profile: &MachineProfile,
+    space: &ParamSpace,
+    query: &TuneQuery,
+    workers: usize,
+) -> TuneOutcome {
     let oracle = ProfileOracle::new(profile.clone(), query.n);
-    Ok(tune(&oracle, &space, &query.options, workers))
-}
-
-/// A memoizing tuning engine over stored profiles, the `tune` operation
-/// of the wire protocol.
-pub struct TuneEngine {
-    cache: Memo<String, TuneOutcome>,
-}
-
-impl Default for TuneEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TuneEngine {
-    /// An engine whose memo holds up to 4096 sessions.
-    pub fn new() -> Self {
-        Self {
-            cache: Memo::new(4096),
-        }
-    }
-
-    /// The memoization key: profile digest, space digest, and a
-    /// canonical rendering of every option that can change the result.
-    /// (No serializer involved, so the key is stable across serde
-    /// versions and environments.)
-    fn memo_key(digest: &str, space: &ParamSpace, options: &TuneOptions, n: usize) -> String {
-        format!(
-            "{digest}:{}:{}:s{}:w{}:t{}:m{}:n{n}",
-            space.digest(),
-            options.strategy.name(),
-            options.seed,
-            options.sweeps,
-            options.steps,
-            options.samples,
-        )
-    }
-
-    /// The memo key of a query [`Self::tune`] would run, or the refusal
-    /// it answers with. The key hashes the resolved space, so an explicit
-    /// identical space shares the memo entry with the omitted form.
-    fn session(
-        digest: &str,
-        profile: &MachineProfile,
-        query: &TuneQuery,
-    ) -> Result<String, String> {
-        let space = query.space_for(profile)?;
-        Ok(Self::memo_key(digest, &space, &query.options, query.n))
-    }
-
-    /// Whether [`Self::tune`] would answer this query from the memo cache
-    /// — decided without counting a hit or a miss.
-    pub(crate) fn is_memoized(
-        &self,
-        digest: &str,
-        profile: &MachineProfile,
-        query: &TuneQuery,
-    ) -> bool {
-        Self::session(digest, profile, query).is_ok_and(|key| self.cache.peek(&key).is_some())
-    }
-
-    /// Run (or recall) [`compute_tune`]'s session for the profile stored
-    /// under `digest`, on one worker. The second element reports whether
-    /// the memo cache served it. A refused query is answered before the
-    /// memo and never stored; a search that runs always succeeds.
-    pub fn tune(
-        &self,
-        digest: &str,
-        profile: &MachineProfile,
-        query: &TuneQuery,
-    ) -> (Result<TuneOutcome, String>, bool) {
-        let key = match Self::session(digest, profile, query) {
-            Ok(key) => key,
-            Err(e) => return (Err(e), false),
-        };
-        let (outcome, cached) = self.cache.get_or_insert_with(key, || {
-            let _span = servet_obs::span("tune.compute");
-            compute_tune(profile, query, 1).expect("a query with a memo key runs")
-        });
-        (Ok(outcome), cached)
-    }
-
-    /// Memo-cache counters (the serving tests assert on the hit count).
-    pub fn stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
+    tune(&oracle, space, &query.options, workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CacheStats, Registry, Request, Response};
     use servet_core::suite::{run_full_suite, SuiteConfig};
     use servet_core::SimPlatform;
     use servet_tune::{Param, Strategy};
@@ -178,54 +102,89 @@ mod tests {
         run_full_suite(&mut platform, &SuiteConfig::small(256 * 1024)).profile
     }
 
+    fn temp_registry(tag: &str) -> Registry {
+        let dir = std::env::temp_dir().join(format!("servet-tune-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Registry::open(dir).unwrap()
+    }
+
+    fn tune_request(key: &str, space: Option<ParamSpace>, options: TuneOptions) -> Request {
+        Request::Tune {
+            key: key.into(),
+            query: TuneQuery {
+                space,
+                options,
+                n: 64,
+            },
+        }
+    }
+
+    fn tuned(response: Response) -> (TuneOutcome, bool) {
+        match response {
+            Response::Tuned {
+                cached, outcome, ..
+            } => (outcome, cached),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn memoization_hits_on_repeat_and_on_equivalent_spaces() {
         let profile = measured_profile();
-        // A literal digest: the engine never re-derives it.
-        let digest = "a".repeat(64);
-        let engine = TuneEngine::new();
-        let query = TuneQuery {
-            space: None,
-            options: TuneOptions::new(Strategy::Line),
-            n: 64,
-        };
+        let registry = temp_registry("memo");
+        let digest = registry.put(profile.clone(), Some("tiny")).unwrap();
+        let line = tune_request("tiny", None, TuneOptions::new(Strategy::Line));
 
-        assert!(!engine.is_memoized(&digest, &profile, &query));
-        let (first, cached) = engine.tune(&digest, &profile, &query);
+        // Not memoized: the event loop hands it back, counting nothing.
+        assert_eq!(registry.handle_in_memory(line.clone()), Err(line.clone()));
+        assert_eq!(registry.tunes.stats(), CacheStats::default());
+        let (first, cached) = tuned(registry.handle(line.clone()));
         assert!(!cached);
-        let first = first.expect("line search succeeds");
         assert!(!first.best.is_empty());
 
-        // The check agrees with the next call and counts nothing.
-        assert!(engine.is_memoized(&digest, &profile, &query));
-        assert_eq!((engine.stats().hits, engine.stats().misses), (0, 1));
-        let (second, cached) = engine.tune(&digest, &profile, &query);
+        // The in-memory check agrees with the next dispatch and counts
+        // nothing itself: the one hit is the dispatch's.
+        let (second, cached) = tuned(registry.handle_in_memory(line.clone()).unwrap());
         assert!(cached, "second identical query must be memoized");
-        assert_eq!(first, second.unwrap());
-        assert_eq!(engine.stats().hits, 1);
+        assert_eq!(first, second);
+        let stats = registry.tunes.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
 
         // Declaring the default space explicitly lands on the same entry
-        // (the key hashes the materialized space, not the request text).
-        let explicit = TuneQuery {
-            space: Some(kernel_space(profile.total_cores, 64)),
-            options: TuneOptions::new(Strategy::Line),
-            n: 64,
-        };
-        let (third, cached) = engine.tune(&digest, &profile, &explicit);
+        // (the key hashes the materialized space, not the request text),
+        // on the event loop's path as on the dispatch's.
+        let explicit = tune_request(
+            &digest,
+            Some(kernel_space(profile.total_cores, 64)),
+            TuneOptions::new(Strategy::Line),
+        );
+        let (third, cached) = tuned(registry.handle_in_memory(explicit).unwrap());
         assert!(cached, "equivalent explicit space must share the entry");
-        assert_eq!(first, third.unwrap());
+        assert_eq!(first, third);
 
         // A different digest must not share entries.
-        let (_, cached) = engine.tune("other-digest", &profile, &query);
+        let mut other = profile.clone();
+        other.machine = "other".into();
+        registry.put(other, Some("other")).unwrap();
+        let other_line = tune_request("other", None, TuneOptions::new(Strategy::Line));
+        assert_eq!(
+            registry.handle_in_memory(other_line.clone()),
+            Err(other_line.clone())
+        );
+        let (_, cached) = tuned(registry.handle(other_line));
         assert!(!cached);
 
         // Nor different options.
-        let hotter = TuneQuery {
-            space: None,
-            options: TuneOptions::new(Strategy::MonteCarlo).with_seed(7),
-            n: 64,
-        };
-        let (_, cached) = engine.tune(&digest, &profile, &hotter);
+        let hotter = tune_request(
+            "tiny",
+            None,
+            TuneOptions::new(Strategy::MonteCarlo).with_seed(7),
+        );
+        assert_eq!(
+            registry.handle_in_memory(hotter.clone()),
+            Err(hotter.clone())
+        );
+        let (_, cached) = tuned(registry.handle(hotter));
         assert!(!cached);
     }
 
@@ -233,16 +192,11 @@ mod tests {
     fn strategies_agree_on_the_profile_oracle() {
         // The profile oracle's surface is benign enough that line search
         // should land on the exhaustive optimum for the kernel space.
-        let profile = measured_profile();
-        let digest = "b".repeat(64);
-        let engine = TuneEngine::new();
+        let registry = temp_registry("agree");
+        registry.put(measured_profile(), Some("tiny")).unwrap();
         let outcome = |strategy| {
-            let query = TuneQuery {
-                space: None,
-                options: TuneOptions::new(strategy),
-                n: 64,
-            };
-            engine.tune(&digest, &profile, &query).0.unwrap()
+            let request = tune_request("tiny", None, TuneOptions::new(strategy));
+            tuned(registry.handle(request)).0
         };
         let exhaustive = outcome(Strategy::Exhaustive);
         let line = outcome(Strategy::Line);
@@ -252,45 +206,53 @@ mod tests {
 
     #[test]
     fn invalid_inputs_are_typed_errors_not_panics() {
-        let profile = measured_profile();
-        let engine = TuneEngine::new();
-
-        let empty = TuneQuery {
-            space: Some(ParamSpace { params: Vec::new() }),
-            options: TuneOptions::new(Strategy::Exhaustive),
-            n: 64,
+        let registry = temp_registry("invalid");
+        registry.put(measured_profile(), Some("tiny")).unwrap();
+        let exhaustive = || TuneOptions::new(Strategy::Exhaustive);
+        let refusal = |request: Request| {
+            // Not in memory (a refusal is never stored), so the loop
+            // hands it back; the dispatch answers it with a typed error.
+            assert_eq!(
+                registry.handle_in_memory(request.clone()),
+                Err(request.clone())
+            );
+            match registry.handle(request) {
+                Response::Error { error } => error,
+                other => panic!("unexpected {other:?}"),
+            }
         };
-        let (out, _) = engine.tune("d", &profile, &empty);
-        assert!(out.unwrap_err().contains("no parameters"));
 
-        let dup = TuneQuery {
-            space: Some(ParamSpace {
-                params: vec![Param::fixed_set("x", &[1]), Param::fixed_set("x", &[2])],
-            }),
-            options: TuneOptions::new(Strategy::Exhaustive),
-            n: 64,
-        };
-        let (out, _) = engine.tune("d", &profile, &dup);
-        assert!(out.unwrap_err().contains("duplicate"));
+        let empty = tune_request(
+            "tiny",
+            Some(ParamSpace { params: Vec::new() }),
+            exhaustive(),
+        );
+        assert!(refusal(empty).contains("no parameters"));
 
-        let tiny_n = TuneQuery {
-            space: None,
-            options: TuneOptions::new(Strategy::Line),
-            n: 2,
+        let dup = ParamSpace {
+            params: vec![Param::fixed_set("x", &[1]), Param::fixed_set("x", &[2])],
         };
-        let (out, _) = engine.tune("d", &profile, &tiny_n);
-        assert!(out.unwrap_err().contains("n must be"));
+        assert!(refusal(tune_request("tiny", Some(dup), exhaustive())).contains("duplicate"));
 
-        let huge = TuneQuery {
-            space: Some(ParamSpace {
-                params: (0..7)
-                    .map(|i| Param::fixed_set(&format!("p{i}"), &(0..8u64).collect::<Vec<_>>()))
-                    .collect(),
-            }),
-            options: TuneOptions::new(Strategy::Exhaustive),
-            n: 64,
+        let tiny_n = Request::Tune {
+            key: "tiny".into(),
+            query: TuneQuery {
+                space: None,
+                options: TuneOptions::new(Strategy::Line),
+                n: 2,
+            },
         };
-        let (out, _) = engine.tune("d", &profile, &huge);
-        assert!(out.unwrap_err().contains("too large"), "8^7 points");
+        assert!(refusal(tiny_n).contains("n must be"));
+
+        let huge = ParamSpace {
+            params: (0..7)
+                .map(|i| Param::fixed_set(&format!("p{i}"), &(0..8u64).collect::<Vec<_>>()))
+                .collect(),
+        };
+        let huge = refusal(tune_request("tiny", Some(huge), exhaustive()));
+        assert!(huge.contains("too large"), "8^7 points");
+
+        // Refused before the memo: nothing stored, nothing counted.
+        assert_eq!(registry.tunes.stats(), CacheStats::default());
     }
 }

@@ -31,8 +31,8 @@
 //!   over a measured profile), and the zoo comparison that races search
 //!   against the analytic advice (`servet tune`).
 //! * [`registry`] (`servet-registry`) — the serving layer: a
-//!   content-addressed profile store, single-lock memos, a memoized advice
-//!   engine and tune engine, and an event-driven TCP server that
+//!   content-addressed profile store, a registry that memoizes advice
+//!   answers and tuning sessions, and an event-driven TCP server that
 //!   multiplexes thousands of connections over a fixed worker pool
 //!   (`servet serve` / `servet query` / `servet loadgen`).
 //! * [`stats`] (`servet-stats`) — binomial tails, gradients, clustering,
