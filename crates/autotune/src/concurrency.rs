@@ -10,6 +10,10 @@ use serde::{Deserialize, Serialize};
 use servet_core::mem_overhead::MemOverheadResult;
 use servet_core::platform::CoreId;
 
+/// Default tolerance of [`advise_memory_threads`]: a thread count whose
+/// aggregate is within 5 % of the best is enough.
+pub const DEFAULT_TOLERANCE: f64 = 0.05;
+
 /// Advice for a memory-bound parallel region.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConcurrencyAdvice {
@@ -26,9 +30,9 @@ pub struct ConcurrencyAdvice {
 }
 
 /// Pick the smallest concurrency whose aggregate bandwidth is within
-/// `tolerance` (e.g. 0.05) of the best aggregate seen on the strongest
-/// overhead class. Returns `None` when no contention was measured (every
-/// core may stream freely).
+/// `tolerance` (e.g. [`DEFAULT_TOLERANCE`]) of the best aggregate seen on
+/// the strongest overhead class. Returns `None` when no contention was
+/// measured (every core may stream freely).
 pub fn advise_memory_threads(
     memory: &MemOverheadResult,
     tolerance: f64,

@@ -7,6 +7,7 @@ use servet_core::platform::Platform;
 use servet_core::sim_platform::SimPlatform;
 use servet_net::baselines::{mean_relative_error, HockneyModel, LogGpModel};
 use servet_sim::KB;
+use servet_stats::summary::mean;
 
 fn dunnington_comm() -> (SimPlatform, CommResult) {
     let mut p = SimPlatform::dunnington();
@@ -81,7 +82,6 @@ pub fn fig10a() -> Report {
         }
     }
     report.check("ft: four layers", ft.num_layers() == 4);
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let ratio = mean(&inter) / mean(&intra);
     report.check_range(
         "ft: inter-node ~2x slower than intra-node (paper: 'around two times')",
@@ -273,7 +273,7 @@ pub fn ablation_models() -> Report {
             }
         }
     }
-    let servet_err = servet_err_acc.iter().sum::<f64>() / servet_err_acc.len() as f64;
+    let servet_err = mean(&servet_err_acc);
     let hockney = HockneyModel::fit(&samples).expect("fit succeeds");
     let hockney_err = mean_relative_error(|s| hockney.predict_us(s), &samples);
     let loggp = LogGpModel::fit(&samples).expect("fit succeeds");

@@ -18,6 +18,7 @@
 use crate::platform::{CoreId, Platform};
 use serde::{Deserialize, Serialize};
 use servet_stats::cluster::cluster_by_tolerance;
+use servet_stats::summary::mean;
 
 /// Relative tolerance when clustering "similar" probe latencies into
 /// layers (Fig. 7).
@@ -196,8 +197,8 @@ pub fn characterize_communication(platform: &mut dyn Platform, config: &CommConf
                 break;
             }
             let lats = platform.concurrent_message_latency_us(&messages[..n], config.probe_size);
-            let mean = lats.iter().sum::<f64>() / lats.len() as f64;
-            scalability.push((n, mean, mean / isolated));
+            let avg = mean(&lats);
+            scalability.push((n, avg, avg / isolated));
         }
         layers.push(CommLayer {
             latency_us: c.value,

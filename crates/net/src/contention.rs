@@ -39,17 +39,6 @@ pub struct ContentionModel {
 }
 
 impl ContentionModel {
-    /// The resources a message between `a` and `b` contends on.
-    pub fn resources_for(
-        &self,
-        topo: &ClusterTopology,
-        a: GlobalCore,
-        b: GlobalCore,
-    ) -> Vec<Resource> {
-        let (rs, n) = crossed(topo, a, b);
-        rs[..n].to_vec()
-    }
-
     /// Slowdown slope of a resource.
     pub fn alpha(&self, r: Resource) -> f64 {
         match r {
@@ -197,14 +186,18 @@ mod tests {
     #[test]
     fn resources_for_layers() {
         let m = model();
+        let resources = |topo: &ClusterTopology, a, b| {
+            let (rs, n) = crossed(topo, a, b);
+            rs[..n].to_vec()
+        };
         let topo = presets::finis_terrae_topology(2);
-        assert_eq!(m.resources_for(&topo, 0, 1), vec![Resource::NodeBus(0)]);
-        let inter = m.resources_for(&topo, 0, 16);
+        assert_eq!(resources(&topo, 0, 1), vec![Resource::NodeBus(0)]);
+        let inter = resources(&topo, 0, 16);
         assert!(inter.contains(&Resource::Nic(0)));
         assert!(inter.contains(&Resource::Nic(1)));
         assert!(inter.contains(&Resource::Switch));
         let dun = presets::dunnington_topology();
-        assert!(m.resources_for(&dun, 0, 12).is_empty());
+        assert!(resources(&dun, 0, 12).is_empty());
         assert!((m.alpha(Resource::Switch) - 6.0 / 31.0).abs() < 1e-12);
     }
 }

@@ -112,7 +112,9 @@ impl ClusterTopology {
             Layer::SharedCache
         } else if self.proc_of[la] == self.proc_of[lb] {
             Layer::IntraProcessor
-        } else if self.cell_of[la] == self.cell_of[lb] && self.num_cells() > 1 {
+        } else if self.cell_of[la] == self.cell_of[lb]
+            && self.cell_of.iter().any(|&c| c != self.cell_of[la])
+        {
             Layer::IntraCell
         } else {
             Layer::IntraNode

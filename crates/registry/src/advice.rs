@@ -11,13 +11,13 @@
 
 use serde::{Deserialize, Serialize};
 use servet_autotune::collectives::{select_broadcast, BcastPrediction};
-use servet_autotune::concurrency::{advise_memory_threads, ConcurrencyAdvice};
+use servet_autotune::concurrency::{self, advise_memory_threads, ConcurrencyAdvice};
 use servet_autotune::padding::{advise_padding, PaddingAdvice};
 use servet_autotune::tiling::{self, select_tile, TileChoice};
 use servet_core::profile::MachineProfile;
 
 fn default_tolerance() -> f64 {
-    0.05
+    concurrency::DEFAULT_TOLERANCE
 }
 fn default_level() -> u8 {
     tiling::DEFAULT_LEVEL

@@ -49,7 +49,7 @@
 //! `crates/registry/README.md` for the wire format.
 //!
 //! ```no_run
-//! use servet_registry::prelude::*;
+//! use servet_registry::{serve, Registry, ServerConfig};
 //! use std::sync::Arc;
 //!
 //! let registry = Arc::new(Registry::open("/var/lib/servet")?);
@@ -87,14 +87,3 @@ pub use registry::Registry;
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use store::{canonical_json, profile_digest, ProfileStore, StoreEntry};
 pub use tune::{compute_tune, TuneQuery};
-
-/// The common imports for serving and querying.
-pub mod prelude {
-    pub use crate::advice::{compute_advice, AdviceOutcome, AdviceQuery};
-    pub use crate::client::{RegistryClient, RetryPolicy, RetryingRegistryClient};
-    pub use crate::protocol::{Request, Response};
-    pub use crate::registry::Registry;
-    pub use crate::server::{serve, ServerConfig};
-    pub use crate::store::profile_digest;
-    pub use crate::tune::{compute_tune, TuneQuery};
-}

@@ -119,16 +119,6 @@ impl Binomial {
         }
     }
 
-    /// Number of trials.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Expected value `n * p`.
     pub fn mean(&self) -> f64 {
         self.n as f64 * self.p

@@ -1,46 +1,27 @@
-//! Union-find and pair-list → group inference.
+//! Pair-list → group inference.
 //!
 //! §III-C of the paper: "if the list in `Pm[i]` has the pairs (0,1), (0,2),
 //! (3,4) and (3,5), it allows to identify two groups for the overhead
 //! `BW[i]`: {0,1,2} and {3,4,5}". That is connected components over the
-//! pair graph, computed here with a classic disjoint-set structure (path
-//! halving + union by size).
+//! pair graph, computed here with a private union-find.
 
-/// Disjoint-set (union-find) over `0..n` with path halving and union by size.
-#[derive(Debug, Clone)]
-pub struct DisjointSet {
+/// Union-find over `0..n` with path halving. [`DisjointSet::sets`] sorts
+/// every set and orders the sets by their smallest member, so which root
+/// a union keeps cannot show in the output.
+struct DisjointSet {
     parent: Vec<usize>,
-    size: Vec<usize>,
-    components: usize,
 }
 
 impl DisjointSet {
     /// Create `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Self {
             parent: (0..n).collect(),
-            size: vec![1; n],
-            components: n,
         }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the structure is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Number of disjoint components.
-    pub fn components(&self) -> usize {
-        self.components
-    }
-
     /// Representative of `x`'s set.
-    pub fn find(&mut self, x: usize) -> usize {
+    fn find(&mut self, x: usize) -> usize {
         let mut x = x;
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
@@ -49,38 +30,15 @@ impl DisjointSet {
         x
     }
 
-    /// Merge the sets containing `a` and `b`. Returns `true` if they were
-    /// previously disjoint.
-    pub fn union(&mut self, a: usize, b: usize) -> bool {
+    /// Merge the sets containing `a` and `b`.
+    fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        let (big, small) = if self.size[ra] >= self.size[rb] {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        self.parent[small] = big;
-        self.size[big] += self.size[small];
-        self.components -= 1;
-        true
-    }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r]
+        self.parent[ra] = rb;
     }
 
     /// All sets as sorted vectors, ordered by their smallest element.
-    pub fn sets(&mut self) -> Vec<Vec<usize>> {
-        let n = self.len();
+    fn sets(&mut self) -> Vec<Vec<usize>> {
+        let n = self.parent.len();
         let mut by_root: Vec<Vec<usize>> = vec![Vec::new(); n];
         for x in 0..n {
             let r = self.find(x);
@@ -103,16 +61,12 @@ pub fn groups_from_pairs(pairs: &[(usize, usize)]) -> Vec<Vec<usize>> {
         return Vec::new();
     };
     let mut ds = DisjointSet::new(max + 1);
-    let mut seen = vec![false; max + 1];
     for &(a, b) in pairs {
         ds.union(a, b);
-        seen[a] = true;
-        seen[b] = true;
     }
-    ds.sets()
-        .into_iter()
-        .filter(|s| s.iter().any(|&x| seen[x]) && s.len() > 1)
-        .collect()
+    // A set of two or more was joined by pairs; a singleton was never
+    // paired with another element.
+    ds.sets().into_iter().filter(|s| s.len() > 1).collect()
 }
 
 #[cfg(test)]
@@ -152,16 +106,11 @@ mod tests {
     #[test]
     fn union_find_basics() {
         let mut ds = DisjointSet::new(5);
-        assert_eq!(ds.components(), 5);
-        assert!(ds.union(0, 1));
-        assert!(!ds.union(1, 0));
-        assert!(ds.connected(0, 1));
-        assert!(!ds.connected(0, 2));
-        assert_eq!(ds.components(), 4);
-        assert_eq!(ds.set_size(0), 2);
-        assert_eq!(ds.set_size(3), 1);
-        assert_eq!(ds.len(), 5);
-        assert!(!ds.is_empty());
+        ds.union(0, 1);
+        ds.union(1, 0);
+        assert_eq!(ds.find(0), ds.find(1));
+        assert_ne!(ds.find(0), ds.find(2));
+        assert_eq!(ds.sets(), vec![vec![0, 1], vec![2], vec![3], vec![4]]);
     }
 
     #[test]
@@ -173,19 +122,5 @@ mod tests {
         let total: usize = sets.iter().map(|s| s.len()).sum();
         assert_eq!(total, 6);
         assert_eq!(sets, vec![vec![0, 3], vec![1], vec![2], vec![4, 5]]);
-    }
-
-    #[test]
-    fn union_by_size_keeps_find_consistent() {
-        let mut ds = DisjointSet::new(8);
-        for i in 0..7 {
-            ds.union(i, i + 1);
-        }
-        assert_eq!(ds.components(), 1);
-        let root = ds.find(0);
-        for i in 0..8 {
-            assert_eq!(ds.find(i), root);
-        }
-        assert_eq!(ds.set_size(7), 8);
     }
 }

@@ -16,17 +16,17 @@
 //!   detection over them (paper Figs. 2b and 4).
 //! * [`cluster`] — one-dimensional tolerance clustering used to group "similar"
 //!   bandwidths (paper Fig. 6) and latencies (paper Fig. 7).
-//! * [`groups`] — a union-find (disjoint-set) structure plus the pair-list →
-//!   core-group inference the paper describes in §III-C ("the pairs
-//!   (0,1),(0,2),(3,4),(3,5) identify two groups {0,1,2} and {3,4,5}").
+//! * [`groups`] — the pair-list → core-group inference the paper describes
+//!   in §III-C ("the pairs (0,1),(0,2),(3,4),(3,5) identify two groups
+//!   {0,1,2} and {3,4,5}").
 //! * [`par`] — the workspace's one fan-out: a closure over a list on
 //!   scoped threads, results in list order for any worker count.
-//! * [`regress`] — least-squares line fitting, used by the Hockney / LogGP
+//! * [`regress`] — a least-squares line, the fit behind the Hockney / LogGP
 //!   baseline communication models of §III-D.
 //! * [`rng`] — the workspace's one seeded generator (splitmix64 and
 //!   ChaCha8), std-only so a seed draws the same numbers on every machine.
-//! * [`summary`] — means, medians, modes, percentiles and relative-error
-//!   helpers shared by all benchmarks.
+//! * [`summary`] — the arithmetic and geometric means and the mode of the
+//!   five best Fig. 3 candidates.
 
 pub mod binomial;
 pub mod cluster;
@@ -40,6 +40,6 @@ pub mod summary;
 pub use binomial::{sf_curve, sf_curves, Binomial};
 pub use cluster::{cluster_by_tolerance, Cluster};
 pub use gradient::{find_peaks, gradient, merge_peaks, Peak};
-pub use groups::{groups_from_pairs, DisjointSet};
+pub use groups::groups_from_pairs;
 pub use regress::{fit_line, LineFit};
-pub use summary::{geometric_mean, mean, median, mode, percentile, relative_error, stddev};
+pub use summary::{geometric_mean, mean, mode};

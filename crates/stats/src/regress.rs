@@ -5,6 +5,8 @@
 //! against message size, and the LogGP fit reuses the same kernel per
 //! protocol segment.
 
+use crate::summary::mean;
+
 /// Result of fitting `y = intercept + slope * x`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LineFit {
@@ -12,36 +14,6 @@ pub struct LineFit {
     pub intercept: f64,
     /// Change in `y` per unit `x`.
     pub slope: f64,
-    /// Coefficient of determination in `[0, 1]`; 1 means a perfect fit.
-    pub r_squared: f64,
-}
-
-impl LineFit {
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-
-    /// Mean relative error of the fit over the given points.
-    pub fn mean_relative_error(&self, xs: &[f64], ys: &[f64]) -> f64 {
-        assert_eq!(xs.len(), ys.len());
-        if xs.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = xs
-            .iter()
-            .zip(ys)
-            .map(|(&x, &y)| {
-                let pred = self.predict(x);
-                if y != 0.0 {
-                    ((pred - y) / y).abs()
-                } else {
-                    pred.abs()
-                }
-            })
-            .sum();
-        total / xs.len() as f64
-    }
 }
 
 /// Ordinary least-squares fit of `y` on `x`.
@@ -50,38 +22,24 @@ impl LineFit {
 /// (vertical line).
 pub fn fit_line(xs: &[f64], ys: &[f64]) -> Option<LineFit> {
     assert_eq!(xs.len(), ys.len(), "x/y length mismatch");
-    let n = xs.len();
-    if n < 2 {
+    if xs.len() < 2 {
         return None;
     }
-    let nf = n as f64;
-    let mean_x = xs.iter().sum::<f64>() / nf;
-    let mean_y = ys.iter().sum::<f64>() / nf;
+    let (mean_x, mean_y) = (mean(xs), mean(ys));
     let mut sxx = 0.0;
     let mut sxy = 0.0;
-    let mut syy = 0.0;
     for (&x, &y) in xs.iter().zip(ys) {
         let dx = x - mean_x;
         let dy = y - mean_y;
         sxx += dx * dx;
         sxy += dx * dy;
-        syy += dy * dy;
     }
     if sxx == 0.0 {
         return None;
     }
     let slope = sxy / sxx;
     let intercept = mean_y - slope * mean_x;
-    let r_squared = if syy == 0.0 {
-        1.0 // constant y, perfectly explained by slope 0
-    } else {
-        (sxy * sxy / (sxx * syy)).clamp(0.0, 1.0)
-    };
-    Some(LineFit {
-        intercept,
-        slope,
-        r_squared,
-    })
+    Some(LineFit { intercept, slope })
 }
 
 #[cfg(test)]
@@ -95,8 +53,6 @@ mod tests {
         let fit = fit_line(&xs, &ys).unwrap();
         assert!((fit.intercept - 2.5).abs() < 1e-12);
         assert!((fit.slope - 0.5).abs() < 1e-12);
-        assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(10.0) - 7.5).abs() < 1e-12);
     }
 
     #[test]
@@ -115,23 +71,6 @@ mod tests {
         let fit = fit_line(&[1.0, 2.0, 3.0], &[4.0, 4.0, 4.0]).unwrap();
         assert!((fit.slope).abs() < 1e-12);
         assert!((fit.intercept - 4.0).abs() < 1e-12);
-        assert_eq!(fit.r_squared, 1.0);
-    }
-
-    #[test]
-    fn noisy_fit_has_partial_r_squared() {
-        let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let ys = [0.0, 1.2, 1.8, 3.3, 3.7];
-        let fit = fit_line(&xs, &ys).unwrap();
-        assert!(fit.r_squared > 0.9 && fit.r_squared < 1.0);
-    }
-
-    #[test]
-    fn mean_relative_error_zero_for_exact() {
-        let xs = [1.0, 2.0, 4.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x).collect();
-        let fit = fit_line(&xs, &ys).unwrap();
-        assert!(fit.mean_relative_error(&xs, &ys) < 1e-12);
     }
 
     #[test]
@@ -151,6 +90,11 @@ mod tests {
             })
             .collect();
         let fit = fit_line(&xs, &ys).unwrap();
-        assert!(fit.mean_relative_error(&xs, &ys) > 0.2);
+        let errors: Vec<f64> = xs
+            .iter()
+            .zip(&ys)
+            .map(|(&x, &y)| ((fit.intercept + fit.slope * x - y) / y).abs())
+            .collect();
+        assert!(mean(&errors) > 0.2);
     }
 }

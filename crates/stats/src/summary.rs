@@ -1,4 +1,4 @@
-//! Summary statistics shared by all benchmarks.
+//! The means and the mode that the suite and its harnesses reduce series to.
 
 /// Arithmetic mean. Returns 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -15,53 +15,6 @@ pub fn geometric_mean(xs: &[f64]) -> f64 {
     }
     let log_sum: f64 = xs.iter().map(|&x| x.max(f64::MIN_POSITIVE).ln()).sum();
     (log_sum / xs.len() as f64).exp()
-}
-
-/// Sample standard deviation (n - 1 denominator). Returns 0.0 for fewer than
-/// two samples.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (xs.len() as f64 - 1.0);
-    var.sqrt()
-}
-
-/// Median (average of the two central elements for even lengths). Returns
-/// 0.0 for an empty slice.
-pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
-    }
-}
-
-/// `q`-th percentile (0.0 ..= 1.0) by linear interpolation between closest
-/// ranks. Returns 0.0 for an empty slice.
-pub fn percentile(xs: &[f64], q: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() as f64 - 1.0);
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
 }
 
 /// Statistical mode of a discrete series: the most frequent value; ties are
@@ -94,20 +47,6 @@ pub fn mode<T: Ord + Copy>(xs: &[T]) -> Option<T> {
     Some(best)
 }
 
-/// `|measured - expected| / |expected|`; 0.0 when both are zero, infinite
-/// when only `expected` is.
-pub fn relative_error(measured: f64, expected: f64) -> f64 {
-    if expected == 0.0 {
-        if measured == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        ((measured - expected) / expected).abs()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,31 +66,6 @@ mod tests {
     }
 
     #[test]
-    fn stddev_basics() {
-        assert_eq!(stddev(&[]), 0.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
-        // Sample stddev of {2, 4, 4, 4, 5, 5, 7, 9} is ~2.138.
-        let s = stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((s - 2.138).abs() < 1e-3, "s = {s}");
-    }
-
-    #[test]
-    fn median_odd_even() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert_eq!(median(&[]), 0.0);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&xs, 0.0), 10.0);
-        assert_eq!(percentile(&xs, 1.0), 40.0);
-        assert!((percentile(&xs, 0.5) - 25.0).abs() < 1e-12);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-    }
-
-    #[test]
     fn mode_picks_most_frequent() {
         assert_eq!(mode(&[1, 2, 2, 3]), Some(2));
         assert_eq!(mode::<u32>(&[]), None);
@@ -161,13 +75,5 @@ mod tests {
     #[test]
     fn mode_tie_breaks_low() {
         assert_eq!(mode(&[4, 4, 9, 9, 1]), Some(4));
-    }
-
-    #[test]
-    fn relative_error_cases() {
-        assert_eq!(relative_error(0.0, 0.0), 0.0);
-        assert_eq!(relative_error(1.0, 0.0), f64::INFINITY);
-        assert!((relative_error(11.0, 10.0) - 0.1).abs() < 1e-12);
-        assert!((relative_error(9.0, 10.0) - 0.1).abs() < 1e-12);
     }
 }

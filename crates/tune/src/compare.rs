@@ -26,6 +26,7 @@ use servet_core::shared_cache::{SharedCacheResult, SharedLevel};
 use servet_core::zoo::{generate_population, ZooConfig};
 use servet_sim::spec::MachineSpec;
 use servet_stats::par;
+use servet_stats::summary::{geometric_mean, mean};
 
 /// Parameters of one comparison run.
 #[derive(Debug, Clone)]
@@ -281,17 +282,8 @@ pub fn run_compare(config: &CompareConfig) -> CompareReport {
                 .iter()
                 .filter(|r| r.ratio < 1.0 - config.epsilon)
                 .count();
-            let mean_ratio = if rows.is_empty() {
-                1.0
-            } else {
-                (rows.iter().map(|r| r.ratio.max(1e-12).ln()).sum::<f64>() / rows.len() as f64)
-                    .exp()
-            };
-            let mean_evaluations = if rows.is_empty() {
-                0.0
-            } else {
-                rows.iter().map(|r| r.evaluations as f64).sum::<f64>() / rows.len() as f64
-            };
+            let ratios: Vec<f64> = rows.iter().map(|r| r.ratio).collect();
+            let evaluations: Vec<f64> = rows.iter().map(|r| r.evaluations as f64).collect();
             StrategySummary {
                 strategy,
                 matched,
@@ -302,8 +294,12 @@ pub fn run_compare(config: &CompareConfig) -> CompareReport {
                 } else {
                     matched as f64 / total as f64
                 },
-                mean_ratio,
-                mean_evaluations,
+                mean_ratio: if ratios.is_empty() {
+                    1.0
+                } else {
+                    geometric_mean(&ratios)
+                },
+                mean_evaluations: mean(&evaluations),
             }
         })
         .collect();

@@ -31,7 +31,7 @@
 //! bit-identical results.
 
 use crate::space::{Config, Param, ParamSpace};
-use servet_autotune::concurrency::advise_memory_threads;
+use servet_autotune::concurrency::{advise_memory_threads, DEFAULT_TOLERANCE};
 use servet_autotune::padding::advise_padding;
 use servet_autotune::tiling::{self, select_tile};
 use servet_core::profile::MachineProfile;
@@ -507,7 +507,7 @@ impl Oracle for ProfileOracle {
         let spills = last_cache.is_none_or(|c| 3 * n * n * 8 > c);
         if spills {
             if let Some(memory) = &self.profile.memory {
-                if let Some(adv) = advise_memory_threads(memory, 0.05) {
+                if let Some(adv) = advise_memory_threads(memory, DEFAULT_TOLERANCE) {
                     if threads > adv.threads_per_group {
                         cycles *= threads as f64 / adv.threads_per_group as f64;
                     }
