@@ -29,6 +29,12 @@
 //! every slot becomes logically empty, making `Machine::reset` O(1)
 //! instead of a directory teardown.
 //!
+//! Beside the table, each core has a small direct-mapped record of lines
+//! it provably holds Modified, so that an owner's write hit, the commonest
+//! store of the search oracle's kernel, is answered without a probe
+//! ([`CoherenceEngine::access_into`]; the proof is DESIGN.md's "Owned-write
+//! skip").
+//!
 //! The previous `BTreeMap` directory is retained verbatim as
 //! [`reference::ReferenceEngine`] for the differential suite.
 //!
@@ -259,10 +265,38 @@ pub struct CoherenceEngine {
     traffic: CoherenceTraffic,
     /// Cycle at which the snoop bus becomes free.
     snoop_free_at: f64,
+    /// Lines each core provably holds Modified: `OWNED_PER_CORE` entries
+    /// per core, direct-mapped on the line's low bits. An entry is a hint
+    /// that is never wrong, not a complete record: every write sets the
+    /// writer's entry, and every transition that takes a core's M bit
+    /// away clears its entry for that line. A vacant entry holds a line
+    /// that maps to another index (see [`vacant`]), so it never matches.
+    owned: Box<[u64]>,
+    /// Whether any entry of `owned` was written since it was last
+    /// vacated, so that a reset of a directory no write reached is O(1).
+    owned_live: bool,
 }
 
 /// Initial directory capacity (slots). Grows by doubling at 3/4 load.
 const INITIAL_DIR_CAPACITY: usize = 1024;
+
+/// Entries per core of the owned-line record (a power of two). One row
+/// of the oracle's `C` tile plus a thread's accumulator fit with room to
+/// spare; a miss in the record only costs the directory probe it saves.
+const OWNED_PER_CORE: usize = 64;
+
+/// The value a vacant owned-record entry at flat index `i` holds: a line
+/// whose index is `i ^ 1`, never `i` (`OWNED_PER_CORE` is even), so no
+/// lookup at `i` can match it.
+fn vacant(i: usize) -> u64 {
+    (i ^ 1) as u64
+}
+
+/// The owned-record index of `line` for `core`.
+#[inline(always)]
+fn owned_index(core: CoreId, line: u64) -> usize {
+    core * OWNED_PER_CORE + (line as usize & (OWNED_PER_CORE - 1))
+}
 
 impl CoherenceEngine {
     /// Build an engine for a machine with `num_cores` cores.
@@ -288,6 +322,8 @@ impl CoherenceEngine {
             hash_seed,
             traffic: CoherenceTraffic::default(),
             snoop_free_at: 0.0,
+            owned: (0..num_cores * OWNED_PER_CORE).map(vacant).collect(),
+            owned_live: false,
         }
     }
 
@@ -316,6 +352,11 @@ impl CoherenceEngine {
         self.len = 0;
         self.traffic = CoherenceTraffic::default();
         self.snoop_free_at = 0.0;
+        if std::mem::take(&mut self.owned_live) {
+            for (i, e) in self.owned.iter_mut().enumerate() {
+                *e = vacant(i);
+            }
+        }
     }
 
     /// Free the snoop bus at cycle 0, keeping the directory and traffic:
@@ -401,6 +442,13 @@ impl CoherenceEngine {
         }
     }
 
+    /// Whether `core`'s owned-line record says it holds `phys_line`
+    /// Modified. `true` is a proof; `false` says nothing.
+    #[inline(always)]
+    fn owns(&self, core: CoreId, phys_line: u64) -> bool {
+        self.owned[owned_index(core, phys_line)] == phys_line
+    }
+
     /// Serialize one transaction on the snoop bus: returns the wait +
     /// occupancy cycles the requester pays, and advances the bus clock.
     #[inline]
@@ -444,6 +492,7 @@ impl CoherenceEngine {
     /// Allocation-free core of [`Self::access`]: the remote cores to
     /// invalidate are appended to `invalidate_out` (cleared first, filled
     /// in ascending core order).
+    #[inline]
     pub fn access_into(
         &mut self,
         core: CoreId,
@@ -454,6 +503,35 @@ impl CoherenceEngine {
         invalidate_out: &mut Vec<CoreId>,
     ) -> CoherenceResult {
         invalidate_out.clear();
+        // Owned-write skip: a write hit by a core whose record says it
+        // holds the line Modified is silent, so the directory is not
+        // probed. The full transition would change nothing: the M branch
+        // of a write has no transaction (no latency, no snoop-bus time),
+        // a hit is never classified as a miss, and the invalidated bit it
+        // clears is already clear (an invalidation clears the core's M
+        // bit, and the core's next access, the one that makes it M again,
+        // clears its invalidated bit).
+        if write && cache_hit && self.owns(core, phys_line) {
+            return CoherenceResult {
+                extra_cycles: 0.0,
+                coherence_miss: false,
+                supplied_by_cache: false,
+            };
+        }
+        self.transition(core, phys_line, write, cache_hit, now, invalidate_out)
+    }
+
+    /// [`Self::access_into`] through the directory: find the line's slot,
+    /// classify the miss, run the MESI transition and charge the snoop bus.
+    fn transition(
+        &mut self,
+        core: CoreId,
+        phys_line: u64,
+        write: bool,
+        cache_hit: bool,
+        now: f64,
+        invalidate_out: &mut Vec<CoreId>,
+    ) -> CoherenceResult {
         let bit = 1u64 << core;
         let si = self.find_or_insert(phys_line);
         let slot = &mut self.slots[si];
@@ -518,6 +596,7 @@ impl CoherenceEngine {
                 slot.modified |= bit;
             }
             if invalidate_mask != 0 {
+                disown(&mut self.owned, slot.modified & invalidate_mask, phys_line);
                 slot.valid &= !invalidate_mask;
                 slot.modified &= !invalidate_mask;
                 slot.exclusive &= !invalidate_mask;
@@ -529,6 +608,12 @@ impl CoherenceEngine {
                     m &= m - 1;
                 }
             }
+            // Every write branch leaves the writer Modified.
+            let entry = &mut self.owned[owned_index(core, phys_line)];
+            if *entry != phys_line {
+                *entry = phys_line;
+                self.owned_live = true;
+            }
         } else if slot.valid & bit == 0 {
             if remote_modified {
                 // The dirty owner writes back and supplies the line;
@@ -539,6 +624,7 @@ impl CoherenceEngine {
                 transactions += 1;
                 supplied_by_cache = true;
                 // Every Modified holder downgrades to Shared.
+                disown(&mut self.owned, slot.modified, phys_line);
                 slot.modified = 0;
                 slot.valid |= bit;
             } else if remote != 0 {
@@ -563,6 +649,19 @@ impl CoherenceEngine {
     /// Number of cores the directory was built for.
     pub fn num_cores(&self) -> usize {
         self.num_cores
+    }
+}
+
+/// Vacate the owned-record entry for `phys_line` of every core in
+/// `cores`: those cores are losing their M bit for it.
+#[inline]
+fn disown(owned: &mut [u64], mut cores: u64, phys_line: u64) {
+    while cores != 0 {
+        let i = owned_index(cores.trailing_zeros() as usize, phys_line);
+        if owned[i] == phys_line {
+            owned[i] = vacant(i);
+        }
+        cores &= cores - 1;
     }
 }
 
@@ -992,6 +1091,56 @@ mod tests {
                 }
             }
             assert_eq!(fast.traffic(), slow.traffic());
+        }
+    }
+
+    /// The owned-line record is never wrong: after every access, each
+    /// line a core's record holds is a line the directory says that core
+    /// holds Modified. Several cores read and write a few hot lines (so
+    /// remote reads downgrade and remote writes invalidate owners) and
+    /// more lines than the directory's initial capacity takes before it
+    /// grows, with resets between rounds.
+    #[test]
+    fn owned_record_implies_modified() {
+        let mut rng = servet_stats::rng::ChaCha8Rng::seed_from_u64(0x0D3E);
+        let cases = if cfg!(debug_assertions) { 6 } else { 60 };
+        for case in 0..cases {
+            let cores = rng.gen_range(2..9usize);
+            let mut e = CoherenceEngine::new(CoherenceSpec::default(), cores);
+            let hot = rng.gen_range(1..2 * OWNED_PER_CORE as u64);
+            let wide = 2 * INITIAL_DIR_CAPACITY as u64;
+            let write_rate = rng.f64();
+            let mut out = Vec::new();
+            for round in 0..3 {
+                for step in 0..3000 {
+                    let core = rng.gen_range(0..cores);
+                    let line = if rng.f64() < 0.5 {
+                        rng.gen_range(0..hot)
+                    } else {
+                        rng.gen_range(0..wide)
+                    };
+                    let write = rng.f64() < write_rate;
+                    let hit = rng.f64() < 0.8;
+                    e.access_into(core, line, write, hit, step as f64, &mut out);
+                    for (i, &held) in e.owned.iter().enumerate() {
+                        let c = i / OWNED_PER_CORE;
+                        if e.owns(c, held) {
+                            assert_eq!(
+                                e.state_of(c, held),
+                                MesiState::Modified,
+                                "case {case} round {round} step {step}: core {c} line {held}"
+                            );
+                        }
+                    }
+                }
+                // A reset keeps the grown table; the first round grew it.
+                assert!(
+                    e.slots.len() > INITIAL_DIR_CAPACITY,
+                    "case {case}: no growth"
+                );
+                e.reset();
+                assert!(e.owned.iter().enumerate().all(|(i, &l)| l == vacant(i)));
+            }
         }
     }
 

@@ -20,11 +20,11 @@
 //!   indexing flags, hit costs), scalar fields (page shift/mask, memory
 //!   latency, coherence line shift), and each core's path through the
 //!   hierarchy as one contiguous slice of cache-instance indices;
-//! * **per block**, in `Machine::run_block`: that slice, the core's
+//! * **per lane switch**, in `Machine::lockstep`: that slice, the core's
 //!   prefetcher, TLB and bus clock, the array's page table and `asid` tag,
 //!   whether the array goes through the coherence directory at all, and
-//!   the job's clock and progress, which live in locals until the block
-//!   ends;
+//!   the job's clock and progress, which live in locals until the lane
+//!   gives way;
 //! * **per access**: translation, one [`SetAssocCache::touch`] per level
 //!   until one hits — a level's line key is computed when the level is
 //!   reached, and a level that misses takes the line in that same call —
@@ -35,22 +35,25 @@
 //! All four public drivers ([`Machine::traverse_shared`],
 //! [`Machine::run_traces`], [`Machine::run_trace`],
 //! [`Machine::run_streams`]) describe their jobs as
-//! lanes and run them through one lockstep scheduler: unfinished lanes sit
-//! in a binary heap keyed by virtual clock, the earliest is popped and its
-//! accesses replayed as a *block* until its clock reaches the
-//! next-earliest clock (`heap.peek()`), then it is pushed back. A
-//! single-job run is one block. While the lane is strictly minimal the
-//! original one-access-per-selection `min_by` scan would have picked it
-//! too — and the heap breaks ties toward the smallest job index, exactly
-//! as `min_by` does — so the access interleaving, and therefore every
-//! counter and every cycle count, is bit-identical while the dispatch
-//! cost drops from O(jobs) per access to O(log jobs) per block. A read
-//! that hits a cache level private to the accessing core additionally
-//! skips the coherence directory — a provable MESI no-op while at most
-//! one shared address space exists (the skip proof is documented in
-//! `Machine::run_block`). The pre-fast-path engine is retained as
-//! [`crate::reference::ReferenceMachine`] and the differential suite
-//! holds the two to bit-identical results.
+//! lanes and run them through one lockstep scheduler: the waiting lanes
+//! sit in a binary heap keyed by virtual clock, and the running lane's
+//! accesses are replayed as a *block* until its clock reaches the
+//! next-earliest clock (the heap's top). A lane that is still the
+//! earliest then keeps running; otherwise it replaces the top, which runs
+//! next. A single-job run is one block. While the lane is strictly
+//! minimal the original one-access-per-selection `min_by` scan would have
+//! picked it too — and the heap breaks ties toward the smallest job
+//! index, exactly as `min_by` does — so the access interleaving, and
+//! therefore every counter and every cycle count, is bit-identical while
+//! the dispatch cost drops from O(jobs) per access to one O(log jobs)
+//! sift-down per lane switch. A read that hits a cache level private to
+//! the accessing core additionally skips the coherence directory — a
+//! provable MESI no-op while at most one shared address space exists (the
+//! skip proof is documented in `Machine::lockstep`) — and so does a write
+//! hit by a core the directory's owned-line record shows holding the line
+//! Modified ([`CoherenceEngine::access_into`]). The pre-fast-path engine
+//! is retained as [`crate::reference::ReferenceMachine`] and the
+//! differential suite holds the two to bit-identical results.
 //!
 //! Each driver call is its own time origin: its lanes, the memory buses
 //! and the snoop bus all start at cycle 0. Caches, TLBs, prefetchers and
@@ -77,21 +80,25 @@
 //! the lane's finish (TLB misses, coherence transactions and bus waits
 //! only add) and so on the makespan; it is discounted by N·ε because the
 //! engine's running sum may round below the one product the bound is
-//! (`Machine::cannot_finish_by`). A search that only wants the best
+//! (`Lane::cannot_finish_by`). A search that only wants the best
 //! configuration passes the best makespan it holds and never pays for the
 //! rest of a loser. Every other driver is the same code at `cutoff = ∞`.
 //!
-//! The scheduler itself was left alone, on measurement (bit-identical
-//! prototypes; the oracle's replay on `tiny_smp`, where four lanes make
-//! one-access blocks): a linear first-minimum scan for the heap — the
-//! four-lane `sim.oracle_eval_ms` 11.5–14.3 → 8.5–14.1, inside its spread,
-//! but the 64-lane `sim.replay_blocked_shared_macc_per_s` 13.6–18.6 →
-//! 5.3–7.3 Macc/s (traced `tune_search`, 4 s, seeds 1–3, six alternating
-//! pairs); `run_block` merged into `lockstep` — −5 %; a branchless
-//! min/second-min over `to_bits` keys — 8.5 → 7.7 ms at 4 lanes, nothing
-//! at 2, and the 64-lane replay 33 → 24 Macc/s; per-access lane selection
-//! — a single lane 3.7 → 5.6 ms. A one-access block costs its prologue
-//! and epilogue (+10.8 ns on a lone lane), not the heap.
+//! The schedule replaces the heap's top instead of popping and pushing,
+//! and keeps a lane that is still the earliest without touching the heap
+//! at all. On the oracle's kernel on `tiny_smp`, where two and four lanes
+//! make one-access blocks, that alone took the replay to 0.79–0.89 of its
+//! time, and a lone lane to 0.96–1.00 (in one process, bit-identical;
+//! EXPERIMENTS.md, "Performance"). Tried before it and kept out, on
+//! measurement (bit-identical prototypes): a linear first-minimum scan
+//! for the heap — the four-lane `sim.oracle_eval_ms` 11.5–14.3 →
+//! 8.5–14.1, inside its spread, but the 64-lane
+//! `sim.replay_blocked_shared_macc_per_s` 13.6–18.6 → 5.3–7.3 Macc/s
+//! (traced `tune_search`, 4 s, seeds 1–3, six alternating pairs); a
+//! branchless min/second-min over `to_bits` keys — 8.5 → 7.7 ms at 4
+//! lanes, nothing at 2, and the 64-lane replay 33 → 24 Macc/s; per-access
+//! lane selection — a single lane 3.7 → 5.6 ms. One heap serves every
+//! lane count.
 
 use crate::cache::SetAssocCache;
 use crate::coherence::{CoherenceEngine, CoherenceTraffic};
@@ -301,6 +308,25 @@ impl<'a, P: FnMut(usize) -> (u64, bool)> Lane<'a, P> {
             measure_start: 0.0,
         }
     }
+
+    /// Whether the lane's finish time is provably above `cutoff`: every
+    /// remaining access costs at least `min_access_cycles` (the machine's
+    /// cheapest access; TLB misses, coherence transactions and bus waits
+    /// only ever add), so `clock + remaining · c_min` is a lower bound on
+    /// where its clock ends, and a lane's finish is a lower bound on the
+    /// makespan.
+    ///
+    /// The engine reaches that finish by one rounded addition per access,
+    /// the bound by one multiplication, and a running sum of N terms may
+    /// fall short of the exact sum by up to N·ε relative. The product is
+    /// therefore discounted by that much (N the lane's whole length)
+    /// before the comparison: the error is always toward *not* cutting
+    /// off, never toward cutting off a lane that would have landed exactly
+    /// on the cutoff.
+    fn cannot_finish_by(&self, min_access_cycles: f64, cutoff: f64) -> bool {
+        let bound = self.clock + (self.total - self.done) as f64 * min_access_cycles;
+        bound * (1.0 - (self.total + 4) as f64 * f64::EPSILON) > cutoff
+    }
 }
 
 /// Per-cache-level constants hoisted out of the access loop.
@@ -359,7 +385,7 @@ pub struct Machine {
     /// Shared arrays allocated over the machine's lifetime. While at
     /// most one shared address space exists, a read that hits a level
     /// private to the accessing core is provably a directory no-op (see
-    /// [`Self::run_block`]) and the fast path skips the directory probe.
+    /// [`Self::lockstep`]) and the fast path skips the directory probe.
     /// A second shared aspace could alias the first's physical frames
     /// (frames are drawn per-aspace from one pool), which would break
     /// the residency ⇒ valid-bit invariant, so the skip is disabled
@@ -571,168 +597,30 @@ impl Machine {
         }
     }
 
-    /// Replay `lane` from where it stopped until it finishes, its clock
-    /// reaches `limit` (the next-earliest lane's clock) or it has made
-    /// `budget` accesses; returns whether it finished. A lane stopped by
-    /// its budget is still strictly the earliest, so the scheduler picks
-    /// it again and the interleaving does not depend on the budget.
-    ///
-    /// Everything that depends only on the lane is resolved before the
-    /// loop (see the module docs); the clock and the progress counters are
-    /// written back when the block ends. Memory-bus and snoop-bus
-    /// serialization both happen against the lane's own virtual clock.
-    fn run_block<P: FnMut(usize) -> (u64, bool)>(
-        &mut self,
-        lane: &mut Lane<'_, P>,
-        limit: f64,
-        budget: usize,
-    ) -> bool {
-        let core = lane.core;
-        let aspace = lane.array.aspace();
-        let asid_tag = aspace.asid() << 40;
-        let (page_shift, page_mask) = (self.page_shift, self.page_mask);
-        let nlev = self.levels.len();
-        let levels = &self.levels[..];
-        let cache_of = &self.cache_of[..];
-        let path = &cache_of[core * nlev..][..nlev];
-        let solo = &self.solo[core * nlev..][..nlev];
-        let caches = &mut self.caches[..];
-        let prefetcher = &mut self.prefetchers[core];
-        let mut tlb = self.tlbs[core].as_mut();
-        let mut bus_free = self.bus_of[core].map(|bus| &mut self.bus_free_at[bus]);
-        let transfer = self.transfer_cycles[core];
-        // The directory, for a shared array on a machine that models
-        // coherence. A private array never enters it (each benchmark
-        // process owns its pages), so the pre-coherence stages time out
-        // bit-identically.
-        let mut directory = self.coherence.as_mut().filter(|_| lane.array.shared);
-        let may_skip = self.shared_aspaces <= 1;
-        let (period, total, warm) = (lane.period, lane.total, lane.warm);
-        let pattern = &mut lane.pattern;
-        let mut clock = lane.clock;
-        let mut done = lane.done;
-        let mut idx = lane.idx;
-        // One exit test per access serves both ends: the block's budget
-        // is folded into the access count it stops at.
-        let stop = total.min(done.saturating_add(budget));
-        loop {
-            let (vaddr, write) = pattern(idx);
-            // Translation is a shift/mask: pages are power-of-two sized and
-            // `frame * page_size` has no low bits set.
-            let vpage = vaddr >> page_shift;
-            let paddr = (aspace.frame_of(vpage as usize) << page_shift) | (vaddr & page_mask);
-            // Translation cost first: a TLB miss costs extra regardless of
-            // where the data itself is found.
-            let mut tlb_penalty = 0.0;
-            if let Some(tlb) = tlb.as_deref_mut() {
-                if !tlb.touch(asid_tag | vpage) {
-                    tlb_penalty = self.tlb_miss_cycles;
-                }
-            }
-            let covered = prefetcher.access(vaddr);
-            // Walk outward until a level holds the line. Each level that
-            // misses takes the line in the same `touch`; the levels below
-            // the hit are not consulted.
-            let mut hit_level = nlev; // nlev = memory
-            for (li, (lp, &mine)) in levels.iter().zip(path).enumerate() {
-                if caches[mine].touch(Self::level_key(lp, asid_tag, vaddr, paddr)) {
-                    hit_level = li;
-                    break;
-                }
-            }
-            // Coherence: the directory decides the transaction cost and
-            // which remote copies die. The misses above have already filled
-            // this core's caches, which commutes with this step:
-            // invalidations only ever reach *other* sharing groups.
-            let mut coh_extra = 0.0;
-            let mut supplied_by_cache = false;
-            if let Some(engine) = directory.as_deref_mut() {
-                // Read-hit directory skip: a read that hits a level *private*
-                // to this core proves the core already holds a valid copy, so
-                // the directory access would be a strict no-op (no state
-                // change, no traffic, zero extra cycles — MESI reads of a held
-                // line are silent). The proof needs line residency to imply
-                // the valid bit, which holds while at most one shared address
-                // space exists (see `shared_aspaces`): every invalidation then
-                // removes exactly the victim's resident keys, so a stale
-                // resident copy is impossible. The retained reference engine
-                // always probes its directory and the differential suite
-                // holds the two engines to identical traffic and cycles, skip
-                // included.
-                let skip = !write && hit_level < nlev && may_skip && solo[hit_level];
-                if !skip {
-                    let res = engine.access_into(
-                        core,
-                        paddr >> self.coh_line_shift,
-                        write,
-                        hit_level < nlev,
-                        clock,
-                        &mut self.inv_scratch,
-                    );
-                    coh_extra = res.extra_cycles;
-                    supplied_by_cache = res.supplied_by_cache;
-                    // Physically remove invalidated copies from every cache
-                    // instance the victims do not share with the writer. The
-                    // victims see the same address space (shared array), so
-                    // the writer's line keys are theirs too.
-                    for &victim in &self.inv_scratch {
-                        let theirs = &cache_of[victim * nlev..][..nlev];
-                        for (lp, (&theirs, &mine)) in levels.iter().zip(theirs.iter().zip(path)) {
-                            if theirs != mine {
-                                let key = Self::level_key(lp, asid_tag, vaddr, paddr);
-                                caches[theirs].invalidate(key);
-                            }
-                        }
-                    }
-                }
-            }
-            let (cost, mem) = if hit_level < nlev {
-                (
-                    levels[hit_level].hit_cycles + tlb_penalty + coh_extra,
-                    false,
-                )
-            } else if covered || supplied_by_cache {
-                // The line arrived without a memory access: prefetched, or
-                // supplied cache-to-cache by the previous owner. The demand
-                // access costs an L1 hit plus any coherence transactions.
-                (self.l1_hit_cycles + tlb_penalty + coh_extra, false)
-            } else {
-                (self.mem_latency + tlb_penalty + coh_extra, true)
-            };
-            match bus_free.as_deref_mut() {
-                Some(free) if mem => {
-                    let start = clock.max(*free);
-                    *free = start + transfer;
-                    clock = start + transfer + cost;
-                }
-                _ => clock += cost,
-            }
-            done += 1;
-            idx += 1;
-            if idx == period {
-                idx = 0;
-            }
-            if done == warm {
-                lane.measure_start = clock;
-            }
-            if done >= stop || clock >= limit {
-                break;
-            }
-        }
-        lane.clock = clock;
-        lane.done = done;
-        lane.idx = idx;
-        done >= total
-    }
-
     /// Run every lane to completion in lockstep: always advance the
-    /// most-behind unfinished lane, block-replaying it while it stays
-    /// strictly most-behind. The heap pops exactly the lane the reference
-    /// engine's linear `min_by` scan would pick (see [`SchedEntry`]);
-    /// peeking the next entry gives the block's replay limit for free.
+    /// most-behind unfinished lane, replaying it as a *block* while it
+    /// stays the soonest. The lane that runs is exactly the one the
+    /// reference engine's linear `min_by` scan would pick (see
+    /// [`SchedEntry`]).
+    ///
+    /// The other lanes wait in a heap; its top's clock is the block's
+    /// replay limit. A block ends when the lane finishes (the top is
+    /// popped), when its clock reaches the limit, or after `budget`
+    /// accesses. An unfinished lane is then compared with the top: if it
+    /// is still the soonest — a budget stop, or a tie it wins on index —
+    /// it keeps running with no heap operation; otherwise it is written
+    /// over the top (one sift-down) and the old top runs next. That is
+    /// "push, then pop" in one step, and since no two entries compare
+    /// equal, the order in which lanes run does not depend on how the
+    /// heap lays them out.
+    ///
+    /// Everything that depends only on the lane is resolved when it is
+    /// picked (see the module docs); its clock and progress live in locals
+    /// and are written back when its block ends. Memory-bus and snoop-bus
+    /// serialization both happen against the lane's own virtual clock.
     ///
     /// Returns `false`, leaving the lanes wherever they were, as soon as
-    /// some lane cannot finish by `cutoff` (see [`Self::cannot_finish_by`]);
+    /// some lane cannot finish by `cutoff` (see [`Lane::cannot_finish_by`]);
     /// the test runs before the first access and after every block, and
     /// under a finite cutoff a block is at most [`CUTOFF_CHECK_EVERY`]
     /// accesses long so that a lane running alone is tested too. With
@@ -748,6 +636,10 @@ impl Machine {
     ) -> bool {
         self.settle_owed_pass();
         self.restart_clocks();
+        let c_min = self.min_access_cycles;
+        if lanes.iter().any(|l| l.cannot_finish_by(c_min, cutoff)) {
+            return false;
+        }
         // At infinity nothing can be cut off; skipping the test there keeps
         // it out of the one-access blocks of every concurrent traversal.
         let bounded = cutoff < f64::INFINITY;
@@ -756,26 +648,193 @@ impl Machine {
         } else {
             usize::MAX
         };
-        if lanes.iter().any(|l| self.cannot_finish_by(l, cutoff)) {
-            return false;
-        }
-        let mut heap: std::collections::BinaryHeap<SchedEntry> = (0..lanes.len())
+        let (page_shift, page_mask) = (self.page_shift, self.page_mask);
+        let (coh_line_shift, tlb_miss_cycles) = (self.coh_line_shift, self.tlb_miss_cycles);
+        let (l1_hit_cycles, mem_latency) = (self.l1_hit_cycles, self.mem_latency);
+        let may_skip = self.shared_aspaces <= 1;
+        let nlev = self.levels.len();
+        let Self {
+            levels,
+            cache_of,
+            solo,
+            caches,
+            prefetchers,
+            tlbs,
+            bus_of,
+            transfer_cycles,
+            bus_free_at,
+            coherence,
+            inv_scratch,
+            ..
+        } = self;
+        let levels = &levels[..];
+        let cache_of = &cache_of[..];
+        // Every clock starts at 0, so lane 0 runs first (ties go to the
+        // smaller index) and the rest wait.
+        let mut heap: std::collections::BinaryHeap<SchedEntry> = (1..lanes.len())
             .map(|idx| SchedEntry { clock: 0.0, idx })
             .collect();
-        while let Some(SchedEntry { idx, .. }) = heap.pop() {
+        let mut cur = 0;
+        loop {
+            let lane = &mut lanes[cur];
+            let core = lane.core;
+            let array = lane.array;
+            let aspace = array.aspace();
+            let asid_tag = aspace.asid() << 40;
+            let path = &cache_of[core * nlev..][..nlev];
+            let solo = &solo[core * nlev..][..nlev];
+            let prefetcher = &mut prefetchers[core];
+            let mut tlb = tlbs[core].as_mut();
+            let mut bus_free = bus_of[core].map(|bus| &mut bus_free_at[bus]);
+            let transfer = transfer_cycles[core];
+            // The directory, for a shared array on a machine that models
+            // coherence. A private array never enters it (each benchmark
+            // process owns its pages), so the pre-coherence stages time out
+            // bit-identically.
+            let mut directory = coherence.as_mut().filter(|_| array.shared);
+            let (period, total, warm) = (lane.period, lane.total, lane.warm);
+            let mut clock = lane.clock;
+            let mut done = lane.done;
+            let mut idx = lane.idx;
+            // The top stays put while this lane runs, so its clock is the
+            // limit of every block until the lane gives way.
             let limit = heap.peek().map_or(f64::INFINITY, |e| e.clock);
-            let lane = &mut lanes[idx];
-            if !self.run_block(lane, limit, budget) {
-                if bounded && self.cannot_finish_by(lane, cutoff) {
+            // One exit test per access serves both ends: the block's budget
+            // is folded into the access count it stops at.
+            let mut stop = total.min(done.saturating_add(budget));
+            let next = loop {
+                let (vaddr, write) = (lane.pattern)(idx);
+                // Translation is a shift/mask: pages are power-of-two sized
+                // and `frame * page_size` has no low bits set.
+                let vpage = vaddr >> page_shift;
+                let paddr = (aspace.frame_of(vpage as usize) << page_shift) | (vaddr & page_mask);
+                // Translation cost first: a TLB miss costs extra regardless
+                // of where the data itself is found.
+                let mut tlb_penalty = 0.0;
+                if let Some(tlb) = tlb.as_deref_mut() {
+                    if !tlb.touch(asid_tag | vpage) {
+                        tlb_penalty = tlb_miss_cycles;
+                    }
+                }
+                let covered = prefetcher.access(vaddr);
+                // Walk outward until a level holds the line. Each level that
+                // misses takes the line in the same `touch`; the levels below
+                // the hit are not consulted.
+                let mut hit_level = nlev; // nlev = memory
+                for (li, (lp, &mine)) in levels.iter().zip(path).enumerate() {
+                    if caches[mine].touch(Self::level_key(lp, asid_tag, vaddr, paddr)) {
+                        hit_level = li;
+                        break;
+                    }
+                }
+                // Coherence: the directory decides the transaction cost and
+                // which remote copies die. The misses above have already
+                // filled this core's caches, which commutes with this step:
+                // invalidations only ever reach *other* sharing groups.
+                let mut coh_extra = 0.0;
+                let mut supplied_by_cache = false;
+                if let Some(engine) = directory.as_deref_mut() {
+                    // Read-hit directory skip: a read that hits a level
+                    // *private* to this core proves the core already holds a
+                    // valid copy, so the directory access would be a strict
+                    // no-op (no state change, no traffic, zero extra cycles —
+                    // MESI reads of a held line are silent). The proof needs
+                    // line residency to imply the valid bit, which holds
+                    // while at most one shared address space exists (see
+                    // `shared_aspaces`): every invalidation then removes
+                    // exactly the victim's resident keys, so a stale resident
+                    // copy is impossible. Writes by a Modified owner are
+                    // skipped inside the engine (`access_into`). The retained
+                    // reference engine always probes its directory and the
+                    // differential suite holds the two engines to identical
+                    // traffic and cycles, skips included.
+                    let skip = !write && hit_level < nlev && may_skip && solo[hit_level];
+                    if !skip {
+                        let res = engine.access_into(
+                            core,
+                            paddr >> coh_line_shift,
+                            write,
+                            hit_level < nlev,
+                            clock,
+                            inv_scratch,
+                        );
+                        coh_extra = res.extra_cycles;
+                        supplied_by_cache = res.supplied_by_cache;
+                        // Physically remove invalidated copies from every
+                        // cache instance the victims do not share with the
+                        // writer. The victims see the same address space
+                        // (shared array), so the writer's line keys are
+                        // theirs too.
+                        for &victim in inv_scratch.iter() {
+                            let theirs = &cache_of[victim * nlev..][..nlev];
+                            for (lp, (&theirs, &mine)) in levels.iter().zip(theirs.iter().zip(path))
+                            {
+                                if theirs != mine {
+                                    let key = Self::level_key(lp, asid_tag, vaddr, paddr);
+                                    caches[theirs].invalidate(key);
+                                }
+                            }
+                        }
+                    }
+                }
+                let (cost, mem) = if hit_level < nlev {
+                    (
+                        levels[hit_level].hit_cycles + tlb_penalty + coh_extra,
+                        false,
+                    )
+                } else if covered || supplied_by_cache {
+                    // The line arrived without a memory access: prefetched,
+                    // or supplied cache-to-cache by the previous owner. The
+                    // demand access costs an L1 hit plus any coherence
+                    // transactions.
+                    (l1_hit_cycles + tlb_penalty + coh_extra, false)
+                } else {
+                    (mem_latency + tlb_penalty + coh_extra, true)
+                };
+                match bus_free.as_deref_mut() {
+                    Some(free) if mem => {
+                        let start = clock.max(*free);
+                        *free = start + transfer;
+                        clock = start + transfer + cost;
+                    }
+                    _ => clock += cost,
+                }
+                done += 1;
+                idx += 1;
+                if idx == period {
+                    idx = 0;
+                }
+                if done == warm {
+                    lane.measure_start = clock;
+                }
+                if done < stop && clock < limit {
+                    continue;
+                }
+                // The block ends.
+                lane.clock = clock;
+                lane.done = done;
+                lane.idx = idx;
+                if done >= total {
+                    break heap.pop();
+                }
+                if bounded && lane.cannot_finish_by(c_min, cutoff) {
                     return false;
                 }
-                heap.push(SchedEntry {
-                    clock: lane.clock,
-                    idx,
-                });
+                let me = SchedEntry { clock, idx: cur };
+                match heap.peek_mut() {
+                    Some(mut top) if *top > me => {
+                        let next = *top;
+                        *top = me;
+                        break Some(next);
+                    }
+                    _ => stop = total.min(done.saturating_add(budget)),
+                }
+            };
+            match next {
+                Some(SchedEntry { idx, .. }) => cur = idx,
+                None => return true,
             }
         }
-        true
     }
 
     /// Start the memory and snoop buses at cycle 0, as every driver call
@@ -787,24 +846,6 @@ impl Machine {
         if let Some(engine) = &mut self.coherence {
             engine.restart_snoop_clock();
         }
-    }
-
-    /// Whether `lane`'s finish time is provably above `cutoff`: every
-    /// remaining access costs at least [`Self::min_access_cycles`] (TLB
-    /// misses, coherence transactions and bus waits only ever add), so
-    /// `clock + remaining · c_min` is a lower bound on where its clock
-    /// ends, and a lane's finish is a lower bound on the makespan.
-    ///
-    /// The engine reaches that finish by one rounded addition per access,
-    /// the bound by one multiplication, and a running sum of N terms may
-    /// fall short of the exact sum by up to N·ε relative. The product is
-    /// therefore discounted by that much (N the lane's whole length)
-    /// before the comparison: the error is always toward *not* cutting
-    /// off, never toward cutting off a lane that would have landed exactly
-    /// on the cutoff.
-    fn cannot_finish_by<P>(&self, lane: &Lane<'_, P>, cutoff: f64) -> bool {
-        let bound = lane.clock + (lane.total - lane.done) as f64 * self.min_access_cycles;
-        bound * (1.0 - (lane.total + 4) as f64 * f64::EPSILON) > cutoff
     }
 
     /// Run `warmup` un-measured passes followed by `passes` measured passes

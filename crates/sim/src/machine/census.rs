@@ -209,7 +209,7 @@ impl Machine {
         // prefetcher's reach: it ends untrained, remembering the last
         // address, as one access there leaves it.
         self.prefetchers[core].access((job.offset + (n - 1) * job.stride) as u64);
-        // The bus clocks are left alone: only `run_block` reads them, and
+        // The bus clocks are left alone: only `lockstep` reads them, and
         // `lockstep` restarts them before its first block.
         self.contents = Contents::Owed(OwedPass {
             core,

@@ -572,3 +572,140 @@ fn one_access_blocks_bit_identical() {
         assert_stats_match(&fast, &refr, "one-access blocks");
     }
 }
+
+/// Thread `t` of `threads` of the search oracle's kernel: a blocked
+/// `n × n` matmul of doubles (A, then B, then C, then the accumulators)
+/// that reads `A[i][k]`, then `B[k][j]` and stores `C[i][j]` on every
+/// update, and stores its accumulator, `pad` bytes after the previous
+/// thread's, every sixteenth update.
+fn matmul_steps(n: usize, tile: usize, threads: usize, t: usize, pad: u64) -> Vec<(u64, bool)> {
+    let b_base = (n * n * 8) as u64;
+    let c_base = 2 * b_base;
+    let acc = 3 * b_base + t as u64 * pad;
+    let addr = |base: u64, r: usize, c: usize| base + ((r * n + c) * 8) as u64;
+    let rows = (t * n / threads, (t + 1) * n / threads);
+    let mut steps = Vec::new();
+    let mut since_acc = 0;
+    for ib in (rows.0..rows.1).step_by(tile) {
+        for kb in (0..n).step_by(tile) {
+            for jb in (0..n).step_by(tile) {
+                for i in ib..(ib + tile).min(rows.1) {
+                    for k in kb..(kb + tile).min(n) {
+                        steps.push((addr(0, i, k), false));
+                        for j in jb..(jb + tile).min(n) {
+                            steps.push((addr(b_base, k, j), false));
+                            steps.push((addr(c_base, i, j), true));
+                            since_acc += 1;
+                            if since_acc == 16 {
+                                steps.push((acc, true));
+                                since_acc = 0;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    steps
+}
+
+/// The oracle's kernel on 2 and 4 lanes of `tiny_smp`, accumulators
+/// packed into one line (pad 8: they ping-pong) and one line apart (pad
+/// 64), with and without a second shared array (which turns the read-hit
+/// skip off but not the owned-write skip). Almost every store is a
+/// Modified owner's write that hits, the case the fast engine answers
+/// without probing its directory.
+#[test]
+fn owned_write_skip_bit_identical() {
+    let n = 24;
+    for threads in [2, 4] {
+        for pad in [8u64, 64] {
+            for second in [false, true] {
+                let what = format!("matmul threads={threads} pad={pad} second={second}");
+                let mut fast = Machine::with_seed(presets::tiny_smp(), 43);
+                let mut refr = ReferenceMachine::with_seed(presets::tiny_smp(), 43);
+                let len = 3 * n * n * 8 + threads * pad as usize + 64;
+                let fa = fast.alloc_shared_array(len);
+                let ra = refr.alloc_shared_array(len);
+                if second {
+                    fast.alloc_shared_array(len);
+                    refr.alloc_shared_array(len);
+                }
+                fast.reset();
+                refr.reset();
+                let steps: Vec<_> = (0..threads)
+                    .map(|t| matmul_steps(n, 8, threads, t, pad))
+                    .collect();
+                let jobs = |array| -> Vec<TraceJob<'_>> {
+                    steps
+                        .iter()
+                        .enumerate()
+                        .map(|(core, steps)| TraceJob { core, array, steps })
+                        .collect()
+                };
+                let cf = fast.run_traces(&jobs(&fa));
+                let cr = refr.run_traces(&jobs(&ra));
+                assert_all_bits_eq(&cf, &cr, &what);
+                let traffic = fast.coherence_traffic();
+                assert_eq!(traffic, refr.coherence_traffic(), "{what}: traffic");
+                assert_stats_match(&fast, &refr, &what);
+                if pad == 8 {
+                    assert!(traffic.unwrap().invalidations > 0, "{what}: no ping-pong");
+                }
+            }
+        }
+    }
+}
+
+/// A core that held a line Modified and lost it must pay for its next
+/// write even when that write hits: an upgrade after a remote read
+/// downgraded it (its copy stays in its L1), a read-for-ownership after
+/// a remote write invalidated it (its copy stays in the L2 it shares
+/// with the writer). Each access is its own driver call, so the order is
+/// the one written here.
+#[test]
+fn write_after_losing_modified_pays_bit_identical() {
+    for (spec, remote_write) in [
+        (presets::tiny_smp(), false),
+        (presets::tiny_shared_l2(), true),
+    ] {
+        let what = format!("{} remote_write={remote_write}", spec.name);
+        let mut fast = Machine::with_seed(spec.clone(), 41);
+        let mut refr = ReferenceMachine::with_seed(spec, 41);
+        let fa = fast.alloc_shared_array(4 * KB);
+        let ra = refr.alloc_shared_array(4 * KB);
+        let line = 512;
+        for (i, (core, write)) in [
+            (0, true),
+            (0, true),
+            (1, remote_write),
+            (0, true),
+            (0, true),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let steps = [(line, write)];
+            let cf = fast.run_traces(&[TraceJob {
+                core,
+                array: &fa,
+                steps: &steps,
+            }]);
+            let cr = refr.run_traces(&[TraceJob {
+                core,
+                array: &ra,
+                steps: &steps,
+            }]);
+            assert_all_bits_eq(&cf, &cr, &format!("{what}: access {i}"));
+        }
+        let traffic = fast.coherence_traffic().unwrap();
+        assert_eq!(Some(traffic), refr.coherence_traffic(), "{what}: traffic");
+        assert_stats_match(&fast, &refr, &what);
+        // Core 0's third write is the one a stale owned entry would let
+        // through silently.
+        let (upgrades, transfers) = if remote_write { (0, 2) } else { (1, 1) };
+        assert_eq!(traffic.upgrades, upgrades, "{what}: upgrades");
+        assert_eq!(traffic.writebacks, transfers, "{what}: writebacks");
+        assert_eq!(traffic.invalidations, transfers, "{what}: invalidations");
+    }
+}
