@@ -9,7 +9,7 @@
 //! message of size `n·s` plus a per-message gather cost.
 
 use serde::{Deserialize, Serialize};
-use servet_core::comm::CommResult;
+use servet_core::CommResult;
 
 /// The verdict for one (layer, message count, size) question.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -87,8 +87,8 @@ pub fn aggregation_decision(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use servet_core::comm::{characterize_communication, CommConfig};
     use servet_core::SimPlatform;
+    use servet_core::{characterize_communication, CommConfig};
 
     fn comm() -> CommResult {
         let mut p = SimPlatform::tiny_cluster();

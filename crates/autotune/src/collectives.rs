@@ -26,7 +26,7 @@ pub struct BcastPrediction {
 /// core 0 to cores `0..ranks` (identity rank→core mapping): the cluster's
 /// schedule, each round costing its slowest message at the round's
 /// message count.
-pub fn predict_broadcast_us(
+pub(crate) fn predict_broadcast_us(
     profile: &MachineProfile,
     algo: BcastAlgorithm,
     ranks: usize,
@@ -70,8 +70,8 @@ pub fn select_broadcast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use servet_core::suite::{run_full_suite, SuiteConfig};
     use servet_core::SimPlatform;
+    use servet_core::{run_full_suite, SuiteConfig};
     use servet_net::collectives::broadcast_time_us;
 
     fn profile() -> MachineProfile {

@@ -7,8 +7,8 @@
 //! should touch memory at once, and on which cores?*
 
 use serde::{Deserialize, Serialize};
-use servet_core::mem_overhead::MemOverheadResult;
 use servet_core::platform::CoreId;
+use servet_core::MemOverheadResult;
 
 /// Default tolerance of [`advise_memory_threads`]: a thread count whose
 /// aggregate is within 5 % of the best is enough.
@@ -71,7 +71,7 @@ pub fn advise_memory_threads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use servet_core::mem_overhead::characterize_memory;
+    use servet_core::characterize_memory;
     use servet_core::SimPlatform;
 
     #[test]

@@ -13,24 +13,24 @@
 //!   latencies instead of vendor specifications.
 //! * [`tiling`] — tile-size selection for blocked matrix multiplication
 //!   from the detected cache sizes, with a trace-replay evaluator.
-//! * [`aggregation`] — gather-vs-send decisions from the measured
+//! * `aggregation` — gather-vs-send decisions from the measured
 //!   interconnect scalability ("it is possible to optimize the
 //!   communication performance by gathering messages in poorly scalable
 //!   systems", §III-D).
 //! * [`collectives`] — hierarchy-aware broadcast algorithm selection from
 //!   the measured communication layers.
-//! * [`padding`] — per-thread padding and alignment from the measured
+//! * `padding` — per-thread padding and alignment from the measured
 //!   false-sharing sweep, with the micro-probe line size as fallback.
 
-pub mod aggregation;
+mod aggregation;
 pub mod collectives;
 pub mod concurrency;
-pub mod padding;
+mod padding;
 pub mod placement;
 pub mod tiling;
 
-pub use aggregation::{aggregation_decision, AggregationDecision};
-pub use collectives::select_broadcast;
+pub use aggregation::{aggregation_decision, slowdown_at, AggregationDecision};
+pub use collectives::{select_broadcast, BcastAlgorithm, BcastPrediction};
 pub use concurrency::{advise_memory_threads, ConcurrencyAdvice};
 pub use padding::{advise_padding, PaddingAdvice};
 pub use placement::{CommPattern, PlacementResult, Placer};

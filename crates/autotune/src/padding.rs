@@ -2,7 +2,7 @@
 //!
 //! The coherence extension of the suite measures the smallest separation
 //! at which two writing cores stop ping-ponging a line
-//! ([`servet_core::false_sharing`]). This module turns that measurement
+//! ([`servet_core::detect_false_sharing`]). This module turns that measurement
 //! into the advice a code generator or runtime acts on: how many bytes
 //! to leave between per-thread slots of a shared structure, and what to
 //! align those slots to. When a profile predates the sweep (or the
@@ -80,9 +80,9 @@ pub fn advise_padding(profile: &MachineProfile) -> Option<PaddingAdvice> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use servet_core::micro::MicroProfile;
-    use servet_core::suite::{run_full_suite, SuiteConfig};
+    use servet_core::MicroProfile;
     use servet_core::SimPlatform;
+    use servet_core::{run_full_suite, SuiteConfig};
 
     fn bare_profile() -> MachineProfile {
         MachineProfile {

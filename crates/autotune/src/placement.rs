@@ -9,8 +9,8 @@
 
 use crate::aggregation::message_us;
 use serde::{Deserialize, Serialize};
-use servet_core::comm::CommResult;
 use servet_core::profile::MachineProfile;
+use servet_core::CommResult;
 use servet_stats::rng::ChaCha8Rng;
 
 /// A communication pattern: `weight[i][j]` messages of `message_size`
@@ -31,7 +31,7 @@ impl CommPattern {
     }
 
     /// Weight between two ranks.
-    pub fn weight_between(&self, a: usize, b: usize) -> f64 {
+    pub(crate) fn weight_between(&self, a: usize, b: usize) -> f64 {
         self.weight[self.idx(a, b)]
     }
 
@@ -162,7 +162,7 @@ impl<'a> Placer<'a> {
 
     /// Predicted cost (µs) of running `pattern` under `mapping`: each
     /// message priced as one isolated message on its pair's layer.
-    pub fn cost(&self, pattern: &CommPattern, mapping: &[usize]) -> f64 {
+    pub(crate) fn cost(&self, pattern: &CommPattern, mapping: &[usize]) -> f64 {
         pattern.cost(mapping, |a, b| {
             if a == b {
                 return 0.0;
@@ -255,8 +255,8 @@ impl<'a> Placer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use servet_core::suite::{run_full_suite, SuiteConfig};
     use servet_core::SimPlatform;
+    use servet_core::{run_full_suite, SuiteConfig};
 
     fn profile() -> MachineProfile {
         let mut p = SimPlatform::tiny_cluster().with_noise(0.003);

@@ -4,21 +4,18 @@ use crate::report::{fmt_size, Report};
 use servet_core::cache_detect::{
     detect_cache_levels, probabilistic_size_with_model, CandidateGrid, DetectConfig, MissRateModel,
 };
-use servet_core::mcalibrator::{mcalibrator, McalibratorConfig};
 use servet_core::platform::Platform;
-use servet_core::sim_platform::SimPlatform;
+use servet_core::{mcalibrator, McalibratorConfig, SimPlatform};
 use servet_sim::spec::MachineSpec;
-use servet_sim::vm::PageAllocPolicy;
-use servet_sim::{Machine, KB, MB};
-use servet_stats::gradient::find_peaks;
-use servet_stats::par;
+use servet_sim::{Machine, PageAllocPolicy, KB, MB};
+use servet_stats::{find_peaks, par};
 
 /// Machine seeds `sec4a` states its detection rate over.
 const SEEDS: u64 = 20;
 
 /// Ground truth for the four paper machines (§IV-A: "10 cache sizes in
 /// total ... all the estimates agreed with the specifications").
-pub fn paper_machines() -> Vec<(&'static str, SimPlatform, Vec<usize>)> {
+pub(crate) fn paper_machines() -> Vec<(&'static str, SimPlatform, Vec<usize>)> {
     vec![
         ("dempsey", SimPlatform::dempsey(), vec![16 * KB, 2 * MB]),
         (
@@ -42,7 +39,7 @@ pub fn paper_machines() -> Vec<(&'static str, SimPlatform, Vec<usize>)> {
 /// Fig. 2(a,b): mcalibrator cycles and gradients on Dempsey and
 /// Dunnington (the two architectures the paper uses to explain the
 /// algorithm).
-pub fn fig2() -> Report {
+pub(crate) fn fig2() -> Report {
     let mut report = Report::new(
         "fig2",
         "mcalibrator cycles per access and gradients (paper Fig. 2)",
@@ -102,7 +99,7 @@ pub fn fig2() -> Report {
 /// §IV-A: full cache-size detection on the four machines. The table is
 /// the default seed's; the check is a rate over machine seeds 1–20, so
 /// no one page placement decides it.
-pub fn sec4a() -> Report {
+pub(crate) fn sec4a() -> Report {
     let mut report = Report::new(
         "sec4a",
         "cache size estimates on four machines (paper §IV-A)",
@@ -189,7 +186,7 @@ fn seeds_exact(spec: &MachineSpec, truth: &[usize]) -> usize {
 /// 2. **size-biased vs paper-approximation** miss-rate model;
 /// 3. **page coloring** restoring sharp transitions;
 /// 4. **the 1 KB stride** defeating the prefetcher (64 B stride fails).
-pub fn ablation_cache() -> Report {
+pub(crate) fn ablation_cache() -> Report {
     let mut report = Report::new(
         "ablation_cache",
         "cache detection ablations (design choices of paper §III-A)",
@@ -264,7 +261,7 @@ pub fn ablation_cache() -> Report {
     };
     let out_1k = mcalibrator(&mut strided, 0, &cfg_1k);
     let out_64 = mcalibrator(&mut strided, 0, &cfg_64);
-    let span = |o: &servet_core::mcalibrator::McalibratorOutput| {
+    let span = |o: &servet_core::McalibratorOutput| {
         let max = o.cycles.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let min = o.cycles.iter().copied().fold(f64::INFINITY, f64::min);
         max / min
@@ -285,8 +282,8 @@ pub fn ablation_cache() -> Report {
 /// Extension experiment: the line-size and L1-associativity micro probes
 /// (capabilities of the related work X-Ray / P-Ray that the published
 /// Servet does not cover) across all four machines.
-pub fn ext_micro() -> Report {
-    use servet_core::micro::run_micro_probes;
+pub(crate) fn ext_micro() -> Report {
+    use servet_core::run_micro_probes;
     let mut report = Report::new(
         "ext_micro",
         "micro-probe extensions: line size and L1 associativity",

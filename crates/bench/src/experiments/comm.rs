@@ -2,10 +2,9 @@
 //! ablation against Hockney / LogGP.
 
 use crate::report::{fmt_size, Report};
-use servet_core::comm::{characterize_communication, CommConfig, CommResult};
 use servet_core::platform::Platform;
-use servet_core::sim_platform::SimPlatform;
-use servet_net::baselines::{mean_relative_error, HockneyModel, LogGpModel};
+use servet_core::{characterize_communication, CommConfig, CommResult, SimPlatform};
+use servet_net::{mean_relative_error, HockneyModel, LogGpModel};
 use servet_sim::KB;
 use servet_stats::summary::mean;
 
@@ -23,7 +22,7 @@ fn finis_terrae_comm() -> (SimPlatform, CommResult) {
 
 /// Fig. 10(a): message-passing latency from core 0 to every other core,
 /// message size = L1.
-pub fn fig10a() -> Report {
+pub(crate) fn fig10a() -> Report {
     let mut report = Report::new(
         "fig10a",
         "message-passing latency from core 0, L1-sized messages (paper Fig. 10a)",
@@ -94,7 +93,7 @@ pub fn fig10a() -> Report {
 
 /// Fig. 10(b): latency of concurrent messages across the slowest
 /// interconnect of each machine.
-pub fn fig10b() -> Report {
+pub(crate) fn fig10b() -> Report {
     let mut report = Report::new(
         "fig10b",
         "latency scalability with concurrent messages (paper Fig. 10b)",
@@ -168,7 +167,7 @@ fn p2p_report(id: &str, title: &str, comm: &CommResult, layer_names: &[&str]) ->
 }
 
 /// Fig. 10(c): point-to-point bandwidth per layer, Dunnington.
-pub fn fig10c() -> Report {
+pub(crate) fn fig10c() -> Report {
     let (_, dun) = dunnington_comm();
     let mut report = p2p_report(
         "fig10c",
@@ -200,7 +199,7 @@ pub fn fig10c() -> Report {
 }
 
 /// Fig. 10(d): point-to-point bandwidth per layer, Finis Terrae.
-pub fn fig10d() -> Report {
+pub(crate) fn fig10d() -> Report {
     let (_, ft) = finis_terrae_comm();
     let mut report = p2p_report(
         "fig10d",
@@ -249,7 +248,7 @@ pub fn fig10d() -> Report {
 /// Ablation: the paper's §III-D claim that Hockney / LogP-family models
 /// "show poor accuracy on current communication middleware on multicore
 /// clusters", quantified against Servet's layered characterization.
-pub fn ablation_models() -> Report {
+pub(crate) fn ablation_models() -> Report {
     let mut report = Report::new(
         "ablation_models",
         "single-line models vs Servet's layered characterization (paper §III-D)",

@@ -1,8 +1,7 @@
 //! Fig. 9: memory access overhead characterization.
 
 use crate::report::Report;
-use servet_core::mem_overhead::{characterize_memory, MemOverheadResult};
-use servet_core::sim_platform::SimPlatform;
+use servet_core::{characterize_memory, MemOverheadResult, SimPlatform};
 
 fn run(platform: &mut SimPlatform) -> MemOverheadResult {
     characterize_memory(platform)
@@ -10,7 +9,7 @@ fn run(platform: &mut SimPlatform) -> MemOverheadResult {
 
 /// Fig. 9(a): per-core bandwidth when core 0 streams concurrently with
 /// each other core, on both clusters.
-pub fn fig9a() -> Report {
+pub(crate) fn fig9a() -> Report {
     let mut report = Report::new(
         "fig9a",
         "memory bandwidth with two simultaneous accesses (paper Fig. 9a)",
@@ -106,7 +105,7 @@ pub fn fig9a() -> Report {
 
 /// Fig. 9(b): effective per-core bandwidth as more cores of a colliding
 /// group stream concurrently.
-pub fn fig9b() -> Report {
+pub(crate) fn fig9b() -> Report {
     let mut report = Report::new(
         "fig9b",
         "memory bandwidth with multiple simultaneous accesses (paper Fig. 9b)",

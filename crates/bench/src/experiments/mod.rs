@@ -18,7 +18,7 @@ use servet_stats::par;
 /// An experiment: the id the `servet-bench` binary takes (and the
 /// directory it writes under `results/`), and the function that
 /// regenerates the artifact.
-pub type Experiment = (&'static str, fn() -> Report);
+pub(crate) type Experiment = (&'static str, fn() -> Report);
 
 /// Every experiment, in paper order. DESIGN.md §5 says what each shows.
 pub const ALL: [Experiment; 14] = [

@@ -2,10 +2,9 @@
 //! motivation, in the spirit of MPIPP but with measured costs).
 
 use crate::report::Report;
-use servet_autotune::placement::{CommPattern, Placer};
+use servet_autotune::{CommPattern, Placer};
 use servet_core::profile::MachineProfile;
-use servet_core::sim_platform::SimPlatform;
-use servet_core::suite::{run_full_suite, SuiteConfig};
+use servet_core::{run_full_suite, SimPlatform, SuiteConfig};
 use servet_net::VirtualCluster;
 
 /// Ground-truth cost of a mapping: the pattern priced on the actual
@@ -36,7 +35,7 @@ fn ft_profile() -> MachineProfile {
 }
 
 /// Placement study on Finis Terrae (2 nodes, 32 cores).
-pub fn app_placement() -> Report {
+pub(crate) fn app_placement() -> Report {
     let mut report = Report::new(
         "app_placement",
         "profile-guided process placement vs naive mappings (paper SS V)",

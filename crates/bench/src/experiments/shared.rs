@@ -1,13 +1,12 @@
 //! Fig. 8: shared-cache detection on Dunnington and Finis Terrae.
 
 use crate::report::Report;
-use servet_core::shared_cache::detect_shared_caches;
-use servet_core::sim_platform::SimPlatform;
+use servet_core::{detect_shared_caches, SimPlatform};
 use servet_sim::{KB, MB};
 
 /// Fig. 8(a,b): the cache-access overhead ratio for pairs containing
 /// core 0, per cache level, on both clusters.
-pub fn fig8() -> Report {
+pub(crate) fn fig8() -> Report {
     let mut report = Report::new(
         "fig8",
         "shared-cache detection ratios, pairs with core 0 (paper Fig. 8)",

@@ -11,9 +11,7 @@
 //! the suite's bracketed default adds the row that says what that costs.
 
 use crate::report::Report;
-use servet_core::mcalibrator::McalibratorConfig;
-use servet_core::sim_platform::SimPlatform;
-use servet_core::suite::{run_full_suite, SuiteConfig, SuiteReport};
+use servet_core::{run_full_suite, McalibratorConfig, SimPlatform, SuiteConfig, SuiteReport};
 
 /// Paper Table I, in minutes.
 const PAPER_MINUTES: [(&str, f64, f64); 4] = [
@@ -24,7 +22,7 @@ const PAPER_MINUTES: [(&str, f64, f64); 4] = [
 ];
 
 /// Table I reproduction.
-pub fn table1() -> Report {
+pub(crate) fn table1() -> Report {
     let mut report = Report::new(
         "table1",
         "benchmark execution times in minutes (paper Table I)",

@@ -27,7 +27,7 @@ struct Section {
 
 impl Report {
     /// Start a report.
-    pub fn new(id: &str, title: &str) -> Self {
+    pub(crate) fn new(id: &str, title: &str) -> Self {
         Self {
             id: id.to_string(),
             title: title.to_string(),
@@ -36,7 +36,7 @@ impl Report {
     }
 
     /// Begin a new table section.
-    pub fn section(&mut self, heading: &str, columns: &[&str]) {
+    pub(crate) fn section(&mut self, heading: &str, columns: &[&str]) {
         self.sections.push(Section {
             heading: heading.to_string(),
             columns: columns.iter().map(|s| s.to_string()).collect(),
@@ -45,7 +45,7 @@ impl Report {
     }
 
     /// Append a row to the current section.
-    pub fn row(&mut self, cells: &[String]) {
+    pub(crate) fn row(&mut self, cells: &[String]) {
         let section = self
             .sections
             .last_mut()
@@ -55,25 +55,25 @@ impl Report {
     }
 
     /// Convenience: formatted row.
-    pub fn rowf(&mut self, cells: &[&dyn std::fmt::Display]) {
+    pub(crate) fn rowf(&mut self, cells: &[&dyn std::fmt::Display]) {
         let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
         self.row(&cells);
     }
 
     /// Attach a free-form note (printed after the tables).
-    pub fn note(&mut self, text: impl Into<String>) {
+    pub(crate) fn note(&mut self, text: impl Into<String>) {
         self.notes.push(text.into());
     }
 
     /// Record a shape check. Panics immediately when it fails so that
     /// `run_all` cannot silently produce wrong-shaped figures.
-    pub fn check(&mut self, name: &str, ok: bool) {
+    pub(crate) fn check(&mut self, name: &str, ok: bool) {
         self.checks.push((name.to_string(), ok));
         assert!(ok, "[{}] shape check failed: {name}", self.id);
     }
 
     /// Record a check that `value` lies in `[lo, hi]`.
-    pub fn check_range(&mut self, name: &str, value: f64, lo: f64, hi: f64) {
+    pub(crate) fn check_range(&mut self, name: &str, value: f64, lo: f64, hi: f64) {
         let ok = value >= lo && value <= hi;
         self.checks.push((format!("{name} = {value:.3}"), ok));
         assert!(
@@ -84,7 +84,7 @@ impl Report {
     }
 
     /// Render the report as text.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "==== {} — {}", self.id, self.title);
         for s in &self.sections {
@@ -161,7 +161,7 @@ impl Report {
 }
 
 /// Format bytes as a human-readable size ("32K", "3M").
-pub fn fmt_size(bytes: usize) -> String {
+pub(crate) fn fmt_size(bytes: usize) -> String {
     const MB: usize = 1024 * 1024;
     if bytes >= MB && bytes.is_multiple_of(MB) {
         format!("{}M", bytes / MB)

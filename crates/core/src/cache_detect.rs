@@ -17,7 +17,7 @@
 //!   `(CS, K)` and picks the statistical mode of the best-fitting sizes.
 //!
 //! The fit is one serial loop over the candidate grid
-//! ([`scored_candidates`]): one `O(max np)` recurrence pass per pack of up
+//! (`scored_candidates`): one `O(max np)` recurrence pass per pack of up
 //! to eight tentative sizes that share an associativity — so its cost
 //! follows the window's right end. The sweep that feeds it costs tens of times
 //! more on the simulator even when bracketed
@@ -27,9 +27,9 @@
 use crate::mcalibrator::{is_flat_step, McalibratorOutput};
 use serde::{Deserialize, Serialize};
 use servet_sim::{KB, MB};
-use servet_stats::binomial::{sf_curves, Binomial};
-use servet_stats::gradient::{find_peaks, merge_peaks};
+use servet_stats::binomial::sf_curves;
 use servet_stats::summary::mode;
+use servet_stats::{find_peaks, merge_peaks};
 
 /// How a cache level's size was determined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,7 +95,7 @@ impl Default for CandidateGrid {
 
 impl CandidateGrid {
     /// A small grid for little test machines.
-    pub fn small() -> Self {
+    pub(crate) fn small() -> Self {
         Self {
             sizes: realistic_sizes(8 * KB, MB),
             assocs: vec![2, 4, 8, 16],
@@ -135,8 +135,11 @@ pub enum MissRateModel {
 
 /// Predicted miss rate of a cyclic traversal of `np` pages over a
 /// physically indexed cache with page-set hit probability `p` and
-/// associativity `k`.
-pub fn predicted_miss_rate(np: u64, p: f64, k: usize, model: MissRateModel) -> f64 {
+/// associativity `k`: the scalar model the batched curves and the
+/// mcalibrator tests are checked against.
+#[cfg(test)]
+pub(crate) fn predicted_miss_rate(np: u64, p: f64, k: usize, model: MissRateModel) -> f64 {
+    use servet_stats::Binomial;
     match model {
         MissRateModel::SizeBiased => {
             if np == 0 {
@@ -148,7 +151,7 @@ pub fn predicted_miss_rate(np: u64, p: f64, k: usize, model: MissRateModel) -> f
     }
 }
 
-/// [`predicted_miss_rate`] for every page count in `np` and every
+/// The predicted miss rate for every page count in `np` and every
 /// page-set probability in `ps` at associativity `k`: row `i` of the
 /// result (`np.len()` values) is the curve of `ps[i]`. Every candidate
 /// that shares `k` rides the same `O(max(np))` recurrence pass (see
@@ -206,7 +209,7 @@ pub fn probabilistic_size_with_model(
 /// The tie-break on `CS` makes the ranking — and therefore the detected
 /// size — independent of grid iteration order. Returns `None` when the
 /// window carries no signal (under two samples, or flat cycles).
-pub fn scored_candidates(
+pub(crate) fn scored_candidates(
     sizes: &[usize],
     cycles: &[f64],
     page_size: usize,
@@ -308,7 +311,7 @@ impl Default for DetectConfig {
 
 impl DetectConfig {
     /// Configuration for small test machines.
-    pub fn small() -> Self {
+    pub(crate) fn small() -> Self {
         Self {
             gradient_threshold: 1.15,
             merge_gap: 1,
@@ -464,7 +467,8 @@ mod tests {
     use super::*;
     use crate::mcalibrator::{mcalibrator, McalibratorConfig};
     use crate::sim_platform::SimPlatform;
-    use servet_sim::vm::PageAllocPolicy;
+    use servet_sim::PageAllocPolicy;
+    use servet_stats::Binomial;
 
     /// Synthetic miss-rate curve generated from the model: the algorithm
     /// must recover the generating size.

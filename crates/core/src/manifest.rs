@@ -73,7 +73,7 @@ impl RunManifest {
     /// ([`servet_obs::RunScope`]): spans and counters are exactly the
     /// run's own, no matter how many suites the process runs
     /// concurrently. This is what [`crate::suite::run_suite`] returns.
-    pub fn from_scope(
+    pub(crate) fn from_scope(
         report: &SuiteReport,
         config: &SuiteConfig,
         data: servet_obs::ScopeData,

@@ -33,7 +33,7 @@
 //! 2. a **dense fill**, ascending: every listed size inside each maximal
 //!    run of such intervals, and then on past the run's right edge, one
 //!    listed size at a time, until two consecutive steps are flat
-//!    ([`is_flat_step`] — the predicate the Fig. 4 window walk in
+//!    (`is_flat_step` — the predicate the Fig. 4 window walk in
 //!    [`crate::cache_detect`] stops on), the next run begins, or the list
 //!    ends. Walking on to saturation is what keeps the Fig. 3 window
 //!    inside dense samples: a window that ran on into the far skeleton
@@ -52,7 +52,7 @@
 use crate::platform::{CoreId, Platform};
 use serde::{Deserialize, Serialize};
 use servet_sim::{KB, MB};
-use servet_stats::gradient::{gradient, step};
+use servet_stats::{gradient, step};
 
 /// Which of [`McalibratorConfig::sizes`] a sweep measures (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -103,7 +103,7 @@ impl McalibratorConfig {
     /// A reduced sweep for small machines (tests): up to `max_size`,
     /// keeping the paper's proportions (sampling step no finer than the
     /// caches' size gaps, so page-coloring transitions stay sharp).
-    pub fn small(max_size: usize) -> Self {
+    pub(crate) fn small(max_size: usize) -> Self {
         Self {
             min_size: KB,
             max_size,
@@ -195,7 +195,7 @@ impl McalibratorOutput {
 /// Whether a gradient step lies on a plateau proper: two of these in a
 /// row end both the Fig. 4 saturation walk and a bracket's dense fill.
 /// NaN is not flat, so an unanswered measurement keeps either walking.
-pub fn is_flat_step(gradient: f64) -> bool {
+pub(crate) fn is_flat_step(gradient: f64) -> bool {
     gradient < 1.005
 }
 

@@ -12,7 +12,7 @@
 use crate::platform::{CoreId, Platform};
 use serde::{Deserialize, Serialize};
 use servet_stats::cluster::cluster_by_tolerance;
-use servet_stats::groups::groups_from_pairs;
+use servet_stats::groups_from_pairs;
 
 /// Relative tolerance when clustering similar bandwidths: the paper's "b
 /// is similar to a given BW\[i\]".
@@ -61,7 +61,7 @@ impl MemOverheadResult {
     /// The per-core bandwidth expected when `cores` stream concurrently,
     /// estimated from the measured scalability curves: the strongest
     /// overhead class containing at least two of the cores governs.
-    pub fn predicted_bandwidth(&self, cores: &[CoreId]) -> f64 {
+    pub(crate) fn predicted_bandwidth(&self, cores: &[CoreId]) -> f64 {
         for class in &self.overheads {
             // Count how many of the requested cores fall in one group.
             let worst = class

@@ -47,7 +47,7 @@ const TLB_CANDIDATES: [usize; 9] = [8, 16, 32, 48, 64, 96, 128, 192, 256];
 /// the second access of each pair hits the line just fetched; once `s`
 /// reaches the line size both accesses miss — the average cost jumps by
 /// roughly 2× at exactly the line size.
-pub fn detect_line_size(platform: &mut dyn Platform, core: CoreId) -> Option<usize> {
+pub(crate) fn detect_line_size(platform: &mut dyn Platform, core: CoreId) -> Option<usize> {
     line_size_over(platform, core, &LINE_CANDIDATES)
 }
 
@@ -108,7 +108,7 @@ fn pair_probe_pattern(bases: usize, spacing: u64, delta: u64) -> Vec<u64> {
 /// regardless of the actual way count; accessed cyclically under LRU they
 /// all hit while `k ≤ ways` and all miss once `k > ways`. The detected
 /// associativity is the largest `k` still served at the L1 hit cost.
-pub fn detect_l1_associativity(
+pub(crate) fn detect_l1_associativity(
     platform: &mut dyn Platform,
     core: CoreId,
     l1_size: usize,
@@ -145,7 +145,7 @@ pub fn detect_l1_associativity(
 /// ran at the base cost — the TLB's capacity at the candidate grid's
 /// granularity. `None` when no jump is visible (TLB larger than the
 /// largest candidate, or no TLB cost at all).
-pub fn detect_tlb_entries(platform: &mut dyn Platform, core: CoreId) -> Option<usize> {
+pub(crate) fn detect_tlb_entries(platform: &mut dyn Platform, core: CoreId) -> Option<usize> {
     tlb_entries_over(platform, core, &TLB_CANDIDATES)
 }
 

@@ -82,7 +82,7 @@ pub trait Platform {
     /// order (one warm-up pass, then measured passes).
     ///
     /// The paper's benchmarks only need fixed strides; the micro-benchmark
-    /// extensions ([`crate::micro`]) use irregular patterns to defeat the
+    /// extensions (`crate::micro`) use irregular patterns to defeat the
     /// prefetcher when probing line size and associativity.
     fn traverse_pattern_cycles(&mut self, core: CoreId, size: usize, offsets: &[u64]) -> f64;
 

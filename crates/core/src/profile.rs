@@ -120,11 +120,6 @@ impl MachineProfile {
         self.micro.and_then(|m| m.line_size)
     }
 
-    /// Detected L1 associativity (micro probe).
-    pub fn l1_associativity(&self) -> Option<usize> {
-        self.micro.and_then(|m| m.l1_associativity)
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("profile serializes")

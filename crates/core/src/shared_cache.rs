@@ -9,7 +9,7 @@
 
 use crate::platform::{CoreId, Platform, SharedStreamJob};
 use serde::{Deserialize, Serialize};
-use servet_stats::groups::groups_from_pairs;
+use servet_stats::groups_from_pairs;
 
 /// Traversal stride in bytes: the mcalibrator stride.
 const STRIDE: usize = 1024;
@@ -81,7 +81,7 @@ impl SharedCacheResult {
     }
 
     /// The cores sharing the given level with `core` (excluding itself).
-    pub fn cores_sharing_with(&self, level: u8, core: CoreId) -> Vec<CoreId> {
+    pub(crate) fn cores_sharing_with(&self, level: u8, core: CoreId) -> Vec<CoreId> {
         self.levels
             .iter()
             .find(|l| l.level == level)
@@ -152,7 +152,7 @@ pub fn detect_shared_caches(
 /// Runs as part of the suite's coherence stage — after the paper's own
 /// benchmarks — so their measurements are untouched. Requires
 /// [`Platform::supports_coherence_probes`].
-pub fn decompose_shared_misses(
+pub(crate) fn decompose_shared_misses(
     platform: &mut dyn Platform,
     cache_sizes: &[usize],
 ) -> Vec<LevelMissDecomposition> {

@@ -15,10 +15,9 @@
 //! Table I of the paper is reproduced from this ledger.
 
 use crate::platform::{CoreId, Platform, SharedStreamJob, TraverseJob};
-use servet_net::cluster::VirtualCluster;
+use servet_net::VirtualCluster;
 use servet_sim::machine::SharedJob;
-use servet_sim::membw::MemorySystem;
-use servet_sim::{CoherenceSpec, CoherenceTraffic, Machine};
+use servet_sim::{CoherenceSpec, CoherenceTraffic, Machine, MemorySystem};
 use servet_stats::rng::ChaCha8Rng;
 
 // What one real-world measurement costs beyond the simulated operation
@@ -155,11 +154,6 @@ impl SimPlatform {
     /// The underlying machine.
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// The underlying cluster, if any.
-    pub fn cluster(&self) -> Option<&VirtualCluster> {
-        self.cluster.as_ref()
     }
 
     fn noisy(&mut self, value: f64) -> f64 {

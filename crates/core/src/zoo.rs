@@ -27,9 +27,8 @@ use crate::manifest::RunManifest;
 use crate::sim_platform::SimPlatform;
 use crate::suite::{run_suite, SuiteConfig, SuiteReport, SuiteTimings};
 use serde::{Deserialize, Serialize};
-use servet_sim::perturb::perturb;
 use servet_sim::spec::MachineSpec;
-use servet_sim::{Machine, KB, MB};
+use servet_sim::{perturb, Machine, KB, MB};
 use servet_stats::rng::{splitmix64, ChaCha8Rng};
 use std::collections::BTreeMap;
 use std::io;
@@ -54,7 +53,7 @@ pub struct ZooConfig {
     pub mb_machines: usize,
     /// Suite the MB-range members run with — a wider, coarser
     /// mcalibrator sweep sized for multi-megabyte caches (see
-    /// [`ZooConfig::mb_suite`]).
+    /// `ZooConfig::mb_suite`).
     pub mb_suite: SuiteConfig,
 }
 
@@ -109,7 +108,7 @@ impl ZooConfig {
     /// 1/2/4 MB — lands on the grid with plenty of interior points).
     /// Affordable only on the packed fast-path engine: the sweep
     /// replays ~10⁸ simulated accesses per machine.
-    pub fn mb_suite() -> SuiteConfig {
+    pub(crate) fn mb_suite() -> SuiteConfig {
         SuiteConfig {
             skip_memory: true,
             mcalibrator: crate::mcalibrator::McalibratorConfig {
@@ -136,7 +135,7 @@ impl ZooConfig {
     }
 
     /// The suite configuration population member `index` runs with.
-    pub fn suite_for(&self, index: usize) -> &SuiteConfig {
+    pub(crate) fn suite_for(&self, index: usize) -> &SuiteConfig {
         if index < self.machines {
             &self.suite
         } else {
@@ -423,7 +422,7 @@ impl ZooReport {
 
 /// Run one machine of the zoo: a scope-pure suite run on a fresh
 /// simulator seeded from the machine's derived seeds.
-pub fn run_machine(machine: &ZooMachine, suite: &SuiteConfig) -> (SuiteReport, RunManifest) {
+pub(crate) fn run_machine(machine: &ZooMachine, suite: &SuiteConfig) -> (SuiteReport, RunManifest) {
     let sim = Machine::with_seed(machine.spec.clone(), machine.sim_seed);
     let mut platform = SimPlatform::new(sim, None)
         .with_noise(machine.noise)

@@ -6,26 +6,32 @@
 //! containers where it fails (restricted cpusets, non-Linux), measurements
 //! still run, just without placement control.
 
-/// The three C-library entry points this module needs, declared against
-/// the libc that std already links.
+/// The C-library entry points this module needs, declared against the
+/// libc that std already links. `sched_getaffinity` is the tests' check
+/// that pinning took effect.
 #[cfg(target_os = "linux")]
 mod sys {
     use std::ffi::{c_int, c_long};
 
     /// Cores a mask can name (glibc's and musl's `CPU_SETSIZE`).
-    pub const CPU_SETSIZE: usize = 1024;
+    pub(super) const CPU_SETSIZE: usize = 1024;
 
     /// `cpu_set_t`: core `c` is bit `c % 64` of word `c / 64`, the kernel's
     /// layout on every 64-bit and every little-endian target.
-    pub type CpuSet = [u64; CPU_SETSIZE / 64];
+    pub(super) type CpuSet = [u64; CPU_SETSIZE / 64];
 
     /// `_SC_PAGESIZE` on Linux, every architecture.
-    pub const SC_PAGESIZE: c_int = 30;
+    pub(super) const SC_PAGESIZE: c_int = 30;
 
     extern "C" {
-        pub fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const CpuSet) -> c_int;
-        pub fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut CpuSet) -> c_int;
-        pub fn sysconf(name: c_int) -> c_long;
+        pub(super) fn sched_setaffinity(
+            pid: c_int,
+            cpusetsize: usize,
+            mask: *const CpuSet,
+        ) -> c_int;
+        #[cfg(test)]
+        pub(super) fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut CpuSet) -> c_int;
+        pub(super) fn sysconf(name: c_int) -> c_long;
     }
 }
 
@@ -47,19 +53,19 @@ fn set_allowed_cores(cores: &[usize]) -> bool {
 
 /// Pin the calling thread to `core`. Returns `true` on success.
 #[cfg(target_os = "linux")]
-pub fn pin_to_core(core: usize) -> bool {
+pub(crate) fn pin_to_core(core: usize) -> bool {
     set_allowed_cores(&[core])
 }
 
 /// Pinning is a no-op off Linux.
 #[cfg(not(target_os = "linux"))]
-pub fn pin_to_core(_core: usize) -> bool {
+pub(crate) fn pin_to_core(_core: usize) -> bool {
     false
 }
 
 /// The set of cores the calling thread may run on, by index.
-#[cfg(target_os = "linux")]
-pub fn allowed_cores() -> Vec<usize> {
+#[cfg(all(test, target_os = "linux"))]
+pub(crate) fn allowed_cores() -> Vec<usize> {
     let mut set = sys::CpuSet::default();
     // SAFETY: `set` is a live mask of exactly the size passed, which the
     // call fills; pid 0 names the calling thread.
@@ -71,14 +77,8 @@ pub fn allowed_cores() -> Vec<usize> {
         .collect()
 }
 
-/// Unknown affinity off Linux.
-#[cfg(not(target_os = "linux"))]
-pub fn allowed_cores() -> Vec<usize> {
-    Vec::new()
-}
-
 /// Number of logical cores available to this process.
-pub fn available_cores() -> usize {
+pub(crate) fn available_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -86,7 +86,7 @@ pub fn available_cores() -> usize {
 
 /// OS page size in bytes.
 #[cfg(target_os = "linux")]
-pub fn page_size() -> usize {
+pub(crate) fn page_size() -> usize {
     // SAFETY: `sysconf` takes no pointers and only reads process state.
     let ps = unsafe { sys::sysconf(sys::SC_PAGESIZE) };
     if ps > 0 {
@@ -98,7 +98,7 @@ pub fn page_size() -> usize {
 
 /// Assume 4 KB pages off Linux.
 #[cfg(not(target_os = "linux"))]
-pub fn page_size() -> usize {
+pub(crate) fn page_size() -> usize {
     4096
 }
 

@@ -25,7 +25,7 @@ const MIN_MEASURE_NS: u128 = 2_000_000;
 ///
 /// One warm-up pass precedes timing; timed passes repeat until the
 /// measurement is long enough to trust.
-pub fn strided_traversal_ns(size: usize, stride: usize) -> f64 {
+pub(crate) fn strided_traversal_ns(size: usize, stride: usize) -> f64 {
     assert!(stride >= std::mem::size_of::<usize>());
     let elems = (size / std::mem::size_of::<usize>()).max(1);
     let stride_elems = stride / std::mem::size_of::<usize>();
@@ -75,7 +75,7 @@ pub fn strided_traversal_ns(size: usize, stride: usize) -> f64 {
 /// depends on the previous one and the compiler can neither reorder nor
 /// elide them; the access order is the caller's, which defeats stride
 /// prefetchers that a sequential sweep would train.
-pub fn pattern_chase_ns(size: usize, offsets: &[u64]) -> f64 {
+pub(crate) fn pattern_chase_ns(size: usize, offsets: &[u64]) -> f64 {
     let (a, idx) = link_chain(size, offsets);
     let steps = offsets.len();
     let run_pass = |a: &[usize], start: usize| -> usize {
@@ -123,7 +123,7 @@ fn link_chain(size: usize, offsets: &[u64]) -> (Vec<usize>, Vec<usize>) {
 /// STREAM-like copy bandwidth in GB/s using `buf_bytes` source and
 /// destination buffers (should exceed every cache level several times
 /// over). Counts read + write traffic, as STREAM does.
-pub fn copy_bandwidth_gbs(buf_bytes: usize) -> f64 {
+pub(crate) fn copy_bandwidth_gbs(buf_bytes: usize) -> f64 {
     let elems = (buf_bytes / 8).max(1);
     let src = vec![1.0f64; elems];
     let mut dst = vec![0.0f64; elems];
@@ -152,7 +152,7 @@ pub fn copy_bandwidth_gbs(buf_bytes: usize) -> f64 {
 /// A two-thread ping-pong: thread A sends a `size`-byte message to thread
 /// B, B copies it into its own buffer and bounces it back. Mean one-way
 /// latency emulates an MPI shared-memory transfer.
-pub struct PingPong {
+pub(crate) struct PingPong {
     to_b: SyncSender<Box<[u8]>>,
     from_b: Receiver<Box<[u8]>>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -160,7 +160,7 @@ pub struct PingPong {
 
 impl PingPong {
     /// Spawn the partner thread, optionally pinned to `core_b`.
-    pub fn new(size: usize, core_b: Option<usize>) -> Self {
+    pub(crate) fn new(size: usize, core_b: Option<usize>) -> Self {
         let (to_b, rx_b) = sync_channel::<Box<[u8]>>(1);
         let (tx_back, from_b) = sync_channel::<Box<[u8]>>(1);
         let handle = std::thread::spawn(move || {
@@ -185,7 +185,7 @@ impl PingPong {
     }
 
     /// Mean one-way latency in µs over `reps` round trips.
-    pub fn latency_us(&mut self, size: usize, reps: usize) -> f64 {
+    pub(crate) fn latency_us(&mut self, size: usize, reps: usize) -> f64 {
         assert!(reps > 0);
         let mut msg = vec![0u8; size].into_boxed_slice();
         // Warm-up round trip.

@@ -8,7 +8,7 @@
 //! against Servet's per-layer piecewise characterization.
 
 use serde::{Deserialize, Serialize};
-use servet_stats::regress::fit_line;
+use servet_stats::fit_line;
 
 /// Mean relative error of a model's `predict_us` over `(size_bytes,
 /// latency_us)` samples; 0 for no samples.

@@ -5,7 +5,7 @@
 //! `sched` library for affinity), point-to-point messages are timed, and
 //! several messages can be sent concurrently. Every latency is *virtual*,
 //! and the cluster keeps no clock: the execution times of Table I come
-//! from `servet_core::sim_platform::SimPlatform`'s ledger, which charges
+//! from `servet_core::SimPlatform`'s ledger, which charges
 //! each latency measurement a fixed setup plus the measured latency times
 //! the ping-pong repetitions a real run would make.
 
@@ -59,9 +59,10 @@ impl VirtualCluster {
         &self.topo
     }
 
-    /// The ground-truth communication model (used by tests and ablations,
-    /// never by the benchmarks themselves).
-    pub fn model(&self) -> &CommModel {
+    /// The ground-truth communication model the tests check measurements
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn model(&self) -> &CommModel {
         &self.model
     }
 
@@ -82,7 +83,7 @@ impl VirtualCluster {
     }
 
     /// Core a rank is pinned to.
-    pub fn core_of_rank(&self, rank: usize) -> GlobalCore {
+    pub(crate) fn core_of_rank(&self, rank: usize) -> GlobalCore {
         self.affinity[rank]
     }
 

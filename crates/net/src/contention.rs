@@ -40,7 +40,7 @@ pub struct ContentionModel {
 
 impl ContentionModel {
     /// Slowdown slope of a resource.
-    pub fn alpha(&self, r: Resource) -> f64 {
+    pub(crate) fn alpha(&self, r: Resource) -> f64 {
         match r {
             Resource::NodeBus(_) => self.alpha_bus,
             Resource::Nic(_) | Resource::Switch => self.alpha_nic,
@@ -51,7 +51,7 @@ impl ContentionModel {
     ///
     /// Each message takes the worst slowdown over the resources it crosses;
     /// a message crossing no shared resource still pays `alpha_cache`.
-    pub fn slowdowns(
+    pub(crate) fn slowdowns(
         &self,
         topo: &ClusterTopology,
         pairs: &[(GlobalCore, GlobalCore)],

@@ -9,33 +9,34 @@
 //! scalability under concurrent messages. This crate provides the cluster
 //! those measurements run against:
 //!
-//! * [`topology`] — where each core sits (node / cell / processor /
+//! * `topology` — where each core sits (node / cell / processor /
 //!   L2-sharing group) and the ground-truth communication layer between any
 //!   two cores.
-//! * [`model`] — per-layer piecewise latency models with eager/rendezvous
+//! * `model` — per-layer piecewise latency models with eager/rendezvous
 //!   protocol switches and cache-exhaustion knees, the structure that makes
 //!   single-line models (Hockney, LogP) inaccurate on multicore clusters.
 //! * [`contention`] — slowdown of concurrent messages sharing a bus or an
 //!   InfiniBand link (the paper's "a message sent through the InfiniBand
 //!   network when there are other 31 messages is 7 times slower").
-//! * [`cluster`] — [`cluster::VirtualCluster`]: ranks, affinity, timed
+//! * `cluster` — [`VirtualCluster`]: ranks, affinity, timed
 //!   sends and concurrent sends. It keeps no clock: Table I's times come
 //!   from the ledger of the suite's simulated platform
-//!   (`servet_core::sim_platform::SimPlatform`).
+//!   (`servet_core::SimPlatform`).
 //! * [`collectives`] — three broadcast algorithms timed on the cluster.
-//! * [`baselines`] — Hockney and LogGP model fits (§III-D's related work),
+//! * `baselines` — Hockney and LogGP model fits (§III-D's related work),
 //!   implemented as comparison baselines.
 //! * [`presets`] — the paper's two cluster configurations: the Dunnington
 //!   node and Finis Terrae over InfiniBand.
 
-pub mod baselines;
-pub mod cluster;
+mod baselines;
+mod cluster;
 pub mod collectives;
 pub mod contention;
-pub mod model;
+mod model;
 pub mod presets;
-pub mod topology;
+mod topology;
 
+pub use baselines::{mean_relative_error, HockneyModel, LogGpModel};
 pub use cluster::VirtualCluster;
 pub use contention::ContentionModel;
 pub use model::{CommModel, LayerModel, ProtocolSegment};

@@ -26,7 +26,7 @@ pub struct ProtocolSegment {
 
 impl ProtocolSegment {
     /// Latency of a `size`-byte message under this segment, in µs.
-    pub fn latency_us(&self, size: usize) -> f64 {
+    pub(crate) fn latency_us(&self, size: usize) -> f64 {
         self.base_us + size as f64 * self.per_byte_ns / 1000.0
     }
 }
@@ -55,7 +55,7 @@ impl LayerModel {
     }
 
     /// The segment serving a `size`-byte message.
-    pub fn segment_for(&self, size: usize) -> &ProtocolSegment {
+    pub(crate) fn segment_for(&self, size: usize) -> &ProtocolSegment {
         self.segments
             .iter()
             .find(|s| size <= s.max_size)
@@ -63,12 +63,13 @@ impl LayerModel {
     }
 
     /// Latency of a `size`-byte message, in µs.
-    pub fn latency_us(&self, size: usize) -> f64 {
+    pub(crate) fn latency_us(&self, size: usize) -> f64 {
         self.segment_for(size).latency_us(size)
     }
 
     /// Effective bandwidth of a `size`-byte message, in GB/s.
-    pub fn bandwidth_gbs(&self, size: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn bandwidth_gbs(&self, size: usize) -> f64 {
         if size == 0 {
             return 0.0;
         }
@@ -96,7 +97,7 @@ impl CommModel {
 
     /// The model for `layer`; panics if the cluster preset lacks it —
     /// topology and model presets are built together.
-    pub fn layer(&self, layer: Layer) -> &LayerModel {
+    pub(crate) fn layer(&self, layer: Layer) -> &LayerModel {
         &self
             .layers
             .iter()
@@ -105,13 +106,8 @@ impl CommModel {
             .1
     }
 
-    /// Layers present in this model.
-    pub fn layers(&self) -> Vec<Layer> {
-        self.layers.iter().map(|(l, _)| *l).collect()
-    }
-
     /// Noise-free latency for a message over `layer`.
-    pub fn latency_us(&self, layer: Layer, size: usize) -> f64 {
+    pub(crate) fn latency_us(&self, layer: Layer, size: usize) -> f64 {
         self.layer(layer).latency_us(size)
     }
 }
@@ -205,7 +201,6 @@ mod tests {
             ],
             0.02,
         );
-        assert_eq!(cm.layers(), vec![Layer::SharedCache, Layer::IntraNode]);
         assert!((cm.latency_us(Layer::SharedCache, 0) - 1.0).abs() < 1e-12);
     }
 

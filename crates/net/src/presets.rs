@@ -26,7 +26,7 @@ fn seg(max_size: usize, base_us: f64, per_byte_ns: f64) -> ProtocolSegment {
 /// Socket `p` holds cores `{3p..3p+2} ∪ {3p+12..3p+14}`; L2 pairs are
 /// `(3p+i, 3p+12+i)` — matching the spec in `servet_sim::presets` and the
 /// paper's Fig. 8(a).
-pub fn dunnington_topology() -> ClusterTopology {
+pub(crate) fn dunnington_topology() -> ClusterTopology {
     let cores = 24;
     let mut proc_of = vec![0usize; cores];
     let mut l2_group_of = vec![0usize; cores];
@@ -49,7 +49,7 @@ pub fn dunnington_topology() -> ClusterTopology {
 }
 
 /// Communication model of the Dunnington node (MPICH2 shared memory).
-pub fn dunnington_comm_model() -> CommModel {
+pub(crate) fn dunnington_comm_model() -> CommModel {
     CommModel::new(
         vec![
             (
@@ -79,7 +79,7 @@ pub fn dunnington_comm_model() -> CommModel {
 
 /// Topology of `nodes` Finis Terrae nodes: 16 cores per node in two cells
 /// of four dual-core sockets; all caches private.
-pub fn finis_terrae_topology(nodes: usize) -> ClusterTopology {
+pub(crate) fn finis_terrae_topology(nodes: usize) -> ClusterTopology {
     let cores = 16;
     ClusterTopology {
         name: "finis_terrae".into(),
@@ -94,7 +94,7 @@ pub fn finis_terrae_topology(nodes: usize) -> ClusterTopology {
 
 /// Communication model of Finis Terrae (HP MPI: SHM intra-node, IBV
 /// inter-node over 20 Gbps InfiniBand).
-pub fn finis_terrae_comm_model() -> CommModel {
+pub(crate) fn finis_terrae_comm_model() -> CommModel {
     CommModel::new(
         vec![
             (

@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 /// A cluster-wide core index: `node * cores_per_node + local_core`.
-pub type GlobalCore = usize;
+pub(crate) type GlobalCore = usize;
 
 /// Communication layer between two cores, ordered from fastest to slowest.
 ///
@@ -33,19 +33,6 @@ pub enum Layer {
     InterNode,
 }
 
-impl Layer {
-    /// Short stable name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Layer::SharedCache => "shared-cache",
-            Layer::IntraProcessor => "intra-processor",
-            Layer::IntraCell => "intra-cell",
-            Layer::IntraNode => "intra-node",
-            Layer::InterNode => "inter-node",
-        }
-    }
-}
-
 /// Placement of every core of a cluster.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClusterTopology {
@@ -66,7 +53,7 @@ pub struct ClusterTopology {
 
 impl ClusterTopology {
     /// Validate internal consistency.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.num_nodes == 0 || self.cores_per_node == 0 {
             return Err("empty cluster".into());
         }
@@ -92,12 +79,12 @@ impl ClusterTopology {
     }
 
     /// Node of a global core.
-    pub fn node_of(&self, core: GlobalCore) -> usize {
+    pub(crate) fn node_of(&self, core: GlobalCore) -> usize {
         core / self.cores_per_node
     }
 
     /// Local index of a global core within its node.
-    pub fn local_of(&self, core: GlobalCore) -> usize {
+    pub(crate) fn local_of(&self, core: GlobalCore) -> usize {
         core % self.cores_per_node
     }
 
@@ -119,14 +106,6 @@ impl ClusterTopology {
         } else {
             Layer::IntraNode
         }
-    }
-
-    /// Number of distinct cells per node.
-    pub fn num_cells(&self) -> usize {
-        let mut cells: Vec<usize> = self.cell_of.clone();
-        cells.sort_unstable();
-        cells.dedup();
-        cells.len()
     }
 
     /// The distinct layers this topology exhibits, fastest first.
@@ -218,7 +197,6 @@ mod tests {
         assert_eq!(t.node_of(16), 1);
         assert_eq!(t.node_of(47), 2);
         assert_eq!(t.local_of(17), 1);
-        assert_eq!(t.num_cells(), 2);
     }
 
     #[test]
@@ -226,12 +204,6 @@ mod tests {
         let mut t = presets::dunnington_topology();
         t.cell_of.pop();
         assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn layer_names_are_stable() {
-        assert_eq!(Layer::SharedCache.name(), "shared-cache");
-        assert_eq!(Layer::InterNode.name(), "inter-node");
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub struct Counter {
 
 impl Counter {
     /// A counter starting at zero.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self {
             value: AtomicU64::new(0),
         }

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 /// Human-readable summary of `metrics` plus the span log — the body of
 /// the CLI's `--trace` footer.
-pub fn summary_from(metrics: &Metrics) -> String {
+pub(crate) fn summary_from(metrics: &Metrics) -> String {
     let mut out = String::new();
     let counters = metrics.counters_snapshot();
     if !counters.is_empty() {
@@ -43,7 +43,7 @@ pub fn summary_from(metrics: &Metrics) -> String {
     out
 }
 
-/// [`summary_from`] over the global metric registry.
+/// `summary_from` over the global metric registry.
 pub fn summary() -> String {
     summary_from(crate::metrics::global())
 }

@@ -12,11 +12,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: one for zero plus one per power of two of `u64`.
-pub const NUM_BUCKETS: usize = 65;
+pub(crate) const NUM_BUCKETS: usize = 65;
 
 /// The bucket a value lands in: 0 for the value `0`, otherwise
 /// `floor(log2(value)) + 1`, so bucket `i ≥ 1` spans `[2^(i-1), 2^i - 1]`.
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value == 0 {
         0
     } else {
@@ -29,7 +29,7 @@ pub fn bucket_index(value: u64) -> usize {
 ///
 /// # Panics
 /// If `index >= NUM_BUCKETS`.
-pub fn bucket_upper_bound(index: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(index: usize) -> u64 {
     assert!(index < NUM_BUCKETS, "bucket index {index} out of range");
     match index {
         0 => 0,
@@ -93,7 +93,7 @@ impl Histogram {
     }
 
     /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
@@ -145,12 +145,12 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
     /// Arithmetic mean of the samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

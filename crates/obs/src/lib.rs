@@ -33,28 +33,26 @@
 //! assert!(servet_obs::summary().contains("demo.items"));
 //! ```
 //!
-//! Components that need isolation from the global namespace (the registry
-//! server's per-op latencies, unit tests) own a [`Metrics`] registry or
-//! raw [`Histogram`]/[`Counter`] values directly; the global registry is
-//! a convenience, not a requirement.
+//! Components that need isolation from the global namespace own raw
+//! [`Histogram`]/[`Counter`] values directly (the registry server's
+//! per-op latencies) or install a [`RunScope`] (one suite run's
+//! counters); the global registry is a convenience, not a requirement.
 
 #![warn(missing_docs)]
 
-pub mod counter;
-pub mod export;
-pub mod histogram;
-pub mod metrics;
-pub mod scope;
-pub mod span;
+mod counter;
+mod export;
+mod histogram;
+mod metrics;
+mod scope;
+mod span;
 
 pub use counter::Counter;
-pub use export::{summary, summary_from};
-pub use histogram::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot, NUM_BUCKETS};
-pub use metrics::Metrics;
+pub use export::summary;
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use scope::{RunScope, ScopeData};
 pub use span::{
-    dropped_spans, format_ns, render_span_tree, span, spans_snapshot, take_spans, SpanGuard,
-    SpanRecord, MAX_SPANS,
+    format_ns, render_span_tree, span, spans_snapshot, take_spans, SpanGuard, SpanRecord,
 };
 
 use std::sync::Arc;

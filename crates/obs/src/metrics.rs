@@ -15,20 +15,20 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// A named collection of counters and histograms.
 #[derive(Debug, Default)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl Metrics {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The counter registered under `name`, created on first use. The
     /// same name always yields the same counter.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub(crate) fn counter(&self, name: &str) -> Arc<Counter> {
         let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(
             map.entry(name.to_string())
@@ -37,7 +37,7 @@ impl Metrics {
     }
 
     /// The histogram registered under `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(
             map.entry(name.to_string())
@@ -46,7 +46,7 @@ impl Metrics {
     }
 
     /// Name → value for every registered counter.
-    pub fn counters_snapshot(&self) -> BTreeMap<String, u64> {
+    pub(crate) fn counters_snapshot(&self) -> BTreeMap<String, u64> {
         self.counters
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -56,7 +56,7 @@ impl Metrics {
     }
 
     /// Name → snapshot for every registered histogram.
-    pub fn histograms_snapshot(&self) -> BTreeMap<String, HistogramSnapshot> {
+    pub(crate) fn histograms_snapshot(&self) -> BTreeMap<String, HistogramSnapshot> {
         self.histograms
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -64,23 +64,10 @@ impl Metrics {
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect()
     }
-
-    /// Forget every registered metric. Outstanding `Arc`s keep working
-    /// but are no longer reported.
-    pub fn clear(&self) {
-        self.counters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-        self.histograms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-    }
 }
 
 /// The process-global metric registry.
-pub fn global() -> &'static Metrics {
+pub(crate) fn global() -> &'static Metrics {
     static GLOBAL: OnceLock<Metrics> = OnceLock::new();
     GLOBAL.get_or_init(Metrics::new)
 }
@@ -106,15 +93,6 @@ mod tests {
         m.counter("a").incr();
         let names: Vec<String> = m.counters_snapshot().into_keys().collect();
         assert_eq!(names, vec!["a".to_string(), "z".to_string()]);
-    }
-
-    #[test]
-    fn clear_forgets_names_but_old_handles_survive() {
-        let m = Metrics::new();
-        let c = m.counter("gone");
-        m.clear();
-        c.incr(); // must not panic
-        assert!(m.counters_snapshot().is_empty());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 /// Upper bound on retained span records; beyond it spans are dropped and
 /// counted in [`dropped_spans`].
-pub const MAX_SPANS: usize = 65_536;
+pub(crate) const MAX_SPANS: usize = 65_536;
 
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
@@ -70,11 +70,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Wall time elapsed since the span opened.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
     /// Attach a payload to the span's record (last call wins).
     pub fn annotate(&mut self, text: impl Into<String>) {
         self.annotation = Some(text.into());
@@ -149,7 +144,7 @@ pub fn spans_snapshot() -> Vec<SpanRecord> {
 }
 
 /// Spans discarded because the log was full.
-pub fn dropped_spans() -> u64 {
+pub(crate) fn dropped_spans() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 

@@ -10,10 +10,9 @@
 //! answers.
 
 use serde::{Deserialize, Serialize};
-use servet_autotune::collectives::{select_broadcast, BcastPrediction};
 use servet_autotune::concurrency::{self, advise_memory_threads, ConcurrencyAdvice};
-use servet_autotune::padding::{advise_padding, PaddingAdvice};
 use servet_autotune::tiling::{self, select_tile, TileChoice};
+use servet_autotune::{advise_padding, select_broadcast, BcastPrediction, PaddingAdvice};
 use servet_core::profile::MachineProfile;
 
 fn default_tolerance() -> f64 {
@@ -79,7 +78,7 @@ impl AdviceQuery {
     /// Resolve profile-dependent defaults so that equivalent queries
     /// memoize to the same key: `ranks: 0` becomes the profile's core
     /// count, and rank counts are clamped to it (as the CLI always did).
-    pub fn resolved(&self, profile: &MachineProfile) -> AdviceQuery {
+    pub(crate) fn resolved(&self, profile: &MachineProfile) -> AdviceQuery {
         match *self {
             AdviceQuery::Bcast { ranks, bytes } => {
                 let all = profile.total_cores.max(1);
@@ -168,8 +167,8 @@ pub fn compute_advice(
 mod tests {
     use super::*;
     use crate::{Registry, Request, Response};
-    use servet_core::suite::{run_full_suite, SuiteConfig};
     use servet_core::SimPlatform;
+    use servet_core::{run_full_suite, SuiteConfig};
 
     fn measured_profile() -> MachineProfile {
         let mut platform = SimPlatform::tiny_cluster().with_noise(0.003);

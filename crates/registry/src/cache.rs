@@ -13,7 +13,7 @@ use std::sync::{RwLock, RwLockReadGuard};
 
 /// Counter snapshot of one [`Memo`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     /// Lookups that found the key.
     pub hits: u64,
     /// Lookups that did not.
@@ -30,7 +30,7 @@ struct Entries<K, V> {
 
 /// A concurrent map holding at most `capacity` entries, evicting the
 /// oldest insert first.
-pub struct Memo<K, V> {
+pub(crate) struct Memo<K, V> {
     entries: RwLock<Entries<K, V>>,
     capacity: usize,
     hits: AtomicU64,
@@ -40,7 +40,7 @@ pub struct Memo<K, V> {
 
 impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     /// A memo holding at most `capacity` entries (min 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             entries: RwLock::new(Entries {
                 map: HashMap::new(),
@@ -58,7 +58,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     }
 
     /// Clone of the cached value, counting a hit or miss.
-    pub fn get(&self, key: &K) -> Option<V> {
+    pub(crate) fn get(&self, key: &K) -> Option<V> {
         let value = self.peek(key);
         let counter = if value.is_some() {
             &self.hits
@@ -79,7 +79,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     /// miss; the bool reports a hit. Counts one hit or one miss. `f` runs
     /// outside the lock, so two racing misses may both compute — the
     /// values are equal, and the later insert replaces the earlier.
-    pub fn get_or_insert_with(&self, key: K, f: impl FnOnce() -> V) -> (V, bool) {
+    pub(crate) fn get_or_insert_with(&self, key: K, f: impl FnOnce() -> V) -> (V, bool) {
         if let Some(value) = self.get(&key) {
             return (value, true);
         }
@@ -90,7 +90,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
 
     /// Insert (or replace) a value, evicting the oldest entry if the memo
     /// is full.
-    pub fn insert(&self, key: K, value: V) {
+    pub(crate) fn insert(&self, key: K, value: V) {
         let mut entries = self.entries.write().unwrap_or_else(|e| e.into_inner());
         if entries.map.insert(key.clone(), value).is_some() {
             return; // replaced in place; key already tracked in `order`
@@ -105,7 +105,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     }
 
     /// Snapshot of the counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -54,7 +54,7 @@ impl RegistryClient {
     }
 
     /// Wrap an already-connected stream.
-    pub fn from_stream(stream: TcpStream) -> io::Result<Self> {
+    pub(crate) fn from_stream(stream: TcpStream) -> io::Result<Self> {
         let writer = stream.try_clone()?;
         Ok(Self {
             reader: BufReader::new(stream),
@@ -151,7 +151,7 @@ fn protocol_error(error: String) -> io::Error {
 
 /// Whether `e` is the server's "accept queue full" rejection — the one
 /// failure that explicitly invites a retry with backoff.
-pub fn is_server_busy(e: &io::Error) -> bool {
+pub(crate) fn is_server_busy(e: &io::Error) -> bool {
     e.kind() == io::ErrorKind::WouldBlock && is_busy_error(&e.to_string())
 }
 
@@ -159,7 +159,7 @@ pub fn is_server_busy(e: &io::Error) -> bool {
 /// `e`: the typed busy rejection, or transport failures a mid-flight
 /// server close produces. Application errors (bad request, unknown key)
 /// are not retryable — repeating them would repeat the answer.
-pub fn is_retryable(e: &io::Error) -> bool {
+pub(crate) fn is_retryable(e: &io::Error) -> bool {
     is_server_busy(e)
         || matches!(
             e.kind(),
@@ -206,7 +206,7 @@ impl Default for RetryPolicy {
 /// jitter, `min(cap, uniform(base, 3 × previous))`. The first delay is
 /// always exactly `initial_backoff`.
 #[derive(Debug)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     base: Duration,
     cap: Duration,
     prev: Option<Duration>,
@@ -216,7 +216,7 @@ pub struct Backoff {
 impl Backoff {
     /// A sequence for `policy` drawing jitter from `seed` (overriding
     /// [`RetryPolicy::jitter_seed`]).
-    pub fn seeded(policy: &RetryPolicy, seed: u64) -> Self {
+    pub(crate) fn seeded(policy: &RetryPolicy, seed: u64) -> Self {
         Self {
             base: policy.initial_backoff,
             cap: policy.max_backoff.max(policy.initial_backoff),
@@ -227,7 +227,7 @@ impl Backoff {
 
     /// The next sleep. Always within
     /// `[initial_backoff, max_backoff]`.
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         let next = match self.prev {
             None => self.base,
             Some(prev) => {
@@ -253,7 +253,7 @@ impl Backoff {
 /// (`servet zoo` streaming a population of profiles).
 ///
 /// Each operation runs against a lazily-(re)established connection; on a
-/// [retryable](is_retryable) failure the connection is discarded and the
+/// retryable failure the connection is discarded and the
 /// operation retried after a jittered backoff, up to
 /// [`RetryPolicy::attempts`]. The last error is returned when the budget
 /// runs out. Retries are counted on the `registry.client.retries`
@@ -282,7 +282,7 @@ impl RetryingRegistryClient {
     }
 
     /// Run `op` against the connection, reconnecting and retrying it on a
-    /// [retryable](is_retryable) failure, so any [`RegistryClient`] call
+    /// retryable failure, so any [`RegistryClient`] call
     /// gets the policy: `client.with_retry(|c| c.put(&profile, None))`.
     pub fn with_retry<T>(
         &mut self,

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 /// Assembles newline-delimited frames from arbitrary byte chunks.
 #[derive(Debug, Default)]
-pub struct LineBuffer {
+pub(crate) struct LineBuffer {
     buf: Vec<u8>,
     /// Bytes already scanned for `\n` (avoids rescanning on every
     /// partial read).
@@ -37,22 +37,22 @@ pub struct LineBuffer {
 
 impl LineBuffer {
     /// Append a chunk received from the socket.
-    pub fn extend(&mut self, chunk: &[u8]) {
+    pub(crate) fn extend(&mut self, chunk: &[u8]) {
         self.buf.extend_from_slice(chunk);
     }
 
     /// Bytes currently buffered (complete and partial lines).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Pop the next complete line (without its `\n`), if any.
-    pub fn pop_line(&mut self) -> Option<Vec<u8>> {
+    pub(crate) fn pop_line(&mut self) -> Option<Vec<u8>> {
         let nl = self.buf[self.scanned..]
             .iter()
             .position(|&b| b == b'\n')
@@ -75,7 +75,7 @@ impl LineBuffer {
     /// bytes — an oversized (or endless) line the server must refuse
     /// rather than buffer without bound. Complete lines already queued
     /// ahead of it never count against the cap.
-    pub fn line_overflows(&self, max: usize) -> bool {
+    pub(crate) fn line_overflows(&self, max: usize) -> bool {
         if self.buf.len() <= max {
             return false;
         }
@@ -89,7 +89,7 @@ impl LineBuffer {
 
 /// One live client connection owned by the event loop.
 #[derive(Debug)]
-pub struct Conn {
+pub(crate) struct Conn {
     stream: TcpStream,
     /// Incoming bytes not yet consumed as lines.
     pub lines: LineBuffer,
@@ -112,7 +112,7 @@ pub struct Conn {
 
 impl Conn {
     /// Adopt an accepted socket (made nonblocking here).
-    pub fn new(stream: TcpStream, deadline: Instant) -> io::Result<Self> {
+    pub(crate) fn new(stream: TcpStream, deadline: Instant) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true).ok();
         Ok(Self {
@@ -129,7 +129,7 @@ impl Conn {
     }
 
     /// The underlying socket (for poller registration and shutdown).
-    pub fn stream(&self) -> &TcpStream {
+    pub(crate) fn stream(&self) -> &TcpStream {
         &self.stream
     }
 
@@ -137,7 +137,7 @@ impl Conn {
     /// or `max_buffered` bytes are pending, and return the bytes read.
     /// Sets [`Self::peer_eof`] on EOF; transport errors bubble up (caller
     /// closes).
-    pub fn read_ready(&mut self, max_buffered: usize) -> io::Result<usize> {
+    pub(crate) fn read_ready(&mut self, max_buffered: usize) -> io::Result<usize> {
         let mut chunk = [0u8; 8 * 1024];
         let mut total = 0usize;
         loop {
@@ -162,7 +162,7 @@ impl Conn {
     }
 
     /// Queue response bytes for writing.
-    pub fn queue_write(&mut self, bytes: &[u8]) {
+    pub(crate) fn queue_write(&mut self, bytes: &[u8]) {
         // Compact the consumed prefix before growing.
         if self.write_pos > 0 {
             self.write_buf.drain(..self.write_pos);
@@ -173,7 +173,7 @@ impl Conn {
 
     /// Push queued bytes into the kernel until done or `WouldBlock`.
     /// Returns `true` once the buffer is fully flushed.
-    pub fn flush(&mut self) -> io::Result<bool> {
+    pub(crate) fn flush(&mut self) -> io::Result<bool> {
         while self.write_pos < self.write_buf.len() {
             match self.stream.write(&self.write_buf[self.write_pos..]) {
                 Ok(0) => {
@@ -199,7 +199,7 @@ impl Conn {
     }
 
     /// Output still pending flush.
-    pub fn wants_write(&self) -> bool {
+    pub(crate) fn wants_write(&self) -> bool {
         self.pending_output() > 0
     }
 
@@ -214,7 +214,7 @@ impl Conn {
     /// connection that takes no lines would otherwise spin a
     /// level-triggered poller once its line buffer is full) or once the
     /// peer is at EOF; writes are armed only while output is pending.
-    pub fn desired_interest(&self) -> Interest {
+    pub(crate) fn desired_interest(&self) -> Interest {
         Interest {
             readable: self.idle() && !self.peer_eof,
             writable: self.wants_write(),
@@ -223,12 +223,12 @@ impl Conn {
 
     /// Nothing left to do for this peer: no in-flight request, output
     /// flushed, and either the peer hung up or we are closing.
-    pub fn drained(&self) -> bool {
+    pub(crate) fn drained(&self) -> bool {
         !self.inflight && !self.wants_write()
     }
 
     /// Send FIN both ways (the poller deregisters separately).
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }

@@ -1,14 +1,14 @@
 //! Content digests for the profile store: a dependency-free SHA-256.
 //!
 //! The registry keys every profile by the SHA-256 of its canonical JSON
-//! (see [`crate::store`]), so identical measurements always land on the
+//! (see the `store` module), so identical measurements always land on the
 //! same key no matter which client uploaded them. The implementation is
 //! the plain FIPS 180-4 construction over `std` only — the CI sandboxes
 //! this repo builds in cannot fetch crates, so no external hash crate.
 
 /// Streaming SHA-256 (FIPS 180-4).
 #[derive(Debug, Clone)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     buf: [u8; 64],
     buf_len: usize,
@@ -35,7 +35,7 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// Fresh hasher with the FIPS initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             state: [
                 0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
@@ -48,7 +48,7 @@ impl Sha256 {
     }
 
     /// Absorb `data`.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
@@ -74,7 +74,7 @@ impl Sha256 {
     }
 
     /// Pad, finish, and return the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    pub(crate) fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
         self.update(&[0x80]);
         while self.buf_len != 56 {
@@ -141,7 +141,7 @@ pub fn sha256_hex(bytes: &[u8]) -> String {
 }
 
 /// Lowercase hex of a byte slice.
-pub fn to_hex(bytes: &[u8]) -> String {
+pub(crate) fn to_hex(bytes: &[u8]) -> String {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
     for &b in bytes {
@@ -152,7 +152,7 @@ pub fn to_hex(bytes: &[u8]) -> String {
 }
 
 /// Is `s` a plausible full digest (64 lowercase hex chars)?
-pub fn looks_like_digest(s: &str) -> bool {
+pub(crate) fn looks_like_digest(s: &str) -> bool {
     s.len() == 64
         && s.bytes()
             .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())

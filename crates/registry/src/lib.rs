@@ -7,45 +7,45 @@
 //!
 //! * [`digest`] — a dependency-free SHA-256; profiles are keyed by the
 //!   digest of their canonical JSON.
-//! * [`store`] — the content-addressed on-disk store with atomic writes
+//! * `store` — the content-addressed on-disk store with atomic writes
 //!   and a named-alias index (`"dunnington"` → digest).
-//! * [`cache`] — [`cache::Memo`], a single-lock FIFO map with hit/miss/
+//! * `cache` — `Memo`, a single-lock FIFO map with hit/miss/
 //!   eviction counters, used for parsed profiles, memoized advice and
 //!   memoized tuning sessions.
-//! * [`advice`] — the `servet-autotune` consumers (`advise_memory_threads`,
+//! * `advice` — the `servet-autotune` consumers (`advise_memory_threads`,
 //!   `select_tile`, `select_broadcast`) behind one serde query/outcome
 //!   type.
-//! * [`tune`] — search-based tuning sessions (the `servet-tune`
+//! * `tune` — search-based tuning sessions (the `servet-tune`
 //!   strategies over the profile-oracle cost model) behind one serde
 //!   query type.
-//! * [`registry`] — store + memos behind a single request dispatch: the
+//! * `registry` — store + memos behind a single request dispatch: the
 //!   registry memoizes advice per `(digest, resolved query)` and tuning
 //!   sessions per `(digest, space digest, options)` — content addressing
 //!   makes answers immortal, so each is computed once per stored profile.
-//! * [`protocol`] — the newline-delimited JSON wire types (documented in
+//! * `protocol` — the newline-delimited JSON wire types (documented in
 //!   `DESIGN.md`).
-//! * `poll` / [`conn`] — the std-only event-loop substrate: a private
+//! * `poll` / `conn` — the std-only event-loop substrate: a private
 //!   readiness poller, which only the server waits on, chosen by the
 //!   target (epoll through libc's own entry points on Linux, a scan
-//!   poller elsewhere) and the per-connection [`conn::Conn`] state
+//!   poller elsewhere) and the per-connection `Conn` state
 //!   machine that buffers partial NDJSON lines across readiness events.
-//! * [`server`] / [`client`] — an event-driven TCP server: one loop
+//! * `server` / `client` — an event-driven TCP server: one loop
 //!   thread multiplexes every connection (10k+ sockets, `workers + 1`
 //!   threads total), answers what is already in memory and feeds the
 //!   other parsed requests to a fixed worker pool over a bounded queue
 //!   (idle deadlines in one heap with one
-//!   entry per connection, one typed `busy:` line,
-//!   [`protocol::BUSY_ERROR`], on overload at both admission and execution,
+//!   entry per connection, one typed `busy:` line
+//!   on overload at both admission and execution,
 //!   drain-deadline shutdown); plus the blocking client used by
 //!   `servet query`, and the reconnecting
-//!   [`client::RetryingRegistryClient`] (decorrelated-jitter backoff)
+//!   [`RetryingRegistryClient`] (decorrelated-jitter backoff)
 //!   that `servet zoo` streams profiles through.
 //!
 //! Request handling is instrumented with per-operation latency histograms
 //! (`servet-obs`), surfaced through the `stats` protocol command beside
 //! the front end's counters, which the [`Registry`] owns and the server
-//! bumps once per event — see [`protocol::OpLatency`],
-//! [`protocol::AcceptStats`], [`protocol::EventStats`] and
+//! bumps once per event — see [`OpLatency`], [`AcceptStats`],
+//! [`EventStats`] and
 //! `crates/registry/README.md` for the wire format.
 //!
 //! ```no_run
@@ -61,29 +61,24 @@
 
 #![warn(missing_docs)]
 
-pub mod advice;
-pub mod cache;
-pub mod client;
-pub mod conn;
+mod advice;
+mod cache;
+mod client;
+mod conn;
 pub mod digest;
 pub mod loadgen;
 mod poll;
-pub mod protocol;
-pub mod registry;
-pub mod server;
-pub mod store;
-pub mod tune;
+mod protocol;
+mod registry;
+mod server;
+mod store;
+mod tune;
 
 pub use advice::{compute_advice, AdviceOutcome, AdviceQuery};
-pub use cache::{CacheStats, Memo};
-pub use client::{
-    is_retryable, is_server_busy, Backoff, RegistryClient, RetryPolicy, RetryingRegistryClient,
-};
+pub use client::{RegistryClient, RetryPolicy, RetryingRegistryClient};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
-pub use protocol::{
-    is_busy_error, AcceptStats, EventStats, OpLatency, Request, Response, ServerStats, BUSY_ERROR,
-};
+pub use protocol::{AcceptStats, EventStats, OpLatency, Request, Response, ServerStats};
 pub use registry::Registry;
-pub use server::{serve, ServerConfig, ServerHandle};
-pub use store::{canonical_json, profile_digest, ProfileStore, StoreEntry};
+pub use server::{serve, ServerConfig, ServerHandle, MAX_LINE_BYTES};
+pub use store::{canonical_json, profile_digest, StoreEntry};
 pub use tune::{compute_tune, TuneQuery};

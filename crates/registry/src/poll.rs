@@ -28,18 +28,18 @@ type RawFd = i32;
 
 /// The descriptor to register `socket` under.
 #[cfg(unix)]
-pub fn raw_fd<T: std::os::fd::AsRawFd>(socket: &T) -> RawFd {
+pub(crate) fn raw_fd<T: std::os::fd::AsRawFd>(socket: &T) -> RawFd {
     socket.as_raw_fd()
 }
 /// No descriptors here; the scan poller never looks at one.
 #[cfg(not(unix))]
-pub fn raw_fd<T>(_socket: &T) -> RawFd {
+pub(crate) fn raw_fd<T>(_socket: &T) -> RawFd {
     -1
 }
 
 /// What to watch a descriptor for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Wake when the descriptor is readable (or the peer hung up).
     pub readable: bool,
     /// Wake when the descriptor is writable.
@@ -48,20 +48,15 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest — the steady state of an idle connection.
-    pub const READ: Self = Self {
+    pub(crate) const READ: Self = Self {
         readable: true,
         writable: false,
-    };
-    /// Read + write interest — a connection with buffered output.
-    pub const READ_WRITE: Self = Self {
-        readable: true,
-        writable: true,
     };
 }
 
 /// One readiness event out of [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+pub(crate) struct Event {
     /// The token the descriptor was registered under.
     pub token: u64,
     /// Data can be read (includes peer half-close / EOF).
@@ -74,7 +69,7 @@ pub struct Event {
 }
 
 #[cfg(target_os = "linux")]
-pub use epoll::Poller;
+pub(crate) use epoll::Poller;
 #[cfg(not(target_os = "linux"))]
 pub use scan::Poller;
 
@@ -91,61 +86,62 @@ mod sys {
     #[repr(C)]
     #[cfg_attr(target_arch = "x86_64", repr(packed))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    pub(super) struct EpollEvent {
         /// `EPOLL*` readiness bits.
         pub events: u32,
         /// Caller-owned token returned verbatim.
         pub data: u64,
     }
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
+    pub(super) const EPOLLIN: u32 = 0x001;
+    pub(super) const EPOLLOUT: u32 = 0x004;
     /// Always reported, no need to register.
-    pub const EPOLLERR: u32 = 0x008;
+    pub(super) const EPOLLERR: u32 = 0x008;
     /// Always reported, no need to register.
-    pub const EPOLLHUP: u32 = 0x010;
+    pub(super) const EPOLLHUP: u32 = 0x010;
     /// The peer shut down its writing half.
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub(super) const EPOLLRDHUP: u32 = 0x2000;
 
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
-    pub const EPOLL_CLOEXEC: c_int = 0x80000;
+    pub(super) const EPOLL_CTL_ADD: c_int = 1;
+    pub(super) const EPOLL_CTL_DEL: c_int = 2;
+    pub(super) const EPOLL_CTL_MOD: c_int = 3;
+    pub(super) const EPOLL_CLOEXEC: c_int = 0x80000;
 
     /// `struct rlimit` where `rlim_t` is 64 bits wide: every LP64 Linux.
     #[cfg(target_pointer_width = "64")]
     #[repr(C)]
-    pub struct Rlimit {
+    pub(super) struct Rlimit {
         pub cur: u64,
         pub max: u64,
     }
 
     /// 7 in the generic Linux ABI; mips and sparc kept older numbers.
     #[cfg(target_pointer_width = "64")]
-    pub const RLIMIT_NOFILE: c_int = if cfg!(any(target_arch = "mips64", target_arch = "mips64r6"))
-    {
-        5
-    } else if cfg!(target_arch = "sparc64") {
-        6
-    } else {
-        7
-    };
+    pub(super) const RLIMIT_NOFILE: c_int =
+        if cfg!(any(target_arch = "mips64", target_arch = "mips64r6")) {
+            5
+        } else if cfg!(target_arch = "sparc64") {
+            6
+        } else {
+            7
+        };
 
     extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
+        pub(super) fn epoll_create1(flags: c_int) -> c_int;
+        pub(super) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent)
+            -> c_int;
+        pub(super) fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
             timeout_ms: c_int,
         ) -> c_int;
-        pub fn close(fd: c_int) -> c_int;
-        pub fn listen(fd: c_int, backlog: c_int) -> c_int;
+        pub(super) fn close(fd: c_int) -> c_int;
+        pub(super) fn listen(fd: c_int, backlog: c_int) -> c_int;
         #[cfg(target_pointer_width = "64")]
-        pub fn getrlimit(resource: c_int, limit: *mut Rlimit) -> c_int;
+        pub(super) fn getrlimit(resource: c_int, limit: *mut Rlimit) -> c_int;
         #[cfg(target_pointer_width = "64")]
-        pub fn setrlimit(resource: c_int, limit: *const Rlimit) -> c_int;
+        pub(super) fn setrlimit(resource: c_int, limit: *const Rlimit) -> c_int;
     }
 }
 
@@ -153,7 +149,7 @@ mod sys {
 /// thousands of multiplexed sockets need it. Returns the resulting
 /// (possibly unchanged) soft limit, or `None` where it cannot be read or
 /// set: callers keep the current limit. A no-op off 64-bit Linux.
-pub fn raise_nofile_limit() -> Option<u64> {
+pub(crate) fn raise_nofile_limit() -> Option<u64> {
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     {
         let mut limit = sys::Rlimit { cur: 0, max: 0 };
@@ -181,7 +177,7 @@ pub fn raise_nofile_limit() -> Option<u64> {
 /// `listen` again on the listening socket (std's `TcpListener::bind`
 /// hardcodes 128, which a 10k-connection storm overruns). A no-op off
 /// Linux.
-pub fn deepen_listen_backlog(listener: &std::net::TcpListener, backlog: i32) {
+pub(crate) fn deepen_listen_backlog(listener: &std::net::TcpListener, backlog: i32) {
     #[cfg(target_os = "linux")]
     // SAFETY: the descriptor stays open while `listener` is borrowed, and
     // `listen` on a listening socket only changes its backlog.
@@ -200,7 +196,7 @@ mod epoll {
 
     /// A level-triggered readiness poller over registered descriptors:
     /// Linux `epoll`.
-    pub struct Poller {
+    pub(crate) struct Poller {
         epfd: RawFd,
         buf: Vec<sys::EpollEvent>,
     }
@@ -221,7 +217,7 @@ mod epoll {
     impl Poller {
         /// A new epoll instance; an `epoll_create1` failure is returned
         /// as is.
-        pub fn new() -> io::Result<Self> {
+        pub(crate) fn new() -> io::Result<Self> {
             // SAFETY: takes no pointers.
             let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
             if epfd < 0 {
@@ -247,17 +243,27 @@ mod epoll {
         }
 
         /// Start watching `fd` under `token`.
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
         }
 
         /// Change what `fd` is watched for.
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
         }
 
         /// Stop watching `fd`.
-        pub fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
             self.ctl(sys::EPOLL_CTL_DEL, fd, token, Interest::READ)
         }
 
@@ -266,7 +272,7 @@ mod epoll {
         /// rounded up, so a caller sleeping to a deadline does not spin
         /// short of it); ready events replace the contents of `events`.
         /// Returns the number of events. Retries `EINTR` internally.
-        pub fn wait(
+        pub(crate) fn wait(
             &mut self,
             events: &mut Vec<Event>,
             timeout: Option<Duration>,
@@ -329,26 +335,36 @@ mod scan {
     /// reported ready (for its registered interest) after a short nap.
     /// Sound because sockets are nonblocking — a spurious "readable"
     /// costs one `WouldBlock` — but O(registered) wakeups per tick.
-    pub struct Poller {
+    pub(super) struct Poller {
         entries: Vec<(RawFd, u64, Interest)>,
     }
 
     impl Poller {
         /// An empty poller; never fails.
-        pub fn new() -> io::Result<Self> {
+        pub(super) fn new() -> io::Result<Self> {
             Ok(Self {
                 entries: Vec::new(),
             })
         }
 
         /// Start watching `fd` under `token`.
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(super) fn register(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.entries.push((fd, token, interest));
             Ok(())
         }
 
         /// Change what `fd` is watched for.
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(super) fn modify(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             for e in &mut self.entries {
                 if e.0 == fd && e.1 == token {
                     e.2 = interest;
@@ -359,7 +375,7 @@ mod scan {
         }
 
         /// Stop watching `fd`.
-        pub fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
+        pub(super) fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
             let before = self.entries.len();
             self.entries.retain(|e| !(e.0 == fd && e.1 == token));
             if self.entries.len() == before {
@@ -371,7 +387,7 @@ mod scan {
         /// Nap for `timeout` (at most 5 ms, so spurious readiness stays
         /// responsive), then report every registered descriptor; the
         /// events replace the contents of `events`. Returns their number.
-        pub fn wait(
+        pub(super) fn wait(
             &mut self,
             events: &mut Vec<Event>,
             timeout: Option<Duration>,
@@ -464,7 +480,14 @@ mod tests {
                     b.set_nonblocking(true).unwrap();
                     let mut poller = Poller::new().unwrap();
                     poller
-                        .register(raw_fd(&b), 3, Interest::READ_WRITE)
+                        .register(
+                            raw_fd(&b),
+                            3,
+                            Interest {
+                                readable: true,
+                                writable: true,
+                            },
+                        )
                         .unwrap();
                     let mut events = Vec::new();
                     poller

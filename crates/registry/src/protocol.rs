@@ -20,12 +20,12 @@ use std::io::{self, BufRead, Write};
 /// it closes a connection it cannot admit or whose request it cannot
 /// queue. The event loop hand-builds the line with no serializer in the
 /// path; clients recognize it with [`is_busy_error`].
-pub const BUSY_ERROR: &str = "busy: accept queue full, retry with backoff";
+pub(crate) const BUSY_ERROR: &str = "busy: accept queue full, retry with backoff";
 
 /// Whether a protocol-level error string is the server-busy rejection —
 /// "server overloaded, retry with backoff", as opposed to a request the
 /// server actually refused.
-pub fn is_busy_error(error: &str) -> bool {
+pub(crate) fn is_busy_error(error: &str) -> bool {
     error.starts_with("busy:")
 }
 
@@ -104,7 +104,7 @@ pub struct OpLatency {
 
 impl OpLatency {
     /// Build the wire entry for `op` from a histogram snapshot.
-    pub fn from_snapshot(op: &str, snap: &servet_obs::HistogramSnapshot) -> Self {
+    pub(crate) fn from_snapshot(op: &str, snap: &servet_obs::HistogramSnapshot) -> Self {
         Self {
             op: op.to_string(),
             count: snap.count,
@@ -266,7 +266,7 @@ pub enum Response {
 }
 
 /// Serialize `msg` as one JSON line and flush it.
-pub fn write_message<T: Serialize>(writer: &mut impl Write, msg: &T) -> io::Result<()> {
+pub(crate) fn write_message<T: Serialize>(writer: &mut impl Write, msg: &T) -> io::Result<()> {
     let mut line = serde_json::to_string(msg).map_err(io::Error::other)?;
     line.push('\n');
     writer.write_all(line.as_bytes())?;
@@ -275,7 +275,9 @@ pub fn write_message<T: Serialize>(writer: &mut impl Write, msg: &T) -> io::Resu
 
 /// Read one JSON line into `T`. `Ok(None)` means a clean EOF before any
 /// byte; a line that fails to parse is an `InvalidData` error.
-pub fn read_message<T: DeserializeOwned>(reader: &mut impl BufRead) -> io::Result<Option<T>> {
+pub(crate) fn read_message<T: DeserializeOwned>(
+    reader: &mut impl BufRead,
+) -> io::Result<Option<T>> {
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
         return Ok(None);

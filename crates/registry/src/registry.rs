@@ -25,7 +25,7 @@ use std::time::Instant;
 /// the largest profile a `get` answered by [`Registry::handle_in_memory`]
 /// carries: a bound on what one request may cost the loop thread, not a
 /// protocol limit. Longer lines and larger profiles go to a worker.
-pub const IN_MEMORY_BYTES: usize = 16 * 1024;
+pub(crate) const IN_MEMORY_BYTES: usize = 16 * 1024;
 
 /// Parsed profiles the registry keeps in memory.
 const PROFILE_MEMO: usize = 512;
@@ -266,12 +266,13 @@ impl Registry {
     }
 
     /// The underlying store.
-    pub fn store(&self) -> &ProfileStore {
+    #[cfg(test)]
+    pub(crate) fn store(&self) -> &ProfileStore {
         &self.store
     }
 
     /// Store a profile (optionally aliased); returns its digest.
-    pub fn put(&self, profile: MachineProfile, name: Option<&str>) -> io::Result<String> {
+    pub(crate) fn put(&self, profile: MachineProfile, name: Option<&str>) -> io::Result<String> {
         let (digest, json_len) = self.store.put(&profile)?;
         if let Some(name) = name {
             self.store.alias(name, &digest)?;
@@ -287,7 +288,7 @@ impl Registry {
 
     /// Resolve `key` and fetch its profile, serving hot digests from the
     /// in-memory cache.
-    pub fn get(&self, key: &str) -> io::Result<Option<(String, Arc<MachineProfile>)>> {
+    pub(crate) fn get(&self, key: &str) -> io::Result<Option<(String, Arc<MachineProfile>)>> {
         let Some(digest) = self.store.resolve(key)? else {
             return Ok(None);
         };
@@ -301,7 +302,7 @@ impl Registry {
     }
 
     /// List the stored profiles. A profile in the cache is summarised from
-    /// there, with the trust [`Self::get`] already places in the cache
+    /// there, with the trust `Self::get` already places in the cache
     /// (its file is not re-read or re-hashed); only the others are loaded
     /// from disk. Listing counts no cache hit or miss and caches nothing.
     pub fn list(&self) -> io::Result<Vec<StoreEntry>> {
@@ -356,7 +357,7 @@ impl Registry {
     /// goes. The check peeks at the caches; should an entry be evicted
     /// between the check and the dispatch, the request is still answered
     /// correctly, only from disk.
-    pub fn handle_in_memory(&self, request: Request) -> Result<Response, Request> {
+    pub(crate) fn handle_in_memory(&self, request: Request) -> Result<Response, Request> {
         let in_memory = match &request {
             Request::Get { key } => self
                 .cached_profile(key)
@@ -478,8 +479,8 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::store::profile_digest;
-    use servet_core::suite::{run_full_suite, SuiteConfig};
     use servet_core::SimPlatform;
+    use servet_core::{run_full_suite, SuiteConfig};
 
     fn measured_profile() -> MachineProfile {
         let mut platform = SimPlatform::tiny_cluster().with_noise(0.003);

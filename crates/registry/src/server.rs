@@ -1,19 +1,19 @@
 //! The event-driven TCP front end: one readiness loop multiplexing
 //! every connection, speaking the newline-delimited JSON protocol of
-//! [`crate::protocol`].
+//! the `protocol` module.
 //!
 //! A single loop thread (`<prefix>-accept`) owns the listener, a
 //! readiness poller (epoll on Linux, the scan poller elsewhere), a
-//! heap of idle deadlines, and every live [`crate::conn::Conn`]. The heap
+//! heap of idle deadlines, and every live `Conn`. The heap
 //! holds one entry per connection and is never searched: activity only
-//! assigns [`crate::conn::Conn::deadline`], and an entry that surfaces
+//! assigns `Conn::deadline`, and an entry that surfaces
 //! early is pushed back at that value (see `EventLoop::expire_deadlines`).
 //! Sockets are nonblocking; the loop reads
 //! complete request lines out of per-connection buffers and parses those
-//! of up to [`IN_MEMORY_BYTES`].
+//! of up to `IN_MEMORY_BYTES`.
 //!
 //! **Which thread answers what.** The loop answers a request itself
-//! when the answer is already in memory ([`Registry::handle_in_memory`]:
+//! when the answer is already in memory (`Registry::handle_in_memory`:
 //! a cached `get` or `advise`, a memoized `tune`) and when the line does
 //! not parse. The hand-over to a worker and back — a channel, a
 //! completion queue and a one-byte wake socket, four context switches on
@@ -30,7 +30,7 @@
 //! runs exactly `workers + 1` threads no matter how many clients
 //! connect (see [`ServerConfig::max_conns`] for the admission cap).
 //! Overload is explicit at two layers, both answered with a one-line
-//! `busy:` rejection ([`crate::protocol::BUSY_ERROR`]) and a close:
+//! `busy:` rejection (`BUSY_ERROR`) and a close:
 //!
 //! * **admission** — more than `max_conns` live connections;
 //! * **execution** — a parsed request finds the worker queue full.
@@ -47,9 +47,9 @@
 //! [`ServerHandle::shutdown`] stops accepting, closes every idle
 //! connection at once, lets in-flight requests finish for up to
 //! [`ServerConfig::drain_grace`], then kills stragglers (counted as
-//! `drain_killed` in [`crate::protocol::AcceptStats`]) and joins every
+//! `drain_killed` in [`crate::AcceptStats`]) and joins every
 //! thread. Loop health is exported through
-//! [`crate::protocol::EventStats`] via the `stats` operation.
+//! [`crate::EventStats`] via the `stats` operation.
 
 use crate::conn::Conn;
 use crate::poll::{deepen_listen_backlog, raise_nofile_limit, raw_fd, Event, Interest, Poller};
@@ -95,7 +95,7 @@ pub struct ServerConfig {
     /// Parsed requests that may wait for a free worker. When all
     /// workers are busy and this many requests are queued, further
     /// requests are answered with a one-line `busy:` rejection
-    /// ([`crate::protocol::BUSY_ERROR`]) and the connection is
+    /// (`BUSY_ERROR`) and the connection is
     /// closed. `0` means rendezvous: a request is accepted only if a
     /// worker is blocked waiting for one — useful in tests that need
     /// rejection to be deterministic.
@@ -827,8 +827,8 @@ mod tests {
     use crate::client::RegistryClient;
     use crate::protocol::read_message;
     use servet_core::profile::MachineProfile;
-    use servet_core::suite::{run_full_suite, SuiteConfig};
     use servet_core::SimPlatform;
+    use servet_core::{run_full_suite, SuiteConfig};
     use std::io::{BufRead, BufReader};
 
     fn measured_profile() -> MachineProfile {
@@ -1020,7 +1020,7 @@ mod tests {
         // needs): pad the raw sweep until the profile's JSON passes 8 MiB.
         let samples = 230_000;
         let mut profile = measured_profile();
-        profile.mcalibrator = Some(servet_core::mcalibrator::McalibratorOutput {
+        profile.mcalibrator = Some(servet_core::McalibratorOutput {
             sizes: vec![usize::MAX; samples],
             cycles: vec![std::f64::consts::PI; samples],
             stride: 64,

@@ -34,7 +34,7 @@ pub fn profile_digest(profile: &MachineProfile) -> String {
     sha256_hex(canonical_json(profile).as_bytes())
 }
 
-/// One stored profile, as reported by [`ProfileStore::list`].
+/// One stored profile, as reported by `ProfileStore::list`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoreEntry {
     /// Content digest (hex SHA-256).
@@ -50,14 +50,14 @@ pub struct StoreEntry {
 }
 
 /// A directory of content-addressed profiles plus a named alias index.
-pub struct ProfileStore {
+pub(crate) struct ProfileStore {
     dir: PathBuf,
     aliases: RwLock<BTreeMap<String, String>>,
 }
 
 impl ProfileStore {
     /// Open (creating if needed) a store rooted at `dir`.
-    pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
+    pub(crate) fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let index = dir.join(ALIAS_INDEX);
@@ -75,7 +75,8 @@ impl ProfileStore {
     }
 
     /// The store's root directory.
-    pub fn dir(&self) -> &Path {
+    #[cfg(test)]
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 
@@ -87,7 +88,7 @@ impl ProfileStore {
     /// canonical JSON (what the profile weighs on the wire). Idempotent:
     /// re-putting the same content rewrites the same file with identical
     /// bytes.
-    pub fn put(&self, profile: &MachineProfile) -> io::Result<(String, usize)> {
+    pub(crate) fn put(&self, profile: &MachineProfile) -> io::Result<(String, usize)> {
         let json = canonical_json(profile);
         let digest = sha256_hex(json.as_bytes());
         write_atomic(self.profile_path(&digest), json.as_bytes())?;
@@ -95,7 +96,7 @@ impl ProfileStore {
     }
 
     /// Bind `name` to an existing digest and persist the index.
-    pub fn alias(&self, name: &str, digest: &str) -> io::Result<()> {
+    pub(crate) fn alias(&self, name: &str, digest: &str) -> io::Result<()> {
         if name.is_empty() || looks_like_digest(name) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -123,7 +124,7 @@ impl ProfileStore {
     /// Resolve `key` — an alias, a full digest, or a unique digest
     /// prefix (≥ 6 chars) — to a stored digest. Only a prefix lists the
     /// directory.
-    pub fn resolve(&self, key: &str) -> io::Result<Option<String>> {
+    pub(crate) fn resolve(&self, key: &str) -> io::Result<Option<String>> {
         if let Some(digest) = self.alias_target(key) {
             return Ok(Some(digest));
         }
@@ -146,7 +147,7 @@ impl ProfileStore {
     /// Load the profile stored under a (full) digest, verifying that the
     /// content still hashes to its name; returns it with the byte length
     /// of its canonical JSON, as [`Self::put`] does.
-    pub fn load(&self, digest: &str) -> io::Result<(MachineProfile, usize)> {
+    pub(crate) fn load(&self, digest: &str) -> io::Result<(MachineProfile, usize)> {
         let path = self.profile_path(digest);
         let text = fs::read_to_string(&path)?;
         let profile = MachineProfile::from_json(&text)
@@ -180,7 +181,7 @@ impl ProfileStore {
     /// Summaries of every stored profile, digest-sorted, with aliases. A
     /// profile `cached` has is summarised from there; the others are
     /// loaded (read, parsed, re-hashed).
-    pub fn list(
+    pub(crate) fn list(
         &self,
         cached: impl Fn(&String) -> Option<Arc<MachineProfile>>,
     ) -> io::Result<Vec<StoreEntry>> {
@@ -215,13 +216,8 @@ impl ProfileStore {
     }
 
     /// Number of stored profiles.
-    pub fn len(&self) -> io::Result<usize> {
+    pub(crate) fn len(&self) -> io::Result<usize> {
         Ok(self.digests()?.len())
-    }
-
-    /// True when the store holds no profile.
-    pub fn is_empty(&self) -> io::Result<bool> {
-        Ok(self.len()? == 0)
     }
 }
 

@@ -92,9 +92,10 @@ pub(crate) fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheStats, Registry, Request, Response};
-    use servet_core::suite::{run_full_suite, SuiteConfig};
+    use crate::cache::CacheStats;
+    use crate::{Registry, Request, Response};
     use servet_core::SimPlatform;
+    use servet_core::{run_full_suite, SuiteConfig};
     use servet_tune::{Param, Strategy};
 
     fn measured_profile() -> MachineProfile {

@@ -7,8 +7,7 @@
 //! and `busy:` rejections — are hand-built lines, emitted even when no
 //! JSON backend is available.
 
-use servet_registry::server::MAX_LINE_BYTES;
-use servet_registry::{serve, Registry, ServerConfig};
+use servet_registry::{serve, Registry, ServerConfig, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;

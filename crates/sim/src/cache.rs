@@ -23,7 +23,7 @@
 //! prefix-scanning fallback.
 //!
 //! The previous `Vec<Vec<u64>>` model is retained verbatim as
-//! [`reference::ReferenceCache`], with its separate `probe` and `insert`:
+//! `reference::ReferenceCache`, with its separate `probe` and `insert`:
 //! the differential suite replays identical traces through both and demands
 //! bit-identical hits, misses and eviction decisions (the same pattern PR 5
 //! used for the binomial kernels).
@@ -75,7 +75,7 @@ impl SetAssocCache {
     /// Degenerate geometries (a size smaller than one full set, as perturbed
     /// sweeps can produce) clamp to a single set instead of panicking; any
     /// other must give a power-of-two set count, as [`Self::new`] asserts.
-    pub fn with_geometry(size: usize, line_size: usize, associativity: usize) -> Self {
+    pub(crate) fn with_geometry(size: usize, line_size: usize, associativity: usize) -> Self {
         let num_sets = (size / (line_size * associativity)).max(1);
         Self::new(num_sets, associativity)
     }
@@ -126,7 +126,7 @@ impl SetAssocCache {
     /// touch the hit/miss counters: the cost of losing the line shows up
     /// as a later miss, which is what the coherence-miss classifier
     /// counts. Returns whether the line was present.
-    pub fn invalidate(&mut self, line: u64) -> bool {
+    pub(crate) fn invalidate(&mut self, line: u64) -> bool {
         let set = self.set_of(line);
         let base = set * self.associativity;
         let n = self.occupied[set] as usize;
@@ -142,7 +142,7 @@ impl SetAssocCache {
     }
 
     /// Drop every line and reset counters.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.occupied.fill(0);
         self.hits = 0;
         self.misses = 0;
@@ -159,17 +159,17 @@ impl SetAssocCache {
     }
 
     /// Number of ways.
-    pub fn associativity(&self) -> usize {
+    pub(crate) fn associativity(&self) -> usize {
         self.associativity
     }
 
     /// Number of sets.
-    pub fn num_sets(&self) -> usize {
+    pub(crate) fn num_sets(&self) -> usize {
         self.occupied.len()
     }
 
     /// `(hits, misses)` since construction or the last flush.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
@@ -231,7 +231,7 @@ fn touch_any(ways: &mut [u64], occupied: &mut u16, line: u64) -> bool {
     found.is_some()
 }
 
-pub mod reference {
+pub(crate) mod reference {
     //! The pre-fast-path cache model, retained for differential testing.
     //!
     //! This is the original `SetAssocCache`: one heap `Vec` per set,
@@ -242,7 +242,7 @@ pub mod reference {
 
     /// A set-associative LRU cache backed by one `Vec` per set.
     #[derive(Debug, Clone)]
-    pub struct ReferenceCache {
+    pub(crate) struct ReferenceCache {
         /// `sets[s]` holds the line keys resident in set `s`, most
         /// recently used first.
         sets: Vec<Vec<u64>>,
@@ -254,7 +254,7 @@ pub mod reference {
 
     impl ReferenceCache {
         /// Build a cache with `num_sets` sets of `associativity` ways.
-        pub fn new(num_sets: usize, associativity: usize) -> Self {
+        pub(crate) fn new(num_sets: usize, associativity: usize) -> Self {
             assert!(num_sets > 0, "cache needs at least one set");
             assert!(associativity > 0, "cache needs at least one way");
             Self {
@@ -268,7 +268,7 @@ pub mod reference {
 
         /// Build a cache from a geometry in bytes (clamped to ≥ 1 set,
         /// matching the packed model).
-        pub fn with_geometry(size: usize, line_size: usize, associativity: usize) -> Self {
+        pub(crate) fn with_geometry(size: usize, line_size: usize, associativity: usize) -> Self {
             let num_sets = (size / (line_size * associativity)).max(1);
             Self::new(num_sets, associativity)
         }
@@ -281,7 +281,7 @@ pub mod reference {
 
         /// Look up `line`; on hit, refresh its LRU position.
         #[inline]
-        pub fn probe(&mut self, line: u64) -> bool {
+        pub(crate) fn probe(&mut self, line: u64) -> bool {
             let set = self.set_of(line);
             let ways = &mut self.sets[set];
             if let Some(pos) = ways.iter().position(|&l| l == line) {
@@ -298,7 +298,7 @@ pub mod reference {
         /// Insert `line` as MRU, evicting the LRU line of its set if
         /// full. Returns the evicted line, if any.
         #[inline]
-        pub fn insert(&mut self, line: u64) -> Option<u64> {
+        pub(crate) fn insert(&mut self, line: u64) -> Option<u64> {
             let set = self.set_of(line);
             let ways = &mut self.sets[set];
             if let Some(pos) = ways.iter().position(|&l| l == line) {
@@ -316,12 +316,13 @@ pub mod reference {
         }
 
         /// Whether `line` is resident, without touching LRU state.
-        pub fn contains(&self, line: u64) -> bool {
+        #[cfg(test)]
+        pub(crate) fn contains(&self, line: u64) -> bool {
             self.sets[self.set_of(line)].contains(&line)
         }
 
         /// Remove `line` if resident; returns whether it was present.
-        pub fn invalidate(&mut self, line: u64) -> bool {
+        pub(crate) fn invalidate(&mut self, line: u64) -> bool {
             let set = self.set_of(line);
             let ways = &mut self.sets[set];
             if let Some(pos) = ways.iter().position(|&l| l == line) {
@@ -333,7 +334,7 @@ pub mod reference {
         }
 
         /// Drop every line and reset counters.
-        pub fn flush(&mut self) {
+        pub(crate) fn flush(&mut self) {
             for s in &mut self.sets {
                 s.clear();
             }
@@ -342,27 +343,19 @@ pub mod reference {
         }
 
         /// Number of resident lines.
-        pub fn resident_lines(&self) -> usize {
+        #[cfg(test)]
+        pub(crate) fn resident_lines(&self) -> usize {
             self.sets.iter().map(Vec::len).sum()
         }
 
-        /// Total line capacity.
-        pub fn capacity_lines(&self) -> usize {
-            self.sets.len() * self.associativity
-        }
-
-        /// Number of ways.
-        pub fn associativity(&self) -> usize {
-            self.associativity
-        }
-
         /// Number of sets.
-        pub fn num_sets(&self) -> usize {
+        #[cfg(test)]
+        pub(crate) fn num_sets(&self) -> usize {
             self.sets.len()
         }
 
         /// `(hits, misses)` since construction or the last flush.
-        pub fn stats(&self) -> (u64, u64) {
+        pub(crate) fn stats(&self) -> (u64, u64) {
             (self.hits, self.misses)
         }
     }

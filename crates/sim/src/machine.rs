@@ -51,7 +51,7 @@
 //! provable MESI no-op while at most one shared address space exists (the
 //! skip proof is documented in `Machine::lockstep`) — and so does a write
 //! hit by a core the directory's owned-line record shows holding the line
-//! Modified ([`CoherenceEngine::access_into`]). The pre-fast-path engine
+//! Modified (`CoherenceEngine::access_into`). The pre-fast-path engine
 //! is retained as [`crate::reference::ReferenceMachine`] and the
 //! differential suite holds the two to bit-identical results.
 //!
@@ -148,12 +148,12 @@ impl SimArray {
     }
 
     /// The backing address space.
-    pub fn aspace(&self) -> &AddressSpace {
+    pub(crate) fn aspace(&self) -> &AddressSpace {
         &self.aspace
     }
 
     /// Whether the array participates in coherence tracking.
-    pub fn is_shared(&self) -> bool {
+    pub(crate) fn is_shared(&self) -> bool {
         self.shared
     }
 }

@@ -110,13 +110,9 @@ impl MemorySystem {
 
     /// Bandwidth of a single isolated core — the benchmark's reference
     /// value (`ref` in paper Fig. 6).
-    pub fn reference(&self, core: CoreId) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn reference(&self, core: CoreId) -> f64 {
         self.bandwidth(&[core])[0]
-    }
-
-    /// The intrinsic single-core streaming cap.
-    pub fn per_core_cap(&self) -> f64 {
-        self.per_core_cap
     }
 }
 
@@ -219,13 +215,6 @@ mod tests {
         }
         assert!(values.iter().all(|&v| close(v, values[0])));
         assert!(values[0] < reference);
-    }
-
-    #[test]
-    fn memory_system_accessors() {
-        let d = presets::dunnington();
-        let ms = MemorySystem::new(&d.memory);
-        assert!(close(ms.per_core_cap(), 4.0));
     }
 
     #[test]

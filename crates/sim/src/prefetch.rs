@@ -13,7 +13,7 @@
 /// the next access at that stride is considered covered (its miss latency is
 /// hidden). Crossing to an unrelated address resets training.
 #[derive(Debug, Clone)]
-pub struct StridePrefetcher {
+pub(crate) struct StridePrefetcher {
     max_stride: i64,
     last_addr: Option<u64>,
     last_stride: i64,
@@ -23,7 +23,7 @@ pub struct StridePrefetcher {
 impl StridePrefetcher {
     /// Create a prefetcher covering strides up to `max_stride` bytes.
     /// `max_stride == 0` disables prefetching entirely.
-    pub fn new(max_stride: usize) -> Self {
+    pub(crate) fn new(max_stride: usize) -> Self {
         Self {
             max_stride: max_stride as i64,
             last_addr: None,
@@ -34,7 +34,7 @@ impl StridePrefetcher {
 
     /// Record an access to `vaddr` and report whether the prefetcher had
     /// already covered it (i.e. its miss cost is hidden).
-    pub fn access(&mut self, vaddr: u64) -> bool {
+    pub(crate) fn access(&mut self, vaddr: u64) -> bool {
         let covered = self.trained;
         let stride = match self.last_addr {
             Some(prev) => vaddr as i64 - prev as i64,
@@ -49,15 +49,10 @@ impl StridePrefetcher {
     }
 
     /// Forget all training (e.g. between benchmark phases).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.last_addr = None;
         self.last_stride = 0;
         self.trained = false;
-    }
-
-    /// The largest stride this prefetcher covers, in bytes.
-    pub fn max_stride(&self) -> usize {
-        self.max_stride as usize
     }
 }
 
@@ -141,6 +136,5 @@ mod tests {
         p.reset();
         assert!(!p.access(256));
         assert!(!p.access(320));
-        assert_eq!(p.max_stride(), 512);
     }
 }

@@ -51,11 +51,6 @@ pub struct ReferenceMachine {
 }
 
 impl ReferenceMachine {
-    /// Build a reference machine from a validated spec.
-    pub fn new(spec: MachineSpec) -> Self {
-        Self::with_seed(spec, 0x5EED)
-    }
-
     /// Build a reference machine with an explicit page-allocation seed.
     /// Seeds line up with [`crate::machine::Machine::with_seed`], so the
     /// two engines allocate identical page mappings.
@@ -115,11 +110,6 @@ impl ReferenceMachine {
             next_asid: 1,
             seed,
         }
-    }
-
-    /// The machine's specification.
-    pub fn spec(&self) -> &MachineSpec {
-        &self.spec
     }
 
     /// Allocate a benchmark array using the machine's page policy.
@@ -189,11 +179,6 @@ impl ReferenceMachine {
     /// Snoop-bus traffic accumulated so far, if coherence is modeled.
     pub fn coherence_traffic(&self) -> Option<CoherenceTraffic> {
         self.coherence.as_ref().map(|e| e.traffic())
-    }
-
-    /// Return accumulated traffic and zero the counters.
-    pub fn take_coherence_traffic(&mut self) -> Option<CoherenceTraffic> {
-        self.coherence.as_mut().map(|e| e.take_traffic())
     }
 
     /// Line key for `level`, recomputing the shift from the spec each

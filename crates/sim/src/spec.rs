@@ -56,17 +56,18 @@ pub struct CacheLevelSpec {
 
 impl CacheLevelSpec {
     /// Number of sets in one instance.
-    pub fn num_sets(&self) -> usize {
+    pub(crate) fn num_sets(&self) -> usize {
         self.size / (self.line_size * self.associativity)
     }
 
     /// Whether this level is shared by more than one core.
-    pub fn is_shared(&self) -> bool {
+    pub(crate) fn is_shared(&self) -> bool {
         self.sharing.iter().any(|g| g.len() > 1)
     }
 
     /// The group of cores sharing the instance that serves `core`.
-    pub fn sharing_group(&self, core: CoreId) -> &[CoreId] {
+    #[cfg(test)]
+    pub(crate) fn sharing_group(&self, core: CoreId) -> &[CoreId] {
         self.sharing
             .iter()
             .find(|g| g.contains(&core))
@@ -75,7 +76,8 @@ impl CacheLevelSpec {
     }
 
     /// Whether `a` and `b` are served by the same cache instance.
-    pub fn shares(&self, a: CoreId, b: CoreId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn shares(&self, a: CoreId, b: CoreId) -> bool {
         self.sharing_group(a).contains(&b)
     }
 }

@@ -148,18 +148,13 @@ impl AddressSpace {
     }
 
     /// The address-space id.
-    pub fn asid(&self) -> u64 {
+    pub(crate) fn asid(&self) -> u64 {
         self.asid
     }
 
     /// Number of mapped pages.
     pub fn num_pages(&self) -> usize {
         self.frames.len()
-    }
-
-    /// Mapped span in bytes.
-    pub fn len_bytes(&self) -> usize {
-        self.frames.len() * self.page_size as usize
     }
 
     /// Translate a virtual address to a physical address.
@@ -242,7 +237,6 @@ mod tests {
     fn zero_length_maps_one_page() {
         let a = AddressSpace::new(6, 0, PS, PageAllocPolicy::Random, 1);
         assert_eq!(a.num_pages(), 1);
-        assert_eq!(a.len_bytes(), PS);
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //! enumerates its whole domain or loops a fixed number of cases drawn
 //! from its own seeded stream, and names the drawn inputs on failure.
 
-use servet_sim::cache::SetAssocCache;
 use servet_sim::machine::SharedJob;
-use servet_sim::membw::maxmin_fair;
-use servet_sim::presets;
-use servet_sim::vm::{AddressSpace, PageAllocPolicy};
-use servet_sim::{Machine, SimArray, KB};
+use servet_sim::{
+    maxmin_fair, presets, AddressSpace, Machine, PageAllocPolicy, SetAssocCache, SimArray, KB,
+};
 use servet_stats::rng::ChaCha8Rng;
 use std::ops::Range;
 

@@ -8,11 +8,12 @@
 //! `P(X > K)`: a set holding more than `K` pages thrashes under LRU.
 //!
 //! `NP` can reach tens of thousands (a 64 MB array of 4 KB pages), so the
-//! probability mass function is evaluated in log space via a Lanczos
-//! log-gamma — but only **once per tail sum**: interior terms follow the
-//! incremental recurrence `pmf(k+1) = pmf(k)·((n−k)/(k+1))·(p/(1−p))`
-//! seeded at the mode, which costs one multiply where the naive kernel
-//! paid three transcendental log-gamma evaluations. The [`sf_curves`]
+//! probability mass function is evaluated in log space, through a
+//! cancellation-free `ln C(n, k)` — but only **once per tail sum**:
+//! interior terms follow the incremental recurrence
+//! `pmf(k+1) = pmf(k)·((n−k)/(k+1))·(p/(1−p))` seeded at the mode, which
+//! costs one multiply where the naive kernel paid a transcendental
+//! evaluation per term. The [`sf_curves`]
 //! batch API goes further for the Fig. 3 fit: it produces the whole
 //! predicted miss-rate curves of up to eight candidates that share `K` in
 //! a single `O(max NP)` pass, one lane per candidate, using the companion
@@ -21,38 +22,6 @@
 //!
 //! The pre-recurrence per-term kernels survive in [`mod@reference`] as the
 //! ground truth for the property tests.
-
-/// Natural log of the gamma function, Lanczos approximation (g = 7, n = 9).
-///
-/// Accurate to ~1e-13 for positive arguments, which is far more than the
-/// divergence comparison in the cache-size search needs.
-pub fn ln_gamma(x: f64) -> f64 {
-    // Coefficients for the Lanczos approximation with g = 7.
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    debug_assert!(x > 0.0, "ln_gamma domain error: x = {x}");
-    if x < 0.5 {
-        // Reflection formula keeps small arguments accurate.
-        let pi = std::f64::consts::PI;
-        return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
-    }
-    let x = x - 1.0;
-    let mut acc = COEF[0];
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        acc += c / (x + i as f64);
-    }
-    let t = x + 7.5;
-    0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
-}
 
 /// `ln C(n, k)` — log of the binomial coefficient.
 ///
@@ -72,7 +41,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///                + σ(A) − σ(B) − σ(C)`
 ///   where `σ(x) = 1/12x − 1/360x³ + 1/1260x⁵ − 1/1680x⁷` is the Stirling
 ///   correction; for arguments ≥ 65 the truncation error is below 1e-16.
-pub fn ln_choose(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_choose(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }
@@ -361,11 +330,6 @@ fn advance<const N: usize>(
 pub mod reference {
     use super::Binomial;
 
-    /// Per-point log-gamma pmf (identical to [`Binomial::pmf`]).
-    pub fn pmf(n: u64, p: f64, k: u64) -> f64 {
-        Binomial::new(n, p).pmf(k)
-    }
-
     /// Survival `P(X > k)` with every term of the tail sum evaluated
     /// independently in log space — the kernel `sum_pmf_range` used
     /// before the recurrence rewrite.
@@ -374,7 +338,7 @@ pub mod reference {
     }
 
     /// Cumulative `P(X <= k)` over per-term log-gamma pmfs.
-    pub fn cdf(n: u64, p: f64, k: u64) -> f64 {
+    pub(crate) fn cdf(n: u64, p: f64, k: u64) -> f64 {
         let b = Binomial::new(n, p);
         if k >= n {
             return 1.0;
@@ -420,31 +384,6 @@ mod tests {
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol
-    }
-
-    #[test]
-    fn ln_gamma_matches_factorials() {
-        // Gamma(n+1) = n!
-        let facts = [1.0f64, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0];
-        for (n, &f) in facts.iter().enumerate() {
-            let got = ln_gamma(n as f64 + 1.0);
-            assert!(
-                close(got, f.ln(), 1e-10),
-                "ln_gamma({}) = {got}, want {}",
-                n + 1,
-                f.ln()
-            );
-        }
-    }
-
-    #[test]
-    fn ln_gamma_half() {
-        // Gamma(1/2) = sqrt(pi)
-        assert!(close(
-            ln_gamma(0.5),
-            std::f64::consts::PI.sqrt().ln(),
-            1e-10
-        ));
     }
 
     #[test]
@@ -636,7 +575,6 @@ mod tests {
             let b = Binomial::new(n, p);
             for k in [0u64, 1, 8, 40, 200] {
                 assert!(close(reference::sf(n, p, k), b.sf(k), 1e-12));
-                assert!(close(reference::pmf(n, p, k), b.pmf(k), 1e-15));
             }
         }
     }

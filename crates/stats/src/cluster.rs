@@ -34,11 +34,6 @@ impl<T> Cluster<T> {
         self.value = self.sum / self.members.len() as f64;
     }
 
-    /// Number of member items.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
     /// Whether the cluster has no members (never true for clusters produced
     /// by [`cluster_by_tolerance`]).
     pub fn is_empty(&self) -> bool {
@@ -95,7 +90,6 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].members, vec!['a', 'b', 'c']);
         assert_eq!(c[0].value, 5.0);
-        assert_eq!(c[0].len(), 3);
         assert!(!c[0].is_empty());
     }
 
@@ -137,7 +131,6 @@ mod tests {
         ];
         let c = cluster_by_tolerance(data, 0.1);
         assert_eq!(c.len(), 2);
-        assert_eq!(c[0].members.len(), 3);
         assert_eq!(c[1].members.len(), 4);
     }
 

@@ -4,11 +4,9 @@
 
 use servet_stats::binomial::{reference, sf_curve, sf_curves, Binomial};
 use servet_stats::cluster::{cluster_by_tolerance, within_tolerance};
-use servet_stats::gradient::{find_peaks, gradient};
-use servet_stats::groups::groups_from_pairs;
-use servet_stats::regress::fit_line;
 use servet_stats::rng::ChaCha8Rng;
 use servet_stats::summary::mode;
+use servet_stats::{find_peaks, fit_line, gradient, groups_from_pairs};
 use std::ops::Range;
 
 /// Cases per property.

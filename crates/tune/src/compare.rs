@@ -20,10 +20,9 @@ use crate::search::{tune, Strategy, TuneOptions, TuneOutcome};
 use crate::space::Config;
 use serde::{Deserialize, Serialize};
 use servet_core::cache_detect::{CacheLevelEstimate, DetectionMethod};
-use servet_core::micro::MicroProfile;
 use servet_core::profile::{MachineProfile, SCHEMA_VERSION};
-use servet_core::shared_cache::{SharedCacheResult, SharedLevel};
 use servet_core::zoo::{generate_population, ZooConfig};
+use servet_core::{MicroProfile, SharedCacheResult, SharedLevel};
 use servet_sim::spec::MachineSpec;
 use servet_stats::par;
 use servet_stats::summary::{geometric_mean, mean};
@@ -125,7 +124,7 @@ pub fn ground_truth_profile(spec: &MachineSpec) -> MachineProfile {
 
 /// One strategy's showing on one machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StrategyResult {
+pub(crate) struct StrategyResult {
     /// Strategy that ran.
     pub strategy: Strategy,
     /// Its winning configuration.
@@ -156,7 +155,7 @@ pub struct MachineComparison {
     /// Its simulated makespan, cycles.
     pub analytic_score: f64,
     /// One entry per strategy, in [`CompareConfig::strategies`] order.
-    pub results: Vec<StrategyResult>,
+    pub(crate) results: Vec<StrategyResult>,
 }
 
 /// Aggregate of one strategy across the population.

@@ -31,8 +31,8 @@
 //! bit-identical results.
 
 use crate::space::{Config, Param, ParamSpace};
+use servet_autotune::advise_padding;
 use servet_autotune::concurrency::{advise_memory_threads, DEFAULT_TOLERANCE};
-use servet_autotune::padding::advise_padding;
 use servet_autotune::tiling::{self, select_tile};
 use servet_core::profile::MachineProfile;
 use servet_sim::{Machine, MachineSpec, StreamJob};
@@ -300,11 +300,6 @@ impl SimOracle {
     /// The machine being simulated.
     pub fn spec(&self) -> &MachineSpec {
         &self.spec
-    }
-
-    /// Matrix edge length.
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// The standard kernel space for this machine and problem size.

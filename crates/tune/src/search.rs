@@ -426,8 +426,8 @@ mod tests {
 
     fn space() -> ParamSpace {
         ParamSpace::new(vec![
-            Param::log2("a", 0, 5),       // 1..32
-            Param::range("b", 0, 40, 10), // 0,10,20,30,40
+            Param::log2("a", 0, 5), // 1..32
+            Param::fixed_set("b", &[0, 10, 20, 30, 40]),
             Param::fixed_set("c", &[3, 7, 11]),
         ])
     }

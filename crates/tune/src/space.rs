@@ -6,7 +6,7 @@
 //! values; a **point** is one value index per dimension; the whole space
 //! is addressable by a single mixed-radix integer, so any strategy can
 //! enumerate, sample, or walk it without knowing what the dimensions
-//! mean. The declaration sugar (`fixed_set`, `log2`, `range`)
+//! mean. The declaration sugar (`fixed_set`, `log2`)
 //! materializes to plain value lists at construction, so two spaces
 //! declared differently but containing the same values are *the same
 //! space* — they serialize identically and share a [`ParamSpace::digest`],
@@ -41,7 +41,7 @@ impl Param {
 
     /// Powers of two from `2^min_exp` through `2^max_exp` inclusive —
     /// the AutoTuneTMP `log_parameter` shape (thread counts, tile edges).
-    pub fn log2(name: &str, min_exp: u32, max_exp: u32) -> Self {
+    pub(crate) fn log2(name: &str, min_exp: u32, max_exp: u32) -> Self {
         assert!(
             min_exp <= max_exp,
             "parameter {name:?}: empty exponent range"
@@ -56,25 +56,9 @@ impl Param {
         }
     }
 
-    /// An arithmetic progression `min, min+step, …` not exceeding `max`.
-    pub fn range(name: &str, min: u64, max: u64, step: u64) -> Self {
-        assert!(step > 0, "parameter {name:?}: zero step");
-        assert!(min <= max, "parameter {name:?}: empty range");
-        Self {
-            name: name.to_string(),
-            values: (min..=max).step_by(step as usize).collect(),
-        }
-    }
-
     /// Number of values.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// Whether the value list is empty (never true for a constructed
-    /// param; present for completeness).
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 }
 
@@ -146,7 +130,8 @@ impl ParamSpace {
 
     /// Encode a point back into its flat index — the inverse of
     /// [`Self::point`].
-    pub fn index(&self, point: &Point) -> usize {
+    #[cfg(test)]
+    pub(crate) fn index(&self, point: &Point) -> usize {
         assert_eq!(point.len(), self.params.len(), "point/space rank mismatch");
         self.params.iter().zip(point).fold(0usize, |acc, (p, &i)| {
             assert!(i < p.len(), "index {i} out of parameter {:?}", p.name);
@@ -180,7 +165,7 @@ impl ParamSpace {
     /// The point whose configuration is `config` — the inverse of
     /// [`Self::config`] — or `None` when `config` names a dimension the
     /// space lacks, lacks one it has, or takes a value off a grid.
-    pub fn point_of(&self, config: &Config) -> Option<Point> {
+    pub(crate) fn point_of(&self, config: &Config) -> Option<Point> {
         if config.len() != self.params.len() {
             return None;
         }
@@ -195,14 +180,14 @@ impl ParamSpace {
 
     /// The point whose every coordinate sits mid-range — a deterministic,
     /// seed-free starting position for local strategies.
-    pub fn midpoint(&self) -> Point {
+    pub(crate) fn midpoint(&self) -> Point {
         self.params.iter().map(|p| p.len() / 2).collect()
     }
 
     /// All points reachable by moving exactly one coordinate by ±1 —
     /// the neighborhood a local search explores. Edge coordinates have
     /// one-sided neighborhoods; the result never includes `point` itself.
-    pub fn neighbors(&self, point: &Point) -> Vec<Point> {
+    pub(crate) fn neighbors(&self, point: &Point) -> Vec<Point> {
         let mut out = Vec::with_capacity(2 * point.len());
         for (d, p) in self.params.iter().enumerate() {
             if point[d] > 0 {
@@ -222,7 +207,7 @@ impl ParamSpace {
     /// Every point obtained by sweeping dimension `dim` over all its
     /// values with the other coordinates fixed — one "line" of a line
     /// search. Includes the base point itself.
-    pub fn axis(&self, base: &Point, dim: usize) -> Vec<Point> {
+    pub(crate) fn axis(&self, base: &Point, dim: usize) -> Vec<Point> {
         (0..self.params[dim].len())
             .map(|i| {
                 let mut q = base.clone();
@@ -235,7 +220,7 @@ impl ParamSpace {
     /// Draw a uniformly-ish random point from a splitmix64 state (the
     /// modulo bias is irrelevant at these dimension sizes). Advances the
     /// state; the same state sequence always yields the same points.
-    pub fn random_point(&self, state: &mut u64) -> Point {
+    pub(crate) fn random_point(&self, state: &mut u64) -> Point {
         self.params
             .iter()
             .map(|p| (splitmix64(state) % p.len() as u64) as usize)
@@ -294,14 +279,13 @@ mod tests {
         ParamSpace::new(vec![
             Param::log2("tile", 3, 5),          // 8, 16, 32
             Param::fixed_set("place", &[0, 1]), // 2
-            Param::range("pad", 8, 72, 32),     // 8, 40, 72
+            Param::fixed_set("pad", &[8, 40, 72]),
         ])
     }
 
     #[test]
     fn constructors_materialize() {
         assert_eq!(Param::log2("t", 3, 5).values, vec![8, 16, 32]);
-        assert_eq!(Param::range("r", 8, 72, 32).values, vec![8, 40, 72]);
         assert_eq!(Param::fixed_set("f", &[5, 3]).values, vec![5, 3]);
     }
 

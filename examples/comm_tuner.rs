@@ -7,8 +7,7 @@
 //! cargo run --release --example comm_tuner
 //! ```
 
-use servet::autotune::aggregation::{aggregation_decision, slowdown_at};
-use servet::autotune::collectives::select_broadcast;
+use servet::autotune::{aggregation_decision, select_broadcast, slowdown_at};
 use servet::prelude::*;
 
 fn main() {

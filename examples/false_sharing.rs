@@ -11,9 +11,8 @@
 //! cargo run --release --example false_sharing
 //! ```
 
-use servet::autotune::padding::advise_padding;
-use servet::core::false_sharing::detect_false_sharing;
-use servet::core::suite::{run_full_suite, SuiteConfig};
+use servet::autotune::advise_padding;
+use servet::core::{detect_false_sharing, run_full_suite, SuiteConfig};
 use servet::prelude::*;
 
 fn main() {

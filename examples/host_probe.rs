@@ -62,7 +62,7 @@ fn main() {
     }
 
     // Cross-check against the OS's sysfs view where available.
-    let reported = servet::host::sysinfo::reported_caches(0);
+    let reported = servet::host::reported_caches(0);
     if !reported.is_empty() {
         let measured: Vec<(u8, usize)> = levels.iter().map(|l| (l.level, l.size)).collect();
         println!("\nOS-reported hierarchy (sysfs) for comparison:");
@@ -77,7 +77,7 @@ fn main() {
                     .unwrap_or_default()
             );
         }
-        for (level, m, r) in servet::host::sysinfo::compare_with_reported(&measured, &reported) {
+        for (level, m, r) in servet::host::compare_with_reported(&measured, &reported) {
             let verdict = if m == r { "exact" } else { "differs" };
             println!(
                 "  L{level}: measured {} KB vs reported {} KB ({verdict})",

@@ -15,8 +15,7 @@ use servet::autotune::tiling::{
     DEFAULT_ELEM_SIZE as ELEM, DEFAULT_MATRICES as TILES, DEFAULT_OCCUPANCY as FILL,
 };
 use servet::prelude::*;
-use servet::tune::oracle::{PAD, PLACEMENT, THREADS, TILE};
-use servet::tune::Config;
+use servet::tune::{Config, PAD, PLACEMENT, THREADS, TILE};
 
 fn main() {
     // 1. Measure the machine (cache sizes are all tiling needs).

@@ -72,20 +72,16 @@ pub use servet_tune as tune;
 
 /// The most common imports, for examples and downstream users.
 pub mod prelude {
-    pub use servet_autotune::aggregation::aggregation_decision;
-    pub use servet_autotune::collectives::select_broadcast;
-    pub use servet_autotune::placement::{CommPattern, Placer};
     pub use servet_autotune::tiling::select_tile;
+    pub use servet_autotune::{aggregation_decision, select_broadcast, CommPattern, Placer};
     pub use servet_core::cache_detect::{detect_cache_levels, DetectConfig};
-    pub use servet_core::comm::{characterize_communication, CommConfig};
-    pub use servet_core::mcalibrator::{mcalibrator, McalibratorConfig, Sweep};
-    pub use servet_core::mem_overhead::characterize_memory;
     pub use servet_core::platform::Platform;
     pub use servet_core::profile::MachineProfile;
-    pub use servet_core::shared_cache::detect_shared_caches;
-    pub use servet_core::sim_platform::SimPlatform;
-    pub use servet_core::suite::{run_full_suite, run_suite, SuiteConfig};
     pub use servet_core::zoo::{generate_population, run_zoo, ZooConfig, ZooReport};
+    pub use servet_core::{
+        characterize_communication, characterize_memory, detect_shared_caches, mcalibrator,
+        run_full_suite, run_suite, CommConfig, McalibratorConfig, SimPlatform, SuiteConfig, Sweep,
+    };
     pub use servet_host::HostPlatform;
     pub use servet_registry::{
         compute_advice, compute_tune, AdviceOutcome, AdviceQuery, Registry, RegistryClient,

@@ -1,8 +1,9 @@
 //! Build guard: the workspace builds from this checkout alone. Its two
 //! external crates, serde and serde_json (with serde_derive), are patched
 //! to the stand-ins under `benchmark/shims/`, `Cargo.lock` pins every
-//! package without a registry source, and the plain `cargo build` /
-//! `cargo test` cover every crate.
+//! package without a registry source, the plain `cargo build` /
+//! `cargo test` cover every crate, and every crate inherits the
+//! workspace lints.
 
 use std::fs;
 use std::path::Path;
@@ -84,6 +85,37 @@ fn the_plain_commands_cover_every_crate() {
         assert!(
             members.contains(&wanted),
             "default-members {members:?} leaves out `{wanted}`"
+        );
+    }
+}
+
+/// `unreachable_pub` is set once, in the root manifest, and reaches a crate
+/// only through `[lints] workspace = true`: a manifest without that line
+/// drops out of the check without a word from clippy.
+#[test]
+fn every_crate_inherits_the_workspace_lints() {
+    let root = read("Cargo.toml");
+    assert!(
+        table(&root, "workspace.lints.rust")
+            .iter()
+            .any(|line| line.starts_with("unreachable_pub")),
+        "the root [workspace.lints.rust] table does not set unreachable_pub"
+    );
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut manifests = vec!["Cargo.toml".to_string()];
+    for entry in fs::read_dir(&crates).expect("crates/ lists") {
+        let dir = entry.expect("crates/ entry").file_name();
+        manifests.push(format!("crates/{}/Cargo.toml", dir.to_string_lossy()));
+    }
+    assert!(manifests.len() > 1, "no crate under crates/");
+    for manifest in manifests {
+        let text = read(&manifest);
+        let lints = table(&text, "lints");
+        assert!(
+            lints
+                .iter()
+                .any(|line| line.replace(' ', "") == "workspace=true"),
+            "{manifest} does not inherit the workspace lints ([lints] workspace = true)"
         );
     }
 }

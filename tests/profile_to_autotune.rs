@@ -2,10 +2,10 @@
 //! drive every servet-autotune consumer from the reloaded file — the
 //! paper's install-once / consult-at-runtime workflow (§IV-E).
 
-use servet::autotune::aggregation::aggregation_decision;
-use servet::autotune::collectives::{select_broadcast, BcastAlgorithm};
-use servet::autotune::placement::{CommPattern, Placer};
 use servet::autotune::tiling::select_tile;
+use servet::autotune::{
+    aggregation_decision, select_broadcast, BcastAlgorithm, CommPattern, Placer,
+};
 use servet::prelude::*;
 
 fn measured_profile() -> MachineProfile {

@@ -2,13 +2,10 @@
 //! ground truth of *generated* machines, not just the hand-built presets.
 //! The domains are small, so each property enumerates its own.
 
-use servet::core::comm::{characterize_communication, CommConfig};
-use servet::core::mem_overhead::characterize_memory;
-use servet::core::shared_cache::detect_shared_caches;
-use servet::core::SimPlatform;
-use servet::net::model::{CommModel, LayerModel, ProtocolSegment};
-use servet::net::topology::{ClusterTopology, Layer};
-use servet::net::VirtualCluster;
+use servet::core::{
+    characterize_communication, characterize_memory, detect_shared_caches, CommConfig, SimPlatform,
+};
+use servet::net::{ClusterTopology, CommModel, Layer, LayerModel, ProtocolSegment, VirtualCluster};
 use servet::sim::spec::{MachineSpec, MemResource};
 use servet::sim::{Machine, KB};
 
