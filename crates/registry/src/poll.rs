@@ -71,7 +71,7 @@ pub(crate) struct Event {
 #[cfg(target_os = "linux")]
 pub(crate) use epoll::Poller;
 #[cfg(not(target_os = "linux"))]
-pub use scan::Poller;
+pub(crate) use scan::Poller;
 
 /// The C-library entry points this module needs, declared against the
 /// libc that std already links, with the two structs and the constants
@@ -335,20 +335,20 @@ mod scan {
     /// reported ready (for its registered interest) after a short nap.
     /// Sound because sockets are nonblocking — a spurious "readable"
     /// costs one `WouldBlock` — but O(registered) wakeups per tick.
-    pub(super) struct Poller {
+    pub(crate) struct Poller {
         entries: Vec<(RawFd, u64, Interest)>,
     }
 
     impl Poller {
         /// An empty poller; never fails.
-        pub(super) fn new() -> io::Result<Self> {
+        pub(crate) fn new() -> io::Result<Self> {
             Ok(Self {
                 entries: Vec::new(),
             })
         }
 
         /// Start watching `fd` under `token`.
-        pub(super) fn register(
+        pub(crate) fn register(
             &mut self,
             fd: RawFd,
             token: u64,
@@ -359,7 +359,7 @@ mod scan {
         }
 
         /// Change what `fd` is watched for.
-        pub(super) fn modify(
+        pub(crate) fn modify(
             &mut self,
             fd: RawFd,
             token: u64,
@@ -375,7 +375,7 @@ mod scan {
         }
 
         /// Stop watching `fd`.
-        pub(super) fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
             let before = self.entries.len();
             self.entries.retain(|e| !(e.0 == fd && e.1 == token));
             if self.entries.len() == before {
@@ -387,7 +387,7 @@ mod scan {
         /// Nap for `timeout` (at most 5 ms, so spurious readiness stays
         /// responsive), then report every registered descriptor; the
         /// events replace the contents of `events`. Returns their number.
-        pub(super) fn wait(
+        pub(crate) fn wait(
             &mut self,
             events: &mut Vec<Event>,
             timeout: Option<Duration>,

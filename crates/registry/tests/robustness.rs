@@ -10,7 +10,6 @@
 use servet_registry::{serve, Registry, ServerConfig, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -214,6 +213,8 @@ fn mid_request_disconnect_does_not_wedge_the_server() {
 #[cfg(target_os = "linux")]
 #[test]
 fn misbehaving_clients_never_grow_the_thread_count() {
+    use std::sync::atomic::Ordering;
+
     let registry = temp_registry("threads");
     const WORKERS: usize = 2;
     let server = serve(

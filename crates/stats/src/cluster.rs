@@ -131,6 +131,7 @@ mod tests {
         ];
         let c = cluster_by_tolerance(data, 0.1);
         assert_eq!(c.len(), 2);
+        assert_eq!(c[0].members.len(), 3);
         assert_eq!(c[1].members.len(), 4);
     }
 
