@@ -20,8 +20,19 @@
 //! worker-per-connection model gave. While it is not idle the loop also
 //! stops reading from the socket, so a pipelining client is backpressured
 //! by the kernel socket buffer rather than by server memory.
+//!
+//! A readiness event costs one `read` when the bytes waiting fit in one
+//! chunk, as a request line usually does: a first read shorter than the
+//! chunk ends the pass, and anything still pending raises the next
+//! (level-triggered) event. A pass whose first read fills the chunk is a
+//! stream (a long line, a pipelined burst) and reads on to `WouldBlock`:
+//! stopped at its first short read, a 16 MiB flood stalled past a 150 ms
+//! idle deadline with bytes still unsent. Every `read` and `write` on the
+//! socket is counted in the registry's front-end counters
+//! (`socket_reads`, `socket_writes` in the `stats` reply).
 
 use crate::poll::Interest;
+use crate::registry::FrontEnd;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -133,17 +144,23 @@ impl Conn {
         &self.stream
     }
 
-    /// Drain the socket into the line buffer until `WouldBlock`, EOF,
-    /// or `max_buffered` bytes are pending, and return the bytes read.
-    /// Sets [`Self::peer_eof`] on EOF; transport errors bubble up (caller
-    /// closes).
-    pub(crate) fn read_ready(&mut self, max_buffered: usize) -> io::Result<usize> {
+    /// Read the socket into the line buffer until `WouldBlock`, EOF, or
+    /// `max_buffered` bytes are pending, and return the bytes read. A
+    /// first read shorter than the chunk ends the pass without a second
+    /// call to find `WouldBlock`: readiness is level-triggered, so bytes or
+    /// an EOF still pending raise the next event. Each call is counted on
+    /// `counts`. Sets [`Self::peer_eof`] on EOF; transport errors bubble up
+    /// (caller closes).
+    pub(crate) fn read_ready(
+        &mut self,
+        max_buffered: usize,
+        counts: &FrontEnd,
+    ) -> io::Result<usize> {
         let mut chunk = [0u8; 8 * 1024];
         let mut total = 0usize;
-        loop {
-            if self.lines.len() >= max_buffered {
-                break; // backpressure: stop pulling until lines drain
-            }
+        // Backpressure: stop pulling once `max_buffered` bytes wait as lines.
+        while self.lines.len() < max_buffered {
+            counts.socket_read();
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.peer_eof = true;
@@ -152,6 +169,9 @@ impl Conn {
                 Ok(n) => {
                     self.lines.extend(&chunk[..n]);
                     total += n;
+                    if total == n && n < chunk.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -171,10 +191,12 @@ impl Conn {
         self.write_buf.extend_from_slice(bytes);
     }
 
-    /// Push queued bytes into the kernel until done or `WouldBlock`.
-    /// Returns `true` once the buffer is fully flushed.
-    pub(crate) fn flush(&mut self) -> io::Result<bool> {
+    /// Push queued bytes into the kernel until done or `WouldBlock`,
+    /// counting each call on `counts`. Returns `true` once the buffer is
+    /// fully flushed.
+    pub(crate) fn flush(&mut self, counts: &FrontEnd) -> io::Result<bool> {
         while self.write_pos < self.write_buf.len() {
+            counts.socket_write();
             match self.stream.write(&self.write_buf[self.write_pos..]) {
                 Ok(0) => {
                     return Err(io::Error::new(
@@ -297,13 +319,14 @@ mod tests {
     fn conn_reads_flushes_and_tracks_interest() {
         let (mut client, server_side) = pair();
         let mut conn = Conn::new(server_side, Instant::now()).unwrap();
+        let counts = FrontEnd::default();
         assert_eq!(conn.desired_interest(), Interest::READ);
 
         client.write_all(b"{\"cmd\":\"list\"}\n").unwrap();
         client.flush().unwrap();
         // Give loopback a moment, then drain.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(conn.read_ready(1 << 20).unwrap() > 0 && !conn.peer_eof);
+        assert!(conn.read_ready(1 << 20, &counts).unwrap() > 0 && !conn.peer_eof);
         assert!(conn.lines.pop_line().is_some());
 
         // In-flight pauses reads; queued output arms writes.
@@ -311,7 +334,10 @@ mod tests {
         conn.queue_write(b"{\"reply\":\"ok\"}\n");
         let want = conn.desired_interest();
         assert!(!want.readable && want.writable);
-        assert!(conn.flush().unwrap(), "tiny write must flush at once");
+        assert!(
+            conn.flush(&counts).unwrap(),
+            "tiny write must flush at once"
+        );
         conn.inflight = false;
         assert_eq!(conn.desired_interest(), Interest::READ);
         assert!(conn.drained());
@@ -322,7 +348,7 @@ mod tests {
         client.read_exact(&mut reply).unwrap();
         drop(client);
         std::thread::sleep(std::time::Duration::from_millis(20));
-        conn.read_ready(1 << 20).unwrap();
+        conn.read_ready(1 << 20, &counts).unwrap();
         assert!(conn.peer_eof);
         assert!(!conn.desired_interest().readable);
     }
@@ -331,11 +357,12 @@ mod tests {
     fn partial_flush_survives_a_full_socket_buffer() {
         let (client, server_side) = pair();
         let mut conn = Conn::new(server_side, Instant::now()).unwrap();
+        let counts = FrontEnd::default();
         // Queue far more than loopback buffers absorb with the reader
         // stalled: flush must make partial progress and report pending.
         let blob = vec![b'z'; 8 * 1024 * 1024];
         conn.queue_write(&blob);
-        let first = conn.flush().unwrap();
+        let first = conn.flush(&counts).unwrap();
         assert!(!first, "8 MiB cannot flush into a stalled socket");
         assert!(conn.wants_write());
         // Drain the client side; repeated flushes finish the job.
@@ -353,7 +380,7 @@ mod tests {
             total
         });
         let deadline = Instant::now() + std::time::Duration::from_secs(20);
-        while !conn.flush().unwrap() {
+        while !conn.flush(&counts).unwrap() {
             assert!(Instant::now() < deadline, "flush never completed");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }

@@ -184,6 +184,12 @@ pub struct EventStats {
     /// High-water mark of `conns_open` since startup.
     #[serde(default)]
     pub conns_peak: u64,
+    /// `read` calls on connection sockets, `WouldBlock` and EOF included.
+    #[serde(default)]
+    pub socket_reads: u64,
+    /// `write` calls on connection sockets, `WouldBlock` included.
+    #[serde(default)]
+    pub socket_writes: u64,
 }
 
 /// Counter snapshot reported by [`Response::Stats`].
@@ -419,6 +425,8 @@ mod tests {
                 oversized_rejected: 1,
                 conns_open: 3,
                 conns_peak: 512,
+                socket_reads: 1001,
+                socket_writes: 998,
             },
             ..Default::default()
         };
@@ -431,6 +439,15 @@ mod tests {
         let parsed = serde_json::from_str::<ServerStats>(&old).unwrap();
         assert_eq!(parsed.events.answered_on_loop, 0);
         assert_eq!(parsed.events.wakeups, 40);
+        // Nor does one that predates the socket call counts.
+        let old = json.replace(",\"socket_reads\":1001,\"socket_writes\":998", "");
+        assert_ne!(old, json);
+        let parsed = serde_json::from_str::<ServerStats>(&old).unwrap();
+        assert_eq!(
+            (parsed.events.socket_reads, parsed.events.socket_writes),
+            (0, 0)
+        );
+        assert_eq!(parsed.events.conns_peak, 512);
         // A pre-event-loop entry omits the p999 field: defaults to 0.
         let pre = r#"{"op":"get","count":1,"total_ns":5,"min_ns":5,"max_ns":5,
             "p50_ns":5,"p99_ns":5}"#;

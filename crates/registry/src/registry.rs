@@ -97,6 +97,8 @@ pub(crate) struct FrontEnd {
     oversized_rejected: AtomicU64,
     conns_open: AtomicU64,
     conns_peak: AtomicU64,
+    socket_reads: AtomicU64,
+    socket_writes: AtomicU64,
 }
 
 impl FrontEnd {
@@ -170,6 +172,16 @@ impl FrontEnd {
         self.oversized_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// One `read` call on a connection socket is about to be made.
+    pub(crate) fn socket_read(&self) {
+        self.socket_reads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// One `write` call on a connection socket is about to be made.
+    pub(crate) fn socket_write(&self) {
+        self.socket_writes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Current values as the two wire structs.
     fn snapshot(&self) -> (AcceptStats, EventStats) {
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
@@ -189,6 +201,8 @@ impl FrontEnd {
             oversized_rejected: load(&self.oversized_rejected),
             conns_open: load(&self.conns_open),
             conns_peak: load(&self.conns_peak),
+            socket_reads: load(&self.socket_reads),
+            socket_writes: load(&self.socket_writes),
         };
         (accept, events)
     }
@@ -287,10 +301,20 @@ impl Registry {
     }
 
     /// Resolve `key` and fetch its profile, serving hot digests from the
-    /// in-memory cache.
+    /// in-memory cache. An alias or a full digest whose profile is cached
+    /// is answered from the cache without looking at the store directory:
+    /// the cache is trusted, as [`Self::list`] trusts it, so a blob deleted
+    /// or damaged behind a cached digest is not noticed until the profile
+    /// leaves the cache or the registry is reopened. Any other key resolves
+    /// through the store. Counts one profile-cache hit or miss for a key
+    /// that names a stored profile, nothing for one that does not.
     pub(crate) fn get(&self, key: &str) -> io::Result<Option<(String, Arc<MachineProfile>)>> {
-        let Some(digest) = self.store.resolve(key)? else {
-            return Ok(None);
+        let digest = match self.cached_profile(key) {
+            Some((digest, _)) => digest,
+            None => match self.store.resolve(key)? {
+                Some(digest) => digest,
+                None => return Ok(None),
+            },
         };
         if let Some(cached) = self.profiles.get(&digest) {
             return Ok(Some((digest, cached.profile)));
@@ -702,6 +726,51 @@ mod tests {
         assert!(err.to_string().contains("corruption"), "{err}");
     }
 
+    /// `get` and `advise` by a cached digest answer from the cache without
+    /// looking for its file; a registry that has to find it does not.
+    #[test]
+    fn get_trusts_the_profile_cache() {
+        let registry = temp_registry("get-cache");
+        let digest = registry.put(measured_profile(), None).unwrap();
+        std::fs::remove_file(registry.store().dir().join(format!("{digest}.json"))).unwrap();
+        let hits = || registry.stats().profile_hits;
+        let get = Request::Get {
+            key: digest.clone(),
+        };
+        let advise = Request::Advise {
+            key: digest.clone(),
+            query: AdviceQuery::Tile {
+                level: 1,
+                elem_size: 8,
+                matrices: 3,
+                occupancy: 0.75,
+            },
+        };
+        assert!(matches!(
+            registry.handle(get.clone()),
+            Response::Profile { digest: d, .. } if d == digest
+        ));
+        assert_eq!(hits(), 1);
+        assert!(matches!(
+            registry.handle(advise.clone()),
+            Response::Advice { digest: d, .. } if d == digest
+        ));
+        assert_eq!(hits(), 2);
+        assert_eq!(registry.stats().profile_misses, 0);
+
+        let cold = Registry::open(registry.store().dir()).unwrap();
+        for request in [get, advise] {
+            match cold.handle(request) {
+                Response::Error { error } => {
+                    assert_eq!(error, format!("no profile matches {digest:?}"))
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let stats = cold.stats();
+        assert_eq!((stats.profile_hits, stats.profile_misses), (0, 0));
+    }
+
     #[test]
     fn accept_counters_track_depth_and_high_water() {
         let registry = temp_registry("accept");
@@ -747,6 +816,9 @@ mod tests {
         front.partial_read();
         front.deadline_kill();
         front.oversized();
+        front.socket_read();
+        front.socket_read();
+        front.socket_write();
         assert_eq!(
             registry.stats().events,
             EventStats {
@@ -758,6 +830,8 @@ mod tests {
                 oversized_rejected: 1,
                 conns_open: 2,
                 conns_peak: 2,
+                socket_reads: 2,
+                socket_writes: 1,
             }
         );
     }

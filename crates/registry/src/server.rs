@@ -10,7 +10,11 @@
 //! early is pushed back at that value (see `EventLoop::expire_deadlines`).
 //! Sockets are nonblocking; the loop reads
 //! complete request lines out of per-connection buffers and parses those
-//! of up to `IN_MEMORY_BYTES`.
+//! of up to `IN_MEMORY_BYTES`. A readiness event costs one `read` when
+//! what is waiting fits in one chunk (`Conn::read_ready` stops at a
+//! short first read; readiness is level-triggered, so anything left
+//! raises the next event), and a small reply one `write`: the `socket_reads` and
+//! `socket_writes` counters of [`crate::EventStats`] count them.
 //!
 //! **Which thread answers what.** The loop answers a request itself
 //! when the answer is already in memory (`Registry::handle_in_memory`:
@@ -623,12 +627,16 @@ impl EventLoop {
                 // Cap buffered-but-unparsed input a little above the
                 // line limit so the overflow check can trip.
                 let cap = MAX_LINE_BYTES + 64 * 1024;
-                match conn.read_ready(cap) {
+                match conn.read_ready(cap, &self.registry.front_end) {
                     Ok(bytes) => read_bytes = bytes,
                     Err(_) => dead = true,
                 }
             }
-            if !dead && ev.writable && conn.wants_write() && conn.flush().is_err() {
+            if !dead
+                && ev.writable
+                && conn.wants_write()
+                && conn.flush(&self.registry.front_end).is_err()
+            {
                 dead = true;
             }
         }
@@ -648,7 +656,7 @@ impl EventLoop {
         if let Some(conn) = self.conns.get_mut(&token) {
             let mut taken = 0;
             loop {
-                if conn.wants_write() && conn.flush().is_err() {
+                if conn.wants_write() && conn.flush(&self.registry.front_end).is_err() {
                     remove = true;
                     break;
                 }
@@ -898,6 +906,35 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        server.shutdown();
+    }
+
+    /// A request that fits one read costs one `read` call, not a second
+    /// one to find `WouldBlock`, and its reply one `write`.
+    #[test]
+    fn a_loop_answered_request_costs_one_read() {
+        const N: u64 = 20;
+        let registry = temp_registry("one-read");
+        let server = serve(
+            Arc::clone(&registry),
+            "127.0.0.1:0",
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let mut client = RegistryClient::connect(server.addr()).unwrap();
+        let digest = client.put(&measured_profile(), None).unwrap();
+        let before = registry.stats().events;
+        for _ in 0..N {
+            assert!(matches!(
+                client.get(&digest).unwrap(),
+                Response::Profile { .. }
+            ));
+        }
+        let after = registry.stats().events;
+        assert_eq!(after.answered_on_loop - before.answered_on_loop, N);
+        let reads = after.socket_reads - before.socket_reads;
+        assert!(reads <= N + 1, "{reads} reads for {N} requests");
+        assert_eq!(after.socket_writes - before.socket_writes, N);
         server.shutdown();
     }
 

@@ -8,14 +8,16 @@
 //! through an `aliases.json` index. Every file write goes through
 //! [`servet_core::profile::write_atomic`], so a crash mid-write can never
 //! tear a profile or the index (paper §IV-E: measure once, consult
-//! forever — the store is the "forever" half).
+//! forever — the store is the "forever" half). A write that would change
+//! nothing is skipped: a put compares the stored bytes with the canonical
+//! JSON first, and an alias already bound to its digest is not rewritten.
 
 use crate::digest::{looks_like_digest, sha256_hex};
 use serde::{Deserialize, Serialize};
 use servet_core::profile::{write_atomic, MachineProfile};
 use std::collections::BTreeMap;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
@@ -32,6 +34,23 @@ pub fn canonical_json(profile: &MachineProfile) -> String {
 /// Stable content digest of a profile (SHA-256 of [`canonical_json`]).
 pub fn profile_digest(profile: &MachineProfile) -> String {
     sha256_hex(canonical_json(profile).as_bytes())
+}
+
+/// True when the file at `path` holds exactly `bytes`: the length is
+/// compared first, then the contents through a fixed-size buffer. A
+/// missing or unreadable file holds nothing.
+fn holds(path: &Path, bytes: &[u8]) -> bool {
+    let Ok(mut file) = fs::File::open(path) else {
+        return false;
+    };
+    if !file.metadata().is_ok_and(|m| m.len() == bytes.len() as u64) {
+        return false;
+    }
+    let mut buf = [0u8; 8 * 1024];
+    bytes.chunks(buf.len()).all(|expected| {
+        let read = &mut buf[..expected.len()];
+        file.read_exact(read).is_ok() && read == expected
+    })
 }
 
 /// One stored profile, as reported by `ProfileStore::list`.
@@ -86,22 +105,30 @@ impl ProfileStore {
 
     /// Store a profile; returns its digest and the byte length of its
     /// canonical JSON (what the profile weighs on the wire). Idempotent:
-    /// re-putting the same content rewrites the same file with identical
-    /// bytes.
+    /// the file is written only when it is missing or its bytes differ
+    /// from the canonical JSON, so a re-put of stored content touches
+    /// nothing and a torn or foreign blob is repaired.
     pub(crate) fn put(&self, profile: &MachineProfile) -> io::Result<(String, usize)> {
         let json = canonical_json(profile);
         let digest = sha256_hex(json.as_bytes());
-        write_atomic(self.profile_path(&digest), json.as_bytes())?;
+        let path = self.profile_path(&digest);
+        if !holds(&path, json.as_bytes()) {
+            write_atomic(path, json.as_bytes())?;
+        }
         Ok((digest, json.len()))
     }
 
-    /// Bind `name` to an existing digest and persist the index.
+    /// Bind `name` to an existing digest and persist the index. A name
+    /// already bound to `digest` leaves the index file alone.
     pub(crate) fn alias(&self, name: &str, digest: &str) -> io::Result<()> {
         if name.is_empty() || looks_like_digest(name) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("invalid alias name {name:?}: must be non-empty and not digest-shaped"),
             ));
+        }
+        if self.alias_target(name).as_deref() == Some(digest) {
+            return Ok(());
         }
         if !self.profile_path(digest).exists() {
             return Err(io::Error::new(
@@ -281,6 +308,99 @@ mod tests {
         let (other, _) = store.put(&q).unwrap();
         assert_ne!(other, digest);
         assert_eq!(store.len().unwrap(), 2);
+    }
+
+    /// Inode and modification time: a replace-by-rename changes both.
+    #[cfg(unix)]
+    fn identity(path: &Path) -> (u64, i64, i64) {
+        use std::os::unix::fs::MetadataExt;
+        let meta = fs::metadata(path).unwrap();
+        (meta.ino(), meta.mtime(), meta.mtime_nsec())
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn reput_of_stored_content_leaves_the_file_alone() {
+        let store = temp_store("reput");
+        let p = test_profile("stable", 8192);
+        let (digest, _) = store.put(&p).unwrap();
+        let path = store.dir().join(format!("{digest}.json"));
+        let before = identity(&path);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        store.put(&p).unwrap();
+        assert_eq!(identity(&path), before, "a re-put must not rewrite");
+    }
+
+    #[test]
+    fn reput_repairs_a_truncated_or_foreign_blob() {
+        let store = temp_store("repair");
+        let p = test_profile("victim", 8192);
+        let json = canonical_json(&p);
+        let (digest, _) = store.put(&p).unwrap();
+        let path = store.dir().join(format!("{digest}.json"));
+        let foreign = canonical_json(&test_profile("impostor", 4096));
+        // Same length, one byte off: only the content comparison sees it.
+        let flipped = json.replace("victim", "victiM");
+        for damage in [&json[..json.len() / 2], foreign.as_str(), flipped.as_str()] {
+            fs::write(&path, damage).unwrap();
+            assert!(store.load(&digest).is_err());
+            store.put(&p).unwrap();
+            assert_eq!(fs::read_to_string(&path).unwrap(), json);
+            assert_eq!(store.load(&digest).unwrap(), (p.clone(), json.len()));
+        }
+    }
+
+    #[test]
+    fn racing_puts_of_one_new_profile_leave_one_file() {
+        let store = temp_store("race");
+        let p = test_profile("raced", 8192);
+        let start = std::sync::Barrier::new(2);
+        let put = || {
+            start.wait();
+            store.put(&p)
+        };
+        let digests: Vec<String> = std::thread::scope(|s| {
+            let puts: Vec<_> = (0..2).map(|_| s.spawn(put)).collect();
+            puts.into_iter()
+                .map(|h| h.join().unwrap().unwrap().0)
+                .collect()
+        });
+        assert_eq!(digests, vec![profile_digest(&p); 2]);
+        let names: Vec<String> = fs::read_dir(store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec![format!("{}.json", digests[0])]);
+        assert_eq!(store.load(&digests[0]).unwrap().0, p);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unchanged_alias_leaves_the_index_alone() {
+        let store = temp_store("alias-index");
+        let dir = store.dir().to_path_buf();
+        let index = dir.join(ALIAS_INDEX);
+        // What `Registry::put` does for a profile put under a name.
+        let named_put = |profile: &MachineProfile| {
+            let (digest, _) = store.put(profile).unwrap();
+            store.alias("box", &digest).unwrap();
+            digest
+        };
+        let first = test_profile("one", 8192);
+        named_put(&first);
+        let before = identity(&index);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        named_put(&first);
+        assert_eq!(
+            identity(&index),
+            before,
+            "an unchanged binding must not rewrite"
+        );
+        // Rebinding the name writes the index, and the new binding persists.
+        let second = named_put(&test_profile("two", 16384));
+        assert_ne!(identity(&index), before);
+        let reopened = ProfileStore::open(&dir).unwrap();
+        assert_eq!(reopened.alias_target("box"), Some(second));
     }
 
     #[test]

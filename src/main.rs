@@ -877,7 +877,8 @@ fn query_stats(args: &[String]) -> Exit {
     );
     println!(
         "event loop: conns {}/{} (open/peak)  ready {}  wakeups {}  \
-         answered-on-loop {}  partial-reads {}  deadline-kills {}  oversized {}",
+         answered-on-loop {}  partial-reads {}  deadline-kills {}  oversized {}  \
+         socket reads {}  writes {}",
         stats.events.conns_open,
         stats.events.conns_peak,
         stats.events.ready_events,
@@ -885,7 +886,9 @@ fn query_stats(args: &[String]) -> Exit {
         stats.events.answered_on_loop,
         stats.events.partial_reads,
         stats.events.deadline_kills,
-        stats.events.oversized_rejected
+        stats.events.oversized_rejected,
+        stats.events.socket_reads,
+        stats.events.socket_writes
     );
     if !stats.ops.is_empty() {
         println!("request latency per op:");
