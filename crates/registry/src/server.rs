@@ -13,8 +13,9 @@
 //! of up to `IN_MEMORY_BYTES`. A readiness event costs one `read` when
 //! what is waiting fits in one chunk (`Conn::read_ready` stops at a
 //! short first read; readiness is level-triggered, so anything left
-//! raises the next event), and a small reply one `write`: the `socket_reads` and
-//! `socket_writes` counters of [`crate::EventStats`] count them.
+//! raises the next event), and a small reply one `write`: the
+//! `socket_reads` and `socket_writes` counters of [`crate::EventStats`]
+//! count them.
 //!
 //! **Which thread answers what.** The loop answers a request itself
 //! when the answer is already in memory (`Registry::handle_in_memory`:
