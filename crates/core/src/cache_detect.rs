@@ -18,9 +18,12 @@
 //!
 //! The fit is one serial loop over the candidate grid
 //! (`scored_candidates`): one `O(max np)` recurrence pass per pack of up
-//! to eight tentative sizes that share an associativity — so its cost
-//! follows the window's right end. The sweep that feeds it costs tens of times
-//! more on the simulator even when bracketed
+//! to eight tentative sizes that share an associativity. A pass steps
+//! toward the window's right end only until the last of its candidates'
+//! curves settles (can no longer change), so its cost follows the
+//! transition rather than how far past it the window runs. The sweep
+//! that feeds it costs tens of times more on the simulator even when
+//! bracketed
 //! ([`Sweep::Bracketed`](crate::mcalibrator::Sweep)), whose dense samples
 //! run on to the same two flat steps the window walk stops at.
 

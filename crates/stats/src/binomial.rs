@@ -17,7 +17,8 @@
 //! batch API goes further for the Fig. 3 fit: it produces the whole
 //! predicted miss-rate curves of up to eight candidates that share `K` in
 //! a single `O(max NP)` pass, one lane per candidate, using the companion
-//! recurrence in `n`, `P(B(n+1,p) > k) = P(B(n,p) > k) + p·P(B(n,p) = k)`.
+//! recurrence in `n`, `P(B(n+1,p) > k) = P(B(n,p) > k) + p·P(B(n,p) = k)`,
+//! and stops it once no curve can change any more.
 //! [`sf_curve`] is its one-candidate case.
 //!
 //! The pre-recurrence per-term kernels survive in [`mod@reference`] as the
@@ -228,8 +229,12 @@ const LANES: usize = 8;
 /// count. Candidates with the same `k` step through the same `n`, so up
 /// to eight of them share one pass, each lane performing exactly the
 /// operations a pass of its own would: the curves are the same bits
-/// whatever `ps` holds beside them. `np_values` may be in any order and
-/// each `p` is clamped to `[0, 1]` like [`Binomial::new`].
+/// whatever `ps` holds beside them. A lane whose curve can no longer
+/// change past its peak is settled at the next of the checks made every
+/// 64 steps, and the pass stops once all of its lanes are, so its cost
+/// follows the last candidate's settle point, not the largest page count.
+/// `np_values` may be in any order and each `p` is clamped to `[0, 1]`
+/// like [`Binomial::new`].
 pub fn sf_curves(np_values: &[u64], ps: &[f64], k: u64) -> Vec<f64> {
     let len = np_values.len();
     let mut out = vec![0.0f64; ps.len() * len];
@@ -265,14 +270,33 @@ pub fn sf_curves(np_values: &[u64], ps: &[f64], k: u64) -> Vec<f64> {
     out
 }
 
+/// Steps [`advance`] takes between two settle checks.
+const CHECK_EVERY: u64 = 64;
+
+#[cfg(test)]
+thread_local! {
+    /// Recurrence steps [`advance`] has taken on this thread.
+    static STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Advance the recurrence of every `(row, p)` of `pack` (at most `N`,
 /// each `p` in `(0, 1)`) through `np_values` in ascending `order`,
 /// writing each candidate's curve into its row of `out`.
 ///
-/// Each lane's arithmetic is the scalar recurrence's, in its order;
-/// `(m+1)` and `(m+1−k)` are exact `f64` counters (integers below 2⁵³).
-/// A lane past its subnormal freeze holds `pmfk = 0` and adds `+0.0`,
-/// which leaves its sum unchanged; unused lanes start there.
+/// Each step is the scalar recurrence alone, in its order, in every lane:
+/// `sf += p·pmfk`, then `pmfk *= (q·(m+1)) / (m+1−k)`, where `(m+1)` and
+/// `(m+1−k)` are exact `f64` counters (integers below 2⁵³). Every
+/// [`CHECK_EVERY`] steps a lane past its peak (`m·p ≥ k + 1`) whose curve
+/// can no longer change is *settled*: its `pmfk` is set to `0`, so it adds
+/// `+0.0` from then on. It settles when its term is below
+/// `f64::MIN_POSITIVE` (the scalar pass's subnormal freeze, checked late),
+/// when `sf ≥ 1` (the curve reads `1` for good), or when the next addend
+/// would leave `sf` unchanged. Past the peak the computed ratio is at most
+/// `1`, so no later addend is larger, and by monotone rounding none
+/// changes `sf` either; a freeze found late adds only terms far below half
+/// an ulp of `sf`. DESIGN.md §7 gives both arguments, which hold for page
+/// counts below 2²⁷. The pass stops stepping once every lane holds
+/// `pmfk = 0`; unused lanes start there.
 fn advance<const N: usize>(
     np_values: &[u64],
     order: &[usize],
@@ -293,28 +317,39 @@ fn advance<const N: usize>(
     }
     let mut m = k;
     let mut mf = kf;
-    // Set once every lane is frozen: no further step can move a sum.
-    let mut settled = false;
+    let mut check_at = k + CHECK_EVERY;
+    // Set once every lane holds pmfk = 0: no further step can move a sum.
+    let mut settled = pmfk.iter().all(|&t| t == 0.0);
     for &i in order {
         let target = np_values[i];
         // target ≤ k leaves the seed state: P(B(n,p) > k) = 0 for n ≤ k.
         while !settled && m < target {
-            let next = mf + 1.0;
-            let fresh = next - kf;
-            for lane in 0..N {
-                // Once past the peak of P(B(m,p) = k) (at m ≈ k/p) the
-                // term decays geometrically; when it underflows toward
-                // subnormal range it can no longer move `sf`, and
-                // grinding through subnormal multiplies costs a microcode
-                // trap per step. Freeze the converged lane.
-                let frozen = pmfk[lane] < f64::MIN_POSITIVE && mf * p[lane] > kf;
-                pmfk[lane] = if frozen { 0.0 } else { pmfk[lane] };
-                sf[lane] += p[lane] * pmfk[lane];
-                pmfk[lane] *= q[lane] * next / fresh;
+            let stop = target.min(check_at);
+            #[cfg(test)]
+            STEPS.with(|steps| steps.set(steps.get() + (stop - m)));
+            while m < stop {
+                let next = mf + 1.0;
+                let fresh = next - kf;
+                for lane in 0..N {
+                    sf[lane] += p[lane] * pmfk[lane];
+                    pmfk[lane] *= q[lane] * next / fresh;
+                }
+                m += 1;
+                mf = next;
             }
-            m += 1;
-            mf = next;
-            settled = pmfk.iter().all(|&t| t == 0.0);
+            if m == check_at {
+                check_at += CHECK_EVERY;
+                for lane in 0..N {
+                    let past_peak = mf * p[lane] >= kf + 1.0;
+                    let spent = pmfk[lane] < f64::MIN_POSITIVE
+                        || sf[lane] >= 1.0
+                        || sf[lane] + p[lane] * pmfk[lane] == sf[lane];
+                    if past_peak && spent {
+                        pmfk[lane] = 0.0;
+                    }
+                }
+                settled = pmfk.iter().all(|&t| t == 0.0);
+            }
         }
         for (lane, &(row, _)) in pack.iter().enumerate() {
             out[row * len + i] = sf[lane].min(1.0);
@@ -562,6 +597,56 @@ mod tests {
         // Out-of-range p is clamped like Binomial::new.
         assert_eq!(sf_curve(&[10], -0.5, 4), vec![0.0]);
         assert_eq!(sf_curve(&[10], 7.5, 4), vec![1.0]);
+    }
+
+    /// Recurrence steps `f` makes [`advance`] take on this thread.
+    fn steps_of(f: impl FnOnce()) -> u64 {
+        let before = STEPS.with(std::cell::Cell::get);
+        f();
+        STEPS.with(std::cell::Cell::get) - before
+    }
+
+    /// The first trial count at which a lane of `p` is past its peak and
+    /// spent, by the rules of [`advance`]'s check tested at every step.
+    fn settle_point(p: f64, k: u64) -> u64 {
+        let (q, kf) = (1.0 - p, k as f64);
+        let (mut sf, mut pmfk) = (0.0f64, (kf * p.ln()).exp());
+        let mut m = k;
+        loop {
+            let mf = m as f64;
+            let spent = pmfk < f64::MIN_POSITIVE || sf >= 1.0 || sf + p * pmfk == sf;
+            if mf * p >= kf + 1.0 && spent {
+                return m;
+            }
+            sf += p * pmfk;
+            pmfk *= q * (mf + 1.0) / (mf + 1.0 - kf);
+            m += 1;
+        }
+    }
+
+    #[test]
+    fn a_settled_pack_stops_within_one_check_of_its_last_lane() {
+        // Every lane settles far below the 2^17 pages asked for, so a pass
+        // that stepped to the target would take over 130 000 steps.
+        let np = [1u64 << 17];
+        let pool = [0.5, 0.1, 0.02, 1.0 / 64.0, 0.3, 0.05, 0.2, 0.01];
+        for k in [0u64, 1, 8, 31] {
+            for lanes in [1, 3, 8] {
+                let ps = &pool[..lanes];
+                let last = ps.iter().map(|&p| settle_point(p, k)).max().unwrap() - k;
+                assert!(last + CHECK_EVERY < np[0], "k={k}: {last}");
+                let steps = steps_of(|| drop(sf_curves(&np, ps, k)));
+                assert!(
+                    (last..last + CHECK_EVERY).contains(&steps),
+                    "k={k}, {lanes} lanes: {steps} steps, the last lane settles {last} in"
+                );
+            }
+        }
+        // Lanes that never settle keep the pass to the target.
+        assert_eq!(
+            steps_of(|| drop(sf_curves(&np, &[1e-6, 0.5], 8))),
+            np[0] - 8
+        );
     }
 
     #[test]

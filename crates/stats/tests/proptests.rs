@@ -241,6 +241,207 @@ fn lane_kernel_matches_the_scalar_recurrence_on_edge_cases() {
     assert_eq!(one, sf_curve_spec(&np, 0.02, 8));
 }
 
+/// Steps between the lane kernel's settle checks, counted from `m = k`.
+const CHECK: u64 = 64;
+
+/// Where the scalar recurrence of one lane meets the lane kernel's settle
+/// check, and which of its rules hold there.
+#[derive(Debug, Clone, Copy)]
+struct Settle {
+    /// Trial count of the check.
+    at: u64,
+    /// (a) `pmf` below `f64::MIN_POSITIVE`.
+    underflow: bool,
+    /// (b) `sf ≥ 1`.
+    saturated: bool,
+    /// (c) the next addend leaves `sf` unchanged.
+    no_op: bool,
+}
+
+/// The specification's freeze point for `(p, k)` (the first trial count
+/// at which it zeroes `pmf`) and the first settle check, every [`CHECK`]
+/// steps from `m = k`, at which the lane is past its peak (`m·p ≥ k + 1`)
+/// and one rule holds. Either is `None` when it falls at or past `limit`.
+fn freeze_and_settle(p: f64, k: u64, limit: u64) -> (Option<u64>, Option<Settle>) {
+    let (q, kf) = (1.0 - p, k as f64);
+    let (mut sf, mut pmfk) = (0.0f64, (kf * p.ln()).exp());
+    let (mut freeze, mut settle) = (None, None);
+    for m in k..limit {
+        let mf = m as f64;
+        if freeze.is_none() && pmfk < f64::MIN_POSITIVE && mf * p > kf {
+            freeze = Some(m);
+        }
+        if settle.is_none() && m > k && (m - k).is_multiple_of(CHECK) && mf * p >= kf + 1.0 {
+            let s = Settle {
+                at: m,
+                underflow: pmfk < f64::MIN_POSITIVE,
+                saturated: sf >= 1.0,
+                no_op: sf + p * pmfk == sf,
+            };
+            if s.underflow || s.saturated || s.no_op {
+                settle = Some(s);
+            }
+        }
+        if freeze.is_some() && settle.is_some() {
+            break;
+        }
+        sf += p * pmfk;
+        pmfk *= q * (mf + 1.0) / (mf + 1.0 - kf);
+    }
+    (freeze, settle)
+}
+
+/// Page counts around each of `points` (settle checks, all at or past
+/// `CHECK`): one below, at and above it, and one check interval on either
+/// side.
+fn around(points: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    points
+        .into_iter()
+        .flat_map(|s| [s - CHECK, s - 1, s, s + 1, s + CHECK])
+        .collect()
+}
+
+/// A lane drawn to settle early: near 1 (its term underflows within a
+/// check or two of its peak), small (its term decays by little between
+/// two checks, so one of them finds the next addend within an ulp or two
+/// of `sf`) or anywhere across the unit interval.
+fn settling_p(rng: &mut ChaCha8Rng) -> f64 {
+    match rng.gen_range(0u64..4) {
+        0 => 1.0 - 10f64.powf(-rng.gen_range(3.0..9.0)),
+        1 => 10f64.powf(-rng.gen_range(0.5..2.5)),
+        _ => rng.gen_range(0.01..1.0),
+    }
+}
+
+#[test]
+fn lane_kernel_settles_by_each_rule() {
+    // Lanes that settle with (a) holding (their spec freeze falls at or
+    // before the check), with only (b) holding and with only (c) holding,
+    // each run in packs of one such kind and checked around every settle
+    // point.
+    let mut rng = ChaCha8Rng::seed_from_u64(13);
+    let mut kinds: [Vec<(f64, u64, u64)>; 3] = Default::default();
+    for _ in 0..LANE_CASES * 4 {
+        let (p, k) = (settling_p(&mut rng), rng.gen_range(0u64..40));
+        let Some(s) = freeze_and_settle(p, k, 100_000).1 else {
+            continue;
+        };
+        let kind = match (s.underflow, s.saturated, s.no_op) {
+            (true, _, _) => 0,
+            (false, true, false) => 1,
+            (false, false, true) => 2,
+            _ => continue,
+        };
+        if kinds[kind].len() < 24 {
+            kinds[kind].push((p, k, s.at));
+        }
+    }
+    for (kind, lanes) in kinds.iter().enumerate() {
+        assert!(
+            lanes.len() >= 4,
+            "rule {} settled {} drawn lanes",
+            ["(a)", "(b)", "(c)"][kind],
+            lanes.len()
+        );
+        for &(p, k, at) in lanes {
+            let mut np = around([at]);
+            np.extend([0, k, 4 * at]);
+            // The lane alone, in a short pack and in a full one beside
+            // other lanes of its kind that share its k.
+            let same_k: Vec<f64> = lanes.iter().filter(|l| l.1 == k).map(|l| l.0).collect();
+            assert_lanes_match_spec(&np, &[p], k);
+            assert_lanes_match_spec(&np, &[p, 0.5, 1e-6], k);
+            assert_lanes_match_spec(&np, &same_k, k);
+        }
+    }
+}
+
+#[test]
+fn lane_kernel_matches_a_freeze_between_checks() {
+    // The specification freezes at a step that is no multiple of CHECK
+    // past k; the kernel keeps stepping to its next check. Every page
+    // count from k to two checks past the freeze is read off.
+    let mut rng = ChaCha8Rng::seed_from_u64(14);
+    let mut seen = 0;
+    for _ in 0..LANE_CASES {
+        let p = 1.0 - 10f64.powf(-rng.gen_range(1.0..9.0));
+        let k = rng.gen_range(0u64..40);
+        let (Some(freeze), Some(settle)) = freeze_and_settle(p, k, 100_000) else {
+            continue;
+        };
+        if (freeze - k).is_multiple_of(CHECK) {
+            continue;
+        }
+        // A check that finds the term underflowed comes after the freeze.
+        assert!(
+            !settle.underflow || settle.at > freeze,
+            "p={p}, k={k}: froze at {freeze}, settled at {}",
+            settle.at
+        );
+        seen += 1;
+        let np: Vec<u64> = (0..=freeze + 2 * CHECK).collect();
+        assert_lanes_match_spec(&np, &[p], k);
+        assert_lanes_match_spec(&np, &[p, settling_p(&mut rng), 1e-7, 0.25], k);
+    }
+    assert!(seen >= LANE_CASES / 4, "{seen} freezes between checks");
+}
+
+#[test]
+fn lane_kernel_mixes_settling_and_unsettled_lanes() {
+    // Packs of every size from 1 to 17 (short packs, full packs and a
+    // short remainder) whose lanes either settle early or never settle
+    // (the peak k/p lies past every page count), with page counts around
+    // the settling lanes' checks.
+    let mut rng = ChaCha8Rng::seed_from_u64(15);
+    let mut mixed = 0;
+    for case in 0..LANE_CASES {
+        let k = rng.gen_range(1u64..40);
+        let lanes = 1 + case % 17;
+        let ps: Vec<f64> = (0..lanes)
+            .map(|_| match rng.gen_range(0u64..3) {
+                0 => 10f64.powf(-rng.gen_range(5.0..8.0)),
+                1 => lane_p(&mut rng),
+                _ => settling_p(&mut rng),
+            })
+            .collect();
+        let settles: Vec<u64> = ps
+            .iter()
+            .filter_map(|&p| freeze_and_settle(p.clamp(0.0, 1.0), k, 20_000).1)
+            .map(|s| s.at)
+            .collect();
+        mixed += usize::from(!settles.is_empty() && settles.len() < lanes);
+        let mut np = around(settles.iter().copied());
+        np.extend(vec_of(&mut rng, 0..12, |r| r.gen_range(0u64..20_000)));
+        rng.shuffle(&mut np);
+        assert_lanes_match_spec(&np, &ps, k);
+    }
+    assert!(mixed >= LANE_CASES / 4, "{mixed} packs mixed the two");
+}
+
+#[test]
+fn lane_kernel_matches_up_to_2_17_pages() {
+    // A 64 MB window on 1 KB pages: the Fig. 3 grid's p = K·PS/CS over
+    // tentative sizes from 256 KB to 64 MB, and drawn lanes.
+    let mut rng = ChaCha8Rng::seed_from_u64(16);
+    let cases = LANE_CASES / 50;
+    for case in 0..cases {
+        let k = [1u64, 2, 4, 8, 16, 24, 32][case % 7];
+        let mut np = vec_of(&mut rng, 1..16, |r| r.gen_range(0u64..(1 << 17) + 1));
+        np.push(1 << 17);
+        let ps: Vec<f64> = (0..1 + case % 9)
+            .map(|_| {
+                if rng.gen_range(0u64..2) == 0 {
+                    let cs = 1u64 << rng.gen_range(18u64..27);
+                    (k * 1024) as f64 / cs as f64
+                } else {
+                    lane_p(&mut rng)
+                }
+            })
+            .collect();
+        assert_lanes_match_spec(&np, &ps, k);
+    }
+}
+
 #[test]
 fn fast_sf_matches_reference_kernel() {
     // The rewritten tail sum and the retained pre-recurrence kernel
